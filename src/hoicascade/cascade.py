@@ -97,6 +97,9 @@ class SegHead:
     def forward(self, pooled_flat):
         return self.fc.forward(pooled_flat)
 
+    def backward(self, d_logits):
+        return self.fc.backward(d_logits)
+
 
 def apply_box_deltas(box: Box, deltas) -> Box | None:
     """Standard center/log-size parameterization:

@@ -13,8 +13,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import DataError, FormatError, TrainingError
 from .formats import (
     RunConfig,
@@ -92,7 +90,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    from .training import TrainLog, prepare_grids, train_model
+    from .training import TrainLog, train_model
 
     config = build_run_config(args)
     spec, meta = read_meta(os.path.join(args.data, "meta.json"))

@@ -6,7 +6,6 @@ cross-stage fused vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,25 +87,14 @@ def geometric_feature(pair_map, encoder):
     return encoder.forward(pair_map)
 
 
-@dataclass(frozen=True)
-class FaceRegion:
-    box: Box
-    source: str  # "annotated" | "heuristic"
-
-
-def face_region(human_box: Box, annotation: Box | None = None) -> FaceRegion:
-    """Facial region of a person: the annotation when given, otherwise the
-    top 30% of the box height over the middle 50% of its width, clipped
-    to the person box."""
-    if annotation is not None:
-        clipped = Box(max(annotation.x1, human_box.x1), max(annotation.y1, human_box.y1),
-                      min(annotation.x2, human_box.x2), min(annotation.y2, human_box.y2))
-        return FaceRegion(clipped, "annotated")
+def face_region(human_box: Box) -> Box:
+    """Facial region of a person: the top 30% of the box height over the
+    middle 50% of its width."""
     w = human_box.width
     x1 = human_box.x1 + (1.0 - FACE_WIDTH_FRACTION) / 2.0 * w
     x2 = x1 + FACE_WIDTH_FRACTION * w
     y2 = human_box.y1 + FACE_TOP_FRACTION * human_box.height
-    return FaceRegion(Box(x1, human_box.y1, x2, y2), "heuristic")
+    return Box(x1, human_box.y1, x2, y2)
 
 
 # ------------------------------------------------------------------- IHSM
@@ -125,22 +113,6 @@ def ihsm_enhance(h_grid):
     ctx = attn @ x                              # (P, C)
     out = (x + ctx).T.reshape(c, gh, gw)
     return out, attn
-
-
-def ihsm_backward(d_out, h_grid, attn):
-    """Gradient of ihsm_enhance's output w.r.t. its input grid."""
-    h_grid = np.asarray(h_grid, dtype=np.float64)
-    c, gh, gw = h_grid.shape
-    x = h_grid.reshape(c, gh * gw).T            # (P, C)
-    d_out = np.asarray(d_out, dtype=np.float64).reshape(c, gh * gw).T
-    dx = d_out.copy()                           # residual path
-    d_ctx = d_out
-    d_attn = d_ctx @ x.T                        # (P, P)
-    dx += attn.T @ d_ctx
-    # softmax backward, then through the similarity logits S = X X^T
-    d_logits = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-    dx += (d_logits + d_logits.T) @ x
-    return dx.T.reshape(c, gh, gw)
 
 
 # ------------------------------------------------------------------- EFRA
@@ -202,17 +174,6 @@ def efra_enhance(obj_feat, face_feat, noface_feat, alpha, alpha_bar):
     return obj_feat + alpha * np.asarray(face_feat) + alpha_bar * np.asarray(noface_feat)
 
 
-def efra_enhance_backward(d_enh, face_feat, noface_feat, alpha, alpha_bar):
-    """Gradients of efra_enhance w.r.t. (obj, face, noface, alpha, alpha_bar)."""
-    d_enh = np.asarray(d_enh, dtype=np.float64)
-    d_obj = d_enh
-    d_face = alpha * d_enh
-    d_noface = alpha_bar * d_enh
-    d_alpha = float((d_enh * face_feat).sum())
-    d_alpha_bar = float((d_enh * noface_feat).sum())
-    return d_obj, d_face, d_noface, d_alpha, d_alpha_bar
-
-
 # ------------------------------------------------------------- assembly
 
 def assemble_visual(human_feat, obj_feat, union_feat):
@@ -221,15 +182,6 @@ def assemble_visual(human_feat, obj_feat, union_feat):
     if not (parts[0].shape == parts[1].shape == parts[2].shape):
         raise ShapeError("visual parts must share one shape")
     return np.concatenate(parts, axis=0)
-
-
-def split_visual(visual):
-    """Inverse of assemble_visual."""
-    c = visual.shape[0]
-    if c % 3:
-        raise ShapeError("visual tensor channel count must be divisible by 3")
-    third = c // 3
-    return visual[:third], visual[third:2 * third], visual[2 * third:]
 
 
 def build_fusion_stack(visual_dim, rng, hidden=FUSED_DIM):

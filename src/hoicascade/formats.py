@@ -1,5 +1,5 @@
 """Bit-exact file formats: scene and prediction NDJSON, dataset metadata,
-the FGRD feature-grid binary, run-length masks and the flat config format.
+run-length masks and the flat config format.
 
 All JSON is emitted with sorted keys and repr-float values, so identical
 inputs produce byte-identical files.
@@ -8,7 +8,6 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,6 @@ from .errors import DataError, FormatError
 from .geometry import BitMask, Box
 from .metrics import TripletRecord
 from .synth import Entity, Scene, SceneSpec, SeedProposal, Triplet
-
-FGRD_MAGIC = b"FGRD"
-FGRD_VERSION = 1
 
 
 # ------------------------------------------------------------------ masks
@@ -185,39 +181,6 @@ def read_meta(path):
     return spec_from_dict(data), data
 
 
-# ---------------------------------------------------------- feature grids
-
-def write_feature_grid(path, data):
-    """FGRD binary: magic, u32 version, u32 C/H/W, then little-endian f32."""
-    data = np.asarray(data)
-    if data.ndim != 3:
-        raise DataError(f"feature grid must be (C, H, W), got {data.shape}")
-    c, h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(FGRD_MAGIC)
-        fh.write(struct.pack("<IIII", FGRD_VERSION, c, h, w))
-        fh.write(data.astype("<f4").tobytes())
-
-
-def read_feature_grid(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FGRD_MAGIC:
-            raise FormatError(f"bad feature-grid magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise FormatError("truncated feature-grid header")
-        version, c, h, w = struct.unpack("<IIII", header)
-        if version != FGRD_VERSION:
-            raise FormatError(f"unsupported feature-grid version {version}")
-        payload = fh.read(4 * c * h * w)
-        if len(payload) != 4 * c * h * w:
-            raise FormatError("truncated feature-grid payload")
-        if fh.read(1):
-            raise FormatError("trailing bytes after feature-grid payload")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(c, h, w)
-
-
 # ------------------------------------------------------------ predictions
 
 def predictions_to_record(image_id, predictions, with_masks=False) -> dict:
@@ -332,8 +295,6 @@ class RunConfig:
     learning_rate: float = 0.02
     phase1_epochs: int = 6
     phase2_epochs: int = 5
-    rrm_polish_epochs: int = 0    # extra ranking-only refinement steps
-    rrm_polish_lr: float = 0.02
     seed: int = 0
     grid_size: int = 32
     channels: int = 0                 # 0 = derive from vocabulary

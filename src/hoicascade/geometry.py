@@ -181,30 +181,6 @@ def roi_align(grid: FeatureGrid, box: Box, out=(7, 7)) -> np.ndarray:
     return top * (1 - wr[:, None]) + bot * wr[:, None]
 
 
-def roi_align_backward(d_out, grid: FeatureGrid, box: Box, out=(7, 7)) -> np.ndarray:
-    """Gradient of roi_align w.r.t. the grid data (same sampling geometry)."""
-    r0, r1, wr, c0, c1, wc = _sample_positions(grid, box, out)
-    d_out = np.asarray(d_out, dtype=np.float64)
-    oh, ow = d_out.shape[1:]
-    rr0 = np.broadcast_to(r0[:, None], (oh, ow))
-    rr1 = np.broadcast_to(r1[:, None], (oh, ow))
-    cc0 = np.broadcast_to(c0[None, :], (oh, ow))
-    cc1 = np.broadcast_to(c1[None, :], (oh, ow))
-    wr = wr[:, None]
-    wc = wc[None, :]
-    dgrid = np.zeros_like(grid.data)
-    w00 = (1 - wr) * (1 - wc)
-    w01 = (1 - wr) * wc
-    w10 = wr * (1 - wc)
-    w11 = wr * wc
-    for c in range(grid.channels):
-        np.add.at(dgrid[c], (rr0, cc0), d_out[c] * w00)
-        np.add.at(dgrid[c], (rr0, cc1), d_out[c] * w01)
-        np.add.at(dgrid[c], (rr1, cc0), d_out[c] * w10)
-        np.add.at(dgrid[c], (rr1, cc1), d_out[c] * w11)
-    return dgrid
-
-
 def downsample_mask(mask: BitMask, grid: FeatureGrid) -> np.ndarray:
     """Mask at feature resolution: a cell is inside iff the mask covers
     at least 50% of the image pixels whose centers fall in its footprint."""

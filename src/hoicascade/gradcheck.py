@@ -1,7 +1,7 @@
-"""Finite-difference gradient suites for every differentiable operation:
-fully connected layers, the conv+pool encoder, RoI pooling, the similarity
-attention, the facial attention stacks, the ranking and classification
-heads, the ranking hinge and the binary cross-entropy.
+"""Finite-difference gradient suites for every operation training
+backpropagates through: fully connected layers, the conv+pool encoder, the
+facial attention stacks, the ranking and classification heads, the fusion
+stack, the ranking hinge and the binary cross-entropy.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from .features import (
     build_fusion_stack,
     efra_attend,
     efra_attend_backward,
-    ihsm_backward,
-    ihsm_enhance,
 )
-from .geometry import Box, FeatureGrid, roi_align, roi_align_backward
 from .interaction import RCMHeads, RRMHead
 from .numerics import (
     ConvPoolEncoder,
@@ -67,43 +64,6 @@ def check_conv_pool(points=10, tol=1e-4):
 
         _merge(report, finite_diff_check(run, dict(enc.params("enc")), tol=tol,
                                          max_entries=6), point)
-    return report
-
-
-def check_roi_align(points=10, tol=1e-4):
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([17, point])
-        data = Param(rng.normal(size=(2, 6, 6)))
-        x1, y1 = rng.uniform(0.5, 2.5, 2)
-        box = Box(x1, y1, x1 + rng.uniform(1, 3), y1 + rng.uniform(1, 3))
-        w = rng.normal(size=(2, 3, 3))
-
-        def run():
-            grid = FeatureGrid.from_array(data.value)
-            y = roi_align(grid, box, out=(3, 3))
-            data.grad += roi_align_backward(w, grid, box, out=(3, 3))
-            return float((y * w).sum())
-
-        _merge(report, finite_diff_check(run, {"grid": data}, tol=tol,
-                                         max_entries=12), point)
-    return report
-
-
-def check_ihsm(points=10, tol=1e-4):
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([19, point])
-        grid = Param(rng.normal(scale=0.6, size=(3, 2, 2)))
-        w = rng.normal(size=(3, 2, 2))
-
-        def run():
-            out, attn = ihsm_enhance(grid.value)
-            grid.grad += ihsm_backward(w, grid.value, attn)
-            return float((out * w).sum())
-
-        _merge(report, finite_diff_check(run, {"human": grid}, tol=tol,
-                                         max_entries=12), point)
     return report
 
 
@@ -228,8 +188,6 @@ def check_bce(points=10, tol=1e-4):
 ALL_CHECKS = {
     "fc_forward": check_fc,
     "conv_pool_encoder": check_conv_pool,
-    "roi_align": check_roi_align,
-    "ihsm_attention": check_ihsm,
     "efra_attention": check_efra,
     "rrm_head": check_rrm,
     "rcm_heads": check_rcm,

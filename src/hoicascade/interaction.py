@@ -74,8 +74,7 @@ class HOICandidate:
     human: Instance
     object: Instance
     features: RelationFeatures | None = None
-    stage_scores: list = field(default_factory=list)   # fused (N,) per stage
-    stage_streams: list = field(default_factory=list)  # (s_s, s_g, s_v) per stage
+    stage_scores: list = field(default_factory=list)  # fused (N,) per stage
 
     @property
     def final_scores(self):
@@ -300,18 +299,19 @@ class CascadeModel:
         rng = np.random.default_rng(seed)
         t_stages = self.config.stages
         self.box_heads = [StageHead(channels, rng) for _ in range(t_stages)]
-        self.seg_heads = [SegHead(channels, rng) for _ in range(t_stages)]
         self.rrm_heads = [RRMHead(rng) for _ in range(t_stages)]
         self.rcm_heads = [RCMHeads(n_verbs, rng) for _ in range(t_stages)]
         self.geo_encoder = ConvPoolEncoder(2, (64, 64), rng=rng)
         self.face_stack = build_efra_stack(channels, POOLED_HW, rng)
         self.noface_stack = build_efra_stack(channels, POOLED_HW, rng)
         self.fusion_stack = build_fusion_stack(3 * channels * POOLED_HW[0] * POOLED_HW[1], rng)
+        # mask heads exist only in segment mode and draw last, so the other
+        # blocks start from the same values in both modes
+        self.seg_heads = [SegHead(channels, rng) for _ in range(t_stages)] if segment else []
 
         self.store = ParamStore()
         for t in range(t_stages):
             for name, p in (self.box_heads[t].params(f"stage{t + 1}.box")
-                            + self.seg_heads[t].params(f"stage{t + 1}.seg")
                             + self.rrm_heads[t].params(f"stage{t + 1}.rrm")
                             + self.rcm_heads[t].params(f"stage{t + 1}.rcm")):
                 self.store.add(name, p)
@@ -320,13 +320,16 @@ class CascadeModel:
                         + self.noface_stack.params("shared.noface_stack")
                         + self.fusion_stack.params("shared.fusion")):
             self.store.add(name, p)
+        for t, head in enumerate(self.seg_heads):
+            for name, p in head.params(f"stage{t + 1}.seg"):
+                self.store.add(name, p)
 
     # ------------------------------------------------------------ features
 
     def face_zeroed_grid(self, grid: FeatureGrid, human_box: Box) -> FeatureGrid:
         """Image-level grid with the cells under the person's facial region
         zeroed (the face-removed variant used by the face-agnostic path)."""
-        face = face_region(human_box).box
+        face = face_region(human_box)
         gh, gw = grid.grid_height, grid.grid_width
         cx = (np.arange(gw) + 0.5) / grid.scale_x
         cy = (np.arange(gh) + 0.5) / grid.scale_y
@@ -351,7 +354,7 @@ class CascadeModel:
         return roi_align(grid, ubox, POOLED_HW)
 
     def pool_face_features(self, grid: FeatureGrid, human: Instance):
-        face = face_region(human.box).box
+        face = face_region(human.box)
         face_feat = roi_align(grid, face, POOLED_HW)
         noface_feat = roi_align(self.face_zeroed_grid(grid, human.box), human.box, POOLED_HW)
         return face_feat, noface_feat
@@ -466,16 +469,11 @@ def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
 
 
 def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
-                top_k=TOP_K, fusion="hadamard") -> list[TripletPrediction]:
+                top_k=TOP_K) -> list[TripletPrediction]:
     """Full image protocol: cascade localization, stage merging and
     filtering, pair ranking, top-k selection, and staged classification
     with the final stage's fused scores emitted per verb.
-
-    fusion selects the emission rule: "hadamard" is the published
-    (s_v + s_g) * s_s; "sum" (s_v + s_g + s_s) exists for the ablation.
     """
-    if fusion not in ("hadamard", "sum"):
-        raise DataError(f"unknown fusion rule {fusion!r}")
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
     kept = dedup_by_lineage(merged)
@@ -491,20 +489,14 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     for cand in top:
         prev = np.zeros_like(cand.features.x_v)
         cand.stage_scores = []
-        cand.stage_streams = []
         for t in range(model.config.stages):
             cand.features.x_v_fused = cross_stage_fuse(cand.features.x_v, prev, model.fusion_stack)
             s_s, s_g, s_v = classify_relation(cand, model.rcm_heads[t])
-            cand.stage_streams.append((s_s, s_g, s_v))
             cand.stage_scores.append(fuse_scores(s_v, s_g, s_s))
             prev = cand.features.x_v
     predictions = []
     for cand in top:
-        if fusion == "sum":
-            s_s, s_g, s_v = cand.stage_streams[-1]
-            final = s_v + s_g + s_s
-        else:
-            final = cand.final_scores
+        final = cand.final_scores
         for verb in range(model.n_verbs):
             predictions.append(TripletPrediction(cand.human, cand.object,
                                                  verb, float(final[verb])))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError
 from .geometry import BitMask, Box, box_iou, mask_iou
 

@@ -269,8 +269,3 @@ def run_equivalence_suite(n_instances=500, seed=0):
         report.note("recall", abs(main_recall - ref_recall))
     return report
 
-
-def oracle_suite(n_instances=500, seed=0):
-    """Spec-facing entry point: run the equivalence suite and return the
-    report; raises on bound violations inside the individual oracles."""
-    return run_equivalence_suite(n_instances=n_instances, seed=seed)

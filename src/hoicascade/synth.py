@@ -237,7 +237,7 @@ def _sample_box(rng, class_name, spec: SceneSpec, center=None) -> Box:
 
 def _make_entity(class_name, box, spec: SceneSpec) -> Entity:
     class_id = spec.class_id(class_name)
-    face = face_region(box).box if class_name == "person" else None
+    face = face_region(box) if class_name == "person" else None
     return Entity(class_id, box, _make_mask(class_name, box, spec.image_size), face)
 
 

@@ -35,7 +35,6 @@ from .formats import RunConfig, predictions_to_record
 from .geometry import FeatureGrid, box_iou, roi_align
 from .interaction import (
     CascadeModel,
-    SampledPairBatch,
     TrainBatchSpec,
     enumerate_pairs,
     infer_image,
@@ -43,7 +42,6 @@ from .interaction import (
     sample_training_pairs,
     total_loss,
 )
-from .metrics import TripletRecord, map_rel, recall_at_k
 from .numerics import binary_cross_entropy, pairwise_hinge_loss, sgd_step, sigmoid, smooth_l1
 from .synth import SceneSpec, gt_pairs_of, render_feature_grid
 
@@ -313,13 +311,6 @@ def relation_losses_multi(model, grid, stage_batches, train=True):
     return out
 
 
-def relation_stage_losses(model, grid, batch, stage, train=True):
-    """Single-stage view of relation_losses_multi (kept for direct tests)."""
-    batches = [SampledPairBatch([], []) for _ in range(model.config.stages)]
-    batches[stage] = batch
-    return relation_losses_multi(model, grid, batches, train=train)[stage]
-
-
 def default_cascade_config(config: RunConfig) -> CascadeConfig:
     t = config.stages
     return CascadeConfig(
@@ -415,8 +406,6 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig,
                 pending = 0
             epoch_losses.append(total_loss(stage_losses, model.config))
         log.phase2.append(float(np.mean(epoch_losses)))
-
-    polish_ranking(model, train_scenes, spec, config, grids=grids)
     return model
 
 
@@ -435,51 +424,6 @@ def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig
         records.append(predictions_to_record(scene.image_id, preds,
                                              with_masks=model.segment))
     return records
-
-
-def predictions_by_image(model, scenes, spec, config, grids=None, fusion="hadamard"):
-    """In-memory {image_id: [TripletRecord]} view of the model's output."""
-    if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
-    by_image = {}
-    index = 0
-    for scene in scenes:
-        preds = infer_image(grids[scene.image_id], seed_instances(scene), model,
-                            top_k=config.top_k, fusion=fusion)
-        records = []
-        for p in preds:
-            records.append(TripletRecord(p.human.box, p.object.box, p.verb,
-                                         p.score, index, p.human.mask, p.object.mask))
-            index += 1
-        by_image[scene.image_id] = records
-    return by_image
-
-
-def ground_truth_by_image(scenes):
-    by_image = {}
-    for scene in scenes:
-        records = []
-        for i, t in enumerate(scene.triplets):
-            h, o = scene.entities[t.human], scene.entities[t.object]
-            records.append(TripletRecord(h.box, o.box, t.verb, 0.0, i, h.mask, o.mask))
-        by_image[scene.image_id] = records
-    return by_image
-
-
-def evaluate_detection(model, scenes, spec, config, grids=None, preds=None,
-                       fusion="hadamard"):
-    if preds is None:
-        preds = predictions_by_image(model, scenes, spec, config, grids, fusion)
-    return map_rel(preds, ground_truth_by_image(scenes), spec.n_verbs)
-
-
-def evaluate_segmentation(model, scenes, spec, config, grids=None, preds=None,
-                          ks=(20, 50, 100)):
-    if preds is None:
-        preds = predictions_by_image(model, scenes, spec, config, grids)
-    return recall_at_k(preds, ground_truth_by_image(scenes), spec.geometric_verbs,
-                       ks=ks, mode="mask" if model.segment else "box")
 
 
 def _eval_path_ranking_features(model, scenes, spec, config, grids):
@@ -513,44 +457,6 @@ def _eval_path_ranking_features(model, scenes, spec, config, grids):
         if labels.any() and not labels.all():
             cached.append((np.stack(rows), labels))
     return cached
-
-
-def polish_ranking(model, scenes, spec, config, grids=None):
-    """Ranking-only refinement: hinge steps on the deployed ranking head
-    over frozen inference-path features, until the margin constraint holds
-    (or the epoch budget runs out). Localization and classification stay
-    untouched."""
-    from .numerics import ParamStore as _Store
-
-    if config.rrm_polish_epochs <= 0:
-        return
-    if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
-    cached = _eval_path_ranking_features(model, scenes, spec, config, grids)
-    if not cached:
-        return
-    head = model.rrm_heads[-1]
-    store = _Store()
-    for name, p in head.params("rrm_polish"):
-        store.add(name, p)
-    for _ in range(config.rrm_polish_epochs):
-        violations = 0
-        for rows, labels in cached:
-            g = head.fc.forward(rows)[:, 0]
-            loss, d_pos, d_neg = pairwise_hinge_loss(g[labels], g[~labels],
-                                                     model.hinge_margin)
-            if loss == 0.0:
-                continue
-            violations += 1
-            norm = max(int(labels.sum()) * int((~labels).sum()), 1)
-            d = np.zeros_like(g)
-            d[labels] = d_pos / norm
-            d[~labels] = d_neg / norm
-            head.fc.backward(d[:, None])
-            sgd_step(store, config.rrm_polish_lr)
-        if not violations:
-            break
 
 
 def ranking_constraint_report(model, scenes, spec, config, grids=None):

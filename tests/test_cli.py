@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 from hoicascade.cli import main
+from hoicascade.formats import rle_decode
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,47 @@ class TestPipeline:
                      "--out", str(report2)] + common) == 0
         assert preds2.read_bytes() == pipeline["preds"].read_bytes()
         assert report2.read_bytes() == pipeline["report"].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def segment_pipeline(tmp_path_factory):
+    """The same pipeline in segment mode with box-pooled relation features."""
+    root = tmp_path_factory.mktemp("cli_segment")
+    data = root / "data"
+    model = root / "model"
+    preds = root / "preds.ndjson"
+    report = root / "report.json"
+    common = ["--train-scenes", "8", "--test-scenes", "3", "--seed", "5",
+              "--phase1-epochs", "1", "--phase2-epochs", "1", "--mode", "segment"]
+    assert main(["synth", "--out", str(data)] + common) == 0
+    assert main(["train", "--data", str(data), "--out", str(model)] + common) == 0
+    assert main(["infer", "--model", str(model), "--data", str(data),
+                 "--out", str(preds)] + common) == 0
+    assert main(["eval", "--data", str(data), "--preds", str(preds),
+                 "--out", str(report)] + common) == 0
+    return {"data": data, "model": model, "preds": preds, "report": report}
+
+
+class TestSegmentMode:
+    def test_predicted_entities_carry_masks(self, segment_pipeline):
+        records = [json.loads(line)
+                   for line in segment_pipeline["preds"].read_text().splitlines()]
+        entities = [e for r in records for e in r["entities"]]
+        assert entities
+        assert all(rle_decode(e["mask"]["rle"], *e["mask"]["size"]).any() for e in entities)
+        report = json.loads(segment_pipeline["report"].read_text())
+        assert 0.0 <= report["recall_at_k"]["mean"] <= 1.0
+
+    def test_checkpoint_blocks_must_match_mode(self, segment_pipeline, tmp_path, capsys):
+        # a checkpoint with mask heads whose model.json says detect mode
+        stale = tmp_path / "model"
+        shutil.copytree(segment_pipeline["model"], stale)
+        meta = json.loads((stale / "model.json").read_text())
+        meta["segment"] = False
+        (stale / "model.json").write_text(json.dumps(meta))
+        assert main(["infer", "--model", str(stale), "--data", str(segment_pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        assert "stage1.seg" in capsys.readouterr().err
 
 
 class TestErrorPaths:

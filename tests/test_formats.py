@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from hoicascade.formats import (
     RunConfig,
     parse_config_file,
     predictions_to_record,
-    read_feature_grid,
     read_meta,
     read_predictions_ndjson,
     read_scenes_ndjson,
@@ -16,7 +13,6 @@ from hoicascade.formats import (
     rle_encode,
     run_config_from,
     scenes_to_gt_records,
-    write_feature_grid,
     write_meta,
     write_predictions_ndjson,
     write_scenes_ndjson,
@@ -98,39 +94,6 @@ class TestMeta:
         back, raw = read_meta(path)
         assert back == spec
         assert raw["grid_size"] == 32
-
-
-class TestFeatureGridFile:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(3, 4, 5)).astype(np.float32).astype(np.float64)
-        path = tmp_path / "grid.fgrd"
-        write_feature_grid(path, data)
-        back = read_feature_grid(path)
-        np.testing.assert_array_equal(back, data)
-
-    def test_byte_layout_oracle(self, tmp_path):
-        # hand-pack a 1x2x2 grid and confirm the reader sees exactly it
-        path = tmp_path / "hand.fgrd"
-        payload = struct.pack("<4sIIII4f", b"FGRD", 1, 1, 2, 2, 1.5, -2.0, 0.25, 8.0)
-        path.write_bytes(payload)
-        got = read_feature_grid(path)
-        np.testing.assert_array_equal(got, [[[1.5, -2.0], [0.25, 8.0]]])
-
-    def test_corrupt_magic(self, tmp_path):
-        path = tmp_path / "bad.fgrd"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FormatError):
-            read_feature_grid(path)
-
-    def test_bad_version_and_truncation(self, tmp_path):
-        path = tmp_path / "v9.fgrd"
-        path.write_bytes(b"FGRD" + struct.pack("<IIII", 9, 1, 1, 1) + b"\x00" * 4)
-        with pytest.raises(FormatError):
-            read_feature_grid(path)
-        path.write_bytes(b"FGRD" + struct.pack("<IIII", 1, 1, 2, 2) + b"\x00" * 4)
-        with pytest.raises(FormatError):
-            read_feature_grid(path)
 
 
 class TestPredictions:

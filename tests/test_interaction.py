@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hoicascade.cascade import CascadeConfig, Instance
-from hoicascade.errors import DataError, ShapeError
+from hoicascade.errors import DataError, FormatError, ShapeError
 from hoicascade.features import CooccurrenceTable, cross_stage_fuse
 from hoicascade.geometry import Box, FeatureGrid, box_iou
 from hoicascade.interaction import (
@@ -361,6 +363,31 @@ class TestModelPersistence:
         assert first.config.iou_thresholds == (0.5, 0.6, 0.7)
         assert np.allclose(first.cooccurrence.frequencies(),
                            model.cooccurrence.frequencies())
+
+    def test_seg_blocks_only_in_segment_mode(self):
+        detect = tiny_model()
+        assert detect.seg_heads == []
+        assert not [n for n in detect.store.names() if ".seg." in n]
+        seg = tiny_model(segment=True)
+        stages = {n.split(".")[0] for n in seg.store.names() if ".seg." in n}
+        assert stages == {f"stage{t + 1}" for t in range(seg.config.stages)}
+        assert len(seg.seg_heads) == seg.config.stages
+
+    def test_shared_blocks_identical_across_modes(self):
+        # mask heads draw from the seed RNG after every other block
+        detect = tiny_model(seed=3)
+        seg = tiny_model(seed=3, segment=True)
+        for name, p in detect.store.items():
+            np.testing.assert_array_equal(p.value, seg.store[name].value)
+
+    def test_load_rejects_blocks_of_other_mode(self, tmp_path):
+        tiny_model(segment=True).save(tmp_path / "model")
+        meta_path = tmp_path / "model" / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta["segment"] = False
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=r"extra=\[.*'stage1\.seg\."):
+            CascadeModel.load(tmp_path / "model")
 
     def test_hinge_margin_constant(self):
         assert HINGE_MARGIN == 0.2
