@@ -126,6 +126,11 @@ def cmd_eval(args):
     scenes = read_scenes_ndjson(os.path.join(args.data, args.split + ".ndjson"))
     gts = scenes_to_gt_records(scenes)
     preds = read_predictions_ndjson(args.preds)
+    for image_id, triplets in preds.items():
+        for t in triplets:
+            if not 0 <= t.verb < spec.n_verbs:
+                raise DataError(f"{args.preds}: image {image_id!r}: verb {t.verb} "
+                                f"outside [0, {spec.n_verbs})")
     mode = "mask" if config.mode == "segment" else "box"
     map_report = map_rel(preds, gts, spec.n_verbs, mode="box")
     ks = tuple(int(k) for k in args.ks.split(",")) if args.ks else (20, 50, 100)

@@ -177,11 +177,12 @@ def efra_enhance(obj_feat, face_feat, noface_feat, alpha, alpha_bar):
 # ------------------------------------------------------------- assembly
 
 def assemble_visual(human_feat, obj_feat, union_feat):
-    """Channel concatenation (human, object, union) -> (3C, H, W)."""
+    """Channel concatenation (human, object, union) -> (3C, H, W), or
+    (B, 3C, H, W) for batches."""
     parts = [np.asarray(a, dtype=np.float64) for a in (human_feat, obj_feat, union_feat)]
     if not (parts[0].shape == parts[1].shape == parts[2].shape):
         raise ShapeError("visual parts must share one shape")
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(parts, axis=-3)
 
 
 def build_fusion_stack(visual_dim, rng, hidden=FUSED_DIM):

@@ -8,6 +8,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +219,10 @@ def write_predictions_ndjson(path, records):
 
 
 def read_predictions_ndjson(path):
-    """Returns {image_id: [TripletRecord, ...]} with global input indices."""
+    """Returns {image_id: [TripletRecord, ...]} with global input indices.
+
+    Entity indices must lie in range, scores must be finite and every
+    image id may appear on one line only."""
     by_image = {}
     index = 0
     with open(path, encoding="utf-8") as fh:
@@ -229,10 +233,19 @@ def read_predictions_ndjson(path):
             try:
                 record = json.loads(line)
                 image_id = record["image_id"]
+                if image_id in by_image:
+                    raise FormatError(f"field 'image_id': duplicate image id {image_id!r}")
                 entities = record["entities"]
                 triplets = []
                 for t in record["triplets"]:
+                    for ref in ("h", "o"):
+                        if not (isinstance(t[ref], int) and 0 <= t[ref] < len(entities)):
+                            raise FormatError(f"field {ref!r}: entity index {t[ref]!r} "
+                                              f"outside [0, {len(entities)})")
                     h_ent, o_ent = entities[t["h"]], entities[t["o"]]
+                    score = float(t["score"])
+                    if not math.isfinite(score):
+                        raise FormatError(f"field 'score': non-finite score {score}")
                     h_mask = o_mask = None
                     if "mask" in h_ent:
                         h_mask = rle_decode(h_ent["mask"]["rle"], *h_ent["mask"]["size"])
@@ -240,9 +253,11 @@ def read_predictions_ndjson(path):
                         o_mask = rle_decode(o_ent["mask"]["rle"], *o_ent["mask"]["size"])
                     triplets.append(TripletRecord(
                         _box_from_list(h_ent["box"]), _box_from_list(o_ent["box"]),
-                        int(t["verb"]), float(t["score"]), index, h_mask, o_mask))
+                        int(t["verb"]), score, index, h_mask, o_mask))
                     index += 1
-            except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed prediction record: {exc}") from exc
             by_image[image_id] = triplets
     return by_image
@@ -314,6 +329,9 @@ class RunConfig:
             raise DataError(f"unknown representation {self.representation!r}")
         if self.mode == "detect" and self.representation == "mask":
             raise DataError("mask representation requires segment mode")
+        for key in ("stages", "top_k"):
+            if getattr(self, key) < 1:
+                raise DataError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
 
 
 def run_config_from(values: dict) -> RunConfig:

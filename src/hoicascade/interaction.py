@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,25 +60,17 @@ PERSON_CLASS = 0
 
 @dataclass
 class RelationFeatures:
-    """Per-pair relation representation."""
+    """Relation representation of P candidate pairs, one row per pair."""
 
-    x_s: np.ndarray                      # (N,) verb-frequency prior
-    x_g: np.ndarray                      # (256,) geometric descriptor
-    x_v: np.ndarray                      # (3C, 7, 7) enhanced visual tensor
-    x_v_fused: np.ndarray | None = None  # (1024,) after cross-stage fusion
-    rank_score: float | None = None
+    x_s: np.ndarray  # (P, N) verb-frequency priors
+    x_g: np.ndarray  # (P, 256) geometric descriptors
+    x_v: np.ndarray  # (P, 3C, 7, 7) enhanced visual tensors
 
 
 @dataclass
 class HOICandidate:
     human: Instance
     object: Instance
-    features: RelationFeatures | None = None
-    stage_scores: list = field(default_factory=list)  # fused (N,) per stage
-
-    @property
-    def final_scores(self):
-        return self.stage_scores[-1] if self.stage_scores else None
 
 
 @dataclass(frozen=True)
@@ -158,31 +150,24 @@ def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
     return pairs
 
 
-def rank_pairs(candidates, rrm: RRMHead) -> list[HOICandidate]:
-    """Stable sort by ranking score, descending; ties keep enumeration order."""
-    for cand in candidates:
-        f = cand.features
-        if f is None or f.x_v_fused is None or f.x_g is None:
-            raise DataError("candidate features must be built before ranking")
-        f.rank_score = float(rrm.score(f.x_v_fused, f.x_g))
-    return sorted(candidates, key=lambda c: -c.features.rank_score)
+def rank_pairs(fused, x_g, rrm: RRMHead) -> np.ndarray:
+    """Candidate rows by ranking score, descending, from one RRM forward;
+    the sort is stable, so ties keep enumeration order."""
+    if fused is None or x_g is None or len(fused) != len(x_g):
+        raise DataError("every candidate needs fused and geometric features before ranking")
+    return np.argsort(-rrm.score(fused, x_g), kind="stable")
 
 
-def select_topk(ranked, k=TOP_K) -> list[HOICandidate]:
+def select_topk(ranked, k=TOP_K):
     if k < 1:
         raise DataError(f"top-k must be >= 1, got {k}")
-    return list(ranked[:k])
+    return ranked[:k]
 
 
-def classify_relation(candidate: HOICandidate, heads: RCMHeads):
-    """Per-stream verb scores (s_s, s_g, s_v); multi-label, no softmax."""
-    f = candidate.features
-    if f is None or f.x_v_fused is None:
-        raise DataError("candidate features must be built before classification")
-    s_s = heads.semantic.forward(f.x_s)
-    s_g = heads.geometric.forward(f.x_g)
-    s_v = heads.visual.forward(f.x_v_fused)
-    return s_s, s_g, s_v
+def classify_relation(x_s, x_g, fused, heads: RCMHeads):
+    """Per-stream verb scores (s_s, s_g, s_v), one row per pair;
+    multi-label, no softmax."""
+    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), heads.visual.forward(fused)
 
 
 def fuse_scores(s_v, s_g, s_s):
@@ -369,22 +354,40 @@ class CascadeModel:
             pm = spatial_pair_encoding(human.box, obj.box, mode="box")
         return pm.astype(np.float32)
 
-    def build_features(self, grid: FeatureGrid, human: Instance, obj: Instance) -> RelationFeatures:
-        """Inference-path relation features for one pair (no caches kept)."""
+    def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
+        """Inference-path relation features of all candidate pairs of one
+        image. The geometric encoder and EFRA run once on the stacked
+        pairs; face crops, the face-zeroed grid and IHSM once per human."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence table; train or load first")
-        x_s = semantic_prior(obj.class_id, self.cooccurrence)
-        x_g = geometric_feature(self.build_pair_map(human, obj), self.geo_encoder)
-        h_feat = self.pool_entity(grid, human)
-        o_feat = self.pool_entity(grid, obj)
-        u_feat = self.pool_union(grid, human, obj)
-        face_feat, noface_feat = self.pool_face_features(grid, human)
-        h_bar, _ = ihsm_enhance(h_feat)
-        alpha, alpha_bar = efra_attend(face_feat, noface_feat, o_feat,
-                                       self.face_stack, self.noface_stack)
-        o_bar = efra_enhance(o_feat, face_feat, noface_feat, alpha, alpha_bar)
-        x_v = assemble_visual(h_bar, o_bar, u_feat)
-        return RelationFeatures(x_s=x_s, x_g=x_g, x_v=x_v)
+        x_s = np.stack([semantic_prior(c.object.class_id, self.cooccurrence) for c in candidates])
+        x_g = geometric_feature(np.stack([self.build_pair_map(c.human, c.object)
+                                          for c in candidates]), self.geo_encoder)
+        per_human = {}
+        for c in candidates:
+            if id(c.human) not in per_human:
+                h_bar, _ = ihsm_enhance(self.pool_entity(grid, c.human))
+                per_human[id(c.human)] = (h_bar, *self.pool_face_features(grid, c.human))
+        h_bar, face, noface = (np.stack(part) for part in
+                               zip(*(per_human[id(c.human)] for c in candidates)))
+        o_feat = np.stack([self.pool_entity(grid, c.object) for c in candidates])
+        u_feat = np.stack([self.pool_union(grid, c.human, c.object) for c in candidates])
+        alpha, alpha_bar = efra_attend(face, noface, o_feat, self.face_stack, self.noface_stack)
+        o_bar = efra_enhance(o_feat, face, noface, alpha[:, None, None, None],
+                             alpha_bar[:, None, None, None])
+        return RelationFeatures(x_s=x_s, x_g=x_g, x_v=assemble_visual(h_bar, o_bar, u_feat))
+
+    def fuse_visual(self, x_v):
+        """Fused (P, 1024) rows for stage 1 (zero predecessor) and for the
+        ranker and stages >= 2 (the pair's own tensor as predecessor), from
+        one fusion call. A one-stage model uses its stage-1 rows for both."""
+        zeros = np.zeros_like(x_v)
+        if self.config.stages == 1:
+            first = cross_stage_fuse(x_v, zeros, self.fusion_stack)
+            return first, first
+        fused = cross_stage_fuse(np.concatenate([x_v, x_v]), np.concatenate([zeros, x_v]),
+                                 self.fusion_stack)
+        return fused[:len(x_v)], fused[len(x_v):]
 
     # -------------------------------------------------------------- io
 
@@ -472,7 +475,9 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
                 top_k=TOP_K) -> list[TripletPrediction]:
     """Full image protocol: cascade localization, stage merging and
     filtering, pair ranking, top-k selection, and staged classification
-    with the final stage's fused scores emitted per verb.
+    with the final stage's fused scores emitted per verb. Relation work is
+    batched over the image's pairs: one fusion and one ranker call, and one
+    classifier call per stage on the kept rows.
     """
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
@@ -480,24 +485,13 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     candidates = enumerate_pairs(kept, model.person_class)
     if not candidates:
         return []
-    for cand in candidates:
-        cand.features = model.build_features(grid, cand.human, cand.object)
-        prev = cand.features.x_v if model.config.stages > 1 else np.zeros_like(cand.features.x_v)
-        cand.features.x_v_fused = cross_stage_fuse(cand.features.x_v, prev, model.fusion_stack)
-    ranked = rank_pairs(candidates, model.rrm_heads[-1])
-    top = select_topk(ranked, top_k)
-    for cand in top:
-        prev = np.zeros_like(cand.features.x_v)
-        cand.stage_scores = []
-        for t in range(model.config.stages):
-            cand.features.x_v_fused = cross_stage_fuse(cand.features.x_v, prev, model.fusion_stack)
-            s_s, s_g, s_v = classify_relation(cand, model.rcm_heads[t])
-            cand.stage_scores.append(fuse_scores(s_v, s_g, s_s))
-            prev = cand.features.x_v
-    predictions = []
-    for cand in top:
-        final = cand.final_scores
-        for verb in range(model.n_verbs):
-            predictions.append(TripletPrediction(cand.human, cand.object,
-                                                 verb, float(final[verb])))
-    return predictions
+    feats = model.build_features(grid, candidates)
+    first, later = model.fuse_visual(feats.x_v)
+    top = select_topk(rank_pairs(later, feats.x_g, model.rrm_heads[-1]), top_k)
+    x_s, x_g = feats.x_s[top], feats.x_g[top]
+    for t, heads in enumerate(model.rcm_heads):
+        s_s, s_g, s_v = classify_relation(x_s, x_g, (first if t == 0 else later)[top], heads)
+        scores = fuse_scores(s_v, s_g, s_s)
+    return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
+                              float(scores[row, verb]))
+            for row, i in enumerate(top) for verb in range(model.n_verbs)]

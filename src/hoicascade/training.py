@@ -36,8 +36,11 @@ from .geometry import FeatureGrid, box_iou, roi_align
 from .interaction import (
     CascadeModel,
     TrainBatchSpec,
+    dedup_by_lineage,
     enumerate_pairs,
     infer_image,
+    match_candidate_to_gt,
+    merge_and_filter,
     run_localization,
     sample_training_pairs,
     total_loss,
@@ -426,16 +429,20 @@ def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig
     return records
 
 
-def _eval_path_ranking_features(model, scenes, spec, config, grids):
-    """Cached [fused, geometric] ranking inputs and annotated/un-annotated
-    labels per scene, built through the inference path with the last
-    stage's fusion semantics."""
-    from .features import cross_stage_fuse as _fuse
-    from .interaction import dedup_by_lineage, enumerate_pairs, match_candidate_to_gt, \
-        merge_and_filter, run_localization
+def ranking_constraint_report(model, scenes, spec, config, grids=None):
+    """Per-scene check of the ranking constraint on annotated pairs.
 
+    Candidate pairs are built and fused through the batched inference path,
+    partitioned into annotated / un-annotated at the last stage's IoU
+    threshold, and scored with the deployed ranking head. Returns (scenes
+    where every annotated pair outranks every un-annotated one, scenes with
+    both kinds present, total raw hinge sum)."""
+    if grids is None:
+        channels = config.channels or spec.min_channels()
+        grids = prepare_grids(scenes, spec, channels, config.grid_size)
     thr = model.config.iou_thresholds[-1]
-    cached = []
+    scored_scenes = ordered_scenes = 0
+    hinge_total = 0.0
     for scene in scenes:
         grid = grids[scene.image_id]
         gt_pairs = gt_pairs_of(scene, spec)
@@ -443,43 +450,17 @@ def _eval_path_ranking_features(model, scenes, spec, config, grids):
         kept = dedup_by_lineage(merge_and_filter(stage_outputs,
                                                  model.config.merge_threshold))
         candidates = enumerate_pairs(kept, model.person_class)
-        if not candidates:
+        labels = np.asarray([match_candidate_to_gt(c, gt_pairs, thr)[0] >= 0
+                             for c in candidates], dtype=bool)
+        if not labels.any() or labels.all():
             continue
-        rows, labels = [], []
-        for cand in candidates:
-            feats = model.build_features(grid, cand.human, cand.object)
-            prev = feats.x_v if model.config.stages > 1 else np.zeros_like(feats.x_v)
-            fused = _fuse(feats.x_v, prev, model.fusion_stack)
-            rows.append(np.concatenate([fused, feats.x_g]))
-            gi, _ = match_candidate_to_gt(cand, gt_pairs, thr)
-            labels.append(gi >= 0)
-        labels = np.asarray(labels)
-        if labels.any() and not labels.all():
-            cached.append((np.stack(rows), labels))
-    return cached
-
-
-def ranking_constraint_report(model, scenes, spec, config, grids=None):
-    """Per-scene check of the ranking constraint on annotated pairs.
-
-    Candidate pairs are built through the inference path, partitioned into
-    annotated / un-annotated at the last stage's IoU threshold, and scored
-    with the deployed ranking head. Returns (scenes where every annotated
-    pair outranks every un-annotated one, scenes with both kinds present,
-    total raw hinge sum)."""
-    if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
-    cached = _eval_path_ranking_features(model, scenes, spec, config, grids)
-    head = model.rrm_heads[-1]
-    ordered_scenes = 0
-    hinge_total = 0.0
-    for rows, labels in cached:
-        g = head.fc.forward(rows)[:, 0]
+        feats = model.build_features(grid, candidates)
+        g = model.rrm_heads[-1].score(model.fuse_visual(feats.x_v)[1], feats.x_g)
         hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.hinge_margin)
         hinge_total += hinge
         ordered_scenes += int(g[labels].min() > g[~labels].max())
-    return ordered_scenes, len(cached), hinge_total
+        scored_scenes += 1
+    return ordered_scenes, scored_scenes, hinge_total
 
 
 def stage_mean_ious(model, scenes, spec, config, grids=None):

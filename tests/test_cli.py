@@ -137,6 +137,61 @@ class TestErrorPaths:
         cfg.write_text("train_scenes = not_a_number\n")
         assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, flag, key", [
+        ("train", "--stages", "stages"),
+        ("infer", "--top-k", "top_k"),
+    ])
+    def test_impossible_run_setting_exit_2(self, pipeline, tmp_path, capsys,
+                                           command, flag, key):
+        io_flags = {"train": ["--out", str(tmp_path / "m")],
+                    "infer": ["--model", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p.ndjson")]}[command]
+        assert main([command, "--data", str(pipeline["data"]), flag, "0"] + io_flags) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists() and not (tmp_path / "p.ndjson").exists()
+
+
+def _first_scored_record(preds_path):
+    for line in preds_path.read_text().splitlines():
+        record = json.loads(line)
+        if record["triplets"]:
+            return record
+    raise AssertionError("no predicted triplets")
+
+
+class TestPredictionFileContract:
+    """Malformed prediction files exit 2 and name where the fault is."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", -1), ("o", -1), ("score", float("nan")), ("score", float("inf")),
+    ])
+    def test_bad_triplet_field(self, pipeline, tmp_path, capsys, field, value):
+        record = _first_scored_record(pipeline["preds"])
+        record["triplets"][0][field] = value
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1:" in err and f"'{field}'" in err
+
+    def test_duplicate_image_id(self, pipeline, tmp_path, capsys):
+        line = json.dumps(_first_scored_record(pipeline["preds"]))
+        bad = tmp_path / "dup.ndjson"
+        bad.write_text(line + "\n" + line + "\n")
+        assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "'image_id'" in err
+
+    @pytest.mark.parametrize("verb", [999, -1])
+    def test_verb_out_of_range(self, pipeline, tmp_path, capsys, verb):
+        record = _first_scored_record(pipeline["preds"])
+        record["triplets"][0]["verb"] = verb
+        bad = tmp_path / "verb.ndjson"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert record["image_id"] in err and f"verb {verb}" in err
+
 
 class TestChecks:
     def test_oracle_subcommand(self):

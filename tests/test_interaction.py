@@ -23,6 +23,7 @@ from hoicascade.interaction import (
     enumerate_pairs,
     fuse_scores,
     infer_image,
+    match_candidate_to_gt,
     merge_and_filter,
     rank_pairs,
     run_localization,
@@ -44,13 +45,14 @@ def tiny_model(channels=3, seed=0, **kw):
     return model
 
 
-def fake_features(model, rng):
-    return RelationFeatures(
-        x_s=rng.uniform(size=model.n_verbs),
-        x_g=rng.normal(size=256),
-        x_v=rng.normal(size=(3 * model.channels, 7, 7)),
-        x_v_fused=rng.normal(size=1024),
+def fake_features(model, rng, n=1):
+    """A batch of n random relation rows and their fused visual rows."""
+    feats = RelationFeatures(
+        x_s=rng.uniform(size=(n, model.n_verbs)),
+        x_g=rng.normal(size=(n, 256)),
+        x_v=rng.normal(size=(n, 3 * model.channels, 7, 7)),
     )
+    return feats, rng.normal(size=(n, 1024))
 
 
 class TestEnumeratePairs:
@@ -79,40 +81,38 @@ class TestRankAndSelect:
         head = model.rrm_heads[0]
         head.fc.w.value[...] = 0.0
         head.fc.b.value[...] = 0.0
-        cands = [HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(3, 3, 5, 5)),
-                              fake_features(model, rng)) for _ in range(4)]
-        ranked = rank_pairs(cands, head)
-        assert ranked == cands
-        assert all(c.features.rank_score == 0.5 for c in ranked)
+        feats, fused = fake_features(model, rng, 4)
+        assert rank_pairs(fused, feats.x_g, head).tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(head.score(fused, feats.x_g), np.full(4, 0.5))
 
     def test_sorting_by_score(self):
         model = tiny_model()
         rng = np.random.default_rng(1)
-        cands = [HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(3, 3, 5, 5)),
-                              fake_features(model, rng)) for _ in range(3)]
+        feats, fused = fake_features(model, rng, 3)
         head = model.rrm_heads[0]
         scores = []
-        for c in cands:
-            scores.append(float(head.score(c.features.x_v_fused, c.features.x_g)))
-        ranked = rank_pairs(cands, head)
-        expected = [cands[i] for i in np.argsort([-s for s in scores], kind="stable")]
-        assert ranked == expected
+        for i in range(3):
+            scores.append(float(head.score(fused[i], feats.x_g[i])))
+        ranked = rank_pairs(fused, feats.x_g, head)
+        expected = np.argsort([-s for s in scores], kind="stable")
+        assert ranked.tolist() == expected.tolist()
 
     def test_random_heads_vs_sort_oracle(self):
         model = tiny_model(seed=3)
         rng = np.random.default_rng(5)
-        cands = [HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(3, 3, 5, 5)),
-                              fake_features(model, rng)) for _ in range(10)]
-        ranked = rank_pairs(cands, model.rrm_heads[1])
-        got = [c.features.rank_score for c in ranked]
+        feats, fused = fake_features(model, rng, 10)
+        ranked = rank_pairs(fused, feats.x_g, model.rrm_heads[1])
+        got = model.rrm_heads[1].score(fused, feats.x_g)[ranked].tolist()
         assert got == sorted(got, reverse=True)
-        assert sorted(id(c) for c in ranked) == sorted(id(c) for c in cands)
+        assert sorted(ranked.tolist()) == list(range(10))
 
     def test_missing_features_error(self):
         model = tiny_model()
+        feats, fused = fake_features(model, np.random.default_rng(0), 2)
         with pytest.raises(DataError):
-            rank_pairs([HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(1, 1, 2, 2)))],
-                       model.rrm_heads[0])
+            rank_pairs(None, feats.x_g, model.rrm_heads[0])
+        with pytest.raises(DataError):
+            rank_pairs(fused[:1], feats.x_g, model.rrm_heads[0])
 
     def test_topk(self):
         assert TOP_K == 64
@@ -130,21 +130,19 @@ class TestClassifyAndFuse:
         for layer in (heads.semantic, heads.geometric, heads.visual):
             layer.w.value[...] = 0.0
             layer.b.value[...] = 0.0
-        cand = HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(3, 3, 5, 5)),
-                            fake_features(model, np.random.default_rng(2)))
-        s_s, s_g, s_v = classify_relation(cand, heads)
+        feats, fused = fake_features(model, np.random.default_rng(2))
+        s_s, s_g, s_v = classify_relation(feats.x_s, feats.x_g, fused, heads)
         for s in (s_s, s_g, s_v):
-            assert s.shape == (model.n_verbs,)
-            np.testing.assert_array_equal(s, np.full(model.n_verbs, 0.5))
+            assert s.shape == (1, model.n_verbs)
+            np.testing.assert_array_equal(s, np.full((1, model.n_verbs), 0.5))
 
     def test_matches_matmul_sigmoid_oracle(self):
         model = tiny_model(seed=7)
         heads = model.rcm_heads[2]
-        cand = HOICandidate(inst(0, Box(0, 0, 2, 2)), inst(1, Box(3, 3, 5, 5)),
-                            fake_features(model, np.random.default_rng(3)))
-        s_s, _, _ = classify_relation(cand, heads)
-        z = heads.semantic.w.value @ cand.features.x_s + heads.semantic.b.value
-        np.testing.assert_allclose(s_s, 1 / (1 + np.exp(-z)), atol=1e-12)
+        feats, fused = fake_features(model, np.random.default_rng(3))
+        s_s, _, _ = classify_relation(feats.x_s, feats.x_g, fused, heads)
+        z = heads.semantic.w.value @ feats.x_s[0] + heads.semantic.b.value
+        np.testing.assert_allclose(s_s[0], 1 / (1 + np.exp(-z)), atol=1e-12)
 
     def test_fuse_with_unit_semantic(self):
         s_v, s_g = np.array([0.2, 0.3]), np.array([0.1, 0.5])
@@ -314,21 +312,22 @@ class TestInferImage:
         merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
         kept = dedup_by_lineage(merged)
         cands = enumerate_pairs(kept, model.person_class)
-        for c in cands:
-            c.features = model.build_features(grid, c.human, c.object)
-            c.features.x_v_fused = fuse_step(c.features.x_v, c.features.x_v,
-                                             model.fusion_stack)
-        ranked = rank_pairs(cands, model.rrm_heads[-1])
+        # one-pair batches throughout: features, fusion, ranking, classification
+        feats = [model.build_features(grid, [c]) for c in cands]
+        rank_scores = [float(model.rrm_heads[-1].score(
+            fuse_step(f.x_v, f.x_v, model.fusion_stack), f.x_g)[0]) for f in feats]
+        ranked = sorted(range(len(cands)), key=lambda i: -rank_scores[i])
         top = select_topk(ranked, 64)
         expected = []
-        for c in top:
-            prev = np.zeros_like(c.features.x_v)
+        for i in top:
+            c, f = cands[i], feats[i]
+            prev = np.zeros_like(f.x_v)
             fused_scores = None
             for t in range(model.config.stages):
-                c.features.x_v_fused = fuse_step(c.features.x_v, prev, model.fusion_stack)
-                s_s, s_g, s_v = classify(c, model.rcm_heads[t])
-                fused_scores = (s_v + s_g) * s_s
-                prev = c.features.x_v
+                fused = fuse_step(f.x_v, prev, model.fusion_stack)
+                s_s, s_g, s_v = classify(f.x_s, f.x_g, fused, model.rcm_heads[t])
+                fused_scores = ((s_v + s_g) * s_s)[0]
+                prev = f.x_v
             for verb in range(model.n_verbs):
                 expected.append((c.human.box, c.object.box, verb, fused_scores[verb]))
 
@@ -346,6 +345,141 @@ class TestInferImage:
         kept = dedup_by_lineage(merged)
         assert len(kept) == len(seeds)
         assert sorted(i.lineage for i in kept) == [0, 1]
+
+
+def per_pair_reference(grid, seeds, model, top_k=TOP_K):
+    """(human box, object box, verb, score) rows of the inference protocol,
+    built, fused, ranked and classified one pair at a time."""
+    kept = dedup_by_lineage(merge_and_filter(run_localization(grid, seeds, model),
+                                             model.config.merge_threshold))
+    cands = enumerate_pairs(kept, model.person_class)
+    feats = [model.build_features(grid, [c]) for c in cands]
+
+    def fused(f, stage):  # zero predecessor at stage 1, the pair's own tensor after
+        prev = f.x_v if stage > 0 else np.zeros_like(f.x_v)
+        return cross_stage_fuse(f.x_v, prev, model.fusion_stack)
+
+    rank_stage = 1 if model.config.stages > 1 else 0
+    rank_scores = [float(model.rrm_heads[-1].score(fused(f, rank_stage), f.x_g)[0])
+                   for f in feats]
+    rows = []
+    for i in sorted(range(len(cands)), key=lambda i: -rank_scores[i])[:top_k]:
+        f = feats[i]
+        for t, heads in enumerate(model.rcm_heads):
+            s_s, s_g, s_v = classify_relation(f.x_s, f.x_g, fused(f, t), heads)
+            scores = ((s_v + s_g) * s_s)[0]
+        rows += [(cands[i].human.box, cands[i].object.box, verb, scores[verb])
+                 for verb in range(model.n_verbs)]
+    return rows
+
+
+def crowded_scene(model, seed=0):
+    """Three people and three objects: 15 candidate pairs."""
+    rng = np.random.default_rng(seed)
+    grid = FeatureGrid(0.05 * rng.normal(size=(model.channels, 32, 32)), 64, 64)
+    seeds = [inst(0, Box(2 + 20 * i, 4, 14 + 20 * i, 30), 1.0) for i in range(3)]
+    seeds += [inst(1 + i % 2, Box(4 + 20 * i, 36, 14 + 20 * i, 46), 1.0) for i in range(3)]
+    return grid, seeds
+
+
+def assert_matches_reference(preds, reference):
+    assert len(preds) == len(reference)
+    for got, (hbox, obox, verb, score) in zip(preds, reference):
+        assert got.human.box == hbox and got.object.box == obox
+        assert got.verb == verb
+        np.testing.assert_allclose(got.score, score, atol=1e-12)
+
+
+class TestBatchedInference:
+    """Per-image batched inference against the one-pair-at-a-time protocol."""
+
+    def test_topk_binds_in_crowded_scene(self):
+        model = tiny_model(seed=21)
+        grid, seeds = crowded_scene(model)
+        reference = per_pair_reference(grid, seeds, model, top_k=4)
+        assert len(reference) == 4 * model.n_verbs
+        assert len(per_pair_reference(grid, seeds, model)) == 15 * model.n_verbs
+        assert_matches_reference(infer_image(grid, seeds, model, top_k=4), reference)
+
+    def test_one_stage_model(self):
+        config = CascadeConfig(stages=1, iou_thresholds=(0.5,), beta=(1.0,),
+                               gamma=(1.0,), seg_weights=(1.0,))
+        model = tiny_model(seed=22, config=config)
+        grid, seeds = crowded_scene(model, seed=1)
+        assert_matches_reference(infer_image(grid, seeds, model, top_k=6),
+                                 per_pair_reference(grid, seeds, model, top_k=6))
+
+    @pytest.mark.parametrize("representation", ["box", "mask"])
+    def test_segment_mode_model(self, representation):
+        model = tiny_model(seed=23, segment=True, representation=representation)
+        grid, seeds = crowded_scene(model, seed=2)
+        preds = infer_image(grid, seeds, model, top_k=5)
+        assert preds and all(p.human.mask is not None for p in preds)
+        assert_matches_reference(preds, per_pair_reference(grid, seeds, model, top_k=5))
+
+    def test_relation_layers_run_once_per_image(self, monkeypatch):
+        from hoicascade.numerics import FCLayer
+
+        calls = {}
+        forward = FCLayer.forward
+
+        def counting_forward(self, x):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return forward(self, x)
+
+        monkeypatch.setattr(FCLayer, "forward", counting_forward)
+        model = tiny_model(seed=24)
+        once = [model.fusion_stack.fc1, model.fusion_stack.fc2, model.rrm_heads[-1].fc,
+                model.geo_encoder.fc, model.face_stack.fc1, model.noface_stack.fc1]
+        for heads in model.rcm_heads:
+            once += [heads.semantic, heads.geometric, heads.visual]
+        unused = [head.fc for head in model.rrm_heads[:-1]]
+        grid, seeds = crowded_scene(model)
+        pair_counts = []
+        for image_seeds in (seeds[:1] + seeds[3:4], seeds):  # one person and one object, all
+            calls.clear()
+            pair_counts.append(len(infer_image(grid, image_seeds, model)) // model.n_verbs)
+            assert [calls.get(id(layer), 0) for layer in once] == [1] * len(once)
+            assert [calls.get(id(layer), 0) for layer in unused] == [0] * len(unused)
+        assert pair_counts == [1, 15]
+
+    def test_ranking_constraint_report_matches_per_pair_reference(self):
+        from hoicascade.formats import RunConfig
+        from hoicascade.numerics import pairwise_hinge_loss
+        from hoicascade.synth import SceneSpec, generate_dataset, gt_pairs_of
+        from hoicascade.training import (build_cooccurrence, prepare_grids,
+                                         ranking_constraint_report, seed_instances)
+
+        # small jitter: the untrained cascade keeps some pairs above the last threshold
+        spec = SceneSpec(entities_range=(4, 7), jitter=0.05, seed=4)
+        scenes = generate_dataset(spec, 10)
+        model = CascadeModel(spec.n_classes, spec.n_verbs, spec.min_channels(), seed=4)
+        model.cooccurrence = build_cooccurrence(scenes, spec)
+        grids = prepare_grids(scenes, spec, model.channels, 32)
+
+        thr = model.config.iou_thresholds[-1]
+        ordered, counted, hinge_total = 0, 0, 0.0
+        for scene in scenes:
+            grid = grids[scene.image_id]
+            kept = dedup_by_lineage(merge_and_filter(
+                run_localization(grid, seed_instances(scene), model),
+                model.config.merge_threshold))
+            g, labels = [], []
+            for c in enumerate_pairs(kept, model.person_class):
+                f = model.build_features(grid, [c])
+                fused = cross_stage_fuse(f.x_v, f.x_v, model.fusion_stack)
+                g.append(float(model.rrm_heads[-1].score(fused, f.x_g)[0]))
+                labels.append(match_candidate_to_gt(c, gt_pairs_of(scene, spec), thr)[0] >= 0)
+            g, labels = np.asarray(g), np.asarray(labels, dtype=bool)
+            if labels.any() and not labels.all():
+                counted += 1
+                hinge_total += pairwise_hinge_loss(g[labels], g[~labels], model.hinge_margin)[0]
+                ordered += int(g[labels].min() > g[~labels].max())
+
+        assert counted > 0
+        got = ranking_constraint_report(model, scenes, spec, RunConfig(), grids=grids)
+        assert got[:2] == (ordered, counted)
+        np.testing.assert_allclose(got[2], hinge_total, atol=1e-12)
 
 
 class TestModelPersistence:
