@@ -80,8 +80,9 @@ def semantic_prior(object_class, table: CooccurrenceTable):
 
 
 def geometric_feature(pair_map, encoder):
-    """256-d descriptor of the two-channel pair map."""
-    pair_map = np.asarray(pair_map, dtype=np.float64)
+    """256-d descriptor of the two-channel pair map, in the map's own
+    dtype (float32 from `CascadeModel.build_pair_map`, as in training)."""
+    pair_map = np.asarray(pair_map)
     if pair_map.ndim == 3 and pair_map.shape[0] != 2:
         raise ShapeError(f"pair map must have 2 channels, got {pair_map.shape}")
     return encoder.forward(pair_map)

@@ -23,7 +23,7 @@ from .cascade import (
     refine_stage,
     segment_stage,
 )
-from .errors import DataError, ShapeError
+from .errors import DataError, FormatError, ShapeError
 from .features import (
     CooccurrenceTable,
     FUSED_DIM,
@@ -65,6 +65,19 @@ class RelationFeatures:
     x_s: np.ndarray  # (P, N) verb-frequency priors
     x_g: np.ndarray  # (P, 256) geometric descriptors
     x_v: np.ndarray  # (P, 3C, 7, 7) enhanced visual tensors
+
+
+@dataclass
+class PooledPairs:
+    """Pooled inputs of P candidate pairs, before any trained layer."""
+
+    x_s: np.ndarray        # (P, N) verb-frequency priors
+    pair_maps: np.ndarray  # (P, 2, 64, 64) float32 spatial maps
+    h_bar: np.ndarray      # (P, C, 7, 7) IHSM-enhanced human features
+    face: np.ndarray       # (P, C, 7, 7) facial-region features
+    noface: np.ndarray     # (P, C, 7, 7) face-removed human features
+    obj: np.ndarray        # (P, C, 7, 7) object features
+    union: np.ndarray      # (P, C, 7, 7) union-region features
 
 
 @dataclass
@@ -345,8 +358,9 @@ class CascadeModel:
         return face_feat, noface_feat
 
     def build_pair_map(self, human: Instance, obj: Instance):
-        # float32 keeps the conv encoder's column buffers light; the maps
-        # are binary so nothing is lost
+        # the one dtype of pair maps on both paths, so the conv encoder that
+        # is deployed is the one that was trained; the maps are binary, and
+        # float32 keeps the encoder's column buffers light
         if self.representation == "mask":
             pm = spatial_pair_encoding(human.box, obj.box, mode="mask",
                                        h_mask=human.mask, o_mask=obj.mask)
@@ -354,15 +368,12 @@ class CascadeModel:
             pm = spatial_pair_encoding(human.box, obj.box, mode="box")
         return pm.astype(np.float32)
 
-    def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
-        """Inference-path relation features of all candidate pairs of one
-        image. The geometric encoder and EFRA run once on the stacked
-        pairs; face crops, the face-zeroed grid and IHSM once per human."""
+    def pool_pairs(self, grid: FeatureGrid, candidates) -> PooledPairs:
+        """Everything of P candidate pairs that precedes the trained layers,
+        shared by training and inference. Face crops, the face-zeroed grid
+        and IHSM run once per human."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence table; train or load first")
-        x_s = np.stack([semantic_prior(c.object.class_id, self.cooccurrence) for c in candidates])
-        x_g = geometric_feature(np.stack([self.build_pair_map(c.human, c.object)
-                                          for c in candidates]), self.geo_encoder)
         per_human = {}
         for c in candidates:
             if id(c.human) not in per_human:
@@ -370,24 +381,38 @@ class CascadeModel:
                 per_human[id(c.human)] = (h_bar, *self.pool_face_features(grid, c.human))
         h_bar, face, noface = (np.stack(part) for part in
                                zip(*(per_human[id(c.human)] for c in candidates)))
-        o_feat = np.stack([self.pool_entity(grid, c.object) for c in candidates])
-        u_feat = np.stack([self.pool_union(grid, c.human, c.object) for c in candidates])
-        alpha, alpha_bar = efra_attend(face, noface, o_feat, self.face_stack, self.noface_stack)
-        o_bar = efra_enhance(o_feat, face, noface, alpha[:, None, None, None],
-                             alpha_bar[:, None, None, None])
-        return RelationFeatures(x_s=x_s, x_g=x_g, x_v=assemble_visual(h_bar, o_bar, u_feat))
+        return PooledPairs(
+            x_s=np.stack([semantic_prior(c.object.class_id, self.cooccurrence)
+                          for c in candidates]),
+            pair_maps=np.stack([self.build_pair_map(c.human, c.object) for c in candidates]),
+            h_bar=h_bar, face=face, noface=noface,
+            obj=np.stack([self.pool_entity(grid, c.object) for c in candidates]),
+            union=np.stack([self.pool_union(grid, c.human, c.object) for c in candidates]))
+
+    def visual_tensor(self, pooled: PooledPairs):
+        """(P, 3C, 7, 7) visual tensors: the IHSM human stream, the object
+        stream enhanced by EFRA, and the union stream, from one EFRA call."""
+        alpha, alpha_bar = efra_attend(pooled.face, pooled.noface, pooled.obj,
+                                       self.face_stack, self.noface_stack)
+        o_bar = efra_enhance(pooled.obj, pooled.face, pooled.noface,
+                             alpha[:, None, None, None], alpha_bar[:, None, None, None])
+        return assemble_visual(pooled.h_bar, o_bar, pooled.union)
+
+    def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
+        """Inference-path relation features of all candidate pairs of one
+        image, from one geometric-encoder and one EFRA call."""
+        pooled = self.pool_pairs(grid, candidates)
+        return RelationFeatures(x_s=pooled.x_s,
+                                x_g=geometric_feature(pooled.pair_maps, self.geo_encoder),
+                                x_v=self.visual_tensor(pooled))
 
     def fuse_visual(self, x_v):
-        """Fused (P, 1024) rows for stage 1 (zero predecessor) and for the
-        ranker and stages >= 2 (the pair's own tensor as predecessor), from
-        one fusion call. A one-stage model uses its stage-1 rows for both."""
-        zeros = np.zeros_like(x_v)
-        if self.config.stages == 1:
-            first = cross_stage_fuse(x_v, zeros, self.fusion_stack)
-            return first, first
-        fused = cross_stage_fuse(np.concatenate([x_v, x_v]), np.concatenate([zeros, x_v]),
-                                 self.fusion_stack)
-        return fused[:len(x_v)], fused[len(x_v):]
+        """Fused (P, 1024) rows that the ranker and the last stage's
+        classifier read, from one fusion call. The predecessor is the pair's
+        own tensor, or zeros in a one-stage model, whose last stage is
+        stage 1."""
+        prev = x_v if self.config.stages > 1 else np.zeros_like(x_v)
+        return cross_stage_fuse(x_v, prev, self.fusion_stack)
 
     # -------------------------------------------------------------- io
 
@@ -423,19 +448,24 @@ class CascadeModel:
 
     @classmethod
     def load(cls, directory):
-        with open(os.path.join(directory, "model.json"), encoding="utf-8") as fh:
+        path = os.path.join(directory, "model.json")
+        with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
-        cfg = CascadeConfig(
-            stages=meta["config"]["stages"],
-            iou_thresholds=tuple(meta["config"]["iou_thresholds"]),
-            merge_threshold=meta["config"]["merge_threshold"],
-            beta=tuple(meta["config"]["beta"]),
-            gamma=tuple(meta["config"]["gamma"]),
-            seg_weights=tuple(meta["config"]["seg_weights"]),
-        )
-        model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
-                    seed=meta["seed"], person_class=meta["person_class"],
-                    segment=meta["segment"], representation=meta["representation"])
+        try:
+            conf = meta["config"]
+            cfg = CascadeConfig(
+                stages=conf["stages"],
+                iou_thresholds=tuple(conf["iou_thresholds"]),
+                merge_threshold=conf["merge_threshold"],
+                beta=tuple(conf["beta"]),
+                gamma=tuple(conf["gamma"]),
+                seg_weights=tuple(conf["seg_weights"]),
+            )
+            model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
+                        seed=meta["seed"], person_class=meta["person_class"],
+                        segment=meta["segment"], representation=meta["representation"])
+        except KeyError as exc:
+            raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
         if "cooccurrence" in meta:
             model.cooccurrence = CooccurrenceTable.from_json(json.dumps(meta["cooccurrence"]))
         model.store.load(os.path.join(directory, "params.json"),
@@ -474,10 +504,11 @@ def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
 def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
                 top_k=TOP_K) -> list[TripletPrediction]:
     """Full image protocol: cascade localization, stage merging and
-    filtering, pair ranking, top-k selection, and staged classification
-    with the final stage's fused scores emitted per verb. Relation work is
-    batched over the image's pairs: one fusion and one ranker call, and one
-    classifier call per stage on the kept rows.
+    filtering, pair ranking, top-k selection, and the final stage's fused
+    scores emitted per verb. Relation work is batched over the image's
+    pairs: one fusion and one ranker call, and one classifier call, the
+    last stage's, on the kept rows; earlier stages' classifiers train the
+    shared layers but are not run here.
     """
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
@@ -486,12 +517,11 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     if not candidates:
         return []
     feats = model.build_features(grid, candidates)
-    first, later = model.fuse_visual(feats.x_v)
-    top = select_topk(rank_pairs(later, feats.x_g, model.rrm_heads[-1]), top_k)
-    x_s, x_g = feats.x_s[top], feats.x_g[top]
-    for t, heads in enumerate(model.rcm_heads):
-        s_s, s_g, s_v = classify_relation(x_s, x_g, (first if t == 0 else later)[top], heads)
-        scores = fuse_scores(s_v, s_g, s_s)
+    fused = model.fuse_visual(feats.x_v)
+    top = select_topk(rank_pairs(fused, feats.x_g, model.rrm_heads[-1]), top_k)
+    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], fused[top],
+                                      model.rcm_heads[-1])
+    scores = fuse_scores(s_v, s_g, s_s)
     return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
                               float(scores[row, verb]))
             for row, i in enumerate(top) for verb in range(model.n_verbs)]

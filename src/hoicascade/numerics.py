@@ -1,9 +1,10 @@
 """Minimal dense-tensor math: layers with hand-written backward passes,
 losses, a plain SGD step, and a central finite-difference gradient checker.
 
-All arithmetic is float64. Layers cache their most recent forward inputs,
-so each forward must be followed by its backward before the layer is
-reused (the training loops respect this ordering).
+Arithmetic is float64, except that the conv encoder runs in float32 on
+the float32 pair maps it is given. Layers cache their most recent forward
+inputs, so each forward must be followed by its backward before the layer
+is reused (the training loops respect this ordering).
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ class Conv2D:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
     def forward(self, x):
-        # float32 inputs stay float32 (storage precision); tests use float64
+        # float32 inputs (the binary pair maps) stay float32 in training and
+        # inference alike; anything else runs in float64
         x = np.asarray(x)
         if x.dtype != np.float32:
             x = x.astype(np.float64, copy=False)

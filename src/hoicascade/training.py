@@ -24,18 +24,13 @@ from .cascade import (
     resample_for_stage,
 )
 from .errors import DataError
-from .features import (
-    CooccurrenceTable,
-    efra_attend,
-    efra_attend_backward,
-    ihsm_enhance,
-    semantic_prior,
-)
+from .features import CooccurrenceTable, efra_attend_backward
 from .formats import RunConfig, predictions_to_record
 from .geometry import FeatureGrid, box_iou, roi_align
 from .interaction import (
     CascadeModel,
     TrainBatchSpec,
+    classify_relation,
     dedup_by_lineage,
     enumerate_pairs,
     infer_image,
@@ -165,7 +160,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
 
 class RelationPass:
     """Batched forward/backward over the sampled relation pairs of one or
-    more stages at once.
+    more stages at once, on the features inference builds: the pairs are
+    pooled by `CascadeModel.pool_pairs` and assembled by `visual_tensor`.
 
     Stage losses are independent (the prior-stage tensor is detached), so
     the shared feature machinery runs a single combined forward, stage
@@ -176,69 +172,35 @@ class RelationPass:
     def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
         """stage_pairs: list of (stage_index, [LabeledPair, ...])."""
         self.model = model
+        self.stages = [stage for stage, _ in stage_pairs]
         self.slices = []
-        self.stages = []
         entries = []
-        start = 0
-        for stage, pairs in stage_pairs:
-            self.stages.append(stage)
-            self.slices.append(slice(start, start + len(pairs)))
+        for _, pairs in stage_pairs:
+            self.slices.append(slice(len(entries), len(entries) + len(pairs)))
             entries.extend(pairs)
-            start += len(pairs)
         self.n = len(entries)
-        semantic_rows, pair_maps = [], []
-        face_list, noface_list, obj_list = [], [], []
-        self._visual_parts = []
-        prev_mult = []
-        for (stage, pairs) in stage_pairs:
-            prev_mult.extend([1.0 if stage == 0 else 2.0] * len(pairs))
-        self.prev_mult = np.asarray(prev_mult)
-        for lab in entries:
-            cand = lab.candidate
-            semantic_rows.append(semantic_prior(cand.object.class_id, model.cooccurrence))
-            pair_maps.append(model.build_pair_map(cand.human, cand.object))
-            h_feat = model.pool_entity(grid, cand.human)
-            o_feat = model.pool_entity(grid, cand.object)
-            u_feat = model.pool_union(grid, cand.human, cand.object)
-            face_feat, noface_feat = model.pool_face_features(grid, cand.human)
-            h_bar, _ = ihsm_enhance(h_feat)
-            face_list.append(face_feat)
-            noface_list.append(noface_feat)
-            obj_list.append(o_feat)
-            self._visual_parts.append((h_bar, o_feat, u_feat))
-        self.x_s = np.stack(semantic_rows)
-        self.pair_maps = np.stack(pair_maps)
-        self.faces = np.stack(face_list)
-        self.nofaces = np.stack(noface_list)
-        self.objs = np.stack(obj_list)
+        self.prev_mult = np.concatenate([np.full(len(pairs), 1.0 if stage == 0 else 2.0)
+                                         for stage, pairs in stage_pairs])
+        self.pooled = model.pool_pairs(grid, [lab.candidate for lab in entries])
+        self.x_s = self.pooled.x_s
 
     def forward(self):
         model = self.model
-        self.x_g = model.geo_encoder.forward(self.pair_maps)
-        self.alphas, self.alpha_bars = efra_attend(self.faces, self.nofaces, self.objs,
-                                                   model.face_stack, model.noface_stack)
-        xv_rows = []
-        for i, (h_bar, o_feat, u_feat) in enumerate(self._visual_parts):
-            o_bar = (o_feat + self.alphas[i] * self.faces[i]
-                     + self.alpha_bars[i] * self.nofaces[i])
-            xv_rows.append(np.concatenate([h_bar, o_bar, u_feat], axis=0).ravel())
-        self.x_v = np.stack(xv_rows)
+        self.x_g = model.geo_encoder.forward(self.pooled.pair_maps)
+        self.x_v = model.visual_tensor(self.pooled).reshape(self.n, -1)
         # prior-stage tensor enters as data: zeros at stage 1, a detached
         # copy of the current tensor afterwards
         self.fused = model.fusion_stack.forward(self.x_v * self.prev_mult[:, None])
         self.g = np.zeros(self.n)
         self.s_s = np.zeros_like(self.x_s)
-        self.s_g = np.zeros((self.n, self.model.n_verbs))
-        self.s_v = np.zeros((self.n, self.model.n_verbs))
-        self._rrm_in = np.concatenate([self.fused, self.x_g], axis=1)
+        self.s_g = np.zeros((self.n, model.n_verbs))
+        self.s_v = np.zeros((self.n, model.n_verbs))
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
                 continue
-            self.g[sl] = model.rrm_heads[stage].fc.forward(self._rrm_in[sl])[:, 0]
-            heads = model.rcm_heads[stage]
-            self.s_s[sl] = heads.semantic.forward(self.x_s[sl])
-            self.s_g[sl] = heads.geometric.forward(self.x_g[sl])
-            self.s_v[sl] = heads.visual.forward(self.fused[sl])
+            self.g[sl] = model.rrm_heads[stage].score(self.fused[sl], self.x_g[sl])
+            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
+                self.x_s[sl], self.x_g[sl], self.fused[sl], model.rcm_heads[stage])
         return self
 
     def backward(self, d_g, d_s_s, d_s_g, d_s_v):
@@ -257,15 +219,14 @@ class RelationPass:
             d_fused[sl] += d_rrm_in[:, :width]
             d_xg[sl] += d_rrm_in[:, width:]
         d_xv = model.fusion_stack.backward(d_fused) * self.prev_mult[:, None]
-        c = self.model.channels
-        d_alpha = np.zeros(self.n)
-        d_alpha_bar = np.zeros(self.n)
-        for i in range(self.n):
-            d_obar = d_xv[i].reshape(3 * c, *POOLED_HW)[c:2 * c]
-            d_alpha[i] = float((d_obar * self.faces[i]).sum())
-            d_alpha_bar[i] = float((d_obar * self.nofaces[i]).sum())
+        # only the object stream o_bar = o + alpha * face + alpha_bar * noface
+        # depends on trained layers, through the EFRA scores
+        face, noface = self.pooled.face, self.pooled.noface
+        d_obar = d_xv.reshape(self.n, 3, *face.shape[1:])[:, 1]
+        d_alpha = (d_obar * face).reshape(self.n, -1).sum(axis=1)
+        d_alpha_bar = (d_obar * noface).reshape(self.n, -1).sum(axis=1)
         efra_attend_backward(d_alpha, d_alpha_bar, model.face_stack,
-                             model.noface_stack, self.faces.shape[1:])
+                             model.noface_stack, face.shape[1:])
         model.geo_encoder.backward(d_xg)
 
 
@@ -455,7 +416,7 @@ def ranking_constraint_report(model, scenes, spec, config, grids=None):
         if not labels.any() or labels.all():
             continue
         feats = model.build_features(grid, candidates)
-        g = model.rrm_heads[-1].score(model.fuse_visual(feats.x_v)[1], feats.x_g)
+        g = model.rrm_heads[-1].score(model.fuse_visual(feats.x_v), feats.x_g)
         hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.hinge_margin)
         hinge_total += hinge
         ordered_scenes += int(g[labels].min() > g[~labels].max())

@@ -151,6 +151,19 @@ class TestErrorPaths:
         assert not (tmp_path / "m").exists() and not (tmp_path / "p.ndjson").exists()
 
 
+    @pytest.mark.parametrize("section, key", [("config", "merge_threshold"), (None, "channels")])
+    def test_model_json_missing_key_exit_2(self, pipeline, tmp_path, capsys, section, key):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        meta = json.loads((model / "model.json").read_text())
+        del (meta[section] if section else meta)[key]
+        (model / "model.json").write_text(json.dumps(meta))
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'model.json'}: missing key '{key}'" in err
+
+
 def _first_scored_record(preds_path):
     for line in preds_path.read_text().splitlines():
         record = json.loads(line)

@@ -429,11 +429,13 @@ class TestBatchedInference:
 
         monkeypatch.setattr(FCLayer, "forward", counting_forward)
         model = tiny_model(seed=24)
+        last = model.rcm_heads[-1]
         once = [model.fusion_stack.fc1, model.fusion_stack.fc2, model.rrm_heads[-1].fc,
-                model.geo_encoder.fc, model.face_stack.fc1, model.noface_stack.fc1]
-        for heads in model.rcm_heads:
-            once += [heads.semantic, heads.geometric, heads.visual]
+                model.geo_encoder.fc, model.face_stack.fc1, model.noface_stack.fc1,
+                last.semantic, last.geometric, last.visual]
         unused = [head.fc for head in model.rrm_heads[:-1]]
+        for heads in model.rcm_heads[:-1]:  # only the emitted stage classifies
+            unused += [heads.semantic, heads.geometric, heads.visual]
         grid, seeds = crowded_scene(model)
         pair_counts = []
         for image_seeds in (seeds[:1] + seeds[3:4], seeds):  # one person and one object, all
