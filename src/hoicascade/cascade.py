@@ -66,9 +66,8 @@ class StageHead:
     """Box regression (4 deltas) plus a score refiner (1 logit) over the
     flattened pooled feature of the input region."""
 
-    def __init__(self, channels, rng, pooled_hw=POOLED_HW):
-        in_dim = channels * pooled_hw[0] * pooled_hw[1]
-        self.pooled_hw = pooled_hw
+    def __init__(self, channels, rng):
+        in_dim = channels * POOLED_HW[0] * POOLED_HW[1]
         self.regressor = FCLayer(in_dim, 4, "none", rng)
         self.scorer = FCLayer(in_dim, 1, "sigmoid", rng)
         self.regressor.w.value *= HEAD_INIT_SCALE
@@ -85,9 +84,8 @@ class StageHead:
 class SegHead:
     """Mask logits (14x14) from the summed current/previous pooled features."""
 
-    def __init__(self, channels, rng, pooled_hw=MASK_POOLED_HW):
-        self.pooled_hw = pooled_hw
-        in_dim = channels * pooled_hw[0] * pooled_hw[1]
+    def __init__(self, channels, rng):
+        in_dim = channels * MASK_POOLED_HW[0] * MASK_POOLED_HW[1]
         self.fc = FCLayer(in_dim, MASK_LOGIT_DIM, "none", rng)
         self.fc.w.value *= HEAD_INIT_SCALE
 
@@ -134,22 +132,30 @@ def clip_box(box: Box, width, height) -> Box | None:
     return Box(x1, y1, x2, y2)
 
 
-def refine_stage(grid: FeatureGrid, inst: Instance, head: StageHead) -> Instance | None:
-    """One refinement step: pool the instance box, regress deltas, rescore.
+def refine_stage(grid: FeatureGrid, instances, head: StageHead, stage):
+    """One refinement step of a whole stage, shared by training and
+    inference: pool every instance box, regress deltas and rescore all rows
+    with one head call, then decode and clip each row.
 
-    Returns None (and logs) when the refined box degenerates.
+    Returns (deltas (n, 4), scores (n, 1), refined). refined[i] is instance
+    i on its refined box with the new confidence and stage_of_origin
+    stage + 1, or None (logged) when that box degenerates. Training takes
+    its losses from deltas and scores; inference keeps the survivors.
     """
-    pooled = roi_align(grid, inst.box, head.pooled_hw)
-    deltas, score = head.forward(pooled.ravel())
-    new_box = apply_box_deltas(inst.box, deltas)
-    if new_box is not None:
-        new_box = clip_box(new_box, grid.image_width, grid.image_height)
-    if new_box is None:
-        log.info("dropping degenerate refinement of %s at stage %d",
-                 inst.box, inst.stage_of_origin + 1)
-        return None
-    return replace(inst, box=new_box, confidence=float(score[0]),
-                   stage_of_origin=inst.stage_of_origin + 1)
+    pooled = np.stack([roi_align(grid, inst.box, POOLED_HW).ravel() for inst in instances])
+    deltas, scores = head.forward(pooled)
+    refined = []
+    for inst, row_deltas, score in zip(instances, deltas, scores):
+        new_box = apply_box_deltas(inst.box, row_deltas)
+        if new_box is not None:
+            new_box = clip_box(new_box, grid.image_width, grid.image_height)
+        if new_box is None:
+            log.info("dropping degenerate refinement of %s at stage %d", inst.box, stage + 1)
+            refined.append(None)
+        else:
+            refined.append(replace(inst, box=new_box, confidence=float(score[0]),
+                                   stage_of_origin=stage + 1))
+    return deltas, scores, refined
 
 
 def rasterize_mask_into_box(cell_bits, box: Box, width, height) -> BitMask:
@@ -174,32 +180,51 @@ def rasterize_mask_into_box(cell_bits, box: Box, width, height) -> BitMask:
     return BitMask(bits)
 
 
-def segment_stage(grid: FeatureGrid, inst: Instance, head: SegHead,
-                  prev_pooled=None) -> Instance:
-    """Predict a mask for a refined instance.
+def mask_head_input(grid: FeatureGrid, boxes, prev_boxes=None):
+    """(n, C*14*14) mask-head rows: the pooled refined box of each instance,
+    plus, from stage 2 on, the pooled box it was refined from."""
+    rows = np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel() for box in boxes])
+    if prev_boxes is not None:
+        rows = rows + np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel()
+                                for box in prev_boxes])
+    return rows
 
-    Logits are thresholded at 0.5 after sigmoid; if every cell falls below
-    the threshold the single max-logit cell is kept so the instance never
-    loses its mask.
+
+def mask_cell_targets(gt_mask: BitMask, box: Box):
+    """Flat 14x14 mask-head targets: the ground-truth mask sampled at the
+    cell centers of a box."""
+    gh, gw = MASK_POOLED_HW
+    xs = box.x1 + (np.arange(gw) + 0.5) * box.width / gw
+    ys = box.y1 + (np.arange(gh) + 0.5) * box.height / gh
+    px = np.clip(xs.astype(int), 0, gt_mask.width - 1)
+    py = np.clip(ys.astype(int), 0, gt_mask.height - 1)
+    return gt_mask.bits[np.ix_(py, px)].astype(np.float64).ravel()
+
+
+def segment_stage(grid: FeatureGrid, instances, head: SegHead, prev_boxes=None):
+    """Masks for a stage's refined instances from one mask-head call.
+
+    prev_boxes, from stage 2 on, are the boxes the instances were refined
+    from. Logits are thresholded at 0.5 after sigmoid; if every cell of an
+    instance falls below the threshold its single max-logit cell is kept,
+    so no instance loses its mask. Returns the instances with masks.
     """
-    pooled = roi_align(grid, inst.box, head.pooled_hw)
-    total = pooled.ravel()
-    if prev_pooled is not None:
-        total = total + np.asarray(prev_pooled, dtype=np.float64).ravel()
-    logits = head.forward(total)
-    probs = sigmoid(logits).reshape(head.pooled_hw)
-    cells = probs > 0.5
-    if not cells.any():
-        flat = int(np.argmax(logits))
-        cells[flat // head.pooled_hw[1], flat % head.pooled_hw[1]] = True
-    mask = rasterize_mask_into_box(cells, inst.box, grid.image_width, grid.image_height)
-    if not mask.any():
-        # Box smaller than a pixel footprint; mark its center pixel.
-        cx, cy = inst.box.center
-        bits = np.zeros((grid.image_height, grid.image_width), dtype=bool)
-        bits[min(int(cy), grid.image_height - 1), min(int(cx), grid.image_width - 1)] = True
-        mask = BitMask(bits)
-    return replace(inst, mask=mask)
+    logits = head.forward(mask_head_input(grid, [inst.box for inst in instances], prev_boxes))
+    out = []
+    for inst, row in zip(instances, logits):
+        cells = sigmoid(row).reshape(MASK_POOLED_HW) > 0.5
+        if not cells.any():
+            flat = int(np.argmax(row))
+            cells[flat // MASK_POOLED_HW[1], flat % MASK_POOLED_HW[1]] = True
+        mask = rasterize_mask_into_box(cells, inst.box, grid.image_width, grid.image_height)
+        if not mask.any():
+            # Box smaller than a pixel footprint; mark its center pixel.
+            cx, cy = inst.box.center
+            bits = np.zeros((grid.image_height, grid.image_width), dtype=bool)
+            bits[min(int(cy), grid.image_height - 1), min(int(cx), grid.image_width - 1)] = True
+            mask = BitMask(bits)
+        out.append(replace(inst, mask=mask))
+    return out
 
 
 @dataclass

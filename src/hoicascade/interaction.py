@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cascade import (
-    MASK_POOLED_HW,
     POOLED_HW,
     CascadeConfig,
     Instance,
@@ -242,9 +241,11 @@ def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
         else:
             neg.append(LabeledPair(cand, False, np.zeros(n_verbs)))
     if spec.include_gt_pairs:
+        # one Instance per annotated person, so features pool it once
+        humans = {}
         for gi, gt in enumerate(gt_pairs):
-            human = Instance(PERSON_CLASS, 1.0, gt.h_box, mask=gt.h_mask,
-                             stage_of_origin=stage)
+            human = humans.setdefault((gt.h_box, id(gt.h_mask)), Instance(
+                PERSON_CLASS, 1.0, gt.h_box, mask=gt.h_mask, stage_of_origin=stage))
             obj = Instance(gt.o_class, 1.0, gt.o_box, mask=gt.o_mask,
                            stage_of_origin=stage)
             targets = np.zeros(n_verbs)
@@ -450,7 +451,10 @@ class CascadeModel:
     def load(cls, directory):
         path = os.path.join(directory, "model.json")
         with open(path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}: invalid JSON: {exc}") from None
         try:
             conf = meta["config"]
             cfg = CascadeConfig(
@@ -478,26 +482,24 @@ class CascadeModel:
 def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
     """Refine all proposals through every stage; returns per-stage outputs.
 
-    Segmentation heads run when the model predicts masks; the stage-1
-    predecessor pooled feature is zeros.
+    Each stage is one batched `refine_stage` call over the survivors of the
+    stage before, plus, when the model predicts masks, one `segment_stage`
+    call whose stage-1 predecessor feature is zeros. A stage with no
+    survivors leaves every later stage empty.
     """
-    current = []
-    for i, prop in enumerate(seed_proposals):
-        current.append(replace(prop, lineage=i if prop.lineage < 0 else prop.lineage))
+    current = [replace(prop, lineage=i if prop.lineage < 0 else prop.lineage)
+               for i, prop in enumerate(seed_proposals)]
     stage_outputs = []
     for t in range(model.config.stages):
-        nxt = []
-        for inst in current:
-            refined = refine_stage(grid, inst, model.box_heads[t])
-            if refined is None:
-                continue
-            if model.segment:
-                prev = (roi_align(grid, inst.box, MASK_POOLED_HW).ravel()
-                        if t > 0 else None)
-                refined = segment_stage(grid, refined, model.seg_heads[t], prev)
-            nxt.append(refined)
-        stage_outputs.append(nxt)
-        current = nxt
+        if current:
+            _, _, refined = refine_stage(grid, current, model.box_heads[t], t)
+            kept = [i for i, inst in enumerate(refined) if inst is not None]
+            nxt = [refined[i] for i in kept]
+            if model.segment and nxt:
+                prev_boxes = [current[i].box for i in kept] if t > 0 else None
+                nxt = segment_stage(grid, nxt, model.seg_heads[t], prev_boxes)
+            current = nxt
+        stage_outputs.append(current)
     return stage_outputs
 
 

@@ -83,25 +83,32 @@ class ParamStore:
     def load(self, manifest_path, blob_path):
         """Load values into existing blocks; shapes must match exactly."""
         with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from None
         if manifest.get("magic") != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic in {manifest_path}")
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {manifest.get('version')}")
         with open(blob_path, "rb") as fh:
             blob = fh.read()
-        blocks = manifest["blocks"]
+        try:
+            blocks = manifest["blocks"]
+            layout = {name: (tuple(info["shape"]), info["offset"])
+                      for name, info in blocks.items()}
+        except KeyError as exc:
+            raise FormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
         if set(blocks) != set(self._blocks):
             missing = set(self._blocks) - set(blocks)
             extra = set(blocks) - set(self._blocks)
             raise FormatError(f"checkpoint block mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, info in blocks.items():
+        for name, (shape, offset) in layout.items():
             p = self._blocks[name]
-            shape = tuple(info["shape"])
             if shape != p.value.shape:
                 raise FormatError(f"block {name!r}: shape {shape} != {p.value.shape}")
             n = int(np.prod(shape)) if shape else 1
-            raw = blob[info["offset"]:info["offset"] + 4 * n]
+            raw = blob[offset:offset + 4 * n]
             if len(raw) != 4 * n:
                 raise FormatError(f"block {name!r}: blob truncated")
             vals = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)

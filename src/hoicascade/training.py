@@ -15,18 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import (
-    MASK_POOLED_HW,
-    POOLED_HW,
     CascadeConfig,
     Instance,
-    apply_box_deltas,
-    clip_box,
+    mask_cell_targets,
+    mask_head_input,
+    refine_stage,
     resample_for_stage,
 )
 from .errors import DataError
 from .features import CooccurrenceTable, efra_attend_backward
 from .formats import RunConfig, predictions_to_record
-from .geometry import FeatureGrid, box_iou, roi_align
+from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
     TrainBatchSpec,
@@ -65,23 +64,17 @@ def seed_instances(scene) -> list:
     return out
 
 
-def _mask_targets(gt_mask, box, hw):
-    """Ground-truth mask sampled at the cell centers of a box."""
-    gh, gw = hw
-    xs = box.x1 + (np.arange(gw) + 0.5) * box.width / gw
-    ys = box.y1 + (np.arange(gh) + 0.5) * box.height / gh
-    px = np.clip(xs.astype(int), 0, gt_mask.width - 1)
-    py = np.clip(ys.astype(int), 0, gt_mask.height - 1)
-    return gt_mask.bits[np.ix_(py, px)].astype(np.float64)
-
-
 def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
                             gt_instances, stage, train=True):
     """Loss (and optional backward) for one localization stage.
 
-    Returns (losses, refined instances for the next stage). The refined
-    boxes reuse the head outputs computed for the loss batch; resampled
-    ground-truth boxes keep flowing to deeper stages.
+    The stage's proposals and its ground-truth boxes, in the row order of
+    `resample_for_stage`, go through the one batched `refine_stage` that
+    inference runs, and the loss and backward read its deltas and scores.
+    In segment mode the mask loss reads `mask_head_input` on the positive
+    rows' refined boxes, as `segment_stage` does. Returns (losses, refined
+    instances for the next stage); refined ground-truth rows carry lineage
+    -1 and keep flowing to deeper stages.
     """
     cfg = model.config
     labeled = resample_for_stage(proposals, gt_instances, cfg.iou_thresholds[stage])
@@ -92,9 +85,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
     if not labeled:
         return losses, []
 
-    pooled = np.stack([roi_align(grid, lab.box, POOLED_HW).ravel() for lab in labeled])
-    deltas = head.regressor.forward(pooled)
-    scores = head.scorer.forward(pooled)
+    rows = proposals + [Instance(g.class_id, 1.0, g.box) for g in gt_instances]
+    deltas, scores, refined = refine_stage(grid, rows, head, stage)
     labels = np.array([[1.0 if lab.positive else 0.0] for lab in labeled])
     bce, d_scores = binary_cross_entropy(scores, labels)
     score_loss = bce / len(labeled)
@@ -112,50 +104,23 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         head.scorer.backward(weight * d_scores / len(labeled))
         head.regressor.backward(weight * d_deltas)
 
-    # refined boxes for every labeled row, reusing the batch outputs
-    refined = []
-    refined_boxes = [None] * len(labeled)
-    for i, lab in enumerate(labeled):
-        new_box = apply_box_deltas(lab.box, deltas[i])
-        if new_box is not None:
-            new_box = clip_box(new_box, grid.image_width, grid.image_height)
-        if new_box is None:
-            continue
-        refined_boxes[i] = new_box
-        if i < len(proposals):
-            src = proposals[i]
-            refined.append(Instance(src.class_id, float(scores[i, 0]), new_box,
-                                    stage_of_origin=stage + 1, lineage=src.lineage))
-        else:
-            refined.append(Instance(lab.class_id, float(scores[i, 0]), new_box,
-                                    stage_of_origin=stage + 1))
-
-    if model.segment and pos:
+    # the refined box is data to the mask loss, a stop-gradient by design
+    masked = [i for i in pos if model.segment and refined[i] is not None
+              and gt_instances[labeled[i].gt_index].mask is not None]
+    if masked:
+        feats = mask_head_input(grid, [refined[i].box for i in masked],
+                                [rows[i].box for i in masked] if stage > 0 else None)
+        targets14 = np.stack([mask_cell_targets(gt_instances[labeled[i].gt_index].mask,
+                                                refined[i].box) for i in masked])
         seg_head = model.seg_heads[stage]
-        rows, targets14 = [], []
-        for i in pos:
-            lab = labeled[i]
-            out_box = refined_boxes[i]
-            gt_mask = gt_instances[lab.gt_index].mask
-            if out_box is None or gt_mask is None:
-                continue
-            cur = roi_align(grid, out_box, MASK_POOLED_HW).ravel()
-            if stage > 0:
-                cur = cur + roi_align(grid, lab.box, MASK_POOLED_HW).ravel()
-            rows.append(cur)
-            targets14.append(_mask_targets(gt_mask, out_box, MASK_POOLED_HW).ravel())
-        if rows:
-            feats = np.stack(rows)
-            targets14 = np.stack(targets14)
-            logits = seg_head.forward(feats)
-            probs = sigmoid(logits)
-            seg_bce, d_probs = binary_cross_entropy(probs, targets14)
-            losses["seg"] = seg_bce / targets14.size
-            if train:
-                d_logits = (cfg.seg_weights[stage] / targets14.size
-                            * d_probs * probs * (1.0 - probs))
-                seg_head.backward(d_logits)
-    return losses, refined
+        probs = sigmoid(seg_head.forward(feats))
+        seg_bce, d_probs = binary_cross_entropy(probs, targets14)
+        losses["seg"] = seg_bce / targets14.size
+        if train:
+            d_logits = (cfg.seg_weights[stage] / targets14.size
+                        * d_probs * probs * (1.0 - probs))
+            seg_head.backward(d_logits)
+    return losses, [inst for inst in refined if inst is not None]
 
 
 class RelationPass:

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hoicascade import interaction
 from hoicascade.cascade import (
+    MASK_POOLED_HW,
+    POOLED_HW,
     CascadeConfig,
     Instance,
     LabeledProposal,
@@ -9,6 +14,7 @@ from hoicascade.cascade import (
     StageHead,
     apply_box_deltas,
     box_delta_targets,
+    clip_box,
     dedup_by_lineage,
     merge_and_filter,
     rasterize_mask_into_box,
@@ -17,7 +23,9 @@ from hoicascade.cascade import (
     segment_stage,
 )
 from hoicascade.errors import DataError
-from hoicascade.geometry import BitMask, Box, FeatureGrid, box_iou
+from hoicascade.features import CooccurrenceTable
+from hoicascade.geometry import BitMask, Box, FeatureGrid, box_iou, roi_align
+from hoicascade.numerics import FCLayer, sigmoid
 
 
 def make_grid(c=3, size=16, seed=0):
@@ -56,13 +64,14 @@ class TestRefineStage:
     def test_zero_head_keeps_box_and_half_confidence(self):
         grid = make_grid()
         inst = Instance(1, 0.9, Box(2, 2, 8, 9), lineage=0)
-        out = refine_stage(grid, inst, zero_head())
+        _, _, [out] = refine_stage(grid, [inst], zero_head(), 0)
         assert out.box == inst.box
         assert out.confidence == 0.5
         assert out.stage_of_origin == 1
         # idempotent under the zero head
-        again = refine_stage(grid, out, zero_head())
+        _, _, [again] = refine_stage(grid, [out], zero_head(), 1)
         assert again.box == inst.box
+        assert again.stage_of_origin == 2
 
     def test_dx_shifts_center(self):
         box = Box(0, 0, 10, 10)
@@ -91,7 +100,7 @@ class TestRefineStage:
         head = zero_head()
         head.regressor.b.value[...] = [0.0, 0.0, -9.0, 0.0]  # shrink to nothing
         inst = Instance(1, 0.9, Box(2, 2, 8, 8))
-        assert refine_stage(grid, inst, head) is None
+        assert refine_stage(grid, [inst], head, 0)[2] == [None]
 
 
 class TestSegmentStage:
@@ -101,7 +110,7 @@ class TestSegmentStage:
         head.fc.w.value[...] = 0.0
         head.fc.b.value[...] = 5.0
         inst = Instance(1, 0.9, Box(4, 4, 20, 24), stage_of_origin=1)
-        out = segment_stage(grid, inst, head)
+        [out] = segment_stage(grid, [inst], head)
         assert out.mask is not None
         inside = out.mask.bbox()
         assert box_iou(inside, inst.box) > 0.8
@@ -112,7 +121,7 @@ class TestSegmentStage:
         head.fc.w.value[...] = 0.0
         head.fc.b.value[...] = 0.0
         inst = Instance(1, 0.9, Box(4, 4, 18, 18), stage_of_origin=1)
-        out = segment_stage(grid, inst, head)
+        [out] = segment_stage(grid, [inst], head)
         # argmax of an all-zero logit vector is cell 0: top-left corner only
         assert out.mask.any()
         expected_cells = np.zeros((14, 14), dtype=bool)
@@ -139,10 +148,161 @@ class TestSegmentStage:
         grid = make_grid(size=32, seed=5)
         head = SegHead(3, np.random.default_rng(1))
         inst = Instance(1, 0.9, Box(4, 4, 20, 20), stage_of_origin=2)
-        a = segment_stage(grid, inst, head)
-        prev = np.full(3 * 14 * 14, 10.0)
-        b = segment_stage(grid, inst, head, prev_pooled=prev)
+        [a] = segment_stage(grid, [inst], head)
+        [b] = segment_stage(grid, [inst], head, prev_boxes=[Box(10, 2, 30, 26)])
         assert a.mask != b.mask
+
+
+def refine_one(grid, inst, head):
+    """One-instance refinement, the reference for the batched refine_stage."""
+    deltas, score = head.forward(roi_align(grid, inst.box, POOLED_HW).ravel())
+    box = apply_box_deltas(inst.box, deltas)
+    if box is not None:
+        box = clip_box(box, grid.image_width, grid.image_height)
+    if box is None:
+        return None
+    return replace(inst, box=box, confidence=float(score[0]),
+                   stage_of_origin=inst.stage_of_origin + 1)
+
+
+def segment_one(grid, inst, head, prev_box=None):
+    """One-instance segmentation, the reference for the batched segment_stage."""
+    total = roi_align(grid, inst.box, MASK_POOLED_HW).ravel()
+    if prev_box is not None:
+        total = total + roi_align(grid, prev_box, MASK_POOLED_HW).ravel()
+    logits = head.forward(total)
+    cells = sigmoid(logits).reshape(MASK_POOLED_HW) > 0.5
+    if not cells.any():
+        flat = int(np.argmax(logits))
+        cells[flat // MASK_POOLED_HW[1], flat % MASK_POOLED_HW[1]] = True
+    mask = rasterize_mask_into_box(cells, inst.box, grid.image_width, grid.image_height)
+    if not mask.any():
+        cx, cy = inst.box.center
+        bits = np.zeros((grid.image_height, grid.image_width), dtype=bool)
+        bits[min(int(cy), grid.image_height - 1), min(int(cx), grid.image_width - 1)] = True
+        mask = BitMask(bits)
+    return replace(inst, mask=mask)
+
+
+def stage_instances():
+    """A stage of five instances on a 32 x 32 image; the fourth lies right
+    of the image, so clipping leaves it degenerate."""
+    boxes = [Box(2, 2, 12, 22), Box(14, 6, 22, 14), Box(5.5, 18.25, 29, 31),
+             Box(36, 4, 44, 12), Box(0, 0, 32, 32)]
+    return [Instance(i % 3, 1.0, box, stage_of_origin=1, lineage=i)
+            for i, box in enumerate(boxes)]
+
+
+def loc_model(seed=0, **kw):
+    model = interaction.CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed, **kw)
+    model.cooccurrence = CooccurrenceTable.from_triplets([(1, 0), (1, 2), (2, 3)], 3, 4)
+    return model
+
+
+class TestOneLocalizationPath:
+    """The batched per-stage refinement and segmentation against the
+    one-instance-at-a-time reference, and the calls they make per image."""
+
+    def test_refine_stage_matches_one_instance_reference(self):
+        grid = FeatureGrid(np.random.default_rng(1).normal(size=(3, 16, 16)), 32, 32)
+        head = StageHead(3, np.random.default_rng(2))
+        head.regressor.w.value *= 30.0  # refinements that move the boxes
+        instances = stage_instances()
+        deltas, scores, refined = refine_stage(grid, instances, head, 1)
+        assert deltas.shape == (5, 4) and scores.shape == (5, 1)
+        expected = [refine_one(grid, inst, head) for inst in instances]
+        assert [r is None for r in refined] == [False, False, False, True, False]
+        assert [e is None for e in expected] == [r is None for r in refined]
+        for got, ref in zip(refined, expected):
+            if got is None:
+                continue
+            assert got.box != instances[got.lineage].box
+            assert (got.class_id, got.lineage, got.stage_of_origin) == (
+                ref.class_id, ref.lineage, 2)
+            np.testing.assert_allclose(got.box.as_tuple(), ref.box.as_tuple(), atol=1e-12)
+            np.testing.assert_allclose(got.confidence, ref.confidence, atol=1e-12)
+
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_segment_stage_matches_one_instance_reference(self, with_prev):
+        grid = FeatureGrid(np.random.default_rng(3).normal(size=(3, 16, 16)), 32, 32)
+        head = SegHead(3, np.random.default_rng(4))
+        head.fc.w.value *= 20.0
+        instances = [inst for i, inst in enumerate(stage_instances()) if i != 3]
+        instances.append(Instance(1, 1.0, Box(10.2, 10.2, 10.6, 10.6), lineage=5))
+        prev = [Box(1, 1, 20, 20)] * len(instances) if with_prev else None
+        got = segment_stage(grid, instances, head, prev)
+        expected = [segment_one(grid, inst, head, prev[0] if with_prev else None)
+                    for inst in instances]
+        assert [g.mask for g in got] == [e.mask for e in expected]
+        assert [g.box for g in got] == [inst.box for inst in instances]
+        assert got[-1].mask.bits.sum() == 1  # sub-pixel box: its center pixel
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_run_localization_matches_one_instance_reference(self, segment):
+        model = loc_model(seed=9, segment=segment)
+        for head in model.box_heads:
+            head.regressor.w.value *= 30.0
+        for head in model.seg_heads:
+            head.fc.w.value *= 20.0
+        grid = FeatureGrid(np.random.default_rng(10).normal(size=(3, 16, 16)), 32, 32)
+        expected, current = [], [replace(inst, stage_of_origin=0) for inst in stage_instances()]
+        for t in range(model.config.stages):
+            nxt = []
+            for inst in current:
+                out = refine_one(grid, inst, model.box_heads[t])
+                if out is not None and segment:
+                    out = segment_one(grid, out, model.seg_heads[t], inst.box if t > 0 else None)
+                if out is not None:
+                    nxt.append(out)
+            expected.append(nxt)
+            current = nxt
+        got = interaction.run_localization(grid, stage_instances(), model)
+        assert [len(stage) for stage in got] == [len(stage) for stage in expected] == [4, 4, 4]
+        for got_stage, ref_stage in zip(got, expected):
+            for g, e in zip(got_stage, ref_stage):
+                assert (g.lineage, g.stage_of_origin, g.mask) == (e.lineage, e.stage_of_origin, e.mask)
+                np.testing.assert_allclose(g.box.as_tuple(), e.box.as_tuple(), atol=1e-12)
+                np.testing.assert_allclose(g.confidence, e.confidence, atol=1e-12)
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_localization_layers_run_once_per_stage(self, monkeypatch, segment):
+        calls = {}
+        forward = FCLayer.forward
+        refine = interaction.refine_stage
+
+        def counting_forward(self, x):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return forward(self, x)
+
+        def counting_refine(*args):
+            calls["refine_stage"] = calls.get("refine_stage", 0) + 1
+            return refine(*args)
+
+        monkeypatch.setattr(FCLayer, "forward", counting_forward)
+        monkeypatch.setattr(interaction, "refine_stage", counting_refine)
+        model = loc_model(seed=5, segment=segment)
+        grid = FeatureGrid(0.05 * np.random.default_rng(6).normal(size=(3, 16, 16)), 32, 32)
+        layers = [layer for head in model.box_heads for layer in (head.regressor, head.scorer)]
+        layers += [head.fc for head in model.seg_heads]
+        for run, seeds in ((interaction.run_localization, stage_instances()[:1]),
+                           (interaction.run_localization, stage_instances()),
+                           (interaction.infer_image, stage_instances())):
+            calls.clear()
+            run(grid, seeds, model)
+            assert calls["refine_stage"] == model.config.stages
+            assert [calls.get(id(layer), 0) for layer in layers] == [1] * len(layers)
+
+    def test_all_degenerate_at_stage_one(self, monkeypatch):
+        model = loc_model(seed=7)
+        model.box_heads[0].regressor.b.value[...] = [0.0, 0.0, -9.0, 0.0]
+        grid = FeatureGrid(np.random.default_rng(8).normal(size=(3, 16, 16)), 32, 32)
+        refine = interaction.refine_stage
+        calls = []
+        monkeypatch.setattr(interaction, "refine_stage",
+                            lambda *args: calls.append(args[3]) or refine(*args))
+        assert interaction.run_localization(grid, stage_instances(), model) == [[], [], []]
+        assert calls == [0]
+        assert interaction.infer_image(grid, stage_instances(), model) == []
 
 
 class TestResampleForStage:

@@ -163,6 +163,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"{model / 'model.json'}: missing key '{key}'" in err
 
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("model.json", lambda text: text[:-10], "invalid JSON"),
+        ("params.json", lambda text: text[:-10], "invalid JSON"),
+        ("params.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "blocks"}), "missing key 'blocks'"),
+        ("params.json", lambda text: text.replace('"shape"', '"dims"'), "missing key 'shape'"),
+        ("params.json", lambda text: text.replace('"offset"', '"start"'), "missing key 'offset'"),
+    ])
+    def test_corrupt_checkpoint_exit_2(self, pipeline, tmp_path, capsys, name, corrupt, message):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        (model / name).write_text(corrupt((model / name).read_text()))
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        assert f"{model / name}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.ndjson").exists()
+
 
 def _first_scored_record(preds_path):
     for line in preds_path.read_text().splitlines():

@@ -186,6 +186,27 @@ class TestSampleTrainingPairs:
         assert batch.positives[0].candidate.human.class_id == 0
         assert batch.positives[0].candidate.object.class_id == 1
 
+    def test_annotated_person_pooled_once(self, monkeypatch):
+        from hoicascade import interaction
+
+        h_box = Box(2, 4, 14, 30)
+        gt = [GroundTruthPair(h_box, Box(16, 4, 26, 14), 1, frozenset({0})),
+              GroundTruthPair(h_box, Box(16, 18, 26, 28), 2, frozenset({3})),
+              GroundTruthPair(Box(30, 4, 42, 30), Box(44, 4, 54, 14), 1, frozenset({2}))]
+        pairs = sample_training_pairs([], gt, 0.5, 4).all_pairs()
+        humans = [lab.candidate.human for lab in pairs]
+        assert humans[0] is humans[1] and humans[2] is not humans[0]
+
+        calls = []
+        ihsm = interaction.ihsm_enhance
+        monkeypatch.setattr(interaction, "ihsm_enhance",
+                            lambda x: calls.append(1) or ihsm(x))
+        model = tiny_model(seed=3)
+        grid = FeatureGrid(np.random.default_rng(5).normal(size=(3, 32, 32)), 64, 64)
+        pooled = model.pool_pairs(grid, [lab.candidate for lab in pairs])
+        assert len(calls) == 2
+        np.testing.assert_array_equal(pooled.h_bar[0], pooled.h_bar[1])
+
     def test_batch_constants_and_cap(self):
         assert MAX_TRAIN_PAIRS == 128
         assert POS_NEG_RATIO == (1, 3)

@@ -1,20 +1,31 @@
 import numpy as np
+import pytest
 
-from hoicascade.cascade import Instance
+from hoicascade.cascade import (
+    MASK_POOLED_HW,
+    POOLED_HW,
+    Instance,
+    apply_box_deltas,
+    clip_box,
+    mask_cell_targets,
+    resample_for_stage,
+)
 from hoicascade.features import CooccurrenceTable
-from hoicascade.geometry import Box, FeatureGrid
+from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align
 from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
     enumerate_pairs,
+    run_localization,
     sample_training_pairs,
+    total_loss,
 )
-from hoicascade.numerics import finite_diff_check
-from hoicascade.training import RelationPass, relation_losses_multi
+from hoicascade.numerics import binary_cross_entropy, finite_diff_check, sigmoid, smooth_l1
+from hoicascade.training import RelationPass, localization_stage_step, relation_losses_multi
 
 
-def tiny_model(seed=0):
-    model = CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed)
+def tiny_model(seed=0, **kw):
+    model = CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed, **kw)
     model.cooccurrence = CooccurrenceTable.from_triplets(
         [(1, 0), (1, 2), (2, 3)], 3, 4)
     return model
@@ -68,3 +79,99 @@ class TestRelationPass:
         report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=1, seed=0)
         assert report.passed, str(report)
         assert all(np.any(p.grad) for p in blocks.values())  # analytic grads left in place
+
+
+def localization_scene(seed=0):
+    """A 64 x 64 image with three masked entities and seven seed proposals:
+    jittered copies of the entities, loose boxes, one stray box and one
+    box off the image, whose refinement degenerates."""
+    rng = np.random.default_rng(seed)
+    grid = FeatureGrid(rng.normal(size=(3, 32, 32)), 64, 64)
+    gt = []
+    for cls, box in ((0, Box(4, 6, 22, 40)), (1, Box(28, 30, 44, 46)), (2, Box(40, 4, 60, 20))):
+        bits = np.zeros((64, 64), dtype=bool)
+        bits[int(box.y1) + 2:int(box.y2) - 2, int(box.x1) + 1:int(box.x2) - 1] = True
+        gt.append(Instance(cls, 1.0, box, mask=BitMask(bits)))
+    boxes = [Box(5, 7, 23, 41), Box(27, 31, 45, 47), Box(41, 5, 59, 21),
+             Box(2, 3, 26, 44), Box(26, 26, 50, 50), Box(30, 48, 40, 60),
+             Box(70, 10, 80, 20)]
+    seeds = [Instance(gt[i % 3].class_id, 1.0, box, lineage=i) for i, box in enumerate(boxes)]
+    return grid, gt, seeds
+
+
+class TestLocalizationStageStep:
+    def test_seed_lineage_outputs_are_inference_outputs(self):
+        model = tiny_model(seed=41)
+        for head in model.box_heads:
+            head.regressor.w.value *= 20.0  # refinements that move the boxes
+        grid, gt, seeds = localization_scene(seed=2)
+        stage_outputs = run_localization(grid, seeds, model)
+        assert [len(stage) for stage in stage_outputs] == [6, 6, 6]
+        proposals = seeds
+        for t, expected in enumerate(stage_outputs):
+            _, proposals = localization_stage_step(model, grid, proposals, gt, t, train=False)
+            got = [inst for inst in proposals if inst.lineage >= 0]
+            assert [(g.class_id, g.lineage, g.stage_of_origin) for g in got] == [
+                (e.class_id, e.lineage, t + 1) for e in expected]
+            for g, e in zip(got, expected):
+                assert g.box != seeds[g.lineage].box
+                np.testing.assert_allclose(g.box.as_tuple(), e.box.as_tuple(), atol=1e-12)
+                np.testing.assert_allclose(g.confidence, e.confidence, atol=1e-12)
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_loss_reads_the_rows_of_resample_for_stage(self, segment):
+        model = tiny_model(seed=42, segment=segment)
+        grid, gt, seeds = localization_scene(seed=4)
+        proposals = seeds
+        for t, head in enumerate(model.box_heads):
+            labeled = resample_for_stage(proposals, gt, model.config.iou_thresholds[t])
+            rows = [head.forward(roi_align(grid, lab.box, POOLED_HW).ravel()) for lab in labeled]
+            deltas = np.stack([d for d, _ in rows])
+            scores = np.stack([s for _, s in rows])
+            pos = [i for i, lab in enumerate(labeled) if lab.positive]
+            assert 0 < len(pos) < len(labeled)
+            bce, _ = binary_cross_entropy(scores, [[float(lab.positive)] for lab in labeled])
+            sl1, _ = smooth_l1(deltas[pos] - np.stack([labeled[i].delta_target for i in pos]))
+            losses, proposals = localization_stage_step(model, grid, proposals, gt, t,
+                                                        train=False)
+            np.testing.assert_allclose(losses["loc"], bce / len(labeled) + sl1 / len(pos),
+                                       atol=1e-12)
+            if not segment:
+                continue
+            # mask rows: the refined box plus, from stage 2 on, the input box
+            refined = [clip_box(apply_box_deltas(labeled[i].box, deltas[i]), 64, 64) for i in pos]
+            feats = np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel() for box in refined])
+            if t > 0:
+                feats += np.stack([roi_align(grid, labeled[i].box, MASK_POOLED_HW).ravel()
+                                   for i in pos])
+            targets = np.stack([mask_cell_targets(gt[labeled[i].gt_index].mask, box)
+                                for i, box in zip(pos, refined)])
+            seg, _ = binary_cross_entropy(sigmoid(model.seg_heads[t].forward(feats)), targets)
+            np.testing.assert_allclose(losses["seg"], seg / targets.size, atol=1e-12)
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_backward_matches_finite_differences(self, segment):
+        model = tiny_model(seed=43, segment=segment)
+        grid, gt, seeds = localization_scene(seed=3)
+        # training passes boxes between stages as data, so each stage's
+        # input proposals are recorded once and held fixed
+        inputs, proposals = [], seeds
+        for t in range(model.config.stages):
+            inputs.append(proposals)
+            _, proposals = localization_stage_step(model, grid, proposals, gt, t, train=False)
+
+        def loss():
+            return total_loss([localization_stage_step(model, grid, props, gt, t)[0]
+                               for t, props in enumerate(inputs)], model.config)
+
+        blocks = {name: p for name, p in model.store.items() if ".box." in name}
+        if segment:
+            # the regressor reaches the mask loss only through the refined
+            # box, which the mask head reads as data: a stop-gradient by
+            # design, so central differences see a path backward leaves out
+            blocks = {name: p for name, p in model.store.items()
+                      if ".seg." in name or ".box.score" in name}
+        assert len(blocks) == 12
+        report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=3, seed=0)
+        assert report.passed, str(report)
+        assert all(np.any(p.grad) for p in blocks.values())
