@@ -142,7 +142,7 @@ def refine_stage(grid: FeatureGrid, instances, head: StageHead, stage):
     stage + 1, or None (logged) when that box degenerates. Training takes
     its losses from deltas and scores; inference keeps the survivors.
     """
-    pooled = np.stack([roi_align(grid, inst.box, POOLED_HW).ravel() for inst in instances])
+    pooled = roi_align(grid, [i.box for i in instances], POOLED_HW).reshape(len(instances), -1)
     deltas, scores = head.forward(pooled)
     refined = []
     for inst, row_deltas, score in zip(instances, deltas, scores):
@@ -183,10 +183,9 @@ def rasterize_mask_into_box(cell_bits, box: Box, width, height) -> BitMask:
 def mask_head_input(grid: FeatureGrid, boxes, prev_boxes=None):
     """(n, C*14*14) mask-head rows: the pooled refined box of each instance,
     plus, from stage 2 on, the pooled box it was refined from."""
-    rows = np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel() for box in boxes])
+    rows = roi_align(grid, boxes, MASK_POOLED_HW).reshape(len(boxes), -1)
     if prev_boxes is not None:
-        rows = rows + np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel()
-                                for box in prev_boxes])
+        rows = rows + roi_align(grid, prev_boxes, MASK_POOLED_HW).reshape(len(prev_boxes), -1)
     return rows
 
 

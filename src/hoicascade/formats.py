@@ -149,7 +149,7 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def spec_from_dict(data: dict) -> SceneSpec:
+def spec_from_dict(data: dict, path) -> SceneSpec:
     try:
         return SceneSpec(
             image_size=int(data["image_size"]),
@@ -164,7 +164,9 @@ def spec_from_dict(data: dict) -> SceneSpec:
             seed=int(data["seed"]),
         )
     except KeyError as exc:
-        raise FormatError(f"dataset meta missing field {exc}") from exc
+        raise FormatError(f"{path}: dataset meta missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed dataset meta: {exc}") from None
 
 
 def write_meta(path, spec: SceneSpec, extra=None):
@@ -178,8 +180,11 @@ def write_meta(path, spec: SceneSpec, extra=None):
 
 def read_meta(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return spec_from_dict(data), data
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    return spec_from_dict(data, path), data
 
 
 # ------------------------------------------------------------ predictions

@@ -147,20 +147,22 @@ class FeatureGrid:
         return self.data.shape[1] / self.image_height
 
 
-def _sample_positions(grid: FeatureGrid, box: Box, out_hw):
-    """Bilinear sample rows/columns and weights for one RoI.
+def _sample_positions(grid: FeatureGrid, boxes, out_hw):
+    """Bilinear sample rows/columns and weights for n RoIs.
 
-    Returns 1-d arrays (r0, r1, wr) over output rows and (c0, c1, wc) over
-    output columns; the sampling factorizes by axis. Positions clamp to the
-    grid edge, which also covers boxes smaller than one feature cell.
+    Returns (r0, r1, wr) shaped (n, 1, out_h, 1) and (c0, c1, wc) shaped
+    (n, 1, 1, out_w); the sampling factorizes by axis. Positions clamp to
+    the grid edge, which also covers boxes smaller than one feature cell.
     """
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise ShapeError(f"pooling target must be >= 1x1, got {out_hw}")
-    gx1, gx2 = box.x1 * grid.scale_x, box.x2 * grid.scale_x
-    gy1, gy2 = box.y1 * grid.scale_y, box.y2 * grid.scale_y
+    corners = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    x1, y1, x2, y2 = corners.T[:, :, None, None, None]
+    gx1, gx2 = x1 * grid.scale_x, x2 * grid.scale_x
+    gy1, gy2 = y1 * grid.scale_y, y2 * grid.scale_y
     cx = gx1 + (np.arange(ow) + 0.5) * (gx2 - gx1) / ow
-    cy = gy1 + (np.arange(oh) + 0.5) * (gy2 - gy1) / oh
+    cy = gy1 + (np.arange(oh)[:, None] + 0.5) * (gy2 - gy1) / oh
     # shift to pixel-center space, clamp to edges
     u = np.clip(cx - 0.5, 0.0, grid.grid_width - 1.0)
     v = np.clip(cy - 0.5, 0.0, grid.grid_height - 1.0)
@@ -171,14 +173,13 @@ def _sample_positions(grid: FeatureGrid, box: Box, out_hw):
     return r0, r1, v - r0, c0, c1, u - c0
 
 
-def roi_align(grid: FeatureGrid, box: Box, out=(7, 7)) -> np.ndarray:
-    """Pool a box into (C, out_h, out_w), one bilinear sample per cell center."""
-    r0, r1, wr, c0, c1, wc = _sample_positions(grid, box, out)
-    d = grid.data
-    rows0, rows1 = d[:, r0, :], d[:, r1, :]
-    top = rows0[:, :, c0] * (1 - wc) + rows0[:, :, c1] * wc
-    bot = rows1[:, :, c0] * (1 - wc) + rows1[:, :, c1] * wc
-    return top * (1 - wr[:, None]) + bot * wr[:, None]
+def roi_align(grid: FeatureGrid, boxes, out=(7, 7)) -> np.ndarray:
+    """Pool a list of n boxes into (n, C, out_h, out_w), one bilinear sample per cell center."""
+    r0, r1, wr, c0, c1, wc = _sample_positions(grid, boxes, out)
+    d, ch = grid.data, np.arange(grid.channels)[:, None, None]
+    top = d[ch, r0, c0] * (1 - wc) + d[ch, r0, c1] * wc
+    bot = d[ch, r1, c0] * (1 - wc) + d[ch, r1, c1] * wc
+    return top * (1 - wr) + bot * wr
 
 
 def downsample_mask(mask: BitMask, grid: FeatureGrid) -> np.ndarray:
@@ -219,7 +220,7 @@ def mask_roi_align(grid: FeatureGrid, mask: BitMask, out=(7, 7)) -> np.ndarray:
         raise DataError("mask vanished at feature resolution")
     masked = FeatureGrid(grid.data * cell_mask[None, :, :],
                          grid.image_height, grid.image_width)
-    return roi_align(masked, mask.bbox(), out)
+    return roi_align(masked, [mask.bbox()], out)[0]
 
 
 PAIR_MAP_SIZE = 64

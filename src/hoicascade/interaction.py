@@ -337,26 +337,23 @@ class CascadeModel:
         return FeatureGrid(grid.data * (~inside)[None, :, :],
                            grid.image_height, grid.image_width)
 
-    def pool_entity(self, grid: FeatureGrid, inst: Instance):
+    def pool_entities(self, grid: FeatureGrid, instances):
+        """(n, C, 7, 7): one batched RoIAlign over the boxes, or in mask
+        representation one masked RoIAlign per instance."""
         if self.representation == "mask":
-            if inst.mask is None:
+            if any(inst.mask is None for inst in instances):
                 raise DataError("mask representation requires instance masks")
-            return mask_roi_align(grid, inst.mask, POOLED_HW)
-        return roi_align(grid, inst.box, POOLED_HW)
+            return np.stack([mask_roi_align(grid, inst.mask, POOLED_HW) for inst in instances])
+        return roi_align(grid, [inst.box for inst in instances], POOLED_HW)
 
-    def pool_union(self, grid: FeatureGrid, human: Instance, obj: Instance):
-        ubox = union_box(human.box, obj.box)
+    def pool_unions(self, grid: FeatureGrid, candidates):
         if self.representation == "mask":
-            if human.mask is None or obj.mask is None:
+            if any(c.human.mask is None or c.object.mask is None for c in candidates):
                 raise DataError("mask representation requires instance masks")
-            return mask_roi_align(grid, BitMask(human.mask.bits | obj.mask.bits), POOLED_HW)
-        return roi_align(grid, ubox, POOLED_HW)
-
-    def pool_face_features(self, grid: FeatureGrid, human: Instance):
-        face = face_region(human.box)
-        face_feat = roi_align(grid, face, POOLED_HW)
-        noface_feat = roi_align(self.face_zeroed_grid(grid, human.box), human.box, POOLED_HW)
-        return face_feat, noface_feat
+            return np.stack([mask_roi_align(grid, BitMask(c.human.mask.bits | c.object.mask.bits),
+                                            POOLED_HW) for c in candidates])
+        return roi_align(grid, [union_box(c.human.box, c.object.box) for c in candidates],
+                         POOLED_HW)
 
     def build_pair_map(self, human: Instance, obj: Instance):
         # the one dtype of pair maps on both paths, so the conv encoder that
@@ -375,20 +372,20 @@ class CascadeModel:
         and IHSM run once per human."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence table; train or load first")
-        per_human = {}
-        for c in candidates:
-            if id(c.human) not in per_human:
-                h_bar, _ = ihsm_enhance(self.pool_entity(grid, c.human))
-                per_human[id(c.human)] = (h_bar, *self.pool_face_features(grid, c.human))
-        h_bar, face, noface = (np.stack(part) for part in
-                               zip(*(per_human[id(c.human)] for c in candidates)))
+        humans = list({id(c.human): c.human for c in candidates}.values())
+        slot = {id(h): i for i, h in enumerate(humans)}
+        rows = [slot[id(c.human)] for c in candidates]
+        h_bar = np.stack([ihsm_enhance(h)[0] for h in self.pool_entities(grid, humans)])
+        face = roi_align(grid, [face_region(h.box) for h in humans], POOLED_HW)
+        noface = np.stack([roi_align(self.face_zeroed_grid(grid, h.box), [h.box], POOLED_HW)[0]
+                           for h in humans])
         return PooledPairs(
             x_s=np.stack([semantic_prior(c.object.class_id, self.cooccurrence)
                           for c in candidates]),
             pair_maps=np.stack([self.build_pair_map(c.human, c.object) for c in candidates]),
-            h_bar=h_bar, face=face, noface=noface,
-            obj=np.stack([self.pool_entity(grid, c.object) for c in candidates]),
-            union=np.stack([self.pool_union(grid, c.human, c.object) for c in candidates]))
+            h_bar=h_bar[rows], face=face[rows], noface=noface[rows],
+            obj=self.pool_entities(grid, [c.object for c in candidates]),
+            union=self.pool_unions(grid, candidates))
 
     def visual_tensor(self, pooled: PooledPairs):
         """(P, 3C, 7, 7) visual tensors: the IHSM human stream, the object

@@ -102,7 +102,8 @@ class ParamStore:
         if set(blocks) != set(self._blocks):
             missing = set(self._blocks) - set(blocks)
             extra = set(blocks) - set(self._blocks)
-            raise FormatError(f"checkpoint block mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise FormatError(f"{manifest_path}: checkpoint block mismatch: "
+                              f"missing={sorted(missing)} extra={sorted(extra)}")
         for name, (shape, offset) in layout.items():
             p = self._blocks[name]
             if shape != p.value.shape:
@@ -110,7 +111,7 @@ class ParamStore:
             n = int(np.prod(shape)) if shape else 1
             raw = blob[offset:offset + 4 * n]
             if len(raw) != 4 * n:
-                raise FormatError(f"block {name!r}: blob truncated")
+                raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
             vals = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
             p.value[...] = vals
             p.grad[...] = 0.0
@@ -211,8 +212,8 @@ class FCStack:
 class Conv2D:
     """Same-padded 2-D convolution (odd kernel) over (B, C, H, W).
 
-    Computed as a sum over the k*k shifted input slices, which keeps the
-    working set small for the few-channel grids used here.
+    One im2col product over a strided window view; backward scatters the
+    column gradient with k*k shifted adds over all channels at once.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, rng):
@@ -242,14 +243,8 @@ class Conv2D:
         b, _, h, w = x.shape
         pad = self.k // 2
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        cols = np.empty((b, h, w, self.cin * self.k * self.k), dtype=x.dtype)
-        col = 0
-        for ci in range(self.cin):
-            for di in range(self.k):
-                for dj in range(self.k):
-                    cols[:, :, :, col] = xp[:, ci, di:di + h, dj:dj + w]
-                    col += 1
-        flat = cols.reshape(-1, cols.shape[-1])
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
+        flat = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, -1)
         wmat = self.w.value.reshape(self.cout, -1).astype(x.dtype, copy=False)
         y = (flat @ wmat.T + self.b.value.astype(x.dtype, copy=False)).reshape(b, h, w, self.cout)
         self._cols = flat
@@ -257,51 +252,58 @@ class Conv2D:
         self._dtype = x.dtype
         return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulate dW and db; return dx unless input_grad is False."""
         dy = np.asarray(dy).astype(self._dtype, copy=False)
         b, _, h, w = self._xshape
-        pad = self.k // 2
+        k, pad = self.k, self.k // 2
         dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, self.cout)
         self.w.grad += (dmat.T @ self._cols).reshape(self.w.value.shape)
         self.b.grad += dmat.sum(axis=0)
+        if not input_grad:
+            return
         wmat = self.w.value.reshape(self.cout, -1).astype(self._dtype, copy=False)
-        dcols = (dmat @ wmat).reshape(b, h, w, self.cin * self.k * self.k)
-        dxp = np.zeros((b, self.cin, h + 2 * pad, w + 2 * pad), dtype=self._dtype)
-        col = 0
-        for ci in range(self.cin):
-            for di in range(self.k):
-                for dj in range(self.k):
-                    dxp[:, ci, di:di + h, dj:dj + w] += dcols[:, :, :, col]
-                    col += 1
-        return dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+        # channels last; each element sums its k*k offsets in (di, dj) order
+        dcols = (dmat @ wmat).reshape(b, h, w, self.cin, k * k)
+        dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, self.cin), dtype=self._dtype)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, di:di + h, dj:dj + w, :] += dcols[..., di * k + dj]
+        return dxp[:, pad:pad + h, pad:pad + w, :].transpose(0, 3, 1, 2)
 
 
 class MaxPool2x2:
     """2x2 max pooling with stride 2; spatial dims must be even.
 
-    Ties go to the first cell in row-major window order.
+    Ties go to the first cell in row-major window order: each strided
+    view's mask keeps only the maxima that no earlier view took.
     """
 
+    OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
     def __init__(self):
-        self._argmax = None
+        self._masks = None
         self._xshape = None
 
     def forward(self, x):
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"MaxPool2x2 needs even dims, got {h}x{w}")
-        windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = np.ascontiguousarray(windows).reshape(b, c, h // 2, w // 2, 4)
-        self._argmax = flat.argmax(axis=-1)
+        views = [x[:, :, i::2, j::2] for i, j in self.OFFSETS]
+        m = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+        taken = np.zeros(m.shape, dtype=bool)
+        self._masks = []
+        for v in views:
+            self._masks.append((v == m) & ~taken)
+            taken |= self._masks[-1]
         self._xshape = x.shape
-        return np.take_along_axis(flat, self._argmax[..., None], axis=-1)[..., 0]
+        return m
 
     def backward(self, dy):
-        b, c, h, w = self._xshape
-        dflat = np.zeros((b, c, h // 2, w // 2, 4), dtype=np.asarray(dy).dtype)
-        np.put_along_axis(dflat, self._argmax[..., None], dy[..., None], axis=-1)
-        dx = dflat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return np.ascontiguousarray(dx).reshape(b, c, h, w)
+        dx = np.zeros(self._xshape, dtype=np.asarray(dy).dtype)
+        for (i, j), mask in zip(self.OFFSETS, self._masks):
+            dx[:, :, i::2, j::2] = np.where(mask, dy, 0)
+        return dx
 
 
 class ConvPoolEncoder:
@@ -334,8 +336,6 @@ class ConvPoolEncoder:
 
     def forward(self, x):
         x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = x.astype(np.float64, copy=False)
         squeeze = x.ndim == 3
         if squeeze:
             x = x[None]
@@ -349,14 +349,12 @@ class ConvPoolEncoder:
         return y[0] if squeeze else y
 
     def backward(self, dy):
-        dy = np.asarray(dy, dtype=np.float64)
-        squeeze = dy.ndim == 1
-        if squeeze:
-            dy = dy[None]
+        """Accumulate the gradients of every block. The input is data, so
+        no input gradient is computed or returned."""
+        dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
         dh = self.fc.backward(dy).reshape(self._pooled_shape)
         dh = self.conv2.backward(self.pool2.backward(dh))
-        dx = self.conv1.backward(self.pool1.backward(dh))
-        return dx[0] if squeeze else dx
+        self.conv1.backward(self.pool1.backward(dh), input_grad=False)
 
 
 def softmax_rows(m):

@@ -155,7 +155,7 @@ class TestSegmentStage:
 
 def refine_one(grid, inst, head):
     """One-instance refinement, the reference for the batched refine_stage."""
-    deltas, score = head.forward(roi_align(grid, inst.box, POOLED_HW).ravel())
+    deltas, score = head.forward(roi_align(grid, [inst.box], POOLED_HW).ravel())
     box = apply_box_deltas(inst.box, deltas)
     if box is not None:
         box = clip_box(box, grid.image_width, grid.image_height)
@@ -167,9 +167,9 @@ def refine_one(grid, inst, head):
 
 def segment_one(grid, inst, head, prev_box=None):
     """One-instance segmentation, the reference for the batched segment_stage."""
-    total = roi_align(grid, inst.box, MASK_POOLED_HW).ravel()
+    total = roi_align(grid, [inst.box], MASK_POOLED_HW).ravel()
     if prev_box is not None:
-        total = total + roi_align(grid, prev_box, MASK_POOLED_HW).ravel()
+        total = total + roi_align(grid, [prev_box], MASK_POOLED_HW).ravel()
     logits = head.forward(total)
     cells = sigmoid(logits).reshape(MASK_POOLED_HW) > 0.5
     if not cells.any():

@@ -180,6 +180,40 @@ class TestErrorPaths:
         assert f"{model / name}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "p.ndjson").exists()
 
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda meta: "{not json", "invalid JSON"),
+        (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "jitter"}),
+         "dataset meta missing field 'jitter'"),
+        (lambda meta: "[]", "malformed dataset meta"),
+    ])
+    def test_bad_meta_exit_2(self, pipeline, tmp_path, capsys, command, corrupt, message):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        meta = data / "meta.json"
+        meta.write_text(corrupt(json.loads(meta.read_text())))
+        io_flags = {"train": ["--out", str(tmp_path / "m")],
+                    "infer": ["--model", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p.ndjson")]}[command]
+        assert main([command, "--data", str(data)] + io_flags) == 2
+        assert f"{meta}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("params.bin", lambda raw: raw[:1000], "blob truncated"),
+        ("params.json", lambda raw: raw.replace(b'"stage1.box.reg.w"', b'"stage1.box.reg.v"'),
+         "checkpoint block mismatch"),
+    ])
+    def test_checkpoint_load_error_names_file(self, pipeline, tmp_path, capsys,
+                                              name, corrupt, message):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        (model / name).write_bytes(corrupt((model / name).read_bytes()))
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model / name}: " in err and message in err
+        assert not (tmp_path / "p.ndjson").exists()
+
 
 def _first_scored_record(preds_path):
     for line in preds_path.read_text().splitlines():

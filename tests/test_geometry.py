@@ -135,14 +135,14 @@ class TestMaskIoU:
 class TestRoiAlign:
     def test_constant_grid(self):
         grid = FeatureGrid.from_array(np.full((2, 6, 6), 3.5))
-        pooled = roi_align(grid, Box(0.7, 1.2, 4.9, 5.3), out=(3, 4))
+        pooled = roi_align(grid, [Box(0.7, 1.2, 4.9, 5.3)], out=(3, 4))[0]
         np.testing.assert_allclose(pooled, 3.5)
 
     def test_full_grid_identity(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(2, 5, 4))
         grid = FeatureGrid.from_array(data)
-        pooled = roi_align(grid, Box(0, 0, 4, 5), out=(5, 4))
+        pooled = roi_align(grid, [Box(0, 0, 4, 5)], out=(5, 4))[0]
         np.testing.assert_allclose(pooled, data, atol=1e-12)
 
     def test_matches_bilinear_oracle(self):
@@ -152,7 +152,7 @@ class TestRoiAlign:
             x1, y1 = rng.uniform(0, 5, 2)
             box = Box(x1, y1, x1 + rng.uniform(0.5, 3), y1 + rng.uniform(0.5, 3))
             out = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            np.testing.assert_allclose(roi_align(grid, box, out),
+            np.testing.assert_allclose(roi_align(grid, [box], out)[0],
                                        bilinear_oracle(grid, box, out), atol=1e-12)
 
     def test_image_to_grid_scaling(self):
@@ -161,17 +161,62 @@ class TestRoiAlign:
         small = FeatureGrid(data, image_height=16, image_width=16)
         big = FeatureGrid.from_array(data)
         # The same relative box must pool identically under a 4x coordinate scale.
-        np.testing.assert_allclose(roi_align(small, Box(4, 4, 12, 12)),
-                                   roi_align(big, Box(1, 1, 3, 3)), atol=1e-12)
+        np.testing.assert_allclose(roi_align(small, [Box(4, 4, 12, 12)]),
+                                   roi_align(big, [Box(1, 1, 3, 3)]), atol=1e-12)
 
     def test_default_out_is_7x7(self):
         grid = FeatureGrid.from_array(np.zeros((2, 8, 8)))
-        assert roi_align(grid, Box(1, 1, 5, 5)).shape == (2, 7, 7)
+        assert roi_align(grid, [Box(1, 1, 5, 5)]).shape == (1, 2, 7, 7)
 
     def test_degenerate_box_clamps(self):
         grid = FeatureGrid.from_array(np.arange(16, dtype=float).reshape(1, 4, 4))
-        pooled = roi_align(grid, Box(0.0, 0.0, 0.2, 0.2), out=(2, 2))
+        pooled = roi_align(grid, [Box(0.0, 0.0, 0.2, 0.2)], out=(2, 2))
         assert np.all(np.isfinite(pooled))
+
+
+def roi_align_one(grid, box, out):
+    """Single-box RoIAlign with 1-d sample positions: the per-box loop
+    reference the batched roi_align must match bit for bit."""
+    oh, ow = out
+    gx1, gx2 = box.x1 * grid.scale_x, box.x2 * grid.scale_x
+    gy1, gy2 = box.y1 * grid.scale_y, box.y2 * grid.scale_y
+    u = np.clip(gx1 + (np.arange(ow) + 0.5) * (gx2 - gx1) / ow - 0.5, 0.0, grid.grid_width - 1.0)
+    v = np.clip(gy1 + (np.arange(oh) + 0.5) * (gy2 - gy1) / oh - 0.5, 0.0, grid.grid_height - 1.0)
+    c0, r0 = np.floor(u).astype(int), np.floor(v).astype(int)
+    c1 = np.minimum(c0 + 1, grid.grid_width - 1)
+    r1 = np.minimum(r0 + 1, grid.grid_height - 1)
+    wc, wr = u - c0, v - r0
+    rows0, rows1 = grid.data[:, r0, :], grid.data[:, r1, :]
+    top = rows0[:, :, c0] * (1 - wc) + rows0[:, :, c1] * wc
+    bot = rows1[:, :, c0] * (1 - wc) + rows1[:, :, c1] * wc
+    return top * (1 - wr[:, None]) + bot * wr[:, None]
+
+
+class TestBatchedRoiAlign:
+    @pytest.mark.parametrize("out", [(7, 7), (14, 14), (3, 5)])
+    def test_bitwise_equal_to_per_box_loop(self, out):
+        rng = np.random.default_rng(21)
+        grid = FeatureGrid(rng.normal(size=(4, 16, 20)), image_height=64, image_width=80)
+        boxes = [Box(10.0, 12.0, 10.5, 12.25),   # smaller than one cell
+                 Box(0.0, 0.0, 0.1, 0.1),        # sub-cell, at the corner
+                 Box(-9.0, -3.0, 30.0, 20.0),    # clamped at the top-left edge
+                 Box(60.0, 50.0, 95.0, 70.0),    # clamped at the bottom-right edge
+                 Box(0.0, 0.0, 80.0, 64.0)]      # the whole image
+        for _ in range(20):
+            x1, y1 = rng.uniform(-5, 75), rng.uniform(-5, 60)
+            boxes.append(Box(x1, y1, x1 + rng.uniform(0.05, 40), y1 + rng.uniform(0.05, 40)))
+        got = roi_align(grid, boxes, out)
+        ref = np.stack([roi_align_one(grid, box, out) for box in boxes])
+        assert got.shape == (len(boxes), 4, *out)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_one_box_list(self):
+        rng = np.random.default_rng(22)
+        grid = FeatureGrid.from_array(rng.normal(size=(3, 9, 9)))
+        box = Box(1.3, 2.2, 7.9, 5.1)
+        got = roi_align(grid, [box], (7, 7))
+        assert got.shape == (1, 3, 7, 7)
+        assert got[0].tobytes() == roi_align_one(grid, box, (7, 7)).tobytes()
 
 
 class TestMaskRoiAlign:
@@ -180,7 +225,7 @@ class TestMaskRoiAlign:
         grid = FeatureGrid.from_array(rng.normal(size=(2, 6, 6)))
         mask = BitMask(np.ones((6, 6), bool))
         got = mask_roi_align(grid, mask, out=(3, 3))
-        ref = roi_align(grid, Box(0, 0, 6, 6), out=(3, 3))
+        ref = roi_align(grid, [Box(0, 0, 6, 6)], out=(3, 3))[0]
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_empty_mask_errors(self):

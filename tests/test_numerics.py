@@ -4,9 +4,11 @@ import pytest
 from hoicascade.errors import ShapeError, TrainingError, FormatError
 from hoicascade.numerics import (
     BCE_CLAMP,
+    Conv2D,
     ConvPoolEncoder,
     FCLayer,
     FCStack,
+    MaxPool2x2,
     Param,
     ParamStore,
     binary_cross_entropy,
@@ -135,6 +137,149 @@ class TestConvPoolEncoder:
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ShapeError):
             ConvPoolEncoder(2, (6, 6))
+
+
+# ------------------------------------------- loop references for the encoder
+
+def conv_loop_forward(conv, x):
+    """Per-column im2col loop: the reference the strided-view Conv2D must
+    match bit for bit. Returns (y, cols)."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64)
+    b, _, h, w = x.shape
+    k, pad = conv.k, conv.k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((b, h, w, conv.cin * k * k), dtype=x.dtype)
+    col = 0
+    for ci in range(conv.cin):
+        for di in range(k):
+            for dj in range(k):
+                cols[:, :, :, col] = xp[:, ci, di:di + h, dj:dj + w]
+                col += 1
+    flat = cols.reshape(-1, cols.shape[-1])
+    wmat = conv.w.value.reshape(conv.cout, -1).astype(x.dtype)
+    y = (flat @ wmat.T + conv.b.value.astype(x.dtype)).reshape(b, h, w, conv.cout)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2)), flat
+
+
+def conv_loop_backward(conv, cols, xshape, dy):
+    """Per-column col2im loop (k*k*C_in adds). Returns (dW, db, dx), the
+    gradients accumulated into zeroed buffers."""
+    dtype = cols.dtype
+    dy = dy.astype(dtype)
+    b, _, h, w = xshape
+    k, pad = conv.k, conv.k // 2
+    dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, conv.cout)
+    dw = np.zeros_like(conv.w.value) + (dmat.T @ cols).reshape(conv.w.value.shape)
+    db = np.zeros_like(conv.b.value) + dmat.sum(axis=0)
+    dcols = (dmat @ conv.w.value.reshape(conv.cout, -1).astype(dtype)).reshape(b, h, w, -1)
+    dxp = np.zeros((b, conv.cin, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    col = 0
+    for ci in range(conv.cin):
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, ci, di:di + h, dj:dj + w] += dcols[:, :, :, col]
+                col += 1
+    return dw, db, dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def maxpool_argmax_reference(x, dy):
+    """Window transpose + argmax + put_along_axis max pooling. Returns
+    (y, dx)."""
+    b, c, h, w = x.shape
+    windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = np.ascontiguousarray(windows).reshape(b, c, h // 2, w // 2, 4)
+    argmax = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    dflat = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
+    np.put_along_axis(dflat, argmax[..., None], dy[..., None], axis=-1)
+    dx = dflat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return y, np.ascontiguousarray(dx).reshape(b, c, h, w)
+
+
+def binary_pair_maps(rng, n, hw=64):
+    """Float32 occupancy maps like the encoder's real input: one box per
+    channel, so long runs of tied zeros and ones."""
+    maps = np.zeros((n, 2, hw, hw), dtype=np.float32)
+    for m in maps:
+        for ch in m:
+            r0, c0 = rng.integers(0, hw - 4, size=2)
+            r1, c1 = r0 + rng.integers(2, hw - r0), c0 + rng.integers(2, hw - c0)
+            ch[r0:r1, c0:c1] = 1.0
+    return maps
+
+
+class TestEncoderKernelsMatchLoops:
+    """The vectorised conv and pool kernels are bitwise equal to the loop
+    implementations, so checkpoints do not move."""
+
+    @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
+    @pytest.mark.parametrize("cin, cout, k", [(2, 8, 3), (8, 8, 3), (3, 2, 5), (2, 4, 1)])
+    def test_conv_forward_and_backward(self, kind, cin, cout, k):
+        rng = np.random.default_rng([cin, cout, k])
+        conv = Conv2D(cin, cout, k, rng)
+        if kind == "pair_maps" and cin == 2:
+            x = binary_pair_maps(rng, 3)
+        elif kind == "pair_maps":
+            # conv2's input: pooled float32 activations of the pair maps
+            x = rng.normal(size=(3, cin, 32, 32)).astype(np.float32)
+        else:
+            x = rng.normal(size=(3, cin, 12, 10))
+        y = conv.forward(x)
+        y_ref, cols_ref = conv_loop_forward(conv, x)
+        assert y.dtype == y_ref.dtype
+        assert y.tobytes() == y_ref.tobytes()
+        assert conv._cols.tobytes() == cols_ref.tobytes()
+        dy = rng.normal(size=y.shape)
+        dw, db, dx_ref = conv_loop_backward(conv, cols_ref, x.shape, dy)
+        dx = conv.backward(dy)
+        assert conv.w.grad.tobytes() == dw.tobytes()
+        assert conv.b.grad.tobytes() == db.tobytes()
+        assert dx.dtype == dx_ref.dtype
+        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(dx_ref).tobytes()
+
+    def test_conv_without_input_grad_accumulates_the_same_weights(self):
+        rng = np.random.default_rng(17)
+        conv = Conv2D(2, 8, 3, rng)
+        x = binary_pair_maps(rng, 4)
+        dy = rng.normal(size=(4, 8, 64, 64)).astype(np.float32)
+        _, cols = conv_loop_forward(conv, x)
+        dw, db, _ = conv_loop_backward(conv, cols, x.shape, dy)
+        conv.forward(x)
+        assert conv.backward(dy, input_grad=False) is None
+        assert conv.w.grad.tobytes() == dw.tobytes()
+        assert conv.b.grad.tobytes() == db.tobytes()
+
+    @pytest.mark.parametrize("window, winner", [
+        ([1, 1, 0, 0], 0), ([0, 1, 1, 0], 1), ([0, 0, 1, 1], 2), ([1, 0, 0, 1], 0),
+        ([1, 1, 1, 0], 0), ([0, 1, 1, 1], 1), ([1, 0, 1, 1], 0),
+        ([1, 1, 1, 1], 0), ([0, 0, 0, 1], 3), ([-2, -2, -2, -2], 0),
+    ])
+    def test_pool_ties_go_to_first_row_major_cell(self, window, winner):
+        x = np.array(window, dtype=np.float64).reshape(1, 1, 2, 2)
+        pool = MaxPool2x2()
+        assert pool.forward(x).ravel().tolist() == [max(window)]
+        dx = pool.backward(np.full((1, 1, 1, 1), -1.5))
+        expected = np.zeros(4)
+        expected[winner] = -1.5
+        assert dx.ravel().tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_matches_argmax_reference(self, dtype):
+        rng = np.random.default_rng(29)
+        # three levels over many windows give 2-, 3- and 4-way ties
+        x = rng.integers(0, 3, size=(3, 4, 16, 12)).astype(dtype)
+        dy = rng.normal(size=(3, 4, 8, 6)).astype(dtype)
+        dy[0, 0] = -0.0
+        pool = MaxPool2x2()
+        y = pool.forward(x)
+        y_ref, dx_ref = maxpool_argmax_reference(x, dy)
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        dx = pool.backward(dy)
+        assert dx.dtype == dx_ref.dtype and dx.tobytes() == dx_ref.tobytes()
+        counts = (x.reshape(3, 4, 8, 2, 6, 2) == y[:, :, :, None, :, None]).sum(axis=(3, 5))
+        assert {2, 3, 4} <= set(np.unique(counts).tolist())
 
 
 # ------------------------------------------------------------------ softmax
@@ -306,6 +451,26 @@ class TestFiniteDiffCheck:
             return float((y * weights).sum())
 
         report = finite_diff_check(run, dict(enc.params("enc")), tol=1e-4)
+        assert report.passed, str(report)
+
+    def test_paper_size_encoder_gradients(self):
+        # the composed conv -> pool -> conv -> pool -> fc chain at the
+        # deployed 64x64 size; float64 normal inputs keep pool windows
+        # tie-free, and conv1 has no input gradient to lean on
+        rng = np.random.default_rng(53)
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
+        x = rng.normal(size=(2, 2, 64, 64))
+        weights = rng.normal(size=(2, 256))
+
+        def run():
+            y = enc.forward(x)
+            enc.backward(weights)
+            return float((y * weights).sum())
+
+        report = finite_diff_check(run, dict(enc.params("enc")), tol=1e-4,
+                                   step=1e-5, max_entries=6)
+        assert set(report.per_block) == {f"enc.{layer}.{p}" for layer in ("conv1", "conv2", "fc")
+                                         for p in ("w", "b")}
         assert report.passed, str(report)
 
     def test_hinge_gradients_away_from_kink(self):

@@ -125,7 +125,7 @@ class TestLocalizationStageStep:
         proposals = seeds
         for t, head in enumerate(model.box_heads):
             labeled = resample_for_stage(proposals, gt, model.config.iou_thresholds[t])
-            rows = [head.forward(roi_align(grid, lab.box, POOLED_HW).ravel()) for lab in labeled]
+            rows = [head.forward(roi_align(grid, [lab.box], POOLED_HW).ravel()) for lab in labeled]
             deltas = np.stack([d for d, _ in rows])
             scores = np.stack([s for _, s in rows])
             pos = [i for i, lab in enumerate(labeled) if lab.positive]
@@ -140,9 +140,9 @@ class TestLocalizationStageStep:
                 continue
             # mask rows: the refined box plus, from stage 2 on, the input box
             refined = [clip_box(apply_box_deltas(labeled[i].box, deltas[i]), 64, 64) for i in pos]
-            feats = np.stack([roi_align(grid, box, MASK_POOLED_HW).ravel() for box in refined])
+            feats = np.stack([roi_align(grid, [box], MASK_POOLED_HW).ravel() for box in refined])
             if t > 0:
-                feats += np.stack([roi_align(grid, labeled[i].box, MASK_POOLED_HW).ravel()
+                feats += np.stack([roi_align(grid, [labeled[i].box], MASK_POOLED_HW).ravel()
                                    for i in pos])
             targets = np.stack([mask_cell_targets(gt[labeled[i].gt_index].mask, box)
                                 for i, box in zip(pos, refined)])
