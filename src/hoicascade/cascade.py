@@ -19,6 +19,7 @@ log = logging.getLogger(__name__)
 POOLED_HW = (7, 7)
 MASK_POOLED_HW = (14, 14)
 MASK_LOGIT_DIM = MASK_POOLED_HW[0] * MASK_POOLED_HW[1]
+HINGE_MARGIN = 0.2
 
 
 @dataclass
@@ -39,7 +40,8 @@ class Instance:
 
 @dataclass
 class CascadeConfig:
-    """Stage count, per-stage IoU thresholds, merge cutoff and loss weights."""
+    """Stage count, per-stage IoU thresholds, merge cutoff, loss weights and
+    the ranking hinge margin."""
 
     stages: int = 3
     iou_thresholds: tuple = (0.5, 0.6, 0.7)
@@ -47,6 +49,7 @@ class CascadeConfig:
     beta: tuple = (1.0, 0.5, 0.25)
     gamma: tuple = (1.0, 0.5, 0.25)
     seg_weights: tuple = (1.0, 0.5, 0.25)
+    hinge_margin: float = HINGE_MARGIN
 
     def __post_init__(self):
         t = self.stages

@@ -1,8 +1,9 @@
 """Command-line entry points: synth, train, infer, eval, gradcheck, oracle.
 
 Exit codes: 0 ok, 1 usage error, 2 data/format error, 3 check failure.
-Flags override config-file values; all runs are deterministic under a
-fixed seed.
+Each command takes only the config keys it reads (`COMMAND_KEYS`); flags
+override config-file values; all runs are deterministic under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from .errors import DataError, FormatError, TrainingError
 from .formats import (
@@ -35,17 +37,30 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+COMMAND_KEYS = {
+    "synth": ("seed", "train_scenes", "test_scenes", "image_size", "entities_min",
+              "entities_max", "jitter", "occlusion_rate", "noise_sigma", "grid_size",
+              "channels"),
+    "train": ("seed", "mode", "representation", "stages", "merge_threshold",
+              "hinge_margin", "learning_rate", "phase1_epochs", "phase2_epochs"),
+    "infer": ("top_k",),
+    "eval": ("mode",),
+}
 
 
 def build_run_config(args) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
+    """The RunConfig of `args.command`: its `--config` file values, then its
+    flags. Only the command's own keys can be set, so a file key outside
+    them exits 2 naming the file and the key; other keys keep defaults."""
+    keys = COMMAND_KEYS[args.command]
+    values = parse_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in keys:
+            raise DataError(f"{args.config}: config key {key!r} is not read by "
+                            f"{args.command} (it reads {', '.join(keys)})")
+    for key in keys:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return run_config_from(values)
 
 
@@ -62,26 +77,27 @@ def scene_spec_from(config: RunConfig, seed=None) -> SceneSpec:
 
 def _add_config_flags(parser, keys):
     parser.add_argument("--config", help="flat key = value config file")
-    for key in sorted(keys):
-        default = RunConfig.__dataclass_fields__[key].default
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=str, default=None,
-                            help=f"override {key} (default {default})")
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", help=f"override {key} "
+                            f"(default {RunConfig.__dataclass_fields__[key].default})")
 
 
 def cmd_synth(args):
     config = build_run_config(args)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     train_spec = scene_spec_from(config)
     test_spec = scene_spec_from(config, seed=config.seed + 1_000_003)
+    channels = config.channels or train_spec.min_channels()
+    if channels < train_spec.min_channels():
+        raise DataError(f"config key 'channels' must be 0 or at least "
+                        f"{train_spec.min_channels()}, got {channels}")
+    os.makedirs(out_dir, exist_ok=True)
     train = generate_dataset(train_spec, config.train_scenes, prefix="train")
     test = generate_dataset(test_spec, config.test_scenes, prefix="test")
     write_scenes_ndjson(os.path.join(out_dir, "train.ndjson"), train)
     write_scenes_ndjson(os.path.join(out_dir, "test.ndjson"), test)
     write_meta(os.path.join(out_dir, "meta.json"), train_spec,
-               extra={"grid_size": config.grid_size,
-                      "channels": config.channels or train_spec.min_channels(),
+               extra={"grid_size": config.grid_size, "channels": channels,
                       "test_seed": test_spec.seed})
     n_triplets = sum(len(s.triplets) for s in train)
     print(f"wrote {len(train)} train / {len(test)} test scenes "
@@ -97,7 +113,7 @@ def cmd_train(args):
     scenes = read_scenes_ndjson(os.path.join(args.data, "train.ndjson"))
     log = TrainLog()
     started = time.perf_counter()
-    model = train_model(scenes, spec, config, log=log)
+    model = train_model(scenes, spec, config, meta["channels"], meta["grid_size"], log=log)
     elapsed = time.perf_counter() - started
     model.save(args.out)
     print(f"trained {config.stages}-stage model on {len(scenes)} scenes "
@@ -122,6 +138,12 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     config = build_run_config(args)
+    try:
+        ks = tuple(int(k) for k in args.ks.split(","))
+    except ValueError:
+        ks = (0,)
+    if min(ks) < 1:
+        raise DataError(f"option 'ks' must list integers >= 1, got {args.ks!r}")
     spec, meta = read_meta(os.path.join(args.data, "meta.json"))
     scenes = read_scenes_ndjson(os.path.join(args.data, args.split + ".ndjson"))
     gts = scenes_to_gt_records(scenes)
@@ -133,7 +155,6 @@ def cmd_eval(args):
                                 f"outside [0, {spec.n_verbs})")
     mode = "mask" if config.mode == "segment" else "box"
     map_report = map_rel(preds, gts, spec.n_verbs, mode="box")
-    ks = tuple(int(k) for k in args.ks.split(",")) if args.ks else (20, 50, 100)
     recall_report = recall_at_k(preds, gts, spec.geometric_verbs, ks=ks, mode=mode)
     payload = report_to_dict(map_report, recall_report)
     if args.out:
@@ -182,17 +203,19 @@ def make_parser():
     parser = argparse.ArgumentParser(
         prog="hoicascade",
         description="Cascaded human-object interaction recognition on synthetic scenes")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: `infer --mode` must not pass for `--model`
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene corpus")
     p_synth.add_argument("--out", required=True)
-    _add_config_flags(p_synth, CONFIG_KEYS)
+    _add_config_flags(p_synth, COMMAND_KEYS["synth"])
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="two-phase training on a corpus")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
-    _add_config_flags(p_train, CONFIG_KEYS)
+    _add_config_flags(p_train, COMMAND_KEYS["train"])
     p_train.set_defaults(func=cmd_train)
 
     p_infer = sub.add_parser("infer", help="write scored triplets for a split")
@@ -200,7 +223,7 @@ def make_parser():
     p_infer.add_argument("--data", required=True)
     p_infer.add_argument("--split", default="test")
     p_infer.add_argument("--out", required=True)
-    _add_config_flags(p_infer, CONFIG_KEYS)
+    _add_config_flags(p_infer, COMMAND_KEYS["infer"])
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
@@ -209,7 +232,7 @@ def make_parser():
     p_eval.add_argument("--preds", required=True)
     p_eval.add_argument("--out")
     p_eval.add_argument("--ks", default="20,50,100")
-    _add_config_flags(p_eval, CONFIG_KEYS)
+    _add_config_flags(p_eval, COMMAND_KEYS["eval"])
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suites")
@@ -233,10 +256,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (FormatError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (TrainingError, FileNotFoundError) as exc:
+    except (FormatError, DataError, TrainingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

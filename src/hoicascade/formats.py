@@ -149,9 +149,27 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def spec_from_dict(data: dict, path) -> SceneSpec:
+def write_meta(path, spec: SceneSpec, extra=None):
+    data = spec_to_dict(spec)
+    if extra:
+        data.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_meta(path):
+    """A data directory's SceneSpec and its meta dict, in which `channels`
+    and `grid_size`, the feature-grid geometry `synth` recorded, are checked
+    integers in range."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from None
     try:
-        return SceneSpec(
+        data["channels"], data["grid_size"] = int(data["channels"]), int(data["grid_size"])
+        spec = SceneSpec(
             image_size=int(data["image_size"]),
             class_names=tuple(data["class_names"]),
             person_class=int(data["person_class"]),
@@ -167,24 +185,10 @@ def spec_from_dict(data: dict, path) -> SceneSpec:
         raise FormatError(f"{path}: dataset meta missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed dataset meta: {exc}") from None
-
-
-def write_meta(path, spec: SceneSpec, extra=None):
-    data = spec_to_dict(spec)
-    if extra:
-        data.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def read_meta(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    return spec_from_dict(data, path), data
+    if data["grid_size"] < 1 or data["channels"] < spec.min_channels():
+        raise FormatError(f"{path}: dataset meta needs grid_size >= 1 and channels >= "
+                          f"{spec.min_channels()}, got {data['grid_size']} and {data['channels']}")
+    return spec, data
 
 
 # ------------------------------------------------------------ predictions
@@ -304,7 +308,11 @@ def parse_config_file(path) -> dict:
 
 @dataclass
 class RunConfig:
-    """End-user knobs; defaults mirror the published protocol constants."""
+    """Every run setting, with defaults that mirror the published protocol
+    constants. Each command sets only the keys it reads (`cli.COMMAND_KEYS`);
+    the others keep their defaults. `grid_size` and `channels` are read by
+    `synth` only: it records them in meta.json, `train` takes them from
+    there and the checkpoint carries them to inference."""
 
     mode: str = "detect"              # detect | segment
     representation: str = "box"       # box | mask feature pooling
@@ -334,7 +342,7 @@ class RunConfig:
             raise DataError(f"unknown representation {self.representation!r}")
         if self.mode == "detect" and self.representation == "mask":
             raise DataError("mask representation requires segment mode")
-        for key in ("stages", "top_k"):
+        for key in ("stages", "top_k", "grid_size"):
             if getattr(self, key) < 1:
                 raise DataError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
 
@@ -342,15 +350,12 @@ class RunConfig:
 def run_config_from(values: dict) -> RunConfig:
     """Build a RunConfig from string key/value pairs (file or CLI)."""
     kwargs = {}
-    casts = {int: int, float: float, str: str}
     defaults = RunConfig.__dataclass_fields__
     for key, raw in values.items():
         if key not in defaults:
             raise DataError(f"unknown config key {key!r}")
-        default = defaults[key].default
-        caster = casts[type(default)]
         try:
-            kwargs[key] = caster(raw)
+            kwargs[key] = type(defaults[key].default)(raw)
         except ValueError as exc:
             raise DataError(f"config key {key!r}: {exc}") from exc
     return RunConfig(**kwargs)

@@ -44,9 +44,6 @@ class Box:
     def center(self):
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
-    def contains_point(self, x, y):
-        return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
-
     def as_tuple(self):
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -83,9 +80,6 @@ class BitMask:
 
     def any(self):
         return bool(self.bits.any())
-
-    def popcount(self):
-        return int(self.bits.sum())
 
     def bbox(self) -> Box:
         """Tight box around the set bits (pixel edges)."""

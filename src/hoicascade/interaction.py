@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .geometry import (
 from .numerics import ConvPoolEncoder, FCLayer, ParamStore
 
 TOP_K = 64
-HINGE_MARGIN = 0.2
 MAX_TRAIN_PAIRS = 128
 POS_NEG_RATIO = (1, 3)
 PERSON_CLASS = 0
@@ -278,21 +277,24 @@ def total_loss(stage_losses, cfg: CascadeConfig) -> float:
 
 class CascadeModel:
     """Per-stage localization and relation heads plus the shared feature
-    machinery (geometric encoder, facial attention stacks, fusion stack)."""
+    machinery (geometric encoder, facial attention stacks, fusion stack).
+    `channels` and `grid_size` are the feature-grid geometry the model was
+    trained on; the checkpoint carries them, and inference renders with them."""
 
     def __init__(self, n_classes, n_verbs, channels, config=None, seed=0,
-                 person_class=PERSON_CLASS, segment=False, representation="box"):
+                 person_class=PERSON_CLASS, segment=False, representation="box",
+                 grid_size=32):
         if representation not in ("box", "mask"):
             raise DataError(f"unknown representation {representation!r}")
         self.n_classes = n_classes
         self.n_verbs = n_verbs
         self.channels = channels
+        self.grid_size = grid_size
         self.config = config or CascadeConfig()
         self.person_class = person_class
         self.segment = segment
         self.representation = representation
         self.seed = seed
-        self.hinge_margin = HINGE_MARGIN
         self.cooccurrence = None
 
         rng = np.random.default_rng(seed)
@@ -414,28 +416,19 @@ class CascadeModel:
 
     # -------------------------------------------------------------- io
 
-    def meta_dict(self):
-        return {
+    def save(self, directory):
+        os.makedirs(directory, exist_ok=True)
+        meta = {
             "n_classes": self.n_classes,
             "n_verbs": self.n_verbs,
             "channels": self.channels,
+            "grid_size": self.grid_size,
             "person_class": self.person_class,
             "segment": self.segment,
             "representation": self.representation,
             "seed": self.seed,
-            "config": {
-                "stages": self.config.stages,
-                "iou_thresholds": list(self.config.iou_thresholds),
-                "merge_threshold": self.config.merge_threshold,
-                "beta": list(self.config.beta),
-                "gamma": list(self.config.gamma),
-                "seg_weights": list(self.config.seg_weights),
-            },
+            "config": asdict(self.config),
         }
-
-    def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        meta = self.meta_dict()
         if self.cooccurrence is not None:
             meta["cooccurrence"] = json.loads(self.cooccurrence.to_json())
         with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
@@ -453,18 +446,13 @@ class CascadeModel:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: invalid JSON: {exc}") from None
         try:
-            conf = meta["config"]
-            cfg = CascadeConfig(
-                stages=conf["stages"],
-                iou_thresholds=tuple(conf["iou_thresholds"]),
-                merge_threshold=conf["merge_threshold"],
-                beta=tuple(conf["beta"]),
-                gamma=tuple(conf["gamma"]),
-                seg_weights=tuple(conf["seg_weights"]),
-            )
+            conf = meta["config"]  # per-stage tuples come back as JSON lists
+            cfg = CascadeConfig(**{f.name: tuple(conf[f.name]) if isinstance(f.default, tuple)
+                                   else conf[f.name] for f in fields(CascadeConfig)})
             model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
                         seed=meta["seed"], person_class=meta["person_class"],
-                        segment=meta["segment"], representation=meta["representation"])
+                        segment=meta["segment"], representation=meta["representation"],
+                        grid_size=meta["grid_size"])
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
         if "cooccurrence" in meta:

@@ -45,21 +45,11 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._blocks[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
     def names(self):
         return list(self._blocks)
 
     def items(self):
         return self._blocks.items()
-
-    def zero_grads(self):
-        for p in self._blocks.values():
-            p.grad[...] = 0.0
 
     def save(self, manifest_path, blob_path):
         """JSON manifest {name -> shape, offset} plus one little-endian

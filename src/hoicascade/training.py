@@ -222,7 +222,7 @@ def relation_losses_multi(model, grid, stage_batches, train=True):
         n_pos = len(batch.positives)
         g = rp.g[sl]
         pos_g, neg_g = g[:n_pos], g[n_pos:]
-        hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, model.hinge_margin)
+        hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, model.config.hinge_margin)
         hinge_norm = max(len(pos_g) * len(neg_g), 1)
         out[t]["rrm"] = hinge / hinge_norm
         gamma = model.config.gamma[t]
@@ -249,6 +249,7 @@ def default_cascade_config(config: RunConfig) -> CascadeConfig:
         beta=tuple(0.5 ** i for i in range(t)),
         gamma=tuple(0.5 ** i for i in range(t)),
         seg_weights=tuple(0.5 ** i for i in range(t)),
+        hinge_margin=config.hinge_margin,
     )
 
 
@@ -258,22 +259,22 @@ class TrainLog:
     phase2: list = field(default_factory=list)
 
 
-def train_model(train_scenes, spec: SceneSpec, config: RunConfig,
+def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid_size,
                 grids=None, log=None) -> CascadeModel:
     """Phase 1 trains localization (and segmentation); phase 2 trains
-    everything jointly under the weighted per-stage objective."""
+    everything jointly under the weighted per-stage objective. `channels`
+    and `grid_size` are the data's feature-grid geometry; the model keeps
+    them for inference."""
     if not train_scenes:
         raise DataError("no training scenes")
-    channels = config.channels or spec.min_channels()
     model = CascadeModel(spec.n_classes, spec.n_verbs, channels,
                          default_cascade_config(config),
                          seed=config.seed, person_class=spec.person_class,
                          segment=config.mode == "segment",
-                         representation=config.representation)
-    model.hinge_margin = config.hinge_margin
+                         representation=config.representation, grid_size=grid_size)
     model.cooccurrence = build_cooccurrence(train_scenes, spec)
     if grids is None:
-        grids = prepare_grids(train_scenes, spec, channels, config.grid_size)
+        grids = prepare_grids(train_scenes, spec, channels, grid_size)
     if log is None:
         log = TrainLog()
     rng = np.random.default_rng([config.seed, 101])
@@ -344,8 +345,7 @@ def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig
                  grids=None):
     """Predictions per scene, as NDJSON-ready records."""
     if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
+        grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
     records = []
     for scene in scenes:
         preds = infer_image(grids[scene.image_id], seed_instances(scene), model,
@@ -355,7 +355,7 @@ def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig
     return records
 
 
-def ranking_constraint_report(model, scenes, spec, config, grids=None):
+def ranking_constraint_report(model, scenes, spec, grids=None):
     """Per-scene check of the ranking constraint on annotated pairs.
 
     Candidate pairs are built and fused through the batched inference path,
@@ -364,8 +364,7 @@ def ranking_constraint_report(model, scenes, spec, config, grids=None):
     where every annotated pair outranks every un-annotated one, scenes with
     both kinds present, total raw hinge sum)."""
     if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
+        grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
     thr = model.config.iou_thresholds[-1]
     scored_scenes = ordered_scenes = 0
     hinge_total = 0.0
@@ -382,18 +381,18 @@ def ranking_constraint_report(model, scenes, spec, config, grids=None):
             continue
         feats = model.build_features(grid, candidates)
         g = model.rrm_heads[-1].score(model.fuse_visual(feats.x_v), feats.x_g)
-        hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.hinge_margin)
+        hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.config.hinge_margin)
         hinge_total += hinge
         ordered_scenes += int(g[labels].min() > g[~labels].max())
         scored_scenes += 1
     return ordered_scenes, scored_scenes, hinge_total
 
 
-def stage_mean_ious(model, scenes, spec, config, grids=None):
-    """Mean best-IoU against ground truth of each stage's outputs."""
+def stage_mean_ious(model, scenes, spec, config=None, grids=None):
+    """Mean best-IoU against ground truth of each stage's outputs. `config`
+    is not read: grids are rendered with the model's own geometry."""
     if grids is None:
-        channels = config.channels or spec.min_channels()
-        grids = prepare_grids(scenes, spec, channels, config.grid_size)
+        grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
     sums = np.zeros(model.config.stages)
     counts = np.zeros(model.config.stages)
     for scene in scenes:

@@ -5,6 +5,7 @@ import pytest
 
 from hoicascade.cli import main
 from hoicascade.formats import rle_decode
+from hoicascade.synth import SceneSpec
 
 
 @pytest.fixture(scope="module")
@@ -15,16 +16,17 @@ def pipeline(tmp_path_factory):
     model = root / "model"
     preds = root / "preds.ndjson"
     report = root / "report.json"
-    common = ["--train-scenes", "16", "--test-scenes", "6", "--seed", "3",
-              "--phase1-epochs", "2", "--phase2-epochs", "1"]
-    assert main(["synth", "--out", str(data)] + common) == 0
-    assert main(["train", "--data", str(data), "--out", str(model)] + common) == 0
+    flags = {"synth": ["--train-scenes", "16", "--test-scenes", "6", "--seed", "3"],
+             "train": ["--seed", "3", "--phase1-epochs", "2", "--phase2-epochs", "1"],
+             "infer": [], "eval": []}
+    assert main(["synth", "--out", str(data)] + flags["synth"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model)] + flags["train"]) == 0
     assert main(["infer", "--model", str(model), "--data", str(data),
-                 "--out", str(preds)] + common) == 0
+                 "--out", str(preds)] + flags["infer"]) == 0
     assert main(["eval", "--data", str(data), "--preds", str(preds),
-                 "--out", str(report)] + common) == 0
+                 "--out", str(report)] + flags["eval"]) == 0
     return {"data": data, "model": model, "preds": preds, "report": report,
-            "common": common, "root": root}
+            "flags": flags, "root": root}
 
 
 class TestPipeline:
@@ -55,7 +57,7 @@ class TestPipeline:
         write_predictions_ndjson(gt_preds, records)
         out = tmp_path / "gt_report.json"
         assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(gt_preds),
-                     "--out", str(out)] + pipeline["common"]) == 0
+                     "--out", str(out)] + pipeline["flags"]["eval"]) == 0
         report = json.loads(out.read_text())
         assert report["map_rel"]["value"] == 1.0
         assert report["recall_at_k"]["mean"] == 1.0
@@ -64,15 +66,28 @@ class TestPipeline:
         root2 = tmp_path_factory.mktemp("cli2")
         data2, model2 = root2 / "data", root2 / "model"
         preds2, report2 = root2 / "p.ndjson", root2 / "r.json"
-        common = pipeline["common"]
-        assert main(["synth", "--out", str(data2)] + common) == 0
-        assert main(["train", "--data", str(data2), "--out", str(model2)] + common) == 0
+        flags = pipeline["flags"]
+        assert main(["synth", "--out", str(data2)] + flags["synth"]) == 0
+        assert main(["train", "--data", str(data2), "--out", str(model2)] + flags["train"]) == 0
         assert main(["infer", "--model", str(model2), "--data", str(data2),
-                     "--out", str(preds2)] + common) == 0
+                     "--out", str(preds2)] + flags["infer"]) == 0
         assert main(["eval", "--data", str(data2), "--preds", str(preds2),
-                     "--out", str(report2)] + common) == 0
+                     "--out", str(report2)] + flags["eval"]) == 0
         assert preds2.read_bytes() == pipeline["preds"].read_bytes()
         assert report2.read_bytes() == pipeline["report"].read_bytes()
+
+    def test_grid_geometry_travels_from_data_to_checkpoint(self, pipeline, tmp_path):
+        data, model, preds = tmp_path / "data", tmp_path / "model", tmp_path / "p.ndjson"
+        flags = pipeline["flags"]
+        assert main(["synth", "--out", str(data), "--grid-size", "16"] + flags["synth"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model)] + flags["train"]) == 0
+        assert main(["infer", "--model", str(model), "--data", str(data),
+                     "--out", str(preds)] + flags["infer"]) == 0
+        channels = SceneSpec().min_channels()
+        for checkpoint, grid_size in ((model, 16), (pipeline["model"], 32)):
+            meta = json.loads((checkpoint / "model.json").read_text())
+            assert (meta["grid_size"], meta["channels"]) == (grid_size, channels)
+        assert preds.read_bytes() != pipeline["preds"].read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +98,14 @@ def segment_pipeline(tmp_path_factory):
     model = root / "model"
     preds = root / "preds.ndjson"
     report = root / "report.json"
-    common = ["--train-scenes", "8", "--test-scenes", "3", "--seed", "5",
-              "--phase1-epochs", "1", "--phase2-epochs", "1", "--mode", "segment"]
-    assert main(["synth", "--out", str(data)] + common) == 0
-    assert main(["train", "--data", str(data), "--out", str(model)] + common) == 0
+    assert main(["synth", "--out", str(data), "--train-scenes", "8", "--test-scenes", "3",
+                 "--seed", "5"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model), "--seed", "5",
+                 "--phase1-epochs", "1", "--phase2-epochs", "1", "--mode", "segment"]) == 0
     assert main(["infer", "--model", str(model), "--data", str(data),
-                 "--out", str(preds)] + common) == 0
+                 "--out", str(preds)]) == 0
     assert main(["eval", "--data", str(data), "--preds", str(preds),
-                 "--out", str(report)] + common) == 0
+                 "--out", str(report), "--mode", "segment"]) == 0
     return {"data": data, "model": model, "preds": preds, "report": report}
 
 
@@ -137,21 +152,71 @@ class TestErrorPaths:
         cfg.write_text("train_scenes = not_a_number\n")
         assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
 
+    @staticmethod
+    def io_flags(command, pipeline, tmp_path):
+        """The required non-config flags of each command, writing under tmp_path."""
+        return {"synth": ["--out", str(tmp_path / "d")],
+                "train": ["--data", str(pipeline["data"]), "--out", str(tmp_path / "m")],
+                "infer": ["--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+                          "--out", str(tmp_path / "p.ndjson")],
+                "eval": ["--data", str(pipeline["data"]), "--preds", str(pipeline["preds"]),
+                         "--out", str(tmp_path / "r.json")]}[command]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--mode", "segment"),
+        ("train", "--grid-size", "16"),
+        ("train", "--top-k", "8"),
+        ("infer", "--phase1-epochs", "99"),
+        ("infer", "--channels", "40"),
+        ("infer", "--mode", "segment"),  # no prefix match against --model
+        ("eval", "--seed", "1"),
+    ])
+    def test_flag_of_another_command_exit_1(self, pipeline, tmp_path, capsys,
+                                            command, flag, value):
+        assert main([command, flag, value] + self.io_flags(command, pipeline, tmp_path)) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", [("infer", "phase1_epochs"), ("synth", "mode"),
+                                              ("train", "channels")])
+    def test_config_file_key_of_another_command_exit_2(self, pipeline, tmp_path, capsys,
+                                                       command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# written for another command\n{key} = 1\n")
+        flags = ["--config", str(cfg)] + self.io_flags(command, pipeline, tmp_path)
+        assert main([command] + flags) == 2
+        assert f"{cfg}: config key '{key}' is not read by {command}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_synth_channels_below_minimum_exit_2(self, tmp_path, capsys):
+        minimum = SceneSpec().min_channels()
+        assert main(["synth", "--out", str(tmp_path / "d"), "--channels",
+                     str(minimum - 1)]) == 2
+        err = capsys.readouterr().err
+        assert "'channels'" in err and f"at least {minimum}" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("ks", ["20,abc", "0,-5"])
+    def test_eval_bad_ks_exit_2(self, pipeline, tmp_path, capsys, ks):
+        flags = ["--ks", ks] + self.io_flags("eval", pipeline, tmp_path)
+        assert main(["eval"] + flags) == 2
+        assert "'ks'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("command, flag, key", [
         ("train", "--stages", "stages"),
         ("infer", "--top-k", "top_k"),
+        ("synth", "--grid-size", "grid_size"),
     ])
     def test_impossible_run_setting_exit_2(self, pipeline, tmp_path, capsys,
                                            command, flag, key):
-        io_flags = {"train": ["--out", str(tmp_path / "m")],
-                    "infer": ["--model", str(pipeline["model"]),
-                              "--out", str(tmp_path / "p.ndjson")]}[command]
-        assert main([command, "--data", str(pipeline["data"]), flag, "0"] + io_flags) == 2
+        assert main([command, flag, "0"] + self.io_flags(command, pipeline, tmp_path)) == 2
         assert f"'{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "m").exists() and not (tmp_path / "p.ndjson").exists()
+        assert not list(tmp_path.iterdir())
 
 
-    @pytest.mark.parametrize("section, key", [("config", "merge_threshold"), (None, "channels")])
+    @pytest.mark.parametrize("section, key", [("config", "merge_threshold"), (None, "channels"),
+                                              (None, "grid_size"), ("config", "hinge_margin")])
     def test_model_json_missing_key_exit_2(self, pipeline, tmp_path, capsys, section, key):
         model = tmp_path / "model"
         shutil.copytree(pipeline["model"], model)
@@ -186,6 +251,14 @@ class TestErrorPaths:
         (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "jitter"}),
          "dataset meta missing field 'jitter'"),
         (lambda meta: "[]", "malformed dataset meta"),
+        (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "grid_size"}),
+         "dataset meta missing field 'grid_size'"),
+        (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "channels"}),
+         "dataset meta missing field 'channels'"),
+        (lambda meta: json.dumps({**meta, "grid_size": 0}),
+         "dataset meta needs grid_size >= 1 and channels >= 13, got 0 and 13"),
+        (lambda meta: json.dumps({**meta, "channels": 5}),
+         "dataset meta needs grid_size >= 1 and channels >= 13, got 32 and 5"),
     ])
     def test_bad_meta_exit_2(self, pipeline, tmp_path, capsys, command, corrupt, message):
         data = tmp_path / "data"

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hoicascade.cascade import CascadeConfig, Instance
+from hoicascade.cascade import HINGE_MARGIN, CascadeConfig, Instance
 from hoicascade.errors import DataError, FormatError, ShapeError
 from hoicascade.features import CooccurrenceTable, cross_stage_fuse
 from hoicascade.geometry import Box, FeatureGrid, box_iou
 from hoicascade.interaction import (
-    HINGE_MARGIN,
     MAX_TRAIN_PAIRS,
     POS_NEG_RATIO,
     TOP_K,
@@ -467,7 +466,6 @@ class TestBatchedInference:
         assert pair_counts == [1, 15]
 
     def test_ranking_constraint_report_matches_per_pair_reference(self):
-        from hoicascade.formats import RunConfig
         from hoicascade.numerics import pairwise_hinge_loss
         from hoicascade.synth import SceneSpec, generate_dataset, gt_pairs_of
         from hoicascade.training import (build_cooccurrence, prepare_grids,
@@ -496,11 +494,12 @@ class TestBatchedInference:
             g, labels = np.asarray(g), np.asarray(labels, dtype=bool)
             if labels.any() and not labels.all():
                 counted += 1
-                hinge_total += pairwise_hinge_loss(g[labels], g[~labels], model.hinge_margin)[0]
+                hinge_total += pairwise_hinge_loss(g[labels], g[~labels],
+                                                    model.config.hinge_margin)[0]
                 ordered += int(g[labels].min() > g[~labels].max())
 
         assert counted > 0
-        got = ranking_constraint_report(model, scenes, spec, RunConfig(), grids=grids)
+        got = ranking_constraint_report(model, scenes, spec, grids=grids)
         assert got[:2] == (ordered, counted)
         np.testing.assert_allclose(got[2], hinge_total, atol=1e-12)
 
@@ -520,6 +519,12 @@ class TestModelPersistence:
         assert first.config.iou_thresholds == (0.5, 0.6, 0.7)
         assert np.allclose(first.cooccurrence.frequencies(),
                            model.cooccurrence.frequencies())
+
+    def test_checkpoint_carries_grid_geometry_and_hinge_margin(self, tmp_path):
+        tiny_model(grid_size=16, config=CascadeConfig(hinge_margin=0.5)).save(tmp_path / "m")
+        loaded = CascadeModel.load(tmp_path / "m")
+        assert (loaded.channels, loaded.grid_size) == (3, 16)
+        assert loaded.config.hinge_margin == 0.5
 
     def test_seg_blocks_only_in_segment_mode(self):
         detect = tiny_model()
