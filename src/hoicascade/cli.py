@@ -44,7 +44,7 @@ COMMAND_KEYS = {
     "train": ("seed", "mode", "representation", "stages", "merge_threshold",
               "hinge_margin", "learning_rate", "phase1_epochs", "phase2_epochs"),
     "infer": ("top_k",),
-    "eval": ("mode",),
+    "eval": (),
 }
 
 
@@ -57,7 +57,7 @@ def build_run_config(args) -> RunConfig:
     for key in values:
         if key not in keys:
             raise DataError(f"{args.config}: config key {key!r} is not read by "
-                            f"{args.command} (it reads {', '.join(keys)})")
+                            f"{args.command} (it reads {', '.join(keys) or 'none'})")
     for key in keys:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
@@ -137,7 +137,7 @@ def cmd_infer(args):
 
 
 def cmd_eval(args):
-    config = build_run_config(args)
+    build_run_config(args)  # eval reads no config key; a config file may name none
     try:
         ks = tuple(int(k) for k in args.ks.split(","))
     except ValueError:
@@ -153,7 +153,11 @@ def cmd_eval(args):
             if not 0 <= t.verb < spec.n_verbs:
                 raise DataError(f"{args.preds}: image {image_id!r}: verb {t.verb} "
                                 f"outside [0, {spec.n_verbs})")
-    mode = "mask" if config.mode == "segment" else "box"
+    # Recall@K matches masks when the predicted entities carry them
+    masked = {m is not None for ts in preds.values() for t in ts for m in (t.h_mask, t.o_mask)}
+    if len(masked) > 1:
+        raise DataError(f"{args.preds}: some predicted entities carry masks and some do not")
+    mode = "mask" if masked == {True} else "box"
     map_report = map_rel(preds, gts, spec.n_verbs, mode="box")
     recall_report = recall_at_k(preds, gts, spec.geometric_verbs, ks=ks, mode=mode)
     payload = report_to_dict(map_report, recall_report)

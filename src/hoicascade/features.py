@@ -120,7 +120,8 @@ def ihsm_enhance(h_grid):
 
 def build_efra_stack(channels, pooled_hw, rng, hidden=256):
     """FC_x2 stack scoring the relevance of a face-derived feature for an
-    object feature: flattened concat -> hidden -> sigmoid scalar."""
+    object feature: flattened concat -> linear hidden -> sigmoid scalar.
+    Inference folds it into one sigmoid layer (`FCStack.folded`)."""
     in_dim = 2 * channels * pooled_hw[0] * pooled_hw[1]
     return FCStack(in_dim, hidden, 1, rng, out_activation="sigmoid")
 
@@ -187,15 +188,23 @@ def assemble_visual(human_feat, obj_feat, union_feat):
 
 
 def build_fusion_stack(visual_dim, rng, hidden=FUSED_DIM):
-    """Linear FC_x2 mapping the summed visual tensors to the 1024-d vector."""
+    """Linear FC_x2 mapping the summed visual tensors to the 1024-d vector.
+
+    Both layers are linear, and so are the heads that read the vector up
+    to their sigmoids, which lets inference fold stack and heads into one
+    map (`interaction.RelationFold`). A hidden nonlinearity here would stop
+    that fold at this stack's first layer."""
     return FCStack(visual_dim, hidden, FUSED_DIM, rng)
 
 
 def cross_stage_fuse(x_v, x_v_prev, stack):
-    """Fused 1024-d visual vector from the current and prior-stage tensors.
+    """`stack` applied to the sum of the current and prior-stage tensors.
 
-    Stage 1 passes a zero tensor as predecessor. Accepts single tensors
-    or batches whose leading axis is the batch.
+    With the fusion stack the result is the fused 1024-d vector. Inference
+    passes the folded relation map of `interaction.RelationFold` instead and
+    gets, per pair, the ranker's fused-half logit and the visual verb
+    logits. Stage 1 passes a zero tensor as predecessor. Accepts single
+    tensors or batches whose leading axis is the batch.
     """
     x_v = np.asarray(x_v, dtype=np.float64)
     x_v_prev = np.asarray(x_v_prev, dtype=np.float64)

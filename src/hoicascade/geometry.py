@@ -167,12 +167,21 @@ def _sample_positions(grid: FeatureGrid, boxes, out_hw):
     return r0, r1, v - r0, c0, c1, u - c0
 
 
-def roi_align(grid: FeatureGrid, boxes, out=(7, 7)) -> np.ndarray:
-    """Pool a list of n boxes into (n, C, out_h, out_w), one bilinear sample per cell center."""
+def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
+    """Pool a list of n boxes into (n, C, out_h, out_w), one bilinear sample per cell center.
+
+    `keep`, an optional (n, H, W) boolean array, gives each box its own
+    grid cells: the others read as zero, as if pooled from a copy of the
+    grid with them zeroed."""
     r0, r1, wr, c0, c1, wc = _sample_positions(grid, boxes, out)
     d, ch = grid.data, np.arange(grid.channels)[:, None, None]
-    top = d[ch, r0, c0] * (1 - wc) + d[ch, r0, c1] * wc
-    bot = d[ch, r1, c0] * (1 - wc) + d[ch, r1, c1] * wc
+    box = np.arange(len(r0))[:, None, None, None]
+
+    def at(r, c):
+        return d[ch, r, c] if keep is None else d[ch, r, c] * keep[box, r, c]
+
+    top = at(r0, c0) * (1 - wc) + at(r0, c1) * wc
+    bot = at(r1, c0) * (1 - wc) + at(r1, c1) * wc
     return top * (1 - wr) + bot * wr
 
 
@@ -212,9 +221,7 @@ def mask_roi_align(grid: FeatureGrid, mask: BitMask, out=(7, 7)) -> np.ndarray:
     cell_mask = downsample_mask(mask, grid)
     if not cell_mask.any():
         raise DataError("mask vanished at feature resolution")
-    masked = FeatureGrid(grid.data * cell_mask[None, :, :],
-                         grid.image_height, grid.image_width)
-    return roi_align(masked, [mask.bbox()], out)[0]
+    return roi_align(grid, [mask.bbox()], out, keep=cell_mask[None])[0]
 
 
 PAIR_MAP_SIZE = 64

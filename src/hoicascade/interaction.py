@@ -48,7 +48,7 @@ from .geometry import (
     spatial_pair_encoding,
     union_box,
 )
-from .numerics import ConvPoolEncoder, FCLayer, ParamStore
+from .numerics import ConvPoolEncoder, FCLayer, ParamStore, sigmoid
 
 TOP_K = 64
 MAX_TRAIN_PAIRS = 128
@@ -161,9 +161,10 @@ def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
     return pairs
 
 
-def rank_pairs(fused, x_g, rrm: RRMHead) -> np.ndarray:
-    """Candidate rows by ranking score, descending, from one RRM forward;
-    the sort is stable, so ties keep enumeration order."""
+def rank_pairs(fused, x_g, rrm) -> np.ndarray:
+    """Candidate rows by ranking score, descending, from one ranker call:
+    an `RRMHead` on fused rows or a `RelationFold` on its folded rows. The
+    sort is stable, so ties keep enumeration order."""
     if fused is None or x_g is None or len(fused) != len(x_g):
         raise DataError("every candidate needs fused and geometric features before ranking")
     return np.argsort(-rrm.score(fused, x_g), kind="stable")
@@ -175,10 +176,16 @@ def select_topk(ranked, k=TOP_K):
     return ranked[:k]
 
 
-def classify_relation(x_s, x_g, fused, heads: RCMHeads):
+def classify_relation(x_s, x_g, fused, heads):
     """Per-stream verb scores (s_s, s_g, s_v), one row per pair;
-    multi-label, no softmax."""
-    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), heads.visual.forward(fused)
+    multi-label, no softmax. `heads` is one stage's `RCMHeads` on fused
+    rows, or a `RelationFold` on its folded rows, whose columns after the
+    first are the visual verb logits."""
+    if isinstance(heads, RelationFold):
+        s_v = sigmoid(fused[:, 1:])
+    else:
+        s_v = heads.visual.forward(fused)
+    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), s_v
 
 
 def fuse_scores(s_v, s_g, s_s):
@@ -279,11 +286,13 @@ class CascadeModel:
     """Per-stage localization and relation heads plus the shared feature
     machinery (geometric encoder, facial attention stacks, fusion stack).
     `channels` and `grid_size` are the feature-grid geometry the model was
-    trained on; the checkpoint carries them, and inference renders with them."""
+    trained on; the checkpoint carries them, and inference renders with them.
+    With `init` False every block starts at zero and nothing is drawn from
+    the seed, for `load` to fill from a checkpoint."""
 
     def __init__(self, n_classes, n_verbs, channels, config=None, seed=0,
                  person_class=PERSON_CLASS, segment=False, representation="box",
-                 grid_size=32):
+                 grid_size=32, init=True):
         if representation not in ("box", "mask"):
             raise DataError(f"unknown representation {representation!r}")
         self.n_classes = n_classes
@@ -297,7 +306,7 @@ class CascadeModel:
         self.seed = seed
         self.cooccurrence = None
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if init else None
         t_stages = self.config.stages
         self.box_heads = [StageHead(channels, rng) for _ in range(t_stages)]
         self.rrm_heads = [RRMHead(rng) for _ in range(t_stages)]
@@ -327,17 +336,15 @@ class CascadeModel:
 
     # ------------------------------------------------------------ features
 
-    def face_zeroed_grid(self, grid: FeatureGrid, human_box: Box) -> FeatureGrid:
-        """Image-level grid with the cells under the person's facial region
-        zeroed (the face-removed variant used by the face-agnostic path)."""
-        face = face_region(human_box)
-        gh, gw = grid.grid_height, grid.grid_width
-        cx = (np.arange(gw) + 0.5) / grid.scale_x
-        cy = (np.arange(gh) + 0.5) / grid.scale_y
-        inside = ((cx[None, :] >= face.x1) & (cx[None, :] < face.x2)
-                  & (cy[:, None] >= face.y1) & (cy[:, None] < face.y2))
-        return FeatureGrid(grid.data * (~inside)[None, :, :],
-                           grid.image_height, grid.image_width)
+    @staticmethod
+    def noface_cells(grid: FeatureGrid, human_boxes) -> np.ndarray:
+        """(n, H, W) grid cells whose centers lie outside each person's
+        facial region: the cells the face-removed human feature reads."""
+        faces = np.array([face_region(b).as_tuple() for b in human_boxes]).reshape(-1, 4)
+        x1, y1, x2, y2 = faces.T[:, :, None, None]
+        cx = (np.arange(grid.grid_width) + 0.5) / grid.scale_x
+        cy = (np.arange(grid.grid_height)[:, None] + 0.5) / grid.scale_y
+        return ~((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))
 
     def pool_entities(self, grid: FeatureGrid, instances):
         """(n, C, 7, 7): one batched RoIAlign over the boxes, or in mask
@@ -370,17 +377,18 @@ class CascadeModel:
 
     def pool_pairs(self, grid: FeatureGrid, candidates) -> PooledPairs:
         """Everything of P candidate pairs that precedes the trained layers,
-        shared by training and inference. Face crops, the face-zeroed grid
-        and IHSM run once per human."""
+        shared by training and inference. Face crops, face-removed features
+        and IHSM run once per human; the crops and the face-removed features
+        each pool all humans in one RoIAlign call."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence table; train or load first")
         humans = list({id(c.human): c.human for c in candidates}.values())
         slot = {id(h): i for i, h in enumerate(humans)}
         rows = [slot[id(c.human)] for c in candidates]
         h_bar = np.stack([ihsm_enhance(h)[0] for h in self.pool_entities(grid, humans)])
-        face = roi_align(grid, [face_region(h.box) for h in humans], POOLED_HW)
-        noface = np.stack([roi_align(self.face_zeroed_grid(grid, h.box), [h.box], POOLED_HW)[0]
-                           for h in humans])
+        boxes = [h.box for h in humans]
+        face = roi_align(grid, [face_region(b) for b in boxes], POOLED_HW)
+        noface = roi_align(grid, boxes, POOLED_HW, keep=self.noface_cells(grid, boxes))
         return PooledPairs(
             x_s=np.stack([semantic_prior(c.object.class_id, self.cooccurrence)
                           for c in candidates]),
@@ -389,30 +397,27 @@ class CascadeModel:
             obj=self.pool_entities(grid, [c.object for c in candidates]),
             union=self.pool_unions(grid, candidates))
 
-    def visual_tensor(self, pooled: PooledPairs):
+    def visual_tensor(self, pooled: PooledPairs, stacks=None):
         """(P, 3C, 7, 7) visual tensors: the IHSM human stream, the object
-        stream enhanced by EFRA, and the union stream, from one EFRA call."""
+        stream enhanced by EFRA, and the union stream, from one EFRA call.
+        The EFRA stacks are `stacks.face_stack` / `stacks.noface_stack`:
+        the model's own by default, or a `RelationFold`'s folded ones."""
+        stacks = stacks or self
         alpha, alpha_bar = efra_attend(pooled.face, pooled.noface, pooled.obj,
-                                       self.face_stack, self.noface_stack)
+                                       stacks.face_stack, stacks.noface_stack)
         o_bar = efra_enhance(pooled.obj, pooled.face, pooled.noface,
                              alpha[:, None, None, None], alpha_bar[:, None, None, None])
         return assemble_visual(pooled.h_bar, o_bar, pooled.union)
 
-    def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
+    def build_features(self, grid: FeatureGrid, candidates, fold=None) -> RelationFeatures:
         """Inference-path relation features of all candidate pairs of one
-        image, from one geometric-encoder and one EFRA call."""
+        image, from one geometric-encoder and one EFRA call; EFRA runs the
+        fold's stacks when a `RelationFold` is given, else the factored ones
+        that training runs."""
         pooled = self.pool_pairs(grid, candidates)
         return RelationFeatures(x_s=pooled.x_s,
                                 x_g=geometric_feature(pooled.pair_maps, self.geo_encoder),
-                                x_v=self.visual_tensor(pooled))
-
-    def fuse_visual(self, x_v):
-        """Fused (P, 1024) rows that the ranker and the last stage's
-        classifier read, from one fusion call. The predecessor is the pair's
-        own tensor, or zeros in a one-stage model, whose last stage is
-        stage 1."""
-        prev = x_v if self.config.stages > 1 else np.zeros_like(x_v)
-        return cross_stage_fuse(x_v, prev, self.fusion_stack)
+                                x_v=self.visual_tensor(pooled, fold))
 
     # -------------------------------------------------------------- io
 
@@ -452,7 +457,7 @@ class CascadeModel:
             model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
                         seed=meta["seed"], person_class=meta["person_class"],
                         segment=meta["segment"], representation=meta["representation"],
-                        grid_size=meta["grid_size"])
+                        grid_size=meta["grid_size"], init=False)
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
         if "cooccurrence" in meta:
@@ -460,6 +465,50 @@ class CascadeModel:
         model.store.load(os.path.join(directory, "params.json"),
                          os.path.join(directory, "params.bin"))
         return model
+
+
+class RelationFold:
+    """The relation blocks of one inference run, folded.
+
+    Every FC_x2 stack is linear up to its output (`FCStack`), and so are
+    the heads that read the fused vector, up to their sigmoids. So:
+
+    - each EFRA stack is one 2C*49 -> 1 sigmoid layer;
+    - `visual` is the fusion stack followed by the last stage's ranker
+      (its fused half) and visual verb head: one 3C*49 -> 1 + N map whose
+      columns are a rank logit and N visual verb logits;
+    - `rank_geo` is the ranker's geometric half with the ranker's bias.
+
+    The semantic and geometric verb heads are the model's own layers. A
+    fold holds products of the weights it was built from, so it is built
+    once per run (`infer_scenes`, `ranking_constraint_report`, or an
+    `infer_image` called without one), never cached on the model and never
+    saved; training keeps the factored layers.
+    """
+
+    def __init__(self, model: CascadeModel):
+        rrm, last = model.rrm_heads[-1].fc, model.rcm_heads[-1]
+        self.visual = model.fusion_stack.folded(
+            np.concatenate([rrm.w.value[:, :FUSED_DIM], last.visual.w.value]),
+            np.concatenate([[0.0], last.visual.b.value]))
+        self.rank_geo = FCLayer(GEOMETRIC_DIM, 1)
+        self.rank_geo.w.value[...] = rrm.w.value[:, FUSED_DIM:]
+        self.rank_geo.b.value[...] = rrm.b.value
+        self.face_stack = model.face_stack.folded()
+        self.noface_stack = model.noface_stack.folded()
+        self.semantic, self.geometric = last.semantic, last.geometric
+        self.one_stage = model.config.stages == 1
+
+    def fuse(self, x_v):
+        """(P, 1 + N) folded rows from one `cross_stage_fuse` call. The
+        predecessor is the pair's own tensor, or zeros in a one-stage model,
+        whose last stage is stage 1."""
+        return cross_stage_fuse(x_v, np.zeros_like(x_v) if self.one_stage else x_v,
+                                self.visual)
+
+    def score(self, folded, x_g):
+        """Ranking scores, as the last `RRMHead.score` on the fused rows."""
+        return sigmoid(folded[:, 0] + self.rank_geo.forward(x_g)[:, 0])
 
 
 # -------------------------------------------------------------- inference
@@ -489,13 +538,15 @@ def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
 
 
 def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
-                top_k=TOP_K) -> list[TripletPrediction]:
+                top_k=TOP_K, fold: RelationFold | None = None) -> list[TripletPrediction]:
     """Full image protocol: cascade localization, stage merging and
     filtering, pair ranking, top-k selection, and the final stage's fused
     scores emitted per verb. Relation work is batched over the image's
-    pairs: one fusion and one ranker call, and one classifier call, the
-    last stage's, on the kept rows; earlier stages' classifiers train the
-    shared layers but are not run here.
+    pairs and runs the folded relation map (`RelationFold`, built here when
+    none is given): one EFRA call, one `cross_stage_fuse` call giving every
+    pair's rank logit and visual verb logits, one ranker call, and one
+    classifier call, the last stage's, on the kept rows; earlier stages'
+    classifiers train the shared layers but are not run here.
     """
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
@@ -503,11 +554,12 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     candidates = enumerate_pairs(kept, model.person_class)
     if not candidates:
         return []
-    feats = model.build_features(grid, candidates)
-    fused = model.fuse_visual(feats.x_v)
-    top = select_topk(rank_pairs(fused, feats.x_g, model.rrm_heads[-1]), top_k)
-    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], fused[top],
-                                      model.rcm_heads[-1])
+    if fold is None:
+        fold = RelationFold(model)
+    feats = model.build_features(grid, candidates, fold)
+    folded = fold.fuse(feats.x_v)
+    top = select_topk(rank_pairs(folded, feats.x_g, fold), top_k)
+    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], folded[top], fold)
     scores = fuse_scores(s_v, s_g, s_s)
     return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
                               float(scores[row, verb]))

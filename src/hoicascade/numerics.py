@@ -27,7 +27,7 @@ class Param:
 
     def __init__(self, value):
         self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
 
 
 class ParamStore:
@@ -99,12 +99,11 @@ class ParamStore:
             if shape != p.value.shape:
                 raise FormatError(f"block {name!r}: shape {shape} != {p.value.shape}")
             n = int(np.prod(shape)) if shape else 1
-            raw = blob[offset:offset + 4 * n]
-            if len(raw) != 4 * n:
+            if offset + 4 * n > len(blob):
                 raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
-            vals = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            p.value[...] = vals
-            p.grad[...] = 0.0
+            # one widening copy, straight from the blob into the block
+            p.value[...] = np.frombuffer(blob, "<f4", count=n, offset=offset).reshape(shape)
+            p.grad = np.zeros(shape)
 
 
 def sgd_step(store: ParamStore, lr: float):
@@ -117,7 +116,11 @@ def sgd_step(store: ParamStore, lr: float):
 
 
 def init_uniform(rng, shape, fan_in, fan_out):
-    # Glorot-style bound; the reference method never states an init scheme.
+    """Glorot-style uniform values (the reference method never states an
+    init scheme), or zeros without drawing when `rng` is None: the blocks
+    of a loaded checkpoint or a fold get their values afterwards."""
+    if rng is None:
+        return np.zeros(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 
@@ -134,7 +137,8 @@ def sigmoid(z):
 class FCLayer:
     """Fully connected layer y = act(Wx + b), activation in {none, sigmoid}.
 
-    Accepts a single vector (in_dim,) or a batch (B, in_dim).
+    Accepts a single vector (in_dim,) or a batch (B, in_dim). Without a
+    generator the weights start at zero (`init_uniform`).
     """
 
     def __init__(self, in_dim, out_dim, activation="none", rng=None):
@@ -143,8 +147,6 @@ class FCLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.w = Param(init_uniform(rng, (out_dim, in_dim), in_dim, out_dim))
         self.b = Param(np.zeros(out_dim))
         self._x = None
@@ -182,7 +184,12 @@ class FCLayer:
 
 
 class FCStack:
-    """Two stacked FC layers (the repeated FC_x2 pattern)."""
+    """Two stacked FC layers (the repeated FC_x2 pattern).
+
+    Every stack the model builds is linear up to its output activation
+    (hidden_activation "none"), so at inference `folded` replaces it by one
+    layer. A hidden nonlinearity would stop the fold at that layer.
+    """
 
     def __init__(self, in_dim, hidden_dim, out_dim, rng,
                  hidden_activation="none", out_activation="none"):
@@ -191,6 +198,22 @@ class FCStack:
 
     def params(self, prefix):
         return self.fc1.params(f"{prefix}.fc1") + self.fc2.params(f"{prefix}.fc2")
+
+    def folded(self, head_w=None, head_b=None):
+        """One layer computing this stack, or the stack followed by the
+        linear head H x + h when (head_w, head_b) is given: W = (H W2) W1,
+        multiplied from the narrow head end, and b = H (W2 b1 + b2) + h.
+        The layer holds products of the current weights and does not
+        follow later updates to them."""
+        w2, b2, out = self.fc2.w.value, self.fc2.b.value, self.fc2.activation
+        if self.fc1.activation != "none" or (head_w is not None and out != "none"):
+            raise ValueError("only a linear chain folds")
+        if head_w is not None:
+            w2, b2 = head_w @ w2, head_w @ b2 + head_b
+        layer = FCLayer(self.fc1.in_dim, len(w2), out)
+        layer.w.value[...] = w2 @ self.fc1.w.value
+        layer.b.value[...] = w2 @ self.fc1.b.value + b2
+        return layer
 
     def forward(self, x):
         return self.fc2.forward(self.fc1.forward(x))
@@ -299,14 +322,13 @@ class MaxPool2x2:
 class ConvPoolEncoder:
     """Two conv+pool blocks followed by one FC layer; output length 256.
 
-    Input spatial dims must be divisible by 4 (two 2x2 pools).
+    Input spatial dims must be divisible by 4 (two 2x2 pools). Without a
+    generator every block starts at zero.
     """
 
     OUT_DIM = 256
 
     def __init__(self, in_channels, in_hw, channels=(8, 8), kernel_size=3, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
         h, w = in_hw
         if h % 4 or w % 4:
             raise ShapeError(f"encoder input dims must be divisible by 4, got {h}x{w}")

@@ -28,6 +28,7 @@ from .formats import RunConfig, predictions_to_record
 from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
+    RelationFold,
     TrainBatchSpec,
     classify_relation,
     dedup_by_lineage,
@@ -343,13 +344,15 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
 
 def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig,
                  grids=None):
-    """Predictions per scene, as NDJSON-ready records."""
+    """Predictions per scene, as NDJSON-ready records, from one relation
+    fold of the model."""
     if grids is None:
         grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
+    fold = RelationFold(model)
     records = []
     for scene in scenes:
         preds = infer_image(grids[scene.image_id], seed_instances(scene), model,
-                            top_k=config.top_k)
+                            top_k=config.top_k, fold=fold)
         records.append(predictions_to_record(scene.image_id, preds,
                                              with_masks=model.segment))
     return records
@@ -360,12 +363,14 @@ def ranking_constraint_report(model, scenes, spec, grids=None):
 
     Candidate pairs are built and fused through the batched inference path,
     partitioned into annotated / un-annotated at the last stage's IoU
-    threshold, and scored with the deployed ranking head. Returns (scenes
+    threshold, and scored with the deployed ranker, all from one relation
+    fold of the model. Returns (scenes
     where every annotated pair outranks every un-annotated one, scenes with
     both kinds present, total raw hinge sum)."""
     if grids is None:
         grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
     thr = model.config.iou_thresholds[-1]
+    fold = RelationFold(model)
     scored_scenes = ordered_scenes = 0
     hinge_total = 0.0
     for scene in scenes:
@@ -379,8 +384,8 @@ def ranking_constraint_report(model, scenes, spec, grids=None):
                              for c in candidates], dtype=bool)
         if not labels.any() or labels.all():
             continue
-        feats = model.build_features(grid, candidates)
-        g = model.rrm_heads[-1].score(model.fuse_visual(feats.x_v), feats.x_g)
+        feats = model.build_features(grid, candidates, fold)
+        g = fold.score(fold.fuse(feats.x_v), feats.x_g)
         hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.config.hinge_margin)
         hinge_total += hinge
         ordered_scenes += int(g[labels].min() > g[~labels].max())

@@ -105,7 +105,7 @@ def segment_pipeline(tmp_path_factory):
     assert main(["infer", "--model", str(model), "--data", str(data),
                  "--out", str(preds)]) == 0
     assert main(["eval", "--data", str(data), "--preds", str(preds),
-                 "--out", str(report), "--mode", "segment"]) == 0
+                 "--out", str(report)]) == 0
     return {"data": data, "model": model, "preds": preds, "report": report}
 
 
@@ -118,6 +118,24 @@ class TestSegmentMode:
         assert all(rle_decode(e["mask"]["rle"], *e["mask"]["size"]).any() for e in entities)
         report = json.loads(segment_pipeline["report"].read_text())
         assert 0.0 <= report["recall_at_k"]["mean"] <= 1.0
+
+    def test_eval_matches_masks_of_masked_predictions(self, segment_pipeline, pipeline):
+        # the prediction file, not a flag, says which match mode Recall@K uses
+        for run, mode in ((segment_pipeline, "mask"), (pipeline, "box")):
+            assert json.loads(run["report"].read_text())["recall_at_k"]["mode"] == mode
+
+    def test_eval_rejects_partly_masked_predictions(self, segment_pipeline, tmp_path, capsys):
+        records = [json.loads(line)
+                   for line in segment_pipeline["preds"].read_text().splitlines()]
+        record = next(r for r in records if r["triplets"])
+        del record["entities"][record["triplets"][0]["h"]]["mask"]
+        mixed = tmp_path / "mixed.ndjson"
+        mixed.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "r.json"
+        assert main(["eval", "--data", str(segment_pipeline["data"]), "--preds", str(mixed),
+                     "--out", str(out)]) == 2
+        assert f"{mixed}: some predicted entities carry masks" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_blocks_must_match_mode(self, segment_pipeline, tmp_path, capsys):
         # a checkpoint with mask heads whose model.json says detect mode
@@ -170,6 +188,7 @@ class TestErrorPaths:
         ("infer", "--channels", "40"),
         ("infer", "--mode", "segment"),  # no prefix match against --model
         ("eval", "--seed", "1"),
+        ("eval", "--mode", "segment"),  # the match mode comes from the predictions
     ])
     def test_flag_of_another_command_exit_1(self, pipeline, tmp_path, capsys,
                                             command, flag, value):

@@ -210,6 +210,16 @@ class TestBatchedRoiAlign:
         assert got.shape == (len(boxes), 4, *out)
         assert got.tobytes() == ref.tobytes()
 
+    def test_keep_cells_bitwise_equal_to_zeroed_grid_copies(self):
+        rng = np.random.default_rng(23)
+        grid = FeatureGrid(rng.normal(size=(3, 16, 20)), image_height=64, image_width=80)
+        boxes = [Box(4.0, 2.0, 40.0, 50.0), Box(30.0, 10.0, 79.0, 63.0), Box(0.0, 0.0, 80.0, 64.0)]
+        keep = rng.uniform(size=(3, 16, 20)) > 0.3
+        got = roi_align(grid, boxes, (7, 7), keep=keep)
+        for i, box in enumerate(boxes):
+            zeroed = FeatureGrid(grid.data * keep[i], image_height=64, image_width=80)
+            assert got[i].tobytes() == roi_align_one(zeroed, box, (7, 7)).tobytes()
+
     def test_one_box_list(self):
         rng = np.random.default_rng(22)
         grid = FeatureGrid.from_array(rng.normal(size=(3, 9, 9)))

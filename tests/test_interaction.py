@@ -5,8 +5,8 @@ import pytest
 
 from hoicascade.cascade import HINGE_MARGIN, CascadeConfig, Instance
 from hoicascade.errors import DataError, FormatError, ShapeError
-from hoicascade.features import CooccurrenceTable, cross_stage_fuse
-from hoicascade.geometry import Box, FeatureGrid, box_iou
+from hoicascade.features import CooccurrenceTable, cross_stage_fuse, face_region
+from hoicascade.geometry import Box, FeatureGrid, box_iou, roi_align
 from hoicascade.interaction import (
     MAX_TRAIN_PAIRS,
     POS_NEG_RATIO,
@@ -16,6 +16,7 @@ from hoicascade.interaction import (
     HOICandidate,
     RCMHeads,
     RelationFeatures,
+    RelationFold,
     RRMHead,
     TrainBatchSpec,
     classify_relation,
@@ -31,6 +32,7 @@ from hoicascade.interaction import (
     total_loss,
     dedup_by_lineage,
 )
+from hoicascade.numerics import sgd_step
 
 
 def inst(class_id, box, conf=0.9, **kw):
@@ -449,21 +451,57 @@ class TestBatchedInference:
 
         monkeypatch.setattr(FCLayer, "forward", counting_forward)
         model = tiny_model(seed=24)
+        fold = RelationFold(model)
         last = model.rcm_heads[-1]
-        once = [model.fusion_stack.fc1, model.fusion_stack.fc2, model.rrm_heads[-1].fc,
-                model.geo_encoder.fc, model.face_stack.fc1, model.noface_stack.fc1,
-                last.semantic, last.geometric, last.visual]
-        unused = [head.fc for head in model.rrm_heads[:-1]]
+        once = [fold.visual, fold.rank_geo, fold.face_stack, fold.noface_stack,
+                model.geo_encoder.fc, last.semantic, last.geometric]
+        # inference reads the folded maps, not the factored chains
+        unused = [model.fusion_stack.fc1, model.fusion_stack.fc2, model.face_stack.fc1,
+                  model.face_stack.fc2, model.noface_stack.fc1, model.noface_stack.fc2,
+                  last.visual]
+        unused += [head.fc for head in model.rrm_heads]
         for heads in model.rcm_heads[:-1]:  # only the emitted stage classifies
             unused += [heads.semantic, heads.geometric, heads.visual]
         grid, seeds = crowded_scene(model)
         pair_counts = []
         for image_seeds in (seeds[:1] + seeds[3:4], seeds):  # one person and one object, all
             calls.clear()
-            pair_counts.append(len(infer_image(grid, image_seeds, model)) // model.n_verbs)
+            preds = infer_image(grid, image_seeds, model, fold=fold)
+            pair_counts.append(len(preds) // model.n_verbs)
             assert [calls.get(id(layer), 0) for layer in once] == [1] * len(once)
             assert [calls.get(id(layer), 0) for layer in unused] == [0] * len(unused)
         assert pair_counts == [1, 15]
+
+    def test_noface_features_pool_face_zeroed_grids(self):
+        model = tiny_model(seed=26)
+        grid, seeds = crowded_scene(model, seed=5)
+        candidates = enumerate_pairs(seeds)
+        pooled = model.pool_pairs(grid, candidates)
+        for row, c in enumerate(candidates):
+            face = face_region(c.human.box)
+            data = grid.data.copy()
+            for r in range(grid.grid_height):
+                for col in range(grid.grid_width):
+                    x, y = (col + 0.5) / grid.scale_x, (r + 0.5) / grid.scale_y
+                    if face.x1 <= x < face.x2 and face.y1 <= y < face.y2:
+                        data[:, r, col] = 0.0
+            zeroed = FeatureGrid(data, grid.image_height, grid.image_width)
+            assert (data != grid.data).any()
+            np.testing.assert_array_equal(pooled.noface[row],
+                                          roi_align(zeroed, [c.human.box])[0])
+
+    def test_fold_is_not_stale_after_a_weight_update(self):
+        model = tiny_model(seed=25)
+        grid, seeds = crowded_scene(model, seed=3)
+        before = infer_image(grid, seeds, model)
+        assert_matches_reference(before, per_pair_reference(grid, seeds, model))
+        rng = np.random.default_rng(0)
+        for _, p in model.store.items():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        sgd_step(model.store, 0.05)
+        after = infer_image(grid, seeds, model)
+        assert_matches_reference(after, per_pair_reference(grid, seeds, model))
+        assert [p.score for p in after] != [p.score for p in before]
 
     def test_ranking_constraint_report_matches_per_pair_reference(self):
         from hoicascade.numerics import pairwise_hinge_loss
@@ -519,6 +557,31 @@ class TestModelPersistence:
         assert first.config.iou_thresholds == (0.5, 0.6, 0.7)
         assert np.allclose(first.cooccurrence.frequencies(),
                            model.cooccurrence.frequencies())
+
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        from hoicascade import numerics
+
+        model = tiny_model(seed=14, segment=True)
+        grid, seeds = crowded_scene(model, seed=4)
+        model.save(tmp_path / "model")
+        expected = infer_image(grid, seeds, CascadeModel.load(tmp_path / "model"))
+
+        def no_generator(*args):
+            raise AssertionError("load created a random generator")
+
+        init_uniform = numerics.init_uniform
+
+        def zeros_only(rng, *args):
+            assert rng is None, "load drew initial values"
+            return init_uniform(rng, *args)
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(numerics, "init_uniform", zeros_only)
+        loaded = CascadeModel.load(tmp_path / "model")
+        got = infer_image(grid, seeds, loaded)
+        assert [(p.verb, p.score) for p in got] == [(p.verb, p.score) for p in expected]
+        for name, p in loaded.store.items():
+            np.testing.assert_allclose(p.value, model.store[name].value, rtol=1e-6, atol=1e-7)
 
     def test_checkpoint_carries_grid_geometry_and_hinge_margin(self, tmp_path):
         tiny_model(grid_size=16, config=CascadeConfig(hinge_margin=0.5)).save(tmp_path / "m")

@@ -10,18 +10,31 @@ from hoicascade.cascade import (
     mask_cell_targets,
     resample_for_stage,
 )
-from hoicascade.features import CooccurrenceTable
+from hoicascade.features import CooccurrenceTable, cross_stage_fuse
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align
 from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
+    RelationFold,
+    classify_relation,
+    dedup_by_lineage,
     enumerate_pairs,
+    fuse_scores,
+    merge_and_filter,
+    rank_pairs,
     run_localization,
     sample_training_pairs,
     total_loss,
 )
 from hoicascade.numerics import binary_cross_entropy, finite_diff_check, sigmoid, smooth_l1
-from hoicascade.training import RelationPass, localization_stage_step, relation_losses_multi
+from hoicascade.training import (
+    RelationPass,
+    localization_stage_step,
+    prepare_grids,
+    relation_losses_multi,
+    seed_instances,
+    train_model,
+)
 
 
 def tiny_model(seed=0, **kw):
@@ -61,7 +74,9 @@ class TestRelationPass:
         np.testing.assert_array_equal(rp.x_s, feats.x_s)
         np.testing.assert_array_equal(rp.x_g, feats.x_g)
         np.testing.assert_array_equal(rp.x_v, feats.x_v.reshape(len(candidates), -1))
-        np.testing.assert_array_equal(rp.fused[later], model.fuse_visual(feats.x_v)[later])
+        np.testing.assert_array_equal(rp.fused[later],
+                                      cross_stage_fuse(feats.x_v, feats.x_v,
+                                                       model.fusion_stack)[later])
 
     def test_backward_matches_finite_differences(self):
         model = tiny_model(seed=33)
@@ -79,6 +94,65 @@ class TestRelationPass:
         report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=1, seed=0)
         assert report.passed, str(report)
         assert all(np.any(p.grad) for p in blocks.values())  # analytic grads left in place
+
+
+def trained_model(n_scenes, **run):
+    """A model trained one epoch per phase on a fixed-seed corpus, with
+    eight held-out scenes and their feature grids."""
+    from hoicascade.formats import RunConfig
+    from hoicascade.synth import SceneSpec, generate_dataset
+
+    spec = SceneSpec(seed=7)
+    scenes = generate_dataset(spec, n_scenes)
+    config = RunConfig(seed=7, phase1_epochs=1, phase2_epochs=1, **run)
+    model = train_model(scenes, spec, config, spec.min_channels(), 32)
+    test = generate_dataset(SceneSpec(seed=8), 8, prefix="test")
+    return model, test, prepare_grids(test, spec, model.channels, model.grid_size)
+
+
+class TestRelationFold:
+    """Folded inference against the factored heads on trained weights."""
+
+    @staticmethod
+    def assert_fold_matches_factored(model, scenes, grids):
+        fold = RelationFold(model)
+        rrm, last = model.rrm_heads[-1], model.rcm_heads[-1]
+        rows = 0
+        for scene in scenes:
+            grid = grids[scene.image_id]
+            kept = dedup_by_lineage(merge_and_filter(
+                run_localization(grid, seed_instances(scene), model),
+                model.config.merge_threshold))
+            candidates = enumerate_pairs(kept, model.person_class)
+            if not candidates:
+                continue
+            rows += len(candidates)
+            feats = model.build_features(grid, candidates)
+            prev = feats.x_v if model.config.stages > 1 else np.zeros_like(feats.x_v)
+            fused = cross_stage_fuse(feats.x_v, prev, model.fusion_stack)
+            folded_feats = model.build_features(grid, candidates, fold)
+            folded = fold.fuse(folded_feats.x_v)
+
+            np.testing.assert_allclose(fold.score(folded, folded_feats.x_g),
+                                       rrm.score(fused, feats.x_g), rtol=0, atol=1e-12)
+            assert (rank_pairs(folded, folded_feats.x_g, fold).tolist()
+                    == rank_pairs(fused, feats.x_g, rrm).tolist())
+            want = classify_relation(feats.x_s, feats.x_g, fused, last)
+            got = classify_relation(folded_feats.x_s, folded_feats.x_g, folded, fold)
+            for w, g in zip(want, got):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fuse_scores(got[2], got[1], got[0]),
+                                       fuse_scores(want[2], want[1], want[0]),
+                                       rtol=0, atol=1e-12)
+        assert rows > len(scenes)
+
+    def test_trained_model(self):
+        self.assert_fold_matches_factored(*trained_model(24))
+
+    @pytest.mark.parametrize("run", [{"stages": 1}, {"mode": "segment"}],
+                             ids=["one_stage", "segment"])
+    def test_other_model_kinds(self, run):
+        self.assert_fold_matches_factored(*trained_model(8, **run))
 
 
 def localization_scene(seed=0):
