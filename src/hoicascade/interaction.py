@@ -450,7 +450,13 @@ class CascadeModel:
                 meta = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: expected a JSON object")
         try:
+            for key in ("n_classes", "n_verbs", "channels", "grid_size"):
+                if type(meta[key]) is not int or meta[key] < 1:
+                    raise FormatError(f"{path}: field {key!r} must be an integer >= 1, "
+                                      f"got {meta[key]!r}")
             conf = meta["config"]  # per-stage tuples come back as JSON lists
             cfg = CascadeConfig(**{f.name: tuple(conf[f.name]) if isinstance(f.default, tuple)
                                    else conf[f.name] for f in fields(CascadeConfig)})
@@ -461,7 +467,14 @@ class CascadeModel:
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
         if "cooccurrence" in meta:
-            model.cooccurrence = CooccurrenceTable.from_json(json.dumps(meta["cooccurrence"]))
+            try:
+                model.cooccurrence = CooccurrenceTable.from_json(json.dumps(meta["cooccurrence"]))
+                shape = model.cooccurrence.counts.shape
+            except (KeyError, TypeError, ValueError):
+                shape = None
+            if shape != (model.n_classes, model.n_verbs):
+                raise FormatError(f"{path}: field 'cooccurrence' must be {model.n_classes} rows "
+                                  f"of {model.n_verbs} verb frequencies")
         model.store.load(os.path.join(directory, "params.json"),
                          os.path.join(directory, "params.bin"))
         return model

@@ -21,13 +21,26 @@ CHECKPOINT_VERSION = 1
 
 
 class Param:
-    """One trainable block: a value array and a same-shaped gradient buffer."""
+    """One trainable block: a value array and a same-shaped gradient buffer.
 
-    __slots__ = ("value", "grad")
+    The buffer is allocated at zero on first use, so a loaded model that
+    only infers holds none."""
+
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value):
         self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros(self.value.shape)
+        self._grad = None
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad):
+        self._grad = grad
 
 
 class ParamStore:
@@ -77,16 +90,27 @@ class ParamStore:
                 manifest = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from None
-        if manifest.get("magic") != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic in {manifest_path}")
+        if not isinstance(manifest, dict) or manifest.get("magic") != CHECKPOINT_MAGIC:
+            raise FormatError(f"{manifest_path}: bad checkpoint magic")
         if manifest.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {manifest.get('version')}")
+            raise FormatError(f"{manifest_path}: unsupported checkpoint version "
+                              f"{manifest.get('version')}")
         with open(blob_path, "rb") as fh:
             blob = fh.read()
         try:
             blocks = manifest["blocks"]
-            layout = {name: (tuple(info["shape"]), info["offset"])
-                      for name, info in blocks.items()}
+            if not isinstance(blocks, dict):
+                raise FormatError(f"{manifest_path}: field 'blocks' must be an object")
+            layout = {}
+            for name, info in blocks.items():
+                if not isinstance(info, dict):
+                    raise FormatError(f"{manifest_path}: field 'blocks' must hold an object "
+                                      f"per block, got {info!r} for {name!r}")
+                shape, offset = tuple(info["shape"]), info["offset"]
+                if type(offset) is not int or offset < 0:
+                    raise FormatError(f"{manifest_path}: field 'offset' must be a non-negative "
+                                      f"integer, got {offset!r} for block {name!r}")
+                layout[name] = (shape, offset)
         except KeyError as exc:
             raise FormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
         if set(blocks) != set(self._blocks):
@@ -103,16 +127,20 @@ class ParamStore:
                 raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
             # one widening copy, straight from the blob into the block
             p.value[...] = np.frombuffer(blob, "<f4", count=n, offset=offset).reshape(shape)
-            p.grad = np.zeros(shape)
+            p._grad = None
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """p <- p - lr * grad for every block, then zero the gradients."""
+    """p <- p - lr * grad for every block, then zero the gradients. A block
+    whose gradient was never used is skipped: p - lr * 0 is p, bit for bit."""
     for name, p in store.items():
-        if not np.all(np.isfinite(p.grad)):
+        grad = p._grad
+        if grad is None:
+            continue
+        if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in block {name!r}")
-        p.value -= lr * p.grad
-        p.grad[...] = 0.0
+        p.value -= lr * grad
+        grad[...] = 0.0
 
 
 def init_uniform(rng, shape, fan_in, fan_out):
@@ -225,9 +253,14 @@ class FCStack:
 class Conv2D:
     """Same-padded 2-D convolution (odd kernel) over (B, C, H, W).
 
-    One im2col product over a strided window view; backward scatters the
+    Forward fills the C-contiguous (B*H*W, C*k*k) im2col matrix from k*k
+    contiguous slab copies of the channel-major padded input, CHUNK_MAPS
+    maps at a time, each chunk transposed into place, and returns the
+    channel-major product W @ cols.T as an NCHW view. Backward scatters the
     column gradient with k*k shifted adds over all channels at once.
     """
+
+    CHUNK_MAPS = 8  # bounds the slab scratch next to the column matrix
 
     def __init__(self, in_channels, out_channels, kernel_size, rng):
         if kernel_size % 2 != 1:
@@ -253,21 +286,32 @@ class Conv2D:
             x = x.astype(np.float64, copy=False)
         if x.ndim != 4 or x.shape[1] != self.cin:
             raise ShapeError(f"Conv2D expects (B, {self.cin}, H, W), got {x.shape}")
+        self._cols = None  # the previous call's columns go before the next are built
         b, _, h, w = x.shape
-        pad = self.k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
-        flat = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, -1)
+        k, pad, hw = self.k, self.k // 2, h * w
+        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        cols = np.empty((b * hw, self.cin * k * k), dtype=x.dtype)
+        # column order (c, di, dj): slab[c, di, dj, n] is map n shifted by (di, dj)
+        slab = np.empty((self.cin, k, k, min(b, self.CHUNK_MAPS), h, w), dtype=x.dtype)
+        for start in range(0, b, self.CHUNK_MAPS):
+            n = min(self.CHUNK_MAPS, b - start)
+            for di in range(k):
+                for dj in range(k):
+                    slab[:, di, dj, :n] = xp[:, start:start + n, di:di + h, dj:dj + w]
+            cols[start * hw:(start + n) * hw] = slab[:, :, :, :n].reshape(-1, n * hw).T
         wmat = self.w.value.reshape(self.cout, -1).astype(x.dtype, copy=False)
-        y = (flat @ wmat.T + self.b.value.astype(x.dtype, copy=False)).reshape(b, h, w, self.cout)
-        self._cols = flat
+        y = wmat @ cols.T
+        y += self.b.value.astype(x.dtype, copy=False)[:, None]
+        self._cols = cols
         self._xshape = x.shape
-        self._dtype = x.dtype
-        return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        return y.reshape(self.cout, b, h, w).transpose(1, 0, 2, 3)
 
     def backward(self, dy, input_grad=True):
         """Accumulate dW and db; return dx unless input_grad is False."""
-        dy = np.asarray(dy).astype(self._dtype, copy=False)
+        if self._cols is None:
+            raise RuntimeError("backward called before forward")
+        dtype = self._cols.dtype
+        dy = np.asarray(dy).astype(dtype, copy=False)
         b, _, h, w = self._xshape
         k, pad = self.k, self.k // 2
         dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, self.cout)
@@ -275,10 +319,10 @@ class Conv2D:
         self.b.grad += dmat.sum(axis=0)
         if not input_grad:
             return
-        wmat = self.w.value.reshape(self.cout, -1).astype(self._dtype, copy=False)
+        wmat = self.w.value.reshape(self.cout, -1).astype(dtype, copy=False)
         # channels last; each element sums its k*k offsets in (di, dj) order
         dcols = (dmat @ wmat).reshape(b, h, w, self.cin, k * k)
-        dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, self.cin), dtype=self._dtype)
+        dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, self.cin), dtype=dtype)
         for di in range(k):
             for dj in range(k):
                 dxp[:, di:di + h, dj:dj + w, :] += dcols[..., di * k + dj]
@@ -313,6 +357,8 @@ class MaxPool2x2:
         return m
 
     def backward(self, dy):
+        if self._masks is None:
+            raise RuntimeError("backward called before forward")
         dx = np.zeros(self._xshape, dtype=np.asarray(dy).dtype)
         for (i, j), mask in zip(self.OFFSETS, self._masks):
             dx[:, :, i::2, j::2] = np.where(mask, dy, 0)

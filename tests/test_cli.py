@@ -149,6 +149,16 @@ class TestSegmentMode:
         assert "stage1.seg" in capsys.readouterr().err
 
 
+def edit_first_block(text, block=None, **fields):
+    """params.json text with its first block replaced by `block`, or with
+    `fields` set in it."""
+    manifest = json.loads(text)
+    first = min(manifest["blocks"])
+    manifest["blocks"][first] = block if block is not None else {**manifest["blocks"][first],
+                                                                 **fields}
+    return json.dumps(manifest)
+
+
 class TestErrorPaths:
     def test_usage_error_exit_1(self):
         assert main(["definitely-not-a-command"]) == 1
@@ -254,6 +264,27 @@ class TestErrorPaths:
             {k: v for k, v in json.loads(text).items() if k != "blocks"}), "missing key 'blocks'"),
         ("params.json", lambda text: text.replace('"shape"', '"dims"'), "missing key 'shape'"),
         ("params.json", lambda text: text.replace('"offset"', '"start"'), "missing key 'offset'"),
+        ("params.json", lambda text: "[]", "bad checkpoint magic"),
+        ("params.json", lambda text: edit_first_block(text, offset=-4),
+         "field 'offset' must be a non-negative integer, got -4"),
+        ("params.json", lambda text: edit_first_block(text, offset="8"),
+         "field 'offset' must be a non-negative integer, got '8'"),
+        ("params.json", lambda text: edit_first_block(text, offset=8.0),
+         "field 'offset' must be a non-negative integer, got 8.0"),
+        ("params.json", lambda text: json.dumps(
+            {**json.loads(text), "blocks": list(json.loads(text)["blocks"].values())}),
+         "field 'blocks' must be an object"),
+        ("params.json", lambda text: edit_first_block(text, block=5),
+         "field 'blocks' must hold an object per block, got 5"),
+        ("model.json", lambda text: "[]", "expected a JSON object"),
+        ("model.json", lambda text: json.dumps({**json.loads(text), "channels": "13"}),
+         "field 'channels' must be an integer >= 1, got '13'"),
+        ("model.json", lambda text: json.dumps({**json.loads(text), "grid_size": 0}),
+         "field 'grid_size' must be an integer >= 1, got 0"),
+        ("model.json", lambda text: json.dumps(
+            {**json.loads(text), "cooccurrence": {k: v[:-1] for k, v in
+                                                  json.loads(text)["cooccurrence"].items()}}),
+         "field 'cooccurrence' must be"),
     ])
     def test_corrupt_checkpoint_exit_2(self, pipeline, tmp_path, capsys, name, corrupt, message):
         model = tmp_path / "model"

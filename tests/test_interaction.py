@@ -583,6 +583,14 @@ class TestModelPersistence:
         for name, p in loaded.store.items():
             np.testing.assert_allclose(p.value, model.store[name].value, rtol=1e-6, atol=1e-7)
 
+    def test_loaded_model_holds_no_gradient_buffers(self, tmp_path):
+        model = tiny_model(seed=15)
+        grid, seeds = crowded_scene(model, seed=5)
+        model.save(tmp_path / "model")
+        loaded = CascadeModel.load(tmp_path / "model")
+        infer_image(grid, seeds, loaded)
+        assert [name for name, p in loaded.store.items() if p._grad is not None] == []
+
     def test_checkpoint_carries_grid_geometry_and_hinge_margin(self, tmp_path):
         tiny_model(grid_size=16, config=CascadeConfig(hinge_margin=0.5)).save(tmp_path / "m")
         loaded = CascadeModel.load(tmp_path / "m")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,16 +218,16 @@ class TestEncoderKernelsMatchLoops:
 
     @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
     @pytest.mark.parametrize("cin, cout, k", [(2, 8, 3), (8, 8, 3), (3, 2, 5), (2, 4, 1)])
-    def test_conv_forward_and_backward(self, kind, cin, cout, k):
+    def test_conv_forward_and_backward(self, kind, cin, cout, k, batch=3):
         rng = np.random.default_rng([cin, cout, k])
         conv = Conv2D(cin, cout, k, rng)
         if kind == "pair_maps" and cin == 2:
-            x = binary_pair_maps(rng, 3)
+            x = binary_pair_maps(rng, batch)
         elif kind == "pair_maps":
             # conv2's input: pooled float32 activations of the pair maps
-            x = rng.normal(size=(3, cin, 32, 32)).astype(np.float32)
+            x = rng.normal(size=(batch, cin, 32, 32)).astype(np.float32)
         else:
-            x = rng.normal(size=(3, cin, 12, 10))
+            x = rng.normal(size=(batch, cin, 12, 10))
         y = conv.forward(x)
         y_ref, cols_ref = conv_loop_forward(conv, x)
         assert y.dtype == y_ref.dtype
@@ -238,6 +240,69 @@ class TestEncoderKernelsMatchLoops:
         assert conv.b.grad.tobytes() == db.tobytes()
         assert dx.dtype == dx_ref.dtype
         assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(dx_ref).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
+    @pytest.mark.parametrize("cin, cout, k", [(2, 8, 3), (8, 8, 3), (3, 2, 5), (2, 4, 1)])
+    def test_conv_forward_and_backward_small_batches(self, kind, cin, cout, k, batch):
+        self.test_conv_forward_and_backward(kind, cin, cout, k, batch)
+
+    def test_encoder_chain_matches_composed_loops(self):
+        """conv1 -> pool1 -> conv2 -> pool2 -> fc on binary pair maps, forward
+        and backward, against the loop references composed by hand."""
+        rng = np.random.default_rng(43)
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
+        x = binary_pair_maps(rng, 4)
+        y1, cols1 = conv_loop_forward(enc.conv1, x)
+        p1, _ = maxpool_argmax_reference(y1, np.zeros_like(y1[:, :, ::2, ::2]))
+        y2, cols2 = conv_loop_forward(enc.conv2, p1)
+        p2, _ = maxpool_argmax_reference(y2, np.zeros_like(y2[:, :, ::2, ::2]))
+        flat = p2.reshape(4, -1).astype(np.float64)
+        out = flat @ enc.fc.w.value.T + enc.fc.b.value
+        assert enc.forward(x).tobytes() == out.tobytes()
+
+        dy = rng.normal(size=out.shape)
+        enc.backward(dy)
+        fc_dw = np.zeros_like(enc.fc.w.value) + dy.T @ flat
+        fc_db = np.zeros_like(enc.fc.b.value) + dy.sum(axis=0)
+        _, dp2 = maxpool_argmax_reference(y2, (dy @ enc.fc.w.value).reshape(p2.shape))
+        dw2, db2, dx2 = conv_loop_backward(enc.conv2, cols2, p1.shape, dp2)
+        _, dp1 = maxpool_argmax_reference(y1, dx2)
+        dw1, db1, _ = conv_loop_backward(enc.conv1, cols1, x.shape, dp1)
+        for param, ref in [(enc.fc.w, fc_dw), (enc.fc.b, fc_db), (enc.conv2.w, dw2),
+                           (enc.conv2.b, db2), (enc.conv1.w, dw1), (enc.conv1.b, db1)]:
+            assert param.grad.tobytes() == ref.tobytes()
+
+    # pair-map columns (18.9 MB) + output (8.4 MB) + padded input (2.2 MB)
+    # + one chunk's slabs (2.4 MB) is 31.9 MB; 36 MB leaves 4 MB of margin.
+    # A full-batch slab copy (+18.9 MB) or the previous call's columns still
+    # held (+18.9 MB) cannot fit.
+    CONV_PEAK_BOUND = 36e6
+
+    @pytest.mark.parametrize("chunk_maps, fits", [(Conv2D.CHUNK_MAPS, True), (64, False)])
+    def test_conv_forward_peak_memory(self, monkeypatch, chunk_maps, fits):
+        monkeypatch.setattr(Conv2D, "CHUNK_MAPS", chunk_maps)
+        rng = np.random.default_rng(47)
+        conv = Conv2D(2, 8, 3, rng)
+        x = binary_pair_maps(rng, 64)
+        tracemalloc.start()
+        try:
+            conv.forward(x)  # its columns stay held, as before a backward
+            tracemalloc.reset_peak()
+            conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak <= self.CONV_PEAK_BOUND) == fits, peak
+
+    @pytest.mark.parametrize("layer, dy", [
+        (Conv2D(2, 4, 3, None), np.zeros((1, 4, 4, 4))),
+        (MaxPool2x2(), np.zeros((1, 2, 2, 2))),
+        (FCLayer(3, 2), np.zeros(2)),
+    ])
+    def test_backward_before_forward(self, layer, dy):
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(dy)
 
     def test_conv_without_input_grad_accumulates_the_same_weights(self):
         rng = np.random.default_rng(17)
@@ -407,6 +472,22 @@ class TestSgdStep:
             solo[n].grad[...] = grads[n]
             sgd_step(solo, 0.05)
             np.testing.assert_array_equal(joint[n].value, solo[n].value)
+
+    def test_block_without_gradient_is_skipped(self):
+        store = ParamStore()
+        idle = store.add("idle", Param(np.array([-0.0, 1.5])))
+        used = store.add("used", Param(np.array([1.0])))
+        used.grad += 2.0
+        sgd_step(store, 0.1)
+        assert idle.value.tobytes() == np.array([-0.0, 1.5]).tobytes()
+        assert idle._grad is None
+        np.testing.assert_allclose(used.value, [0.8])
+
+    def test_param_copies_its_value(self):
+        value = np.array([1.0, 2.0])
+        p = Param(value)
+        value[0] = 7.0
+        assert p.value.tolist() == [1.0, 2.0]
 
     def test_nan_gradient_names_block(self):
         store = ParamStore()
