@@ -53,9 +53,11 @@ class CascadeConfig:
 
     def __post_init__(self):
         t = self.stages
+        if type(t) is not int or t < 1:
+            raise DataError(f"stage count must be an integer >= 1, got {t!r}")
         if not (len(self.iou_thresholds) == len(self.beta) == len(self.gamma)
                 == len(self.seg_weights) == t):
-            raise DataError("per-stage schedules must all have length T")
+            raise DataError(f"per-stage schedules must all have length T = stages = {t}")
         if any(b >= a for a, b in zip(self.iou_thresholds[1:], self.iou_thresholds)):
             raise DataError("IoU thresholds must be strictly increasing")
         if not 0.0 <= self.merge_threshold <= 1.0:

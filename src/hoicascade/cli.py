@@ -41,8 +41,8 @@ COMMAND_KEYS = {
     "synth": ("seed", "train_scenes", "test_scenes", "image_size", "entities_min",
               "entities_max", "jitter", "occlusion_rate", "noise_sigma", "grid_size",
               "channels"),
-    "train": ("seed", "mode", "representation", "stages", "merge_threshold",
-              "hinge_margin", "learning_rate", "phase1_epochs", "phase2_epochs"),
+    "train": ("seed", "mode", "stages", "merge_threshold", "hinge_margin",
+              "learning_rate", "phase1_epochs", "phase2_epochs"),
     "infer": ("top_k",),
     "eval": (),
 }
@@ -116,9 +116,10 @@ def cmd_train(args):
     model = train_model(scenes, spec, config, meta["channels"], meta["grid_size"], log=log)
     elapsed = time.perf_counter() - started
     model.save(args.out)
+    losses = ", ".join(f"{name} loss {epochs[-1]:.4f}" if epochs else f"{name} did not run"
+                       for name, epochs in (("phase1", log.phase1), ("phase2", log.phase2)))
     print(f"trained {config.stages}-stage model on {len(scenes)} scenes "
-          f"in {elapsed:.1f}s (phase1 loss {log.phase1[-1]:.4f}, "
-          f"phase2 loss {log.phase2[-1]:.4f}); saved to {args.out}")
+          f"in {elapsed:.1f}s ({losses}); saved to {args.out}")
     return EXIT_OK
 
 

@@ -79,13 +79,11 @@ def semantic_prior(object_class, table: CooccurrenceTable):
     return np.full(table.n_verbs, 1.0 / table.n_verbs)
 
 
-def geometric_feature(pair_map, encoder):
-    """256-d descriptor of the two-channel pair map, in the map's own
-    dtype (float32 from `CascadeModel.build_pair_map`, as in training)."""
-    pair_map = np.asarray(pair_map)
-    if pair_map.ndim == 3 and pair_map.shape[0] != 2:
-        raise ShapeError(f"pair map must have 2 channels, got {pair_map.shape}")
-    return encoder.forward(pair_map)
+def geometric_feature(pair_maps, encoder):
+    """(B, 256) descriptors of B two-channel pair maps (B, 2, 64, 64), in
+    the maps' own dtype (float32 from `CascadeModel.build_pair_map`, as in
+    training)."""
+    return encoder.forward(pair_maps)
 
 
 def face_region(human_box: Box) -> Box:
@@ -127,37 +125,34 @@ def build_efra_stack(channels, pooled_hw, rng, hidden=256):
 
 
 def efra_attend(face_feat, noface_feat, obj_feat, face_stack, noface_stack):
-    """Attention scores (alpha, alpha_bar) in (0, 1) for the facial and
-    face-removed human features against the object feature.
+    """Attention scores (alpha, alpha_bar), each (B,) in (0, 1), for the
+    facial and face-removed human features against the object feature.
 
-    Accepts single grids (C, H, W) or batches (B, C, H, W); the stacks
-    cache this forward, so call the matching backward before reusing them.
+    Takes batches (B, C, H, W); the stacks cache this forward, so call the
+    matching backward before reusing them.
     """
     face_feat = np.asarray(face_feat, dtype=np.float64)
     noface_feat = np.asarray(noface_feat, dtype=np.float64)
     obj_feat = np.asarray(obj_feat, dtype=np.float64)
     if not (face_feat.shape == noface_feat.shape == obj_feat.shape):
         raise ShapeError("EFRA features must share one shape")
-    squeeze = face_feat.ndim == 3
-    if squeeze:
-        face_feat, noface_feat, obj_feat = (a[None] for a in (face_feat, noface_feat, obj_feat))
+    if face_feat.ndim != 4:
+        raise ShapeError(f"EFRA expects (B, C, H, W) features, got {face_feat.shape}")
     b = face_feat.shape[0]
     fo = np.concatenate([face_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
     no = np.concatenate([noface_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
     alpha = face_stack.forward(fo)[:, 0]
     alpha_bar = noface_stack.forward(no)[:, 0]
-    if squeeze:
-        return float(alpha[0]), float(alpha_bar[0])
     return alpha, alpha_bar
 
 
 def efra_attend_backward(d_alpha, d_alpha_bar, face_stack, noface_stack, feat_shape):
-    """Backpropagate score gradients through both stacks.
+    """Backpropagate (B,) score gradients through both stacks.
 
-    Returns (d_face, d_noface, d_obj) matching the forward feature shapes.
+    Returns (d_face, d_noface, d_obj), each (B, *feat_shape).
     """
-    d_alpha = np.atleast_1d(np.asarray(d_alpha, dtype=np.float64))
-    d_alpha_bar = np.atleast_1d(np.asarray(d_alpha_bar, dtype=np.float64))
+    d_alpha = np.asarray(d_alpha, dtype=np.float64)
+    d_alpha_bar = np.asarray(d_alpha_bar, dtype=np.float64)
     b = d_alpha.shape[0]
     flat = int(np.prod(feat_shape))
     d_fo = face_stack.backward(d_alpha[:, None])
@@ -203,15 +198,14 @@ def cross_stage_fuse(x_v, x_v_prev, stack):
     With the fusion stack the result is the fused 1024-d vector. Inference
     passes the folded relation map of `interaction.RelationFold` instead and
     gets, per pair, the ranker's fused-half logit and the visual verb
-    logits. Stage 1 passes a zero tensor as predecessor. Accepts single
-    tensors or batches whose leading axis is the batch.
+    logits. Stage 1 passes a zero tensor as predecessor. Takes batches,
+    (B, D) rows or (B, 3C, H, W) tensors, one row of output per pair.
     """
     x_v = np.asarray(x_v, dtype=np.float64)
     x_v_prev = np.asarray(x_v_prev, dtype=np.float64)
     if x_v.shape != x_v_prev.shape:
         raise ShapeError(f"stage tensors differ: {x_v.shape} vs {x_v_prev.shape}")
-    squeeze = x_v.ndim in (1, 3)  # single vector or single (3C, H, W) tensor
+    if x_v.ndim not in (2, 4):
+        raise ShapeError(f"cross-stage fusion expects (B, D) or (B, 3C, H, W), got {x_v.shape}")
     total = x_v + x_v_prev
-    flat = total.reshape(1, -1) if squeeze else total.reshape(total.shape[0], -1)
-    fused = stack.forward(flat)
-    return fused[0] if squeeze else fused
+    return stack.forward(total.reshape(total.shape[0], -1))

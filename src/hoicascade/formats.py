@@ -315,7 +315,6 @@ class RunConfig:
     there and the checkpoint carries them to inference."""
 
     mode: str = "detect"              # detect | segment
-    representation: str = "box"       # box | mask feature pooling
     stages: int = 3
     merge_threshold: float = 0.3
     top_k: int = 64
@@ -338,10 +337,6 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("detect", "segment"):
             raise DataError(f"unknown mode {self.mode!r}")
-        if self.representation not in ("box", "mask"):
-            raise DataError(f"unknown representation {self.representation!r}")
-        if self.mode == "detect" and self.representation == "mask":
-            raise DataError("mask representation requires segment mode")
         for key in ("stages", "top_k", "grid_size"):
             if getattr(self, key) < 1:
                 raise DataError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")

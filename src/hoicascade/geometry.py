@@ -185,73 +185,21 @@ def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
     return top * (1 - wr) + bot * wr
 
 
-def downsample_mask(mask: BitMask, grid: FeatureGrid) -> np.ndarray:
-    """Mask at feature resolution: a cell is inside iff the mask covers
-    at least 50% of the image pixels whose centers fall in its footprint."""
-    gh, gw = grid.grid_height, grid.grid_width
-    if mask.height < gh or mask.width < gw:
-        raise ShapeError("mask resolution below grid resolution")
-    if (mask.height, mask.width) != (grid.image_height, grid.image_width):
-        raise ShapeError("mask extent must match the grid's image extent")
-    sy = mask.height / gh
-    sx = mask.width / gw
-    integral = np.zeros((mask.height + 1, mask.width + 1), dtype=np.int64)
-    integral[1:, 1:] = np.cumsum(np.cumsum(mask.bits, axis=0), axis=1)
-    edges_r = np.ceil(np.arange(gh + 1) * sy - 0.5).astype(int).clip(0, mask.height)
-    edges_c = np.ceil(np.arange(gw + 1) * sx - 0.5).astype(int).clip(0, mask.width)
-    out = np.zeros((gh, gw), dtype=bool)
-    for r in range(gh):
-        r0, r1 = edges_r[r], edges_r[r + 1]
-        for c in range(gw):
-            c0, c1 = edges_c[c], edges_c[c + 1]
-            total = (r1 - r0) * (c1 - c0)
-            if total <= 0:
-                continue
-            inside = (integral[r1, c1] - integral[r0, c1]
-                      - integral[r1, c0] + integral[r0, c0])
-            out[r, c] = 2 * inside >= total
-    return out
-
-
-def mask_roi_align(grid: FeatureGrid, mask: BitMask, out=(7, 7)) -> np.ndarray:
-    """Zero grid values outside the downsampled mask, then pool the
-    mask's bounding box."""
-    if not mask.any():
-        raise DataError("instance mask is empty")
-    cell_mask = downsample_mask(mask, grid)
-    if not cell_mask.any():
-        raise DataError("mask vanished at feature resolution")
-    return roi_align(grid, [mask.bbox()], out, keep=cell_mask[None])[0]
-
-
 PAIR_MAP_SIZE = 64
 
 
-def spatial_pair_encoding(h_box: Box, o_box: Box, mode="box",
-                          h_mask: BitMask | None = None,
-                          o_mask: BitMask | None = None) -> np.ndarray:
+def spatial_pair_encoding(h_box: Box, o_box: Box) -> np.ndarray:
     """(2, 64, 64) occupancy tensor in the union-box frame of the pair.
 
-    Channel 0 holds the human, channel 1 the object. In box mode a cell is
-    set iff its center lies in the entity's box; in mask mode the entity's
-    bitmask is sampled at the cell center.
+    Channel 0 holds the human, channel 1 the object; a cell is set iff its
+    center lies in the entity's box.
     """
-    if mode not in ("box", "mask"):
-        raise ValueError(f"unknown pair-encoding mode {mode!r}")
-    if mode == "mask" and (h_mask is None or o_mask is None):
-        raise DataError("mask-mode pair encoding requires both masks")
     frame = union_box(h_box, o_box)
     n = PAIR_MAP_SIZE
     cx = frame.x1 + (np.arange(n) + 0.5) * frame.width / n
     cy = frame.y1 + (np.arange(n) + 0.5) * frame.height / n
     out = np.zeros((2, n, n), dtype=np.float64)
-    for ch, (box, mask) in enumerate(((h_box, h_mask), (o_box, o_mask))):
-        if mode == "box":
-            occ = (((cx >= box.x1) & (cx < box.x2))[None, :]
+    for ch, box in enumerate((h_box, o_box)):
+        out[ch] = (((cx >= box.x1) & (cx < box.x2))[None, :]
                    & ((cy >= box.y1) & (cy < box.y2))[:, None])
-        else:
-            px = np.clip(np.floor(cx).astype(int), 0, mask.width - 1)
-            py = np.clip(np.floor(cy).astype(int), 0, mask.height - 1)
-            occ = mask.bits[np.ix_(py, px)]
-        out[ch] = occ.astype(np.float64)
     return out

@@ -37,8 +37,8 @@ def check_fc(points=10, tol=1e-4):
     for point in range(points):
         rng = np.random.default_rng([11, point])
         fc = FCLayer(6, 4, "sigmoid" if point % 2 else "none", rng)
-        x = rng.normal(size=6)
-        w = rng.normal(size=4)
+        x = rng.normal(size=(1, 6))
+        w = rng.normal(size=(1, 4))
 
         def run():
             y = fc.forward(x)
@@ -54,8 +54,8 @@ def check_conv_pool(points=10, tol=1e-4):
     for point in range(points):
         rng = np.random.default_rng([13, point])
         enc = ConvPoolEncoder(2, (8, 8), channels=(3, 3), rng=rng)
-        x = rng.normal(size=(2, 8, 8))
-        w = rng.normal(size=256)
+        x = rng.normal(size=(1, 2, 8, 8))
+        w = rng.normal(size=(1, 256))
 
         def run():
             y = enc.forward(x)
@@ -73,13 +73,13 @@ def check_efra(points=10, tol=1e-4):
         rng = np.random.default_rng([23, point])
         face_stack = build_efra_stack(2, (2, 2), rng, hidden=6)
         noface_stack = build_efra_stack(2, (2, 2), rng, hidden=6)
-        f, fb, o = (rng.normal(size=(2, 2, 2)) for _ in range(3))
+        f, fb, o = (rng.normal(size=(1, 2, 2, 2)) for _ in range(3))
         blocks = dict(face_stack.params("face") + noface_stack.params("noface"))
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(1.0, 0.5, face_stack, noface_stack, (2, 2, 2))
-            return alpha + 0.5 * alpha_bar
+            efra_attend_backward(np.ones(1), np.full(1, 0.5), face_stack, noface_stack, (2, 2, 2))
+            return float(alpha[0] + 0.5 * alpha_bar[0])
 
         _merge(report, finite_diff_check(run, blocks, tol=tol, max_entries=6), point)
     return report
@@ -90,13 +90,13 @@ def check_rrm(points=10, tol=1e-4):
     for point in range(points):
         rng = np.random.default_rng([29, point])
         head = RRMHead(rng)
-        fused = rng.normal(size=1024)
-        geo = rng.normal(size=256)
+        fused = rng.normal(size=(1, 1024))
+        geo = rng.normal(size=(1, 256))
 
         def run():
             g = head.score(fused, geo)
-            head.fc.backward(np.array([1.0]))
-            return float(g)
+            head.fc.backward(np.ones((1, 1)))
+            return float(g[0])
 
         _merge(report, finite_diff_check(run, dict(head.params("rrm")), tol=tol,
                                          max_entries=6), point)
@@ -108,10 +108,10 @@ def check_rcm(points=10, tol=1e-4):
     for point in range(points):
         rng = np.random.default_rng([31, point])
         heads = RCMHeads(4, rng)
-        x_s = rng.uniform(size=4)
-        x_g = rng.normal(size=256)
-        fused = rng.normal(size=1024)
-        w = rng.normal(size=4)
+        x_s = rng.uniform(size=(1, 4))
+        x_g = rng.normal(size=(1, 256))
+        fused = rng.normal(size=(1, 1024))
+        w = rng.normal(size=(1, 4))
 
         def run():
             s_s = heads.semantic.forward(x_s)

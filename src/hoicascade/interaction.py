@@ -43,7 +43,6 @@ from .geometry import (
     Box,
     FeatureGrid,
     box_iou,
-    mask_roi_align,
     roi_align,
     spatial_pair_encoding,
     union_box,
@@ -291,10 +290,7 @@ class CascadeModel:
     the seed, for `load` to fill from a checkpoint."""
 
     def __init__(self, n_classes, n_verbs, channels, config=None, seed=0,
-                 person_class=PERSON_CLASS, segment=False, representation="box",
-                 grid_size=32, init=True):
-        if representation not in ("box", "mask"):
-            raise DataError(f"unknown representation {representation!r}")
+                 person_class=PERSON_CLASS, segment=False, grid_size=32, init=True):
         self.n_classes = n_classes
         self.n_verbs = n_verbs
         self.channels = channels
@@ -302,7 +298,6 @@ class CascadeModel:
         self.config = config or CascadeConfig()
         self.person_class = person_class
         self.segment = segment
-        self.representation = representation
         self.seed = seed
         self.cooccurrence = None
 
@@ -346,34 +341,12 @@ class CascadeModel:
         cy = (np.arange(grid.grid_height)[:, None] + 0.5) / grid.scale_y
         return ~((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))
 
-    def pool_entities(self, grid: FeatureGrid, instances):
-        """(n, C, 7, 7): one batched RoIAlign over the boxes, or in mask
-        representation one masked RoIAlign per instance."""
-        if self.representation == "mask":
-            if any(inst.mask is None for inst in instances):
-                raise DataError("mask representation requires instance masks")
-            return np.stack([mask_roi_align(grid, inst.mask, POOLED_HW) for inst in instances])
-        return roi_align(grid, [inst.box for inst in instances], POOLED_HW)
-
-    def pool_unions(self, grid: FeatureGrid, candidates):
-        if self.representation == "mask":
-            if any(c.human.mask is None or c.object.mask is None for c in candidates):
-                raise DataError("mask representation requires instance masks")
-            return np.stack([mask_roi_align(grid, BitMask(c.human.mask.bits | c.object.mask.bits),
-                                            POOLED_HW) for c in candidates])
-        return roi_align(grid, [union_box(c.human.box, c.object.box) for c in candidates],
-                         POOLED_HW)
-
-    def build_pair_map(self, human: Instance, obj: Instance):
+    @staticmethod
+    def build_pair_map(human: Instance, obj: Instance):
         # the one dtype of pair maps on both paths, so the conv encoder that
         # is deployed is the one that was trained; the maps are binary, and
         # float32 keeps the encoder's column buffers light
-        if self.representation == "mask":
-            pm = spatial_pair_encoding(human.box, obj.box, mode="mask",
-                                       h_mask=human.mask, o_mask=obj.mask)
-        else:
-            pm = spatial_pair_encoding(human.box, obj.box, mode="box")
-        return pm.astype(np.float32)
+        return spatial_pair_encoding(human.box, obj.box).astype(np.float32)
 
     def pool_pairs(self, grid: FeatureGrid, candidates) -> PooledPairs:
         """Everything of P candidate pairs that precedes the trained layers,
@@ -385,8 +358,8 @@ class CascadeModel:
         humans = list({id(c.human): c.human for c in candidates}.values())
         slot = {id(h): i for i, h in enumerate(humans)}
         rows = [slot[id(c.human)] for c in candidates]
-        h_bar = np.stack([ihsm_enhance(h)[0] for h in self.pool_entities(grid, humans)])
         boxes = [h.box for h in humans]
+        h_bar = np.stack([ihsm_enhance(h)[0] for h in roi_align(grid, boxes, POOLED_HW)])
         face = roi_align(grid, [face_region(b) for b in boxes], POOLED_HW)
         noface = roi_align(grid, boxes, POOLED_HW, keep=self.noface_cells(grid, boxes))
         return PooledPairs(
@@ -394,8 +367,9 @@ class CascadeModel:
                           for c in candidates]),
             pair_maps=np.stack([self.build_pair_map(c.human, c.object) for c in candidates]),
             h_bar=h_bar[rows], face=face[rows], noface=noface[rows],
-            obj=self.pool_entities(grid, [c.object for c in candidates]),
-            union=self.pool_unions(grid, candidates))
+            obj=roi_align(grid, [c.object.box for c in candidates], POOLED_HW),
+            union=roi_align(grid, [union_box(c.human.box, c.object.box) for c in candidates],
+                            POOLED_HW))
 
     def visual_tensor(self, pooled: PooledPairs, stacks=None):
         """(P, 3C, 7, 7) visual tensors: the IHSM human stream, the object
@@ -430,7 +404,6 @@ class CascadeModel:
             "grid_size": self.grid_size,
             "person_class": self.person_class,
             "segment": self.segment,
-            "representation": self.representation,
             "seed": self.seed,
             "config": asdict(self.config),
         }
@@ -457,12 +430,29 @@ class CascadeModel:
                 if type(meta[key]) is not int or meta[key] < 1:
                     raise FormatError(f"{path}: field {key!r} must be an integer >= 1, "
                                       f"got {meta[key]!r}")
-            conf = meta["config"]  # per-stage tuples come back as JSON lists
-            cfg = CascadeConfig(**{f.name: tuple(conf[f.name]) if isinstance(f.default, tuple)
-                                   else conf[f.name] for f in fields(CascadeConfig)})
+            person = meta["person_class"]
+            if type(person) is not int or not 0 <= person < meta["n_classes"]:
+                raise FormatError(f"{path}: field 'person_class' must be a class index in "
+                                  f"[0, {meta['n_classes']}), got {person!r}")
+            # relation features are box-pooled; older checkpoints say so
+            if meta.get("representation", "box") != "box":
+                raise FormatError(f"{path}: field 'representation' must be 'box' or absent, "
+                                  f"got {meta['representation']!r}")
+            conf = meta["config"]
+            if not isinstance(conf, dict):
+                raise FormatError(f"{path}: field 'config' must be an object")
+            values = {f.name: conf[f.name] for f in fields(CascadeConfig)}
+            for name in (f.name for f in fields(CascadeConfig) if isinstance(f.default, tuple)):
+                if not isinstance(values[name], list):  # per-stage tuples are JSON lists
+                    raise FormatError(f"{path}: field 'config.{name}' must be a list, "
+                                      f"got {values[name]!r}")
+                values[name] = tuple(values[name])
+            try:
+                cfg = CascadeConfig(**values)
+            except (DataError, TypeError) as exc:
+                raise FormatError(f"{path}: field 'config': {exc}") from None
             model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
-                        seed=meta["seed"], person_class=meta["person_class"],
-                        segment=meta["segment"], representation=meta["representation"],
+                        seed=meta["seed"], person_class=person, segment=meta["segment"],
                         grid_size=meta["grid_size"], init=False)
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None

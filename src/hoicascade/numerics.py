@@ -165,8 +165,8 @@ def sigmoid(z):
 class FCLayer:
     """Fully connected layer y = act(Wx + b), activation in {none, sigmoid}.
 
-    Accepts a single vector (in_dim,) or a batch (B, in_dim). Without a
-    generator the weights start at zero (`init_uniform`).
+    Takes batches (B, in_dim) only; a single input is a batch of one.
+    Without a generator the weights start at zero (`init_uniform`).
     """
 
     def __init__(self, in_dim, out_dim, activation="none", rng=None):
@@ -185,30 +185,25 @@ class FCLayer:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"FCLayer expects (*, {self.in_dim}), got {x.shape}")
+            raise ShapeError(f"FCLayer expects (B, {self.in_dim}), got {x.shape}")
         z = x @ self.w.value.T + self.b.value
         y = sigmoid(z) if self.activation == "sigmoid" else z
         self._x = x
         self._y = y
-        return y[0] if squeeze else y
+        return y
 
     def backward(self, dy):
         dy = np.asarray(dy, dtype=np.float64)
-        squeeze = dy.ndim == 1
-        if squeeze:
-            dy = dy[None, :]
         if self._x is None:
             raise RuntimeError("backward called before forward")
+        if dy.shape != self._y.shape:
+            raise ShapeError(f"FCLayer backward expects {self._y.shape}, got {dy.shape}")
         if self.activation == "sigmoid":
             dy = dy * self._y * (1.0 - self._y)
         self.w.grad += dy.T @ self._x
         self.b.grad += dy.sum(axis=0)
-        dx = dy @ self.w.value
-        return dx[0] if squeeze else dx
+        return dy @ self.w.value
 
 
 class FCStack:
@@ -394,22 +389,17 @@ class ConvPoolEncoder:
 
     def forward(self, x):
         x = np.asarray(x)
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         if x.shape[1:] != (self.in_channels, *self.in_hw):
-            raise ShapeError(f"encoder expects (*, {self.in_channels}, {self.in_hw[0]}, "
+            raise ShapeError(f"encoder expects (B, {self.in_channels}, {self.in_hw[0]}, "
                              f"{self.in_hw[1]}), got {x.shape}")
         h = self.pool1.forward(self.conv1.forward(x))
         h = self.pool2.forward(self.conv2.forward(h))
         self._pooled_shape = h.shape
-        y = self.fc.forward(h.reshape(h.shape[0], -1))
-        return y[0] if squeeze else y
+        return self.fc.forward(h.reshape(h.shape[0], -1))
 
     def backward(self, dy):
         """Accumulate the gradients of every block. The input is data, so
         no input gradient is computed or returned."""
-        dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
         dh = self.fc.backward(dy).reshape(self._pooled_shape)
         dh = self.conv2.backward(self.pool2.backward(dh))
         self.conv1.backward(self.pool1.backward(dh), input_grad=False)

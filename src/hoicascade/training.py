@@ -271,8 +271,7 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
     model = CascadeModel(spec.n_classes, spec.n_verbs, channels,
                          default_cascade_config(config),
                          seed=config.seed, person_class=spec.person_class,
-                         segment=config.mode == "segment",
-                         representation=config.representation, grid_size=grid_size)
+                         segment=config.mode == "segment", grid_size=grid_size)
     model.cooccurrence = build_cooccurrence(train_scenes, spec)
     if grids is None:
         grids = prepare_grids(train_scenes, spec, channels, grid_size)

@@ -155,22 +155,22 @@ class TestSegmentStage:
 
 def refine_one(grid, inst, head):
     """One-instance refinement, the reference for the batched refine_stage."""
-    deltas, score = head.forward(roi_align(grid, [inst.box], POOLED_HW).ravel())
-    box = apply_box_deltas(inst.box, deltas)
+    deltas, score = head.forward(roi_align(grid, [inst.box], POOLED_HW).reshape(1, -1))
+    box = apply_box_deltas(inst.box, deltas[0])
     if box is not None:
         box = clip_box(box, grid.image_width, grid.image_height)
     if box is None:
         return None
-    return replace(inst, box=box, confidence=float(score[0]),
+    return replace(inst, box=box, confidence=float(score[0, 0]),
                    stage_of_origin=inst.stage_of_origin + 1)
 
 
 def segment_one(grid, inst, head, prev_box=None):
     """One-instance segmentation, the reference for the batched segment_stage."""
-    total = roi_align(grid, [inst.box], MASK_POOLED_HW).ravel()
+    total = roi_align(grid, [inst.box], MASK_POOLED_HW).reshape(1, -1)
     if prev_box is not None:
-        total = total + roi_align(grid, [prev_box], MASK_POOLED_HW).ravel()
-    logits = head.forward(total)
+        total = total + roi_align(grid, [prev_box], MASK_POOLED_HW).reshape(1, -1)
+    logits = head.forward(total)[0]
     cells = sigmoid(logits).reshape(MASK_POOLED_HW) > 0.5
     if not cells.any():
         flat = int(np.argmax(logits))

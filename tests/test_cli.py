@@ -1,10 +1,12 @@
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 
-from hoicascade.cli import main
-from hoicascade.formats import rle_decode
+from hoicascade.cli import COMMAND_KEYS, main
+from hoicascade.formats import RunConfig, rle_decode
+from hoicascade.interaction import CascadeModel
 from hoicascade.synth import SceneSpec
 
 
@@ -89,6 +91,39 @@ class TestPipeline:
             assert (meta["grid_size"], meta["channels"]) == (grid_size, channels)
         assert preds.read_bytes() != pipeline["preds"].read_bytes()
 
+    def test_checkpoint_that_names_box_representation_predicts_the_same(self, pipeline,
+                                                                        tmp_path):
+        # checkpoints written while relation features had a `representation`
+        # option carry "representation": "box"; they load as before
+        model, preds = tmp_path / "model", tmp_path / "p.ndjson"
+        shutil.copytree(pipeline["model"], model)
+        meta = json.loads((model / "model.json").read_text())
+        assert "representation" not in meta
+        with open(model / "model.json", "w", encoding="utf-8") as fh:
+            json.dump({**meta, "representation": "box"}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(preds)] + pipeline["flags"]["infer"]) == 0
+        assert preds.read_bytes() == pipeline["preds"].read_bytes()
+
+    @pytest.mark.parametrize("empty, ran", [("phase1", "phase2"), ("phase2", "phase1")])
+    def test_zero_epoch_phase_saves_a_loadable_model(self, pipeline, tmp_path, capsys,
+                                                     empty, ran):
+        model, preds = tmp_path / "model", tmp_path / "p.ndjson"
+        assert main(["train", "--data", str(pipeline["data"]), "--out", str(model),
+                     "--seed", "3", f"--{empty}-epochs", "0", f"--{ran}-epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"{empty} did not run" in out and f"{ran} loss " in out
+        assert CascadeModel.load(str(model)).store.names() == \
+            CascadeModel.load(str(pipeline["model"])).store.names()
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(preds)]) == 0
+
+
+def test_every_run_config_field_is_read_by_some_command():
+    # a field no command reads would be an option nothing can set
+    assert set().union(*COMMAND_KEYS.values()) == {f.name for f in fields(RunConfig)}
+
 
 @pytest.fixture(scope="module")
 def segment_pipeline(tmp_path_factory):
@@ -159,6 +194,14 @@ def edit_first_block(text, block=None, **fields):
     return json.dumps(manifest)
 
 
+def edit_model_json(text, config=None, **fields):
+    """model.json text with `fields` set in it and `config` merged into its
+    config object."""
+    meta = {**json.loads(text), **fields}
+    meta["config"] = {**meta["config"], **(config or {})}
+    return json.dumps(meta)
+
+
 class TestErrorPaths:
     def test_usage_error_exit_1(self):
         assert main(["definitely-not-a-command"]) == 1
@@ -194,6 +237,7 @@ class TestErrorPaths:
         ("synth", "--mode", "segment"),
         ("train", "--grid-size", "16"),
         ("train", "--top-k", "8"),
+        ("train", "--representation", "box"),  # relation features are box-pooled only
         ("infer", "--phase1-epochs", "99"),
         ("infer", "--channels", "40"),
         ("infer", "--mode", "segment"),  # no prefix match against --model
@@ -207,7 +251,7 @@ class TestErrorPaths:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, key", [("infer", "phase1_epochs"), ("synth", "mode"),
-                                              ("train", "channels")])
+                                              ("train", "channels"), ("train", "representation")])
     def test_config_file_key_of_another_command_exit_2(self, pipeline, tmp_path, capsys,
                                                        command, key):
         cfg = tmp_path / "run.cfg"
@@ -285,6 +329,14 @@ class TestErrorPaths:
             {**json.loads(text), "cooccurrence": {k: v[:-1] for k, v in
                                                   json.loads(text)["cooccurrence"].items()}}),
          "field 'cooccurrence' must be"),
+        ("model.json", lambda text: edit_model_json(text, config={"iou_thresholds": 0.5}),
+         "field 'config.iou_thresholds' must be a list, got 0.5"),
+        ("model.json", lambda text: edit_model_json(text, config={"stages": 2}),
+         "field 'config': per-stage schedules must all have length T = stages = 2"),
+        ("model.json", lambda text: edit_model_json(text, person_class=99),
+         "field 'person_class' must be a class index in [0, 5), got 99"),
+        ("model.json", lambda text: edit_model_json(text, representation="mask"),
+         "field 'representation' must be 'box' or absent, got 'mask'"),
     ])
     def test_corrupt_checkpoint_exit_2(self, pipeline, tmp_path, capsys, name, corrupt, message):
         model = tmp_path / "model"

@@ -17,7 +17,7 @@ from hoicascade.features import (
     semantic_prior,
 )
 from hoicascade.geometry import Box
-from hoicascade.numerics import ConvPoolEncoder, finite_diff_check, sigmoid
+from hoicascade.numerics import ConvPoolEncoder, FCLayer, finite_diff_check, sigmoid
 
 
 # ---------------------------------------------------------------- oracles
@@ -102,21 +102,21 @@ class TestGeometricFeature:
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(0))
         for layer in (enc.conv1, enc.conv2, enc.fc):
             layer.b.value[...] = 0.0
-        np.testing.assert_array_equal(geometric_feature(np.zeros((2, 64, 64)), enc),
-                                      np.zeros(256))
+        np.testing.assert_array_equal(geometric_feature(np.zeros((1, 2, 64, 64)), enc),
+                                      np.zeros((1, 256)))
 
     def test_output_length_256(self):
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(1))
-        y = geometric_feature(np.random.default_rng(2).uniform(size=(2, 64, 64)), enc)
-        assert y.shape == (256,)
+        y = geometric_feature(np.random.default_rng(2).uniform(size=(1, 2, 64, 64)), enc)
+        assert y.shape == (1, 256)
 
     def test_channel_swap_changes_output(self):
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(3))
-        m = np.zeros((2, 64, 64))
-        m[0, :32] = 1.0
-        m[1, 32:] = 1.0
+        m = np.zeros((1, 2, 64, 64))
+        m[0, 0, :32] = 1.0
+        m[0, 1, 32:] = 1.0
         a = geometric_feature(m, enc)
-        b = geometric_feature(m[::-1].copy(), enc)
+        b = geometric_feature(m[:, ::-1].copy(), enc)
         assert not np.allclose(a, b)
 
 
@@ -188,32 +188,32 @@ class TestEfra:
             for _, p in stack.params("s"):
                 p.value[...] = 0.0
         rng = np.random.default_rng(1)
-        f, fb, o = (rng.normal(size=(2, 3, 3)) for _ in range(3))
+        f, fb, o = (rng.normal(size=(1, 2, 3, 3)) for _ in range(3))
         alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-        assert alpha == 0.5 and alpha_bar == 0.5
+        assert alpha[0] == 0.5 and alpha_bar[0] == 0.5
 
     def test_scores_in_unit_interval(self):
         face_stack, noface_stack = self._stacks(7)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            f, fb, o = (rng.normal(scale=3.0, size=(2, 3, 3)) for _ in range(3))
+            f, fb, o = (rng.normal(scale=3.0, size=(1, 2, 3, 3)) for _ in range(3))
             alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            assert 0.0 < alpha < 1.0 and 0.0 < alpha_bar < 1.0
+            assert 0.0 < alpha[0] < 1.0 and 0.0 < alpha_bar[0] < 1.0
 
     def test_matches_direct_matmul_sigmoid_oracle(self):
         face_stack, noface_stack = self._stacks(11)
         rng = np.random.default_rng(3)
-        f, fb, o = (rng.normal(size=(2, 3, 3)) for _ in range(3))
+        f, fb, o = (rng.normal(size=(1, 2, 3, 3)) for _ in range(3))
         alpha, _ = efra_attend(f, fb, o, face_stack, noface_stack)
         x = np.concatenate([f.ravel(), o.ravel()])
         h = face_stack.fc1.w.value @ x + face_stack.fc1.b.value
         z = face_stack.fc2.w.value @ h + face_stack.fc2.b.value
-        np.testing.assert_allclose(alpha, sigmoid(z)[0], atol=1e-12)
+        np.testing.assert_allclose(alpha[0], sigmoid(z)[0], atol=1e-12)
 
     def test_shape_mismatch(self):
         face_stack, noface_stack = self._stacks()
         with pytest.raises(ShapeError):
-            efra_attend(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), np.zeros((2, 2, 2)),
+            efra_attend(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 2, 2)),
                         face_stack, noface_stack)
 
     def test_enhance_identity_and_double(self):
@@ -234,13 +234,13 @@ class TestEfra:
     def test_attend_gradients(self):
         face_stack, noface_stack = self._stacks(13, c=2, hw=(2, 2))
         rng = np.random.default_rng(6)
-        f, fb, o = (rng.normal(size=(2, 2, 2)) for _ in range(3))
+        f, fb, o = (rng.normal(size=(1, 2, 2, 2)) for _ in range(3))
         blocks = dict(face_stack.params("face") + noface_stack.params("noface"))
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(1.0, 1.0, face_stack, noface_stack, (2, 2, 2))
-            return alpha + alpha_bar
+            efra_attend_backward(np.ones(1), np.ones(1), face_stack, noface_stack, (2, 2, 2))
+            return float(alpha[0] + alpha_bar[0])
 
         report = finite_diff_check(run, blocks, tol=1e-4)
         assert report.passed, str(report)
@@ -271,29 +271,57 @@ class TestCrossStageFuse:
     def test_prev_equals_current_is_doubling(self):
         rng = np.random.default_rng(9)
         stack = build_fusion_stack(3 * 2 * 4 * 4, rng, hidden=16)
-        x = rng.normal(size=(6, 4, 4))
+        x = rng.normal(size=(1, 6, 4, 4))
         fused = cross_stage_fuse(x, x, stack)
-        direct = stack.forward((2 * x).reshape(1, -1))[0]
+        direct = stack.forward((2 * x).reshape(1, -1))
         np.testing.assert_allclose(fused, direct, atol=1e-12)
 
     def test_output_length_1024(self):
         rng = np.random.default_rng(10)
         stack = build_fusion_stack(6 * 4 * 4, rng, hidden=32)
-        fused = cross_stage_fuse(np.zeros((6, 4, 4)), np.zeros((6, 4, 4)), stack)
-        assert fused.shape == (1024,)
+        fused = cross_stage_fuse(np.zeros((1, 6, 4, 4)), np.zeros((1, 6, 4, 4)), stack)
+        assert fused.shape == (1, 1024)
 
     def test_random_vs_matmul_oracle(self):
         rng = np.random.default_rng(11)
         stack = build_fusion_stack(8, rng, hidden=4)
-        x = rng.normal(size=8)
-        prev = rng.normal(size=8)
+        x = rng.normal(size=(1, 8))
+        prev = rng.normal(size=(1, 8))
         got = cross_stage_fuse(x, prev, stack)
-        h = stack.fc1.w.value @ (x + prev) + stack.fc1.b.value
+        h = stack.fc1.w.value @ (x + prev)[0] + stack.fc1.b.value
         ref = stack.fc2.w.value @ h + stack.fc2.b.value
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+        np.testing.assert_allclose(got, ref[None], atol=1e-12)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(12)
         stack = build_fusion_stack(8, rng, hidden=4)
         with pytest.raises(ShapeError):
-            cross_stage_fuse(np.zeros(8), np.zeros(9), stack)
+            cross_stage_fuse(np.zeros((1, 8)), np.zeros((1, 9)), stack)
+
+
+# ------------------------------------------------- batched inputs only
+
+def _fc_backward_of_one_row(dy):
+    fc = FCLayer(3, 2)
+    fc.forward(np.zeros((1, 3)))
+    fc.backward(dy)
+
+
+UNBATCHED_CALLS = {
+    "FCLayer.forward": lambda: FCLayer(3, 2).forward(np.zeros(3)),
+    "FCLayer.backward": lambda: _fc_backward_of_one_row(np.zeros(2)),
+    "ConvPoolEncoder.forward": lambda: ConvPoolEncoder(2, (8, 8)).forward(np.zeros((2, 8, 8))),
+    "efra_attend": lambda: efra_attend(*[np.zeros((2, 3, 3))] * 3,
+                                       *[build_efra_stack(2, (3, 3), None, hidden=8)] * 2),
+    "cross_stage_fuse-tensor": lambda: cross_stage_fuse(
+        np.zeros((6, 4, 4)), np.zeros((6, 4, 4)), build_fusion_stack(96, None, hidden=8)),
+    "cross_stage_fuse-vector": lambda: cross_stage_fuse(
+        np.zeros(96), np.zeros(96), build_fusion_stack(96, None, hidden=8)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNBATCHED_CALLS))
+def test_unbatched_input_raises_shape_error(call):
+    """Layers take (B, ...) batches only; a batch of one is the single case."""
+    with pytest.raises(ShapeError):
+        UNBATCHED_CALLS[call]()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hoicascade.errors import DataError, FormatError
 from hoicascade.formats import (
@@ -24,6 +27,13 @@ from hoicascade.synth import SceneSpec, generate_dataset
 
 
 class TestRle:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12).flatmap(lambda h: st.integers(1, 12).flatmap(
+        lambda w: arrays(bool, (h, w)))))
+    def test_roundtrip_property(self, bits):
+        mask = BitMask(bits)
+        assert rle_decode(rle_encode(mask), *bits.shape) == mask
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -147,13 +157,12 @@ class TestConfig:
         path.write_text("""
 # training run
 mode = segment
-representation = mask
 learning_rate = 0.05
 train_scenes = 40   # small corpus
 """)
         values = parse_config_file(path)
         cfg = run_config_from(values)
-        assert cfg.mode == "segment" and cfg.representation == "mask"
+        assert cfg.mode == "segment"
         assert cfg.learning_rate == 0.05 and cfg.train_scenes == 40
         assert cfg.top_k == 64 and cfg.merge_threshold == 0.3  # defaults stay
 
@@ -171,7 +180,3 @@ train_scenes = 40   # small corpus
         path.write_text("just words\n")
         with pytest.raises(FormatError):
             parse_config_file(path)
-
-    def test_mask_requires_segment(self):
-        with pytest.raises(DataError):
-            RunConfig(mode="detect", representation="mask")

@@ -93,7 +93,7 @@ class TestRankAndSelect:
         head = model.rrm_heads[0]
         scores = []
         for i in range(3):
-            scores.append(float(head.score(fused[i], feats.x_g[i])))
+            scores.append(float(head.score(fused[i:i + 1], feats.x_g[i:i + 1])[0]))
         ranked = rank_pairs(fused, feats.x_g, head)
         expected = np.argsort([-s for s in scores], kind="stable")
         assert ranked.tolist() == expected.tolist()
@@ -431,9 +431,8 @@ class TestBatchedInference:
         assert_matches_reference(infer_image(grid, seeds, model, top_k=6),
                                  per_pair_reference(grid, seeds, model, top_k=6))
 
-    @pytest.mark.parametrize("representation", ["box", "mask"])
-    def test_segment_mode_model(self, representation):
-        model = tiny_model(seed=23, segment=True, representation=representation)
+    def test_segment_mode_model(self):
+        model = tiny_model(seed=23, segment=True)
         grid, seeds = crowded_scene(model, seed=2)
         preds = infer_image(grid, seeds, model, top_k=5)
         assert preds and all(p.human.mask is not None for p in preds)

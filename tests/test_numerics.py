@@ -70,26 +70,26 @@ class TestFCLayer:
         fc = FCLayer(2, 2, "none")
         fc.w.value[...] = np.eye(2)
         fc.b.value[...] = 0.0
-        np.testing.assert_array_equal(fc.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_array_equal(fc.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_zero_weights_sigmoid(self):
         fc = FCLayer(3, 4, "sigmoid")
         fc.w.value[...] = 0.0
         fc.b.value[...] = 0.0
-        y = fc.forward(np.array([5.0, -2.0, 0.1]))
-        np.testing.assert_array_equal(y, np.full(4, 0.5))
+        y = fc.forward(np.array([[5.0, -2.0, 0.1]]))
+        np.testing.assert_array_equal(y, np.full((1, 4), 0.5))
 
     def test_random_vs_matmul_oracle(self):
         rng = np.random.default_rng(7)
         fc = FCLayer(5, 3, "none", rng)
-        x = rng.normal(size=5)
-        expected = matmul_oracle(fc.w.value, x, fc.b.value)
-        np.testing.assert_allclose(fc.forward(x), expected, atol=1e-12)
+        x = rng.normal(size=(1, 5))
+        expected = matmul_oracle(fc.w.value, x[0], fc.b.value)
+        np.testing.assert_allclose(fc.forward(x), expected[None], atol=1e-12)
 
     def test_dimension_mismatch(self):
         fc = FCLayer(3, 2)
         with pytest.raises(ShapeError):
-            fc.forward(np.zeros(4))
+            fc.forward(np.zeros((1, 4)))
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -97,7 +97,7 @@ class TestFCLayer:
         xb = rng.normal(size=(6, 4))
         yb = fc.forward(xb)
         for i in range(6):
-            np.testing.assert_allclose(fc.forward(xb[i]), yb[i], atol=1e-12)
+            np.testing.assert_allclose(fc.forward(xb[i:i + 1])[0], yb[i], atol=1e-12)
 
 
 # ------------------------------------------------------------ conv encoder
@@ -105,8 +105,8 @@ class TestFCLayer:
 class TestConvPoolEncoder:
     def test_zero_input_zero_bias(self):
         enc = ConvPoolEncoder(2, (8, 8), rng=np.random.default_rng(0))
-        y = enc.forward(np.zeros((2, 8, 8)))
-        np.testing.assert_array_equal(y, np.zeros(256))
+        y = enc.forward(np.zeros((1, 2, 8, 8)))
+        np.testing.assert_array_equal(y, np.zeros((1, 256)))
 
     def test_constant_propagation_vs_hand_conv(self):
         rng = np.random.default_rng(1)
@@ -119,8 +119,8 @@ class TestConvPoolEncoder:
         ref = conv_same_oracle(x, enc.conv1.w.value, enc.conv1.b.value)
         # 1x1 kernel of value 1: conv is identity, pools keep the constant.
         np.testing.assert_allclose(ref, x)
-        y = enc.forward(x)
-        expected = enc.fc.forward(np.full(enc.flat_dim, 3.25))
+        y = enc.forward(x[None])
+        expected = enc.fc.forward(np.full((1, enc.flat_dim), 3.25))
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_conv_matches_direct_oracle(self):
@@ -133,8 +133,8 @@ class TestConvPoolEncoder:
 
     def test_paper_scale_shape(self):
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(2))
-        y = enc.forward(np.random.default_rng(0).normal(size=(2, 64, 64)))
-        assert y.shape == (256,)
+        y = enc.forward(np.random.default_rng(0).normal(size=(1, 2, 64, 64)))
+        assert y.shape == (1, 256)
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ShapeError):
@@ -514,8 +514,8 @@ class TestFiniteDiffCheck:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             fc = FCLayer(4, 3, "sigmoid", rng)
-            x = rng.normal(size=4)
-            weights = rng.normal(size=3)
+            x = rng.normal(size=(1, 4))
+            weights = rng.normal(size=(1, 3))
             blocks = dict(fc.params("fc"))
             report = finite_diff_check(_fc_loss(fc, x, weights), blocks, tol=1e-4)
             assert report.passed, str(report)
@@ -523,8 +523,8 @@ class TestFiniteDiffCheck:
     def test_conv_pool_gradients(self):
         rng = np.random.default_rng(41)
         enc = ConvPoolEncoder(2, (8, 8), channels=(3, 3), rng=rng)
-        x = rng.normal(size=(2, 8, 8))
-        weights = rng.normal(size=256)
+        x = rng.normal(size=(1, 2, 8, 8))
+        weights = rng.normal(size=(1, 256))
 
         def run():
             y = enc.forward(x)
@@ -574,8 +574,8 @@ class TestFiniteDiffCheck:
     def test_fc_stack_gradients(self):
         rng = np.random.default_rng(47)
         stack = FCStack(5, 4, 2, rng, out_activation="sigmoid")
-        x = rng.normal(size=5)
-        w = rng.normal(size=2)
+        x = rng.normal(size=(1, 5))
+        w = rng.normal(size=(1, 2))
 
         def run():
             y = stack.forward(x)
@@ -592,7 +592,7 @@ def test_deterministic_construction_and_forward():
     def build():
         rng = np.random.default_rng(99)
         enc = ConvPoolEncoder(2, (8, 8), rng=rng)
-        x = np.random.default_rng(1).normal(size=(2, 8, 8))
+        x = np.random.default_rng(1).normal(size=(1, 2, 8, 8))
         return enc.forward(x)
 
     a, b = build(), build()

@@ -199,9 +199,10 @@ class TestLocalizationStageStep:
         proposals = seeds
         for t, head in enumerate(model.box_heads):
             labeled = resample_for_stage(proposals, gt, model.config.iou_thresholds[t])
-            rows = [head.forward(roi_align(grid, [lab.box], POOLED_HW).ravel()) for lab in labeled]
-            deltas = np.stack([d for d, _ in rows])
-            scores = np.stack([s for _, s in rows])
+            rows = [head.forward(roi_align(grid, [lab.box], POOLED_HW).reshape(1, -1))
+                    for lab in labeled]
+            deltas = np.concatenate([d for d, _ in rows])
+            scores = np.concatenate([s for _, s in rows])
             pos = [i for i, lab in enumerate(labeled) if lab.positive]
             assert 0 < len(pos) < len(labeled)
             bce, _ = binary_cross_entropy(scores, [[float(lab.positive)] for lab in labeled])
