@@ -237,14 +237,12 @@ class LabeledProposal:
 
     box: Box
     positive: bool
-    class_id: int = -1
     delta_target: np.ndarray | None = None
     gt_index: int = -1
-    iou: float = 0.0
 
 
 def resample_for_stage(proposals, gt_instances, iou_threshold) -> list[LabeledProposal]:
-    """Label proposals against ground truth at the stage threshold.
+    """Label proposal instances against ground truth at the stage threshold.
 
     A proposal is positive iff its best-IoU ground-truth box reaches the
     threshold; ground-truth boxes are appended as perfect positives.
@@ -252,23 +250,19 @@ def resample_for_stage(proposals, gt_instances, iou_threshold) -> list[LabeledPr
     if not 0.0 < iou_threshold < 1.0:
         raise DataError(f"stage IoU threshold {iou_threshold} outside (0, 1)")
     labeled = []
-    for prop in proposals:
-        box = prop.box if isinstance(prop, Instance) else prop
+    for box in [prop.box for prop in proposals]:
         best_iou, best_idx = 0.0, -1
         for gi, gt in enumerate(gt_instances):
             v = box_iou(box, gt.box)
             if v > best_iou:
                 best_iou, best_idx = v, gi
         if best_idx >= 0 and best_iou >= iou_threshold:
-            gt = gt_instances[best_idx]
-            labeled.append(LabeledProposal(box, True, gt.class_id,
-                                           box_delta_targets(box, gt.box),
-                                           best_idx, best_iou))
+            labeled.append(LabeledProposal(
+                box, True, box_delta_targets(box, gt_instances[best_idx].box), best_idx))
         else:
-            labeled.append(LabeledProposal(box, False, iou=best_iou))
+            labeled.append(LabeledProposal(box, False))
     for gi, gt in enumerate(gt_instances):
-        labeled.append(LabeledProposal(gt.box, True, gt.class_id,
-                                       np.zeros(4), gi, 1.0))
+        labeled.append(LabeledProposal(gt.box, True, np.zeros(4), gi))
     return labeled
 
 
@@ -293,19 +287,15 @@ def dedup_by_lineage(instances) -> list[Instance]:
     Merged stage outputs contain one instance per (stage, seed proposal);
     evaluating them all as separate detections floods the metrics with
     near-duplicate triplets, so pair building keeps only the deepest
-    refinement of each seed. Instances without lineage pass through.
+    refinement of each seed.
     """
     best: dict[int, Instance] = {}
-    passthrough = []
     order: list[int] = []
     for inst in instances:
-        if inst.lineage < 0:
-            passthrough.append(inst)
-            continue
         cur = best.get(inst.lineage)
         if cur is None:
             order.append(inst.lineage)
             best[inst.lineage] = inst
         elif inst.stage_of_origin > cur.stage_of_origin:
             best[inst.lineage] = inst
-    return [best[k] for k in order] + passthrough
+    return [best[k] for k in order]

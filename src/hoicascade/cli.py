@@ -75,6 +75,29 @@ def scene_spec_from(config: RunConfig, seed=None) -> SceneSpec:
     )
 
 
+def read_split(data, split):
+    """A data directory's SceneSpec and meta dict, and the scenes of one
+    split, whose image size and class and verb indices are checked against
+    meta.json."""
+    spec, meta = read_meta(os.path.join(data, "meta.json"))
+    path = os.path.join(data, split + ".ndjson")
+    scenes = read_scenes_ndjson(path)
+    for scene in scenes:
+        if scene.width != spec.image_size or scene.height != spec.image_size:
+            raise DataError(f"{path}: image {scene.image_id!r}: fields 'width' and 'height' "
+                            f"must be the image_size {spec.image_size} of meta.json, "
+                            f"got {scene.width} and {scene.height}")
+        indices = [(f"entities[{i}].class_id", e.class_id, spec.n_classes)
+                   for i, e in enumerate(scene.entities)]
+        indices += [(f"triplets[{j}].verb", t.verb, spec.n_verbs)
+                    for j, t in enumerate(scene.triplets)]
+        for name, value, n in indices:
+            if not 0 <= value < n:
+                raise DataError(f"{path}: image {scene.image_id!r}: field {name!r} must be "
+                                f"an integer in [0, {n}), got {value}")
+    return spec, meta, scenes
+
+
 def _add_config_flags(parser, keys):
     parser.add_argument("--config", help="flat key = value config file")
     for key in keys:
@@ -109,8 +132,7 @@ def cmd_train(args):
     from .training import TrainLog, train_model
 
     config = build_run_config(args)
-    spec, meta = read_meta(os.path.join(args.data, "meta.json"))
-    scenes = read_scenes_ndjson(os.path.join(args.data, "train.ndjson"))
+    spec, meta, scenes = read_split(args.data, "train")
     log = TrainLog()
     started = time.perf_counter()
     model = train_model(scenes, spec, config, meta["channels"], meta["grid_size"], log=log)
@@ -128,8 +150,7 @@ def cmd_infer(args):
 
     config = build_run_config(args)
     model = CascadeModel.load(args.model)
-    spec, meta = read_meta(os.path.join(args.data, "meta.json"))
-    scenes = read_scenes_ndjson(os.path.join(args.data, args.split + ".ndjson"))
+    spec, _, scenes = read_split(args.data, args.split)
     records = infer_scenes(model, scenes, spec, config)
     write_predictions_ndjson(args.out, records)
     n = sum(len(r["triplets"]) for r in records)
@@ -145,8 +166,7 @@ def cmd_eval(args):
         ks = (0,)
     if min(ks) < 1:
         raise DataError(f"option 'ks' must list integers >= 1, got {args.ks!r}")
-    spec, meta = read_meta(os.path.join(args.data, "meta.json"))
-    scenes = read_scenes_ndjson(os.path.join(args.data, args.split + ".ndjson"))
+    spec, _, scenes = read_split(args.data, args.split)
     gts = scenes_to_gt_records(scenes)
     preds = read_predictions_ndjson(args.preds)
     for image_id, triplets in preds.items():

@@ -84,27 +84,46 @@ def scene_to_record(scene: Scene) -> dict:
     }
 
 
+def _index(obj, key, where="", lo=0, hi=None):
+    """obj[key], which must be an integer in [lo, hi), or >= lo without hi."""
+    value = obj[key]
+    if type(value) is not int or value < lo or (hi is not None and value >= hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise DataError(f"field '{where}{key}' must be an integer {span}, got {value!r}")
+    return value
+
+
 def record_to_scene(record: dict) -> Scene:
+    """A scene from its NDJSON record. Indices into the record's entities
+    and the image size are checked here; class and verb indices are checked
+    to be integers >= 0, and `cli.read_split` checks them against the
+    vocabulary in meta.json."""
     try:
+        width, height = _index(record, "width", lo=1), _index(record, "height", lo=1)
         entities = []
-        for e in record["entities"]:
-            mask = rle_decode(e["mask"]["rle"], *e["mask"]["size"])
+        for i, e in enumerate(record["entities"]):
+            if e["mask"]["size"] != [height, width]:
+                raise DataError(f"field 'entities[{i}].mask.size' must be the image size "
+                                f"[{height}, {width}], got {e['mask']['size']!r}")
             face = _box_from_list(e["face_box"]) if e.get("face_box") else None
-            entities.append(Entity(int(e["class_id"]), _box_from_list(e["box"]),
-                                   mask, face))
-        triplets = [Triplet(int(t["human"]), int(t["verb"]), int(t["object"]))
-                    for t in record["triplets"]]
-        proposals = [SeedProposal(_box_from_list(p["box"]), int(p["entity"]),
+            entities.append(Entity(_index(e, "class_id", f"entities[{i}]."),
+                                   _box_from_list(e["box"]),
+                                   rle_decode(e["mask"]["rle"], height, width), face))
+        n = len(entities)
+        triplets = [Triplet(_index(t, "human", f"triplets[{j}].", hi=n),
+                            _index(t, "verb", f"triplets[{j}]."),
+                            _index(t, "object", f"triplets[{j}].", hi=n))
+                    for j, t in enumerate(record["triplets"])]
+        proposals = [SeedProposal(_box_from_list(p["box"]),
+                                  _index(p, "entity", f"proposals[{k}].", hi=n),
                                   float(p["iou"]))
-                     for p in record["proposals"]]
-        scene = Scene(record["image_id"], int(record["width"]), int(record["height"]),
-                      entities, triplets, proposals, seed=int(record.get("seed", 0)))
-    except (KeyError, TypeError, IndexError) as exc:
+                     for k, p in enumerate(record["proposals"])]
+        return Scene(record["image_id"], width, height, entities, triplets, proposals,
+                     seed=int(record.get("seed", 0)))
+    except DataError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"malformed scene record: {exc}") from exc
-    for t in scene.triplets:
-        if not (0 <= t.human < len(entities) and 0 <= t.object < len(entities)):
-            raise DataError(f"triplet references missing entity in {scene.image_id}")
-    return scene
 
 
 def write_scenes_ndjson(path, scenes):

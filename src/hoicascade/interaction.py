@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .features import (
     semantic_prior,
 )
 from .geometry import (
-    BitMask,
     Box,
     FeatureGrid,
     box_iou,
@@ -91,8 +90,6 @@ class GroundTruthPair:
     o_box: Box
     o_class: int
     verbs: frozenset
-    h_mask: BitMask | None = None
-    o_mask: BitMask | None = None
 
 
 @dataclass
@@ -101,18 +98,6 @@ class TripletPrediction:
     object: Instance
     verb: int
     score: float
-
-
-@dataclass
-class TrainBatchSpec:
-    max_pairs: int = MAX_TRAIN_PAIRS
-    pos_neg_ratio: tuple = POS_NEG_RATIO
-    include_gt_pairs: bool = True
-
-    @property
-    def max_positive(self):
-        p, n = self.pos_neg_ratio
-        return self.max_pairs * p // (p + n)
 
 
 class RRMHead:
@@ -202,7 +187,6 @@ class LabeledPair:
     candidate: HOICandidate
     positive: bool
     verb_targets: np.ndarray  # (N,) multi-hot; all zeros for negatives
-    matched_gt: int = -1
 
 
 @dataclass
@@ -228,42 +212,36 @@ def match_candidate_to_gt(candidate, gt_pairs, iou_threshold):
 
 
 def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
-                          spec: TrainBatchSpec | None = None, rng=None,
-                          stage=0) -> SampledPairBatch:
+                          rng) -> SampledPairBatch:
     """Label candidates against annotated pairs at the stage threshold,
-    append the annotated pairs themselves, and subsample to the batch cap
-    at the configured positive:negative ratio (negatives fill any slack).
+    append the annotated pairs themselves, and subsample to MAX_TRAIN_PAIRS
+    at the POS_NEG_RATIO positive:negative ratio (negatives fill any slack).
     """
-    if spec is None:
-        spec = TrainBatchSpec()
     pos, neg = [], []
     for cand in candidates:
         gi, _ = match_candidate_to_gt(cand, gt_pairs, iou_threshold)
         if gi >= 0:
             targets = np.zeros(n_verbs)
             targets[list(gt_pairs[gi].verbs)] = 1.0
-            pos.append(LabeledPair(cand, True, targets, gi))
+            pos.append(LabeledPair(cand, True, targets))
         else:
             neg.append(LabeledPair(cand, False, np.zeros(n_verbs)))
-    if spec.include_gt_pairs:
-        # one Instance per annotated person, so features pool it once
-        humans = {}
-        for gi, gt in enumerate(gt_pairs):
-            human = humans.setdefault((gt.h_box, id(gt.h_mask)), Instance(
-                PERSON_CLASS, 1.0, gt.h_box, mask=gt.h_mask, stage_of_origin=stage))
-            obj = Instance(gt.o_class, 1.0, gt.o_box, mask=gt.o_mask,
-                           stage_of_origin=stage)
-            targets = np.zeros(n_verbs)
-            targets[list(gt.verbs)] = 1.0
-            pos.append(LabeledPair(HOICandidate(human, obj), True, targets, gi))
-    n_pos = min(len(pos), spec.max_positive)
-    n_neg = min(len(neg), spec.max_pairs - n_pos)
-    if rng is not None:
-        if n_pos < len(pos):
-            pos = [pos[i] for i in rng.permutation(len(pos))[:n_pos]]
-        if n_neg < len(neg):
-            neg = [neg[i] for i in rng.permutation(len(neg))[:n_neg]]
-    return SampledPairBatch(pos[:n_pos], neg[:n_neg])
+    # one Instance per annotated person, so features pool it once
+    humans = {}
+    for gt in gt_pairs:
+        human = humans.setdefault(gt.h_box, Instance(PERSON_CLASS, 1.0, gt.h_box))
+        targets = np.zeros(n_verbs)
+        targets[list(gt.verbs)] = 1.0
+        pos.append(LabeledPair(HOICandidate(human, Instance(gt.o_class, 1.0, gt.o_box)),
+                               True, targets))
+    p, n = POS_NEG_RATIO
+    n_pos = min(len(pos), MAX_TRAIN_PAIRS * p // (p + n))
+    n_neg = min(len(neg), MAX_TRAIN_PAIRS - n_pos)
+    if n_pos < len(pos):
+        pos = [pos[i] for i in rng.permutation(len(pos))[:n_pos]]
+    if n_neg < len(neg):
+        neg = [neg[i] for i in rng.permutation(len(neg))[:n_neg]]
+    return SampledPairBatch(pos, neg)
 
 
 def total_loss(stage_losses, cfg: CascadeConfig) -> float:
@@ -518,14 +496,15 @@ class RelationFold:
 
 def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
     """Refine all proposals through every stage; returns per-stage outputs.
+    Refinements keep the lineage of their seed (`seed_instances` numbers
+    them), which `dedup_by_lineage` reads.
 
     Each stage is one batched `refine_stage` call over the survivors of the
     stage before, plus, when the model predicts masks, one `segment_stage`
     call whose stage-1 predecessor feature is zeros. A stage with no
     survivors leaves every later stage empty.
     """
-    current = [replace(prop, lineage=i if prop.lineage < 0 else prop.lineage)
-               for i, prop in enumerate(seed_proposals)]
+    current = seed_proposals
     stage_outputs = []
     for t in range(model.config.stages):
         if current:

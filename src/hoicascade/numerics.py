@@ -209,14 +209,12 @@ class FCLayer:
 class FCStack:
     """Two stacked FC layers (the repeated FC_x2 pattern).
 
-    Every stack the model builds is linear up to its output activation
-    (hidden_activation "none"), so at inference `folded` replaces it by one
-    layer. A hidden nonlinearity would stop the fold at that layer.
+    The hidden layer is linear, so the stack is linear up to its output
+    activation, and at inference `folded` replaces it by one layer.
     """
 
-    def __init__(self, in_dim, hidden_dim, out_dim, rng,
-                 hidden_activation="none", out_activation="none"):
-        self.fc1 = FCLayer(in_dim, hidden_dim, hidden_activation, rng)
+    def __init__(self, in_dim, hidden_dim, out_dim, rng, out_activation="none"):
+        self.fc1 = FCLayer(in_dim, hidden_dim, "none", rng)
         self.fc2 = FCLayer(hidden_dim, out_dim, out_activation, rng)
 
     def params(self, prefix):
@@ -229,7 +227,7 @@ class FCStack:
         The layer holds products of the current weights and does not
         follow later updates to them."""
         w2, b2, out = self.fc2.w.value, self.fc2.b.value, self.fc2.activation
-        if self.fc1.activation != "none" or (head_w is not None and out != "none"):
+        if head_w is not None and out != "none":
             raise ValueError("only a linear chain folds")
         if head_w is not None:
             w2, b2 = head_w @ w2, head_w @ b2 + head_b

@@ -394,21 +394,18 @@ def interaction_region(human: Entity, obj: Entity, verb_name, spec: SceneSpec) -
                min(ux + r, float(size)), min(uy + r, float(size)))
 
 
-def render_feature_grid(scene: Scene, spec: SceneSpec, channels, grid_size,
-                        noise_sigma=None) -> FeatureGrid:
+def render_feature_grid(scene: Scene, spec: SceneSpec, channels, grid_size) -> FeatureGrid:
     """Planted backbone activations for a scene.
 
     Channel layout: [0, n_classes) one-hot class inside each entity mask;
     then n_verbs verb-evidence channels painted in the interaction region
     of each annotated triplet; a face channel; a two-level part pattern
-    inside person masks. Gaussian noise (seeded by the scene) is added on
-    top of everything.
+    inside person masks. Gaussian noise of the spec's `noise_sigma`, seeded
+    by the scene, is added on top of everything.
     """
     needed = spec.min_channels()
     if channels < needed:
         raise DataError(f"need at least {needed} channels, got {channels}")
-    if noise_sigma is None:
-        noise_sigma = spec.noise_sigma
     gh = gw = grid_size
     size = scene.width
     data = np.zeros((channels, gh, gw))
@@ -437,9 +434,9 @@ def render_feature_grid(scene: Scene, spec: SceneSpec, channels, grid_size,
         region = interaction_region(scene.entities[t.human], scene.entities[t.object],
                                     spec.verb_names[t.verb], spec)
         data[spec.n_classes + t.verb][box_cells(region)] = 1.0
-    if noise_sigma > 0.0:
+    if spec.noise_sigma > 0.0:
         noise_rng = np.random.default_rng([scene.seed, 7])
-        data += noise_sigma * noise_rng.standard_normal(data.shape)
+        data += spec.noise_sigma * noise_rng.standard_normal(data.shape)
     return FeatureGrid(data, scene.height, scene.width)
 
 
@@ -451,6 +448,5 @@ def gt_pairs_of(scene: Scene, spec: SceneSpec):
     pairs = []
     for (hi, oi), verbs in sorted(grouped.items()):
         h, o = scene.entities[hi], scene.entities[oi]
-        pairs.append(GroundTruthPair(h.box, o.box, o.class_id, frozenset(verbs),
-                                     h_mask=h.mask, o_mask=o.mask))
+        pairs.append(GroundTruthPair(h.box, o.box, o.class_id, frozenset(verbs)))
     return pairs

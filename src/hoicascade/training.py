@@ -1,5 +1,6 @@
-"""Two-phase training: localization first, then joint localization and
-relation recognition, stepping after every scene (image-centric batches).
+"""Two-phase training in one loop: localization first, then joint
+localization and relation recognition, with one SGD step per
+SCENES_PER_STEP scenes (image-centric batches).
 
 Gradient flow: planted feature grids are constants, so localization
 gradients stop at the stage heads, and relation gradients flow through the
@@ -29,7 +30,6 @@ from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
     RelationFold,
-    TrainBatchSpec,
     classify_relation,
     dedup_by_lineage,
     enumerate_pairs,
@@ -66,8 +66,8 @@ def seed_instances(scene) -> list:
 
 
 def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
-                            gt_instances, stage, train=True):
-    """Loss (and optional backward) for one localization stage.
+                            gt_instances, stage):
+    """Loss and backward for one localization stage.
 
     The stage's proposals and its ground-truth boxes, in the row order of
     `resample_for_stage`, go through the one batched `refine_stage` that
@@ -100,10 +100,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         reg_loss = sl1 / len(pos)
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
-    if train:
-        weight = cfg.beta[stage]
-        head.scorer.backward(weight * d_scores / len(labeled))
-        head.regressor.backward(weight * d_deltas)
+    head.scorer.backward(cfg.beta[stage] * d_scores / len(labeled))
+    head.regressor.backward(cfg.beta[stage] * d_deltas)
 
     # the refined box is data to the mask loss, a stop-gradient by design
     masked = [i for i in pos if model.segment and refined[i] is not None
@@ -117,10 +115,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         probs = sigmoid(seg_head.forward(feats))
         seg_bce, d_probs = binary_cross_entropy(probs, targets14)
         losses["seg"] = seg_bce / targets14.size
-        if train:
-            d_logits = (cfg.seg_weights[stage] / targets14.size
-                        * d_probs * probs * (1.0 - probs))
-            seg_head.backward(d_logits)
+        seg_head.backward(cfg.seg_weights[stage] / targets14.size
+                          * d_probs * probs * (1.0 - probs))
     return losses, [inst for inst in refined if inst is not None]
 
 
@@ -196,8 +192,9 @@ class RelationPass:
         model.geo_encoder.backward(d_xg)
 
 
-def relation_losses_multi(model, grid, stage_batches, train=True):
-    """Ranking hinge plus three-stream BCE for every stage's sampled batch.
+def relation_losses_multi(model, grid, stage_batches):
+    """Ranking hinge plus three-stream BCE for every stage's sampled batch,
+    and their backward.
 
     Losses are normalized per pair/element so the learning rate stays
     stable across batch sizes; the stage weights (gamma) scale the
@@ -236,8 +233,7 @@ def relation_losses_multi(model, grid, stage_batches, train=True):
             bce_total += bce / t_sl.size
             d_s[k][sl] = gamma * d_stream / t_sl.size
         out[t]["rcm"] = bce_total
-    if train:
-        rp.backward(d_g, d_s[0], d_s[1], d_s[2])
+    rp.backward(d_g, d_s[0], d_s[1], d_s[2])
     return out
 
 
@@ -254,6 +250,35 @@ def default_cascade_config(config: RunConfig) -> CascadeConfig:
     )
 
 
+SCENES_PER_STEP = 8  # image-centric batches: mean gradient over a few scenes
+
+
+def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec, rng,
+                 with_relation):
+    """Per-stage losses of one scene, their gradients accumulated: the
+    localization losses of every stage and, with_relation, the relation
+    losses of the pairs sampled from each stage's outputs, all stages in
+    one `relation_losses_multi` call."""
+    gt = scene.gt_instances()
+    gt_pairs = gt_pairs_of(scene, spec)
+    proposals = seed_instances(scene)
+    stage_losses, stage_batches = [], []
+    for t in range(model.config.stages):
+        losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
+        stage_losses.append(losses)
+        if with_relation:
+            # detector outputs are the seed-lineage refinements; the
+            # resampled ground-truth boxes only augment localization
+            outputs = [inst for inst in proposals if inst.lineage >= 0]
+            stage_batches.append(sample_training_pairs(
+                enumerate_pairs(outputs, model.person_class), gt_pairs,
+                model.config.iou_thresholds[t], model.n_verbs, rng))
+    if with_relation:
+        for losses, rel in zip(stage_losses, relation_losses_multi(model, grid, stage_batches)):
+            losses.update(rel)
+    return stage_losses
+
+
 @dataclass
 class TrainLog:
     phase1: list = field(default_factory=list)  # per-epoch mean total loss
@@ -261,11 +286,11 @@ class TrainLog:
 
 
 def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid_size,
-                grids=None, log=None) -> CascadeModel:
-    """Phase 1 trains localization (and segmentation); phase 2 trains
-    everything jointly under the weighted per-stage objective. `channels`
-    and `grid_size` are the data's feature-grid geometry; the model keeps
-    them for inference."""
+                log=None) -> CascadeModel:
+    """Phase 1 trains localization (and segmentation); phase 2 is the same
+    loop with the relation losses added, under the weighted per-stage
+    objective. `channels` and `grid_size` are the data's feature-grid
+    geometry; the model keeps them for inference."""
     if not train_scenes:
         raise DataError("no training scenes")
     model = CascadeModel(spec.n_classes, spec.n_verbs, channels,
@@ -273,69 +298,26 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
                          seed=config.seed, person_class=spec.person_class,
                          segment=config.mode == "segment", grid_size=grid_size)
     model.cooccurrence = build_cooccurrence(train_scenes, spec)
-    if grids is None:
-        grids = prepare_grids(train_scenes, spec, channels, grid_size)
+    grids = prepare_grids(train_scenes, spec, channels, grid_size)
     if log is None:
         log = TrainLog()
     rng = np.random.default_rng([config.seed, 101])
     order = np.arange(len(train_scenes))
-    batch_spec = TrainBatchSpec()
-
-    # image-centric batches: mean gradient over a few scenes per step
-    phase1_batch, phase2_batch = 8, 8
-
-    for _ in range(config.phase1_epochs):
-        rng.shuffle(order)
-        epoch_losses = []
-        pending = 0
-        for step_i, si in enumerate(order, start=1):
-            scene = train_scenes[si]
-            grid = grids[scene.image_id]
-            gt = scene.gt_instances()
-            proposals = seed_instances(scene)
-            stage_losses = []
-            for t in range(model.config.stages):
-                losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
-                stage_losses.append(losses)
-            pending += 1
-            if step_i % phase1_batch == 0 or step_i == len(order):
-                sgd_step(model.store, config.learning_rate / pending)
-                pending = 0
-            epoch_losses.append(total_loss(stage_losses, model.config))
-        log.phase1.append(float(np.mean(epoch_losses)))
-
-    for _ in range(config.phase2_epochs):
-        rng.shuffle(order)
-        epoch_losses = []
-        pending = 0
-        for step_i, si in enumerate(order, start=1):
-            scene = train_scenes[si]
-            grid = grids[scene.image_id]
-            gt = scene.gt_instances()
-            gt_pairs = gt_pairs_of(scene, spec)
-            proposals = seed_instances(scene)
-            stage_losses = []
-            stage_batches = []
-            for t in range(model.config.stages):
-                losses, refined = localization_stage_step(model, grid, proposals, gt, t)
-                # detector outputs are the seed-lineage refinements; the
-                # resampled ground-truth boxes only augment localization
-                outputs = [inst for inst in refined if inst.lineage >= 0]
-                candidates = enumerate_pairs(outputs, model.person_class)
-                stage_batches.append(sample_training_pairs(
-                    candidates, gt_pairs, model.config.iou_thresholds[t],
-                    model.n_verbs, batch_spec, rng, stage=t + 1))
-                stage_losses.append(losses)
-                proposals = refined
-            for losses, rel in zip(stage_losses,
-                                   relation_losses_multi(model, grid, stage_batches)):
-                losses.update(rel)
-            pending += 1
-            if step_i % phase2_batch == 0 or step_i == len(order):
-                sgd_step(model.store, config.learning_rate / pending)
-                pending = 0
-            epoch_losses.append(total_loss(stage_losses, model.config))
-        log.phase2.append(float(np.mean(epoch_losses)))
+    for epochs, with_relation, epoch_log in ((config.phase1_epochs, False, log.phase1),
+                                             (config.phase2_epochs, True, log.phase2)):
+        for _ in range(epochs):
+            rng.shuffle(order)
+            epoch_losses, pending = [], 0
+            for step_i, si in enumerate(order, start=1):
+                scene = train_scenes[si]
+                epoch_losses.append(total_loss(scene_losses(
+                    model, grids[scene.image_id], scene, spec, rng, with_relation),
+                    model.config))
+                pending += 1
+                if pending == SCENES_PER_STEP or step_i == len(order):
+                    sgd_step(model.store, config.learning_rate / pending)
+                    pending = 0
+            epoch_log.append(float(np.mean(epoch_losses)))
     return model
 
 

@@ -309,15 +309,15 @@ class TestResampleForStage:
     def test_gt_proposal_positive_at_any_threshold(self):
         gt = [Instance(2, 1.0, Box(1, 1, 9, 9))]
         for mu in (0.5, 0.6, 0.7, 0.95):
-            labeled = resample_for_stage([Box(1, 1, 9, 9)], gt, mu)
+            labeled = resample_for_stage([Instance(2, 0.8, Box(1, 1, 9, 9))], gt, mu)
             assert labeled[0].positive
             np.testing.assert_allclose(labeled[0].delta_target, np.zeros(4), atol=1e-12)
 
     def test_iou_55_crosses_schedule(self):
         # box (0,0,10,10) vs (0,0,10,5.5): inter 55, union 100 -> IoU 0.55
         gt = [Instance(1, 1.0, Box(0, 0, 10, 10))]
-        prop = Box(0, 0, 10, 5.5)
-        np.testing.assert_allclose(box_iou(prop, gt[0].box), 0.55)
+        prop = Instance(1, 0.8, Box(0, 0, 10, 5.5))
+        np.testing.assert_allclose(box_iou(prop.box, gt[0].box), 0.55)
         at_05 = resample_for_stage([prop], gt, 0.5)
         at_06 = resample_for_stage([prop], gt, 0.6)
         assert at_05[0].positive and not at_06[0].positive
@@ -327,10 +327,10 @@ class TestResampleForStage:
         labeled = resample_for_stage([], gt, 0.5)
         assert len(labeled) == 2
         assert all(l.positive for l in labeled)
-        assert [l.class_id for l in labeled] == [1, 2]
+        assert [l.gt_index for l in labeled] == [0, 1]
 
     def test_no_ground_truth_all_negative(self):
-        labeled = resample_for_stage([Box(0, 0, 2, 2)], [], 0.5)
+        labeled = resample_for_stage([Instance(1, 0.8, Box(0, 0, 2, 2))], [], 0.5)
         assert len(labeled) == 1 and not labeled[0].positive
 
     def test_positives_always_reach_threshold(self):
@@ -339,11 +339,12 @@ class TestResampleForStage:
         props = []
         for _ in range(40):
             x1, y1 = rng.uniform(0, 8, 2)
-            props.append(Box(x1, y1, x1 + rng.uniform(2, 10), y1 + rng.uniform(2, 10)))
+            props.append(Instance(1, 0.8, Box(x1, y1, x1 + rng.uniform(2, 10),
+                                              y1 + rng.uniform(2, 10))))
         for mu in (0.5, 0.6, 0.7):
             for lab in resample_for_stage(props, gt, mu):
                 if lab.positive:
-                    assert lab.iou >= mu or lab.iou == 1.0
+                    assert box_iou(lab.box, gt[lab.gt_index].box) >= mu
 
     def test_bad_threshold(self):
         with pytest.raises(DataError):
@@ -388,7 +389,3 @@ class TestLineageDedup:
         b2 = Instance(2, 0.9, Box(5, 5, 7, 7), stage_of_origin=2, lineage=1)
         kept = dedup_by_lineage([a1, a3, b2])
         assert kept == [a3, b2]
-
-    def test_unlineaged_pass_through(self):
-        plain = Instance(1, 0.5, Box(0, 0, 2, 2))
-        assert dedup_by_lineage([plain]) == [plain]

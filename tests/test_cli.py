@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from dataclasses import fields
 
@@ -372,6 +373,55 @@ class TestErrorPaths:
                               "--out", str(tmp_path / "p.ndjson")]}[command]
         assert main([command, "--data", str(data)] + io_flags) == 2
         assert f"{meta}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("entities[1].class_id", 99), ("entities[1].class_id", 7),
+        ("entities[1].class_id", -1), ("entities[1].class_id", "x"),
+        ("triplets[0].verb", 99), ("triplets[0].verb", -1),
+        ("proposals[0].entity", 99), ("proposals[0].entity", -1),
+        ("entities[0].mask.size", [64, 256]), ("width", 0),
+    ])
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    def test_malformed_scene_record_exit_2(self, pipeline, tmp_path, capsys,
+                                           command, field, value):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        split = data / ("train.ndjson" if command == "train" else "test.ndjson")
+        lines = split.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if json.loads(line)["triplets"])
+        record = json.loads(lines[lineno - 1])
+        *path, key = re.findall(r"\w+", field)  # entities[1].class_id: entities, 1, class_id
+        target = record
+        for step in path:
+            target = target[int(step)] if step.isdigit() else target[step]
+        target[key] = value
+        lines[lineno - 1] = json.dumps(record)
+        split.write_text("\n".join(lines) + "\n")
+        flags = {"train": ["--out", str(tmp_path / "m"), "--phase1-epochs", "0",
+                           "--phase2-epochs", "0"],
+                 "infer": ["--model", str(pipeline["model"]), "--out", str(tmp_path / "p.ndjson")],
+                 "eval": ["--preds", str(pipeline["preds"])]}[command]
+        assert main([command, "--data", str(data)] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"{split}:{lineno}: " in err or f"{split}: image {record['image_id']!r}: " in err
+        assert f"field '{field}'" in err
+        assert not (tmp_path / "m").exists() and not (tmp_path / "p.ndjson").exists()
+
+    def test_scene_of_another_image_size_exit_2(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        split = data / "train.ndjson"
+        lines = split.read_text().splitlines()
+        record = json.loads(lines[0])
+        record.update(width=128, height=100)
+        for entity in record["entities"]:
+            entity["mask"] = {"size": [100, 128], "rle": [100 * 128]}
+        split.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+                     "--phase1-epochs", "1", "--phase2-epochs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{split}: image {record['image_id']!r}: fields 'width' and 'height'" in err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("name, corrupt, message", [
         ("params.bin", lambda raw: raw[:1000], "blob truncated"),

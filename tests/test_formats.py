@@ -27,7 +27,7 @@ from hoicascade.synth import SceneSpec, generate_dataset
 
 
 class TestRle:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(st.integers(1, 12).flatmap(lambda h: st.integers(1, 12).flatmap(
         lambda w: arrays(bool, (h, w)))))
     def test_roundtrip_property(self, bits):

@@ -65,7 +65,7 @@ def bilinear_oracle(grid, box, out):
 
 # ------------------------------------------------------------------- boxes
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
                   *[st.floats(-1e3, 1e3)] * 2, *[st.floats(1e-3, 1e3)] * 2)

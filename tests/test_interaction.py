@@ -18,7 +18,6 @@ from hoicascade.interaction import (
     RelationFeatures,
     RelationFold,
     RRMHead,
-    TrainBatchSpec,
     classify_relation,
     enumerate_pairs,
     fuse_scores,
@@ -176,13 +175,13 @@ class TestSampleTrainingPairs:
         gt = self._gt()
         cand = HOICandidate(inst(0, Box(0, 0, 10, 20)), inst(1, Box(12, 4, 18, 10)))
         for mu in (0.5, 0.6, 0.7):
-            batch = sample_training_pairs([cand], gt, mu, 4,
-                                          TrainBatchSpec(include_gt_pairs=False))
-            assert len(batch.positives) == 1
+            batch = sample_training_pairs([cand], gt, mu, 4, np.random.default_rng(0))
+            assert len(batch.positives) == 2  # the candidate, then the annotated pair
+            assert batch.positives[0].candidate is cand
             np.testing.assert_array_equal(batch.positives[0].verb_targets, [1, 0, 1, 0])
 
     def test_gt_pairs_appended(self):
-        batch = sample_training_pairs([], self._gt(), 0.5, 4)
+        batch = sample_training_pairs([], self._gt(), 0.5, 4, np.random.default_rng(0))
         assert len(batch.positives) == 1
         assert batch.positives[0].candidate.human.class_id == 0
         assert batch.positives[0].candidate.object.class_id == 1
@@ -194,7 +193,7 @@ class TestSampleTrainingPairs:
         gt = [GroundTruthPair(h_box, Box(16, 4, 26, 14), 1, frozenset({0})),
               GroundTruthPair(h_box, Box(16, 18, 26, 28), 2, frozenset({3})),
               GroundTruthPair(Box(30, 4, 42, 30), Box(44, 4, 54, 14), 1, frozenset({2}))]
-        pairs = sample_training_pairs([], gt, 0.5, 4).all_pairs()
+        pairs = sample_training_pairs([], gt, 0.5, 4, np.random.default_rng(0)).all_pairs()
         humans = [lab.candidate.human for lab in pairs]
         assert humans[0] is humans[1] and humans[2] is not humans[0]
 
@@ -211,7 +210,6 @@ class TestSampleTrainingPairs:
     def test_batch_constants_and_cap(self):
         assert MAX_TRAIN_PAIRS == 128
         assert POS_NEG_RATIO == (1, 3)
-        assert TrainBatchSpec().max_positive == 32
         gt = [GroundTruthPair(Box(0, 0, 10, 20), Box(float(12 + i), 4, float(18 + i), 10), 1,
                               frozenset({0})) for i in range(50)]
         cands = []
@@ -219,7 +217,7 @@ class TestSampleTrainingPairs:
             # negatives far away from every annotated pair
             cands.append(HOICandidate(inst(0, Box(0, 30, 10, 50)),
                                       inst(1, Box(40 + (i % 50), 30, 46 + (i % 50), 36))))
-        batch = sample_training_pairs(cands, gt, 0.5, 4)
+        batch = sample_training_pairs(cands, gt, 0.5, 4, np.random.default_rng(0))
         assert len(batch.positives) == 32
         assert len(batch.negatives) == 96
         assert len(batch.all_pairs()) == 128
@@ -228,7 +226,7 @@ class TestSampleTrainingPairs:
         gt = self._gt()
         cands = [HOICandidate(inst(0, Box(0, 30, 10, 50)),
                               inst(1, Box(40, 30 + i, 46, 36 + i))) for i in range(150)]
-        batch = sample_training_pairs(cands, gt, 0.5, 4)
+        batch = sample_training_pairs(cands, gt, 0.5, 4, np.random.default_rng(0))
         assert len(batch.positives) == 1  # only the appended GT pair
         assert len(batch.negatives) == 127
 
@@ -244,16 +242,17 @@ class TestSampleTrainingPairs:
                 inst(0, Box(hx, hy, hx + rng.uniform(5, 15), hy + rng.uniform(10, 25))),
                 inst(1, Box(ox, oy, ox + rng.uniform(4, 10), oy + rng.uniform(4, 12)))))
         mu = 0.5
-        batch = sample_training_pairs(cands, gt, mu, 4,
-                                      TrainBatchSpec(include_gt_pairs=False))
+        batch = sample_training_pairs(cands, gt, mu, 4, rng)
         expected_pos = set()
         for i, c in enumerate(cands):
             for g in gt:
                 if (box_iou(c.human.box, g.h_box) >= mu
                         and box_iou(c.object.box, g.o_box) >= mu):
                     expected_pos.add(i)
-        got_pos = {cands.index(lp.candidate) for lp in batch.positives}
+        index = {id(c): i for i, c in enumerate(cands)}
+        got_pos = {index[id(lp.candidate)] for lp in batch.positives if id(lp.candidate) in index}
         assert got_pos == expected_pos
+        assert len(batch.positives) == len(expected_pos) + len(gt)  # annotated pairs appended
 
 
 class TestTotalLoss:
@@ -293,7 +292,8 @@ class TestInferImage:
     def _scene(self, model, seed=0):
         rng = np.random.default_rng(seed)
         grid = FeatureGrid(0.05 * rng.normal(size=(model.channels, 16, 16)), 32, 32)
-        seeds = [inst(0, Box(2, 2, 12, 22), 1.0), inst(1, Box(14, 6, 22, 14), 1.0)]
+        seeds = [inst(0, Box(2, 2, 12, 22), 1.0, lineage=0),
+                 inst(1, Box(14, 6, 22, 14), 1.0, lineage=1)]
         return grid, seeds
 
     def test_empty_scene(self):
@@ -399,8 +399,9 @@ def crowded_scene(model, seed=0):
     """Three people and three objects: 15 candidate pairs."""
     rng = np.random.default_rng(seed)
     grid = FeatureGrid(0.05 * rng.normal(size=(model.channels, 32, 32)), 64, 64)
-    seeds = [inst(0, Box(2 + 20 * i, 4, 14 + 20 * i, 30), 1.0) for i in range(3)]
-    seeds += [inst(1 + i % 2, Box(4 + 20 * i, 36, 14 + 20 * i, 46), 1.0) for i in range(3)]
+    seeds = [inst(0, Box(2 + 20 * i, 4, 14 + 20 * i, 30), 1.0, lineage=i) for i in range(3)]
+    seeds += [inst(1 + i % 2, Box(4 + 20 * i, 36, 14 + 20 * i, 46), 1.0, lineage=3 + i)
+              for i in range(3)]
     return grid, seeds
 
 
@@ -545,7 +546,8 @@ class TestModelPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         model = tiny_model(seed=13)
         grid = FeatureGrid(np.random.default_rng(4).normal(size=(3, 16, 16)), 32, 32)
-        seeds = [inst(0, Box(2, 2, 12, 22), 1.0), inst(1, Box(14, 6, 22, 14), 1.0)]
+        seeds = [inst(0, Box(2, 2, 12, 22), 1.0, lineage=0),
+                 inst(1, Box(14, 6, 22, 14), 1.0, lineage=1)]
         model.save(tmp_path / "model")
         # float32 storage slightly perturbs weights: reload twice and compare
         first = CascadeModel.load(tmp_path / "model")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoicascade.errors import DataError
 from hoicascade.geometry import BitMask, Box
@@ -142,6 +144,55 @@ class TestAveragePrecision:
             with_fp = flags + [(0.01, n + 1, False)]
             same = average_precision(with_fp, total_gt)
             assert same <= base + 1e-12
+
+
+# small integer boxes near each other, so predictions hit, miss and tie
+BOX = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 5), st.integers(1, 5)).map(
+    lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+TRIPLET = st.tuples(BOX, BOX, st.integers(0, 2))
+
+
+class TestMetricProperties:
+    @settings(max_examples=150)
+    @given(gts=st.lists(TRIPLET, min_size=1, max_size=4),
+           preds=st.lists(st.tuples(TRIPLET, st.sampled_from([0.2, 0.5, 0.9])), max_size=8),
+           threshold=st.sampled_from([0.25, 0.5, 0.75]))
+    def test_greedy_matching_agrees_with_oracle(self, gts, preds, threshold):
+        gt_records = [trip(h, o, v) for h, o, v in gts]
+        pred_records = [trip(h, o, v, score, i) for i, ((h, o, v), score) in enumerate(preds)]
+        flags = match_triplets(sort_predictions(pred_records), gt_records, threshold)
+        ref, _ = oracle_match([OracleTriplet(h, o, v, score, i)
+                               for i, ((h, o, v), score) in enumerate(preds)],
+                              [OracleTriplet(h, o, v) for h, o, v in gts], threshold)
+        assert flags == ref
+        # each ground truth matches at most once
+        ordered = sort_predictions(pred_records)
+        for verb in range(3):
+            hits = sum(f for f, p in zip(flags, ordered) if p.verb == verb)
+            assert hits <= sum(g.verb == verb for g in gt_records)
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_envelope_is_non_increasing_upper_bound(self, precisions):
+        env = precision_envelope(precisions)
+        assert len(env) == len(precisions)
+        assert all(e >= p for e, p in zip(env, precisions))
+        assert all(a >= b for a, b in zip(env, env[1:]))
+
+    @given(flags=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=20),
+           missed=st.integers(0, 5))
+    def test_average_precision_lies_in_unit_interval(self, flags, missed):
+        scored = [(score, i, tp) for i, (score, tp) in enumerate(flags)]
+        total_gt = sum(tp for _, tp in flags) + missed
+        if total_gt:
+            assert 0.0 <= average_precision(scored, total_gt) <= 1.0
+
+    @given(tp_scores=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=10),
+           fp_scores=st.lists(st.floats(0.0, 0.5, exclude_max=True), max_size=10))
+    def test_average_precision_is_one_when_true_positives_rank_first(self, tp_scores,
+                                                                      fp_scores):
+        scored = [(s, i, True) for i, s in enumerate(tp_scores)]
+        scored += [(s, len(tp_scores) + i, False) for i, s in enumerate(fp_scores)]
+        assert average_precision(scored, len(tp_scores)) == 1.0
 
 
 class TestMapRel:

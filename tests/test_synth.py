@@ -135,7 +135,7 @@ class TestRendering:
     def test_class_channel_exact_inside_entities(self):
         spec = SceneSpec(seed=12, noise_sigma=0.0)
         scene = generate_scene(spec, 0)
-        grid = render_feature_grid(scene, spec, spec.min_channels(), 32, noise_sigma=0.0)
+        grid = render_feature_grid(scene, spec, spec.min_channels(), 32)
         size = scene.width
         for ent in scene.entities:
             ch = grid.data[ent.class_id]
@@ -151,7 +151,7 @@ class TestRendering:
     def test_outside_everything_is_zero(self):
         spec = SceneSpec(seed=13, noise_sigma=0.0)
         scene = generate_scene(spec, 1)
-        grid = render_feature_grid(scene, spec, spec.min_channels(), 32, noise_sigma=0.0)
+        grid = render_feature_grid(scene, spec, spec.min_channels(), 32)
         size = scene.width
         covered = np.zeros((32, 32), dtype=bool)
         for ent in scene.entities:
@@ -168,7 +168,7 @@ class TestRendering:
     def test_channel_contents_vs_rasterization_oracle(self):
         spec = SceneSpec(seed=14, noise_sigma=0.0)
         scene = generate_scene(spec, 2)
-        grid = render_feature_grid(scene, spec, spec.min_channels(), 32, noise_sigma=0.0)
+        grid = render_feature_grid(scene, spec, spec.min_channels(), 32)
         size = scene.width
         verb_offset = spec.n_classes
         for t in scene.triplets:
@@ -197,7 +197,7 @@ class TestRendering:
     def test_part_pattern_two_levels(self):
         spec = SceneSpec(seed=17, noise_sigma=0.0)
         scene = generate_scene(spec, 4)
-        grid = render_feature_grid(scene, spec, spec.min_channels(), 32, noise_sigma=0.0)
+        grid = render_feature_grid(scene, spec, spec.min_channels(), 32)
         part = grid.data[spec.n_classes + spec.n_verbs + 1]
         levels = set(np.unique(part))
         assert levels <= {0.0, 0.5, 1.0}

@@ -55,8 +55,8 @@ def sampled_batches(model, seed=0, people=2):
     gt = [GroundTruthPair(humans[0].box, objects[0].box, 1, frozenset({0, 2})),
           GroundTruthPair(humans[1].box, objects[1].box, 2, frozenset({3}))][:people]
     candidates = enumerate_pairs(humans[:people] + objects)
-    batches = [sample_training_pairs(candidates, gt, thr, model.n_verbs, stage=t + 1)
-               for t, thr in enumerate(model.config.iou_thresholds)]
+    batches = [sample_training_pairs(candidates, gt, thr, model.n_verbs, rng)
+               for thr in model.config.iou_thresholds]
     return grid, batches
 
 
@@ -183,7 +183,7 @@ class TestLocalizationStageStep:
         assert [len(stage) for stage in stage_outputs] == [6, 6, 6]
         proposals = seeds
         for t, expected in enumerate(stage_outputs):
-            _, proposals = localization_stage_step(model, grid, proposals, gt, t, train=False)
+            _, proposals = localization_stage_step(model, grid, proposals, gt, t)
             got = [inst for inst in proposals if inst.lineage >= 0]
             assert [(g.class_id, g.lineage, g.stage_of_origin) for g in got] == [
                 (e.class_id, e.lineage, t + 1) for e in expected]
@@ -207,8 +207,7 @@ class TestLocalizationStageStep:
             assert 0 < len(pos) < len(labeled)
             bce, _ = binary_cross_entropy(scores, [[float(lab.positive)] for lab in labeled])
             sl1, _ = smooth_l1(deltas[pos] - np.stack([labeled[i].delta_target for i in pos]))
-            losses, proposals = localization_stage_step(model, grid, proposals, gt, t,
-                                                        train=False)
+            losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
             np.testing.assert_allclose(losses["loc"], bce / len(labeled) + sl1 / len(pos),
                                        atol=1e-12)
             if not segment:
@@ -233,7 +232,7 @@ class TestLocalizationStageStep:
         inputs, proposals = [], seeds
         for t in range(model.config.stages):
             inputs.append(proposals)
-            _, proposals = localization_stage_step(model, grid, proposals, gt, t, train=False)
+            _, proposals = localization_stage_step(model, grid, proposals, gt, t)
 
         def loss():
             return total_loss([localization_stage_step(model, grid, props, gt, t)[0]
@@ -250,3 +249,56 @@ class TestLocalizationStageStep:
         report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=3, seed=0)
         assert report.passed, str(report)
         assert all(np.any(p.grad) for p in blocks.values())
+
+
+def test_training_beats_the_untrained_model(tmp_path):
+    """One phase-1 and two phase-2 epochs on 30 scenes lift mAP_rel and
+    Recall@K on 40 held-out scenes above the untrained (0 + 0 epoch) model,
+    and lower the relation losses of every stage on held-out scenes.
+
+    Measured gains of this setting (training seed 0, data seeds 11 to 18):
+    mAP_rel +0.014 to +0.071 and R@K +0.004 to +0.080, every seed
+    positive; at data seed 11, mAP_rel 0.075 -> 0.131 and R@K
+    0.491 -> 0.571. The 0.02 margins sit well under the seed-11 gains, so a
+    change of float summation order cannot trip them. These metrics also
+    rise when the relation gradients are dropped or negated (localization
+    training alone lifts them), so the relation losses of six held-out
+    scenes are checked directly: at seed 11 they fall from 2.2 / 3.1 / 2.6
+    per stage to 1.5 / 1.5 / 1.5, stay put without relation gradients and
+    grow tenfold when those are negated.
+    """
+    from hoicascade.formats import (
+        RunConfig,
+        read_predictions_ndjson,
+        scenes_to_gt_records,
+        write_predictions_ndjson,
+    )
+    from hoicascade.metrics import map_rel, recall_at_k
+    from hoicascade.synth import SceneSpec, generate_dataset
+    from hoicascade.training import infer_scenes, scene_losses
+
+    spec = SceneSpec(seed=11)
+    train = generate_dataset(spec, 30, prefix="train")
+    test = generate_dataset(SceneSpec(seed=11 + 1_000_003), 40, prefix="test")
+    gts = scenes_to_gt_records(test)
+    grids = prepare_grids(test, spec, spec.min_channels(), 32)
+
+    def quality(phase1_epochs, phase2_epochs):
+        config = RunConfig(phase1_epochs=phase1_epochs, phase2_epochs=phase2_epochs)
+        model = train_model(train, spec, config, spec.min_channels(), 32)
+        path = tmp_path / f"{phase1_epochs}-{phase2_epochs}.ndjson"
+        write_predictions_ndjson(path, infer_scenes(model, test, spec, config, grids))
+        preds = read_predictions_ndjson(path)
+        rng = np.random.default_rng(0)
+        relation = np.mean([[loss["rrm"] + loss["rcm"] for loss in scene_losses(
+            model, grids[scene.image_id], scene, spec, rng, with_relation=True)]
+            for scene in test[:6]], axis=0)
+        return (map_rel(preds, gts, spec.n_verbs).map_rel,
+                recall_at_k(preds, gts, spec.geometric_verbs).mean, relation)
+
+    untrained_map, untrained_recall, untrained_relation = quality(0, 0)
+    trained_map, trained_recall, trained_relation = quality(1, 2)
+    assert trained_map >= untrained_map + 0.02, (untrained_map, trained_map)
+    assert trained_recall >= untrained_recall + 0.02, (untrained_recall, trained_recall)
+    assert np.all(trained_relation <= 0.8 * untrained_relation), (untrained_relation,
+                                                                 trained_relation)
