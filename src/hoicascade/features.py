@@ -81,8 +81,8 @@ def semantic_prior(object_class, table: CooccurrenceTable):
 
 def geometric_feature(pair_maps, encoder):
     """(B, 256) descriptors of B two-channel pair maps (B, 2, 64, 64), in
-    the maps' own dtype (float32 from `CascadeModel.build_pair_map`, as in
-    training)."""
+    the maps' own dtype (float32 from `geometry.spatial_pair_encoding`, as
+    in training)."""
     return encoder.forward(pair_maps)
 
 

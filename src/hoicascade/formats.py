@@ -55,8 +55,18 @@ def _box_to_list(box: Box):
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _box_from_list(vals):
-    return Box(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
+def _box_from_list(vals, where):
+    """The box of field `where`: four finite numbers x1 < x2, y1 < y2."""
+    if (not isinstance(vals, list) or len(vals) != 4
+            or not all(_is_number(v) and math.isfinite(v) for v in vals)
+            or not (vals[0] < vals[2] and vals[1] < vals[3])):
+        raise DataError(f"field '{where}' must be [x1, y1, x2, y2], four finite numbers "
+                        f"with x1 < x2 and y1 < y2, got {vals!r}")
+    return Box(*(float(v) for v in vals))
+
+
+def _is_number(value):
+    return type(value) in (int, float)
 
 
 # ---------------------------------------------------------------- scenes
@@ -93,6 +103,13 @@ def _index(obj, key, where="", lo=0, hi=None):
     return value
 
 
+def _iou(obj, where):
+    value = obj["iou"]
+    if not _is_number(value) or not 0.0 <= value <= 1.0:
+        raise DataError(f"field '{where}iou' must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def record_to_scene(record: dict) -> Scene:
     """A scene from its NDJSON record. Indices into the record's entities
     and the image size are checked here; class and verb indices are checked
@@ -105,18 +122,19 @@ def record_to_scene(record: dict) -> Scene:
             if e["mask"]["size"] != [height, width]:
                 raise DataError(f"field 'entities[{i}].mask.size' must be the image size "
                                 f"[{height}, {width}], got {e['mask']['size']!r}")
-            face = _box_from_list(e["face_box"]) if e.get("face_box") else None
+            face = (_box_from_list(e["face_box"], f"entities[{i}].face_box")
+                    if e.get("face_box") else None)
             entities.append(Entity(_index(e, "class_id", f"entities[{i}]."),
-                                   _box_from_list(e["box"]),
+                                   _box_from_list(e["box"], f"entities[{i}].box"),
                                    rle_decode(e["mask"]["rle"], height, width), face))
         n = len(entities)
         triplets = [Triplet(_index(t, "human", f"triplets[{j}].", hi=n),
                             _index(t, "verb", f"triplets[{j}]."),
                             _index(t, "object", f"triplets[{j}].", hi=n))
                     for j, t in enumerate(record["triplets"])]
-        proposals = [SeedProposal(_box_from_list(p["box"]),
+        proposals = [SeedProposal(_box_from_list(p["box"], f"proposals[{k}].box"),
                                   _index(p, "entity", f"proposals[{k}].", hi=n),
-                                  float(p["iou"]))
+                                  _iou(p, f"proposals[{k}]."))
                      for k, p in enumerate(record["proposals"])]
         return Scene(record["image_id"], width, height, entities, triplets, proposals,
                      seed=int(record.get("seed", 0)))
@@ -280,10 +298,11 @@ def read_predictions_ndjson(path):
                     if "mask" in o_ent:
                         o_mask = rle_decode(o_ent["mask"]["rle"], *o_ent["mask"]["size"])
                     triplets.append(TripletRecord(
-                        _box_from_list(h_ent["box"]), _box_from_list(o_ent["box"]),
+                        _box_from_list(h_ent["box"], f"entities[{t['h']}].box"),
+                        _box_from_list(o_ent["box"], f"entities[{t['o']}].box"),
                         int(t["verb"]), score, index, h_mask, o_mask))
                     index += 1
-            except FormatError as exc:
+            except (FormatError, DataError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, TypeError, IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed prediction record: {exc}") from exc

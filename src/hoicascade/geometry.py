@@ -188,18 +188,32 @@ def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
 PAIR_MAP_SIZE = 64
 
 
-def spatial_pair_encoding(h_box: Box, o_box: Box) -> np.ndarray:
-    """(2, 64, 64) occupancy tensor in the union-box frame of the pair.
+def spatial_pair_encoding(h_boxes, o_boxes):
+    """Distinct (2, 64, 64) occupancy maps of P box pairs, each in the
+    union-box frame of its pair.
 
     Channel 0 holds the human, channel 1 the object; a cell is set iff its
-    center lies in the entity's box.
+    center lies in the entity's box. A map is the outer product of its
+    row and column occupancy vectors, so the pairs are keyed on those
+    vectors. Returns the (M, 2, 64, 64) float32 distinct maps in
+    first-seen order and the (P,) map index of each pair.
     """
-    frame = union_box(h_box, o_box)
+    h = np.array([b.as_tuple() for b in h_boxes], dtype=np.float64).reshape(-1, 4)
+    o = np.array([b.as_tuple() for b in o_boxes], dtype=np.float64).reshape(-1, 4)
+    boxes = np.stack([h, o], axis=1)[:, :, :, None]  # (P, 2, 4, 1)
+    x1, y1 = np.minimum(h[:, :2], o[:, :2]).T[:, :, None]  # union frames
+    x2, y2 = np.maximum(h[:, 2:], o[:, 2:]).T[:, :, None]
     n = PAIR_MAP_SIZE
-    cx = frame.x1 + (np.arange(n) + 0.5) * frame.width / n
-    cy = frame.y1 + (np.arange(n) + 0.5) * frame.height / n
-    out = np.zeros((2, n, n), dtype=np.float64)
-    for ch, box in enumerate((h_box, o_box)):
-        out[ch] = (((cx >= box.x1) & (cx < box.x2))[None, :]
-                   & ((cy >= box.y1) & (cy < box.y2))[:, None])
-    return out
+    steps = np.arange(n) + 0.5
+    cx = (x1 + steps * (x2 - x1) / n)[:, None]              # (P, 1, n)
+    cy = (y1 + steps * (y2 - y1) / n)[:, None]
+    cols = (cx >= boxes[:, :, 0]) & (cx < boxes[:, :, 2])  # (P, 2, n)
+    rows = (cy >= boxes[:, :, 1]) & (cy < boxes[:, :, 3])
+    slots, first = {}, []
+    index = np.empty(len(h), dtype=np.intp)
+    for p, key in enumerate(np.concatenate([rows, cols], axis=2)):
+        index[p] = slots.setdefault(key.tobytes(), len(slots))
+        if index[p] == len(first):
+            first.append(p)
+    maps = rows[first][:, :, :, None] & cols[first][:, :, None, :]
+    return maps.astype(np.float32), index

@@ -65,15 +65,19 @@ class RelationFeatures:
 
 @dataclass
 class PooledPairs:
-    """Pooled inputs of P candidate pairs, before any trained layer."""
+    """Pooled inputs of P candidate pairs, before any trained layer, held
+    once per distinct (human box, object box, object class): D rows, and
+    M <= D distinct pair maps."""
 
-    x_s: np.ndarray        # (P, N) verb-frequency priors
-    pair_maps: np.ndarray  # (P, 2, 64, 64) float32 spatial maps
-    h_bar: np.ndarray      # (P, C, 7, 7) IHSM-enhanced human features
-    face: np.ndarray       # (P, C, 7, 7) facial-region features
-    noface: np.ndarray     # (P, C, 7, 7) face-removed human features
-    obj: np.ndarray        # (P, C, 7, 7) object features
-    union: np.ndarray      # (P, C, 7, 7) union-region features
+    rows: np.ndarray       # (P,) each candidate's row among the D distinct pairs
+    map_rows: np.ndarray   # (P,) each candidate's row among the M distinct maps
+    x_s: np.ndarray        # (D, N) verb-frequency priors
+    pair_maps: np.ndarray  # (M, 2, 64, 64) float32 spatial maps
+    h_bar: np.ndarray      # (D, C, 7, 7) IHSM-enhanced human features
+    face: np.ndarray       # (D, C, 7, 7) facial-region features
+    noface: np.ndarray     # (D, C, 7, 7) face-removed human features
+    obj: np.ndarray        # (D, C, 7, 7) object features
+    union: np.ndarray      # (D, C, 7, 7) union-region features
 
 
 @dataclass
@@ -319,39 +323,39 @@ class CascadeModel:
         cy = (np.arange(grid.grid_height)[:, None] + 0.5) / grid.scale_y
         return ~((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))
 
-    @staticmethod
-    def build_pair_map(human: Instance, obj: Instance):
-        # the one dtype of pair maps on both paths, so the conv encoder that
-        # is deployed is the one that was trained; the maps are binary, and
-        # float32 keeps the encoder's column buffers light
-        return spatial_pair_encoding(human.box, obj.box).astype(np.float32)
-
     def pool_pairs(self, grid: FeatureGrid, candidates) -> PooledPairs:
         """Everything of P candidate pairs that precedes the trained layers,
-        shared by training and inference. Face crops, face-removed features
-        and IHSM run once per human; the crops and the face-removed features
-        each pool all humans in one RoIAlign call."""
+        shared by training and inference, once per distinct (human box,
+        object box, object class) in first-seen order, and each distinct
+        pair map once. Face crops, face-removed features and IHSM run once
+        per human box; the crops and the face-removed features each pool
+        all humans in one RoIAlign call."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence table; train or load first")
-        humans = list({id(c.human): c.human for c in candidates}.values())
-        slot = {id(h): i for i, h in enumerate(humans)}
-        rows = [slot[id(c.human)] for c in candidates]
-        boxes = [h.box for h in humans]
-        h_bar = np.stack([ihsm_enhance(h)[0] for h in roi_align(grid, boxes, POOLED_HW)])
-        face = roi_align(grid, [face_region(b) for b in boxes], POOLED_HW)
-        noface = roi_align(grid, boxes, POOLED_HW, keep=self.noface_cells(grid, boxes))
+        slot = {}
+        rows = np.array([slot.setdefault((c.human.box, c.object.box, c.object.class_id),
+                                         len(slot)) for c in candidates], dtype=np.intp)
+        h_boxes, o_boxes, classes = zip(*slot)
+        humans = list(dict.fromkeys(h_boxes))
+        human_row = {b: i for i, b in enumerate(humans)}
+        of_human = [human_row[b] for b in h_boxes]
+        h_bar = np.stack([ihsm_enhance(h)[0] for h in roi_align(grid, humans, POOLED_HW)])
+        face = roi_align(grid, [face_region(b) for b in humans], POOLED_HW)
+        noface = roi_align(grid, humans, POOLED_HW, keep=self.noface_cells(grid, humans))
+        pair_maps, map_index = spatial_pair_encoding(h_boxes, o_boxes)
         return PooledPairs(
-            x_s=np.stack([semantic_prior(c.object.class_id, self.cooccurrence)
-                          for c in candidates]),
-            pair_maps=np.stack([self.build_pair_map(c.human, c.object) for c in candidates]),
-            h_bar=h_bar[rows], face=face[rows], noface=noface[rows],
-            obj=roi_align(grid, [c.object.box for c in candidates], POOLED_HW),
-            union=roi_align(grid, [union_box(c.human.box, c.object.box) for c in candidates],
+            rows=rows, map_rows=map_index[rows],
+            x_s=np.stack([semantic_prior(k, self.cooccurrence) for k in classes]),
+            pair_maps=pair_maps,
+            h_bar=h_bar[of_human], face=face[of_human], noface=noface[of_human],
+            obj=roi_align(grid, o_boxes, POOLED_HW),
+            union=roi_align(grid, [union_box(h, o) for h, o in zip(h_boxes, o_boxes)],
                             POOLED_HW))
 
     def visual_tensor(self, pooled: PooledPairs, stacks=None):
-        """(P, 3C, 7, 7) visual tensors: the IHSM human stream, the object
-        stream enhanced by EFRA, and the union stream, from one EFRA call.
+        """(D, 3C, 7, 7) visual tensors of the distinct pairs: the IHSM
+        human stream, the object stream enhanced by EFRA, and the union
+        stream, from one EFRA call.
         The EFRA stacks are `stacks.face_stack` / `stacks.noface_stack`:
         the model's own by default, or a `RelationFold`'s folded ones."""
         stacks = stacks or self
@@ -363,13 +367,15 @@ class CascadeModel:
 
     def build_features(self, grid: FeatureGrid, candidates, fold=None) -> RelationFeatures:
         """Inference-path relation features of all candidate pairs of one
-        image, from one geometric-encoder and one EFRA call; EFRA runs the
-        fold's stacks when a `RelationFold` is given, else the factored ones
-        that training runs."""
+        image, from one geometric-encoder call on the distinct pair maps and
+        one EFRA call on the distinct pairs, gathered back to one row per
+        candidate; EFRA runs the fold's stacks when a `RelationFold` is
+        given, else the factored ones that training runs."""
         pooled = self.pool_pairs(grid, candidates)
-        return RelationFeatures(x_s=pooled.x_s,
-                                x_g=geometric_feature(pooled.pair_maps, self.geo_encoder),
-                                x_v=self.visual_tensor(pooled, fold))
+        return RelationFeatures(
+            x_s=pooled.x_s[pooled.rows],
+            x_g=geometric_feature(pooled.pair_maps, self.geo_encoder)[pooled.map_rows],
+            x_v=self.visual_tensor(pooled, fold)[pooled.rows])
 
     # -------------------------------------------------------------- io
 

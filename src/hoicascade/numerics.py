@@ -5,6 +5,13 @@ Arithmetic is float64, except that the conv encoder runs in float32 on
 the float32 pair maps it is given. Layers cache their most recent forward
 inputs, so each forward must be followed by its backward before the layer
 is reused (the training loops respect this ordering).
+
+An FC weight gradient is taken once per SGD step: `FCLayer.backward`
+records its (dy, x) rows on the weight `Param`, and the gradient is the
+one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). Reading
+`Param.grad` adds any pending product to the buffer first, and
+`ParamStore.load` drops pending rows. Bias and conv gradients are added
+at once.
 """
 
 from __future__ import annotations
@@ -24,23 +31,36 @@ class Param:
     """One trainable block: a value array and a same-shaped gradient buffer.
 
     The buffer is allocated at zero on first use, so a loaded model that
-    only infers holds none."""
+    only infers holds none. A block keeps its own copy of `value`, unless
+    `copy` is False: then it takes over the float64 array it is given, as
+    the layers do with the arrays `init_uniform` builds for them."""
 
-    __slots__ = ("value", "_grad")
+    __slots__ = ("value", "_grad", "_rows")
 
-    def __init__(self, value):
-        self.value = np.array(value, dtype=np.float64)
+    def __init__(self, value, copy=True):
+        self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
+        self._rows = []  # pending (dy, x) weight-gradient rows
+
+    def defer(self, dy, x):
+        """Record the gradient dy.T @ x, to be taken with the other pending
+        rows in one product. The arrays are kept, not copied."""
+        self._rows.append((dy, x))
 
     @property
     def grad(self):
         if self._grad is None:
             self._grad = np.zeros(self.value.shape)
+        if self._rows:
+            dys, xs = zip(*self._rows)
+            self._rows = []
+            self._grad += np.concatenate(dys).T @ np.concatenate(xs)
         return self._grad
 
     @grad.setter
     def grad(self, grad):
         self._grad = grad
+        self._rows = []
 
 
 class ParamStore:
@@ -127,16 +147,18 @@ class ParamStore:
                 raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
             # one widening copy, straight from the blob into the block
             p.value[...] = np.frombuffer(blob, "<f4", count=n, offset=offset).reshape(shape)
-            p._grad = None
+            p.grad = None
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """p <- p - lr * grad for every block, then zero the gradients. A block
-    whose gradient was never used is skipped: p - lr * 0 is p, bit for bit."""
+    """p <- p - lr * grad for every block, then zero the gradients. Pending
+    weight rows are taken first, so the check for non-finite values covers
+    their product. A block whose gradient was never used is skipped:
+    p - lr * 0 is p, bit for bit."""
     for name, p in store.items():
-        grad = p._grad
-        if grad is None:
+        if p._grad is None and not p._rows:
             continue
+        grad = p.grad
         if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in block {name!r}")
         p.value -= lr * grad
@@ -175,8 +197,8 @@ class FCLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.w = Param(init_uniform(rng, (out_dim, in_dim), in_dim, out_dim))
-        self.b = Param(np.zeros(out_dim))
+        self.w = Param(init_uniform(rng, (out_dim, in_dim), in_dim, out_dim), copy=False)
+        self.b = Param(np.zeros(out_dim), copy=False)
         self._x = None
         self._y = None
 
@@ -193,7 +215,10 @@ class FCLayer:
         self._y = y
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulate db, defer dW (`Param.defer`: dy and the forward input
+        are kept until the gradient is taken, so neither may be written to
+        before then); return dx unless input_grad is False."""
         dy = np.asarray(dy, dtype=np.float64)
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -201,9 +226,10 @@ class FCLayer:
             raise ShapeError(f"FCLayer backward expects {self._y.shape}, got {dy.shape}")
         if self.activation == "sigmoid":
             dy = dy * self._y * (1.0 - self._y)
-        self.w.grad += dy.T @ self._x
+        self.w.defer(dy, self._x)
         self.b.grad += dy.sum(axis=0)
-        return dy @ self.w.value
+        if input_grad:
+            return dy @ self.w.value
 
 
 class FCStack:
@@ -263,8 +289,8 @@ class Conv2D:
         self.k = kernel_size
         fan_in = in_channels * kernel_size * kernel_size
         self.w = Param(init_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
-                                    fan_in, out_channels))
-        self.b = Param(np.zeros(out_channels))
+                                    fan_in, out_channels), copy=False)
+        self.b = Param(np.zeros(out_channels), copy=False)
         self._cols = None
         self._xshape = None
 

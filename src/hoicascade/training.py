@@ -100,8 +100,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         reg_loss = sl1 / len(pos)
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
-    head.scorer.backward(cfg.beta[stage] * d_scores / len(labeled))
-    head.regressor.backward(cfg.beta[stage] * d_deltas)
+    head.scorer.backward(cfg.beta[stage] * d_scores / len(labeled), input_grad=False)
+    head.regressor.backward(cfg.beta[stage] * d_deltas, input_grad=False)
 
     # the refined box is data to the mask loss, a stop-gradient by design
     masked = [i for i in pos if model.segment and refined[i] is not None
@@ -128,7 +128,10 @@ class RelationPass:
     Stage losses are independent (the prior-stage tensor is detached), so
     the shared feature machinery runs a single combined forward, stage
     heads operate on row slices, and one combined backward accumulates the
-    shared-layer gradients.
+    shared-layer gradients. The stages sample many of the same pairs, so
+    the geometric encoder runs once per distinct pair map and EFRA once per
+    distinct pair; their outputs are gathered to one row per sampled pair,
+    and backward folds the row gradients back with one indexed add each.
     """
 
     def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
@@ -144,12 +147,12 @@ class RelationPass:
         self.prev_mult = np.concatenate([np.full(len(pairs), 1.0 if stage == 0 else 2.0)
                                          for stage, pairs in stage_pairs])
         self.pooled = model.pool_pairs(grid, [lab.candidate for lab in entries])
-        self.x_s = self.pooled.x_s
+        self.x_s = self.pooled.x_s[self.pooled.rows]
 
     def forward(self):
-        model = self.model
-        self.x_g = model.geo_encoder.forward(self.pooled.pair_maps)
-        self.x_v = model.visual_tensor(self.pooled).reshape(self.n, -1)
+        model, pooled = self.model, self.pooled
+        self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
+        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
         # prior-stage tensor enters as data: zeros at stage 1, a detached
         # copy of the current tensor afterwards
         self.fused = model.fusion_stack.forward(self.x_v * self.prev_mult[:, None])
@@ -166,7 +169,7 @@ class RelationPass:
         return self
 
     def backward(self, d_g, d_s_s, d_s_g, d_s_v):
-        model = self.model
+        model, pooled = self.model, self.pooled
         width = self.fused.shape[1]
         d_fused = np.zeros_like(self.fused)
         d_xg = np.zeros_like(self.x_g)
@@ -174,7 +177,7 @@ class RelationPass:
             if sl.stop == sl.start:
                 continue
             heads = model.rcm_heads[stage]
-            heads.semantic.backward(d_s_s[sl])
+            heads.semantic.backward(d_s_s[sl], input_grad=False)
             d_xg[sl] += heads.geometric.backward(d_s_g[sl])
             d_fused[sl] += heads.visual.backward(d_s_v[sl])
             d_rrm_in = model.rrm_heads[stage].fc.backward(d_g[sl, None])
@@ -183,13 +186,16 @@ class RelationPass:
         d_xv = model.fusion_stack.backward(d_fused) * self.prev_mult[:, None]
         # only the object stream o_bar = o + alpha * face + alpha_bar * noface
         # depends on trained layers, through the EFRA scores
-        face, noface = self.pooled.face, self.pooled.noface
-        d_obar = d_xv.reshape(self.n, 3, *face.shape[1:])[:, 1]
-        d_alpha = (d_obar * face).reshape(self.n, -1).sum(axis=1)
-        d_alpha_bar = (d_obar * noface).reshape(self.n, -1).sum(axis=1)
+        face, noface = pooled.face, pooled.noface
+        d_obar = np.zeros((len(face), face[0].size))
+        np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
+        d_alpha = (d_obar * face.reshape(len(face), -1)).sum(axis=1)
+        d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
         efra_attend_backward(d_alpha, d_alpha_bar, model.face_stack,
                              model.noface_stack, face.shape[1:])
-        model.geo_encoder.backward(d_xg)
+        d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
+        np.add.at(d_maps, pooled.map_rows, d_xg)
+        model.geo_encoder.backward(d_maps)
 
 
 def relation_losses_multi(model, grid, stage_batches):

@@ -380,6 +380,10 @@ class TestErrorPaths:
         ("triplets[0].verb", 99), ("triplets[0].verb", -1),
         ("proposals[0].entity", 99), ("proposals[0].entity", -1),
         ("entities[0].mask.size", [64, 256]), ("width", 0),
+        ("entities[1].box", ["x", 0, 10, 10]), ("entities[1].box", [50, 50, 10, 10]),
+        ("entities[1].box", [float("nan"), 0, 10, 10]), ("entities[1].box", [0, 0, 10]),
+        ("entities[1].face_box", [50, 50, 10, 10]), ("proposals[0].box", [0, 30, 10, 20]),
+        ("proposals[0].iou", "x"), ("proposals[0].iou", float("nan")),
     ])
     @pytest.mark.parametrize("command", ["train", "infer", "eval"])
     def test_malformed_scene_record_exit_2(self, pipeline, tmp_path, capsys,
@@ -462,6 +466,16 @@ class TestPredictionFileContract:
         assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:1:" in err and f"'{field}'" in err
+
+    def test_bad_entity_box(self, pipeline, tmp_path, capsys):
+        record = _first_scored_record(pipeline["preds"])
+        o = record["triplets"][0]["o"]
+        record["entities"][o]["box"] = [50, 50, 10, 10]
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: field 'entities[{o}].box'" in err
 
     def test_duplicate_image_id(self, pipeline, tmp_path, capsys):
         line = json.dumps(_first_scored_record(pipeline["preds"]))

@@ -245,31 +245,55 @@ class TestBatchedRoiAlign:
 
 # ----------------------------------------------------- pair encoding (2ch)
 
+def pair_map_reference(h_box, o_box):
+    """One pair's (2, 64, 64) map, cell by cell: a cell is set iff its
+    center in the union-box frame lies in the entity's box."""
+    frame = union_box(h_box, o_box)
+    n = 64
+    cx = frame.x1 + (np.arange(n) + 0.5) * frame.width / n
+    cy = frame.y1 + (np.arange(n) + 0.5) * frame.height / n
+    out = np.zeros((2, n, n), dtype=np.float32)
+    for ch, box in enumerate((h_box, o_box)):
+        for r in range(n):
+            for c in range(n):
+                out[ch, r, c] = box.x1 <= cx[c] < box.x2 and box.y1 <= cy[r] < box.y2
+    return out
+
+
+def encode_one(h_box, o_box):
+    maps, index = spatial_pair_encoding([h_box], [o_box])
+    assert maps.shape == (1, 2, 64, 64) and maps.dtype == np.float32
+    assert index.tolist() == [0]
+    return maps[0]
+
+
 class TestSpatialPairEncoding:
     def test_same_box_all_ones(self):
         b = Box(2, 3, 9, 11)
-        enc = spatial_pair_encoding(b, b)
-        assert enc.shape == (2, 64, 64)
+        enc = encode_one(b, b)
         np.testing.assert_array_equal(enc, np.ones((2, 64, 64)))
 
     def test_disjoint_halves(self):
         h, o = Box(0, 0, 10, 10), Box(10, 0, 20, 10)
-        enc = spatial_pair_encoding(h, o)
+        enc = encode_one(h, o)
         assert np.all(enc[0, :, :32] == 1) and np.all(enc[0, :, 32:] == 0)
         assert np.all(enc[1, :, 32:] == 1) and np.all(enc[1, :, :32] == 0)
         assert not np.any((enc[0] > 0) & (enc[1] > 0))
 
     def test_values_binary(self):
-        enc = spatial_pair_encoding(Box(0, 0, 3, 3), Box(1, 1, 7, 5))
+        enc = encode_one(Box(0, 0, 3, 3), Box(1, 1, 7, 5))
         assert set(np.unique(enc)) <= {0.0, 1.0}
 
     def test_translation_and_scale_invariance(self):
         h, o = Box(1, 2, 4, 6), Box(3, 5, 9, 8)
-        base = spatial_pair_encoding(h, o)
+        base = encode_one(h, o)
         for dx, dy, s in [(5, 7, 1.0), (0, 0, 3.0), (2, 1, 0.5)]:
             h2 = Box(h.x1 * s + dx, h.y1 * s + dy, h.x2 * s + dx, h.y2 * s + dy)
             o2 = Box(o.x1 * s + dx, o.y1 * s + dy, o.x2 * s + dx, o.y2 * s + dy)
-            np.testing.assert_array_equal(base, spatial_pair_encoding(h2, o2))
+            np.testing.assert_array_equal(base, encode_one(h2, o2))
+            # in one call the two pairs share one map
+            maps, index = spatial_pair_encoding([h, h2], [o, o2])
+            assert len(maps) == 1 and index.tolist() == [0, 0]
 
     @PROPERTY
     @given(h=st.tuples(*[st.integers(-50, 50)] * 2, *[st.integers(1, 40)] * 2),
@@ -283,9 +307,36 @@ class TestSpatialPairEncoding:
             return Box(x * s + dx, y * s + dy, (x + w) * s + dx, (y + hgt) * s + dy)
 
         s = 2.0 ** log2_scale
-        np.testing.assert_array_equal(spatial_pair_encoding(box(*h), box(*o)),
-                                      spatial_pair_encoding(box(*h, s, *shift),
-                                                            box(*o, s, *shift)))
+        np.testing.assert_array_equal(encode_one(box(*h), box(*o)),
+                                      encode_one(box(*h, s, *shift), box(*o, s, *shift)))
+
+    def test_batch_matches_per_pair_reference_in_first_seen_order(self):
+        rng = np.random.default_rng(4)
+
+        def rand_box():
+            x, y = rng.uniform(0, 100, 2)
+            w, h = rng.uniform(1, 40, 2)
+            return Box(x, y, x + w, y + h)
+
+        h_boxes = [rand_box() for _ in range(12)]
+        o_boxes = [rand_box() for _ in range(12)]
+        # repeats: the same pair again, a shifted copy, and a swapped pair
+        shifted = [Box(b.x1 + 16, b.y1 + 8, b.x2 + 16, b.y2 + 8) for b in (h_boxes[2], o_boxes[2])]
+        h_boxes += [h_boxes[5], shifted[0], o_boxes[0]]
+        o_boxes += [o_boxes[5], shifted[1], h_boxes[0]]
+        # maps that share their row (then column) occupancy but not the other
+        h_boxes += [Box(0, 0, 10, 10)] * 2 + [Box(0, 0, 10, 10)] * 2
+        o_boxes += [Box(10, 0, 20, 10), Box(5, 0, 20, 10), Box(0, 10, 10, 20), Box(0, 5, 10, 20)]
+        maps, index = spatial_pair_encoding(h_boxes, o_boxes)
+        refs = [pair_map_reference(h, o) for h, o in zip(h_boxes, o_boxes)]
+        for ref, i in zip(refs, index):
+            assert maps[i].tobytes() == ref.tobytes()
+        assert len(maps) == 17 and index[12:14].tolist() == [5, 2] and index[14] == 12
+        assert index[15:].tolist() == [13, 14, 15, 16]
+        # distinct maps appear in the order of their first pair
+        firsts = [int(np.flatnonzero(index == m)[0]) for m in range(len(maps))]
+        assert firsts == sorted(firsts)
+        assert len({r.tobytes() for r in refs}) == len(maps)
 
 
 def test_bitmask_bbox():

@@ -5,7 +5,12 @@ import pytest
 
 from hoicascade.cascade import HINGE_MARGIN, CascadeConfig, Instance
 from hoicascade.errors import DataError, FormatError, ShapeError
-from hoicascade.features import CooccurrenceTable, cross_stage_fuse, face_region
+from hoicascade.features import (
+    CooccurrenceTable,
+    cross_stage_fuse,
+    face_region,
+    semantic_prior,
+)
 from hoicascade.geometry import Box, FeatureGrid, box_iou, roi_align
 from hoicascade.interaction import (
     MAX_TRAIN_PAIRS,
@@ -471,6 +476,23 @@ class TestBatchedInference:
             assert [calls.get(id(layer), 0) for layer in once] == [1] * len(once)
             assert [calls.get(id(layer), 0) for layer in unused] == [0] * len(unused)
         assert pair_counts == [1, 15]
+
+    def test_pairs_pool_once_per_boxes_and_object_class(self):
+        model = tiny_model(seed=27)
+        grid = FeatureGrid(np.random.default_rng(6).normal(size=(3, 32, 32)), 64, 64)
+        h_box, o_box = Box(2, 4, 14, 30), Box(16, 4, 26, 14)
+        # the same boxes under another object class, and as other instances
+        candidates = [HOICandidate(inst(0, h_box), inst(1, o_box)),
+                      HOICandidate(inst(0, h_box), inst(2, o_box)),
+                      HOICandidate(inst(0, h_box, conf=0.5), inst(1, o_box, conf=0.4))]
+        pooled = model.pool_pairs(grid, candidates)
+        assert pooled.rows.tolist() == [0, 1, 0] and pooled.map_rows.tolist() == [0, 0, 0]
+        feats = model.build_features(grid, candidates)
+        for row, c in zip(feats.x_s, candidates):
+            np.testing.assert_array_equal(row, semantic_prior(c.object.class_id,
+                                                              model.cooccurrence))
+        assert not np.array_equal(feats.x_s[0], feats.x_s[1])
+        np.testing.assert_array_equal(feats.x_v[0], feats.x_v[2])
 
     def test_noface_features_pool_face_zeroed_grids(self):
         model = tiny_model(seed=26)

@@ -497,6 +497,94 @@ class TestSgdStep:
         with pytest.raises(TrainingError, match="head.w"):
             sgd_step(store, 0.1)
 
+    def test_param_takes_over_an_array_without_copy(self):
+        value = np.zeros(2)
+        assert Param(value, copy=False).value is value
+        fc = FCLayer(3, 2, rng=np.random.default_rng(0))
+        assert fc.w.value.flags.owndata and fc.b.value.flags.owndata
+
+
+def scene_rows(rng, fc, batches=(4, 1, 7)):
+    """Forward and backward of one FC layer over a few scenes; returns the
+    summed per-scene weight and bias gradients."""
+    dw = np.zeros_like(fc.w.value)
+    db = np.zeros_like(fc.b.value)
+    for rows in batches:
+        x = rng.normal(size=(rows, fc.in_dim))
+        dy = rng.normal(size=(rows, fc.out_dim))
+        y = fc.forward(x)
+        fc.backward(dy)
+        dz = dy * y * (1.0 - y) if fc.activation == "sigmoid" else dy
+        dw += dz.T @ x
+        db += dz.sum(axis=0)
+    return dw, db
+
+
+class TestDeferredWeightGradients:
+    @pytest.mark.parametrize("activation", ["none", "sigmoid"])
+    def test_deferred_gradient_equals_per_scene_accumulation(self, activation):
+        rng = np.random.default_rng(40)
+        fc = FCLayer(5, 3, activation, rng)
+        dw, db = scene_rows(rng, fc)
+        assert len(fc.w._rows) == 3 and fc.w._grad is None  # weight rows pending
+        np.testing.assert_allclose(fc.b._grad, db, rtol=1e-12)  # bias at once
+        np.testing.assert_allclose(fc.w.grad, dw, rtol=1e-12)
+        assert fc.w._rows == []  # reading .grad took the product
+
+    def test_grad_read_adds_pending_rows_to_the_buffer(self):
+        rng = np.random.default_rng(41)
+        fc = FCLayer(4, 2, rng=rng)
+        fc.w.grad[...] = 1.0
+        dw, _ = scene_rows(rng, fc, batches=(3,))
+        np.testing.assert_allclose(fc.w.grad, dw + 1.0, rtol=1e-12)
+        np.testing.assert_allclose(fc.w.grad, dw + 1.0, rtol=1e-12)  # taken once
+
+    def test_sgd_step_takes_the_product(self):
+        rng = np.random.default_rng(42)
+        fc = FCLayer(6, 2, "sigmoid", rng)
+        store = ParamStore()
+        for name, p in fc.params("fc"):
+            store.add(name, p)
+        w0, b0 = fc.w.value.copy(), fc.b.value.copy()
+        dw, db = scene_rows(rng, fc)
+        sgd_step(store, 0.1)
+        np.testing.assert_allclose(fc.w.value, w0 - 0.1 * dw, rtol=1e-12)
+        np.testing.assert_allclose(fc.b.value, b0 - 0.1 * db, rtol=1e-12)
+        assert fc.w._rows == [] and not np.any(fc.w.grad)
+
+    def test_sgd_step_checks_the_product(self):
+        fc = FCLayer(2, 1, rng=np.random.default_rng(43))
+        store = ParamStore()
+        for name, p in fc.params("head"):
+            store.add(name, p)
+        fc.forward(np.array([[np.inf, 1.0]]))
+        fc.backward(np.array([[0.0]]))
+        assert fc.w._grad is None and not np.any(fc.b.grad)
+        with pytest.raises(TrainingError, match="head.w"), np.errstate(invalid="ignore"):
+            sgd_step(store, 0.1)  # 0 * inf in the product
+
+    def test_load_drops_pending_rows(self, tmp_path):
+        rng = np.random.default_rng(44)
+        fc = FCLayer(3, 2, rng=rng)
+        store = ParamStore()
+        for name, p in fc.params("fc"):
+            store.add(name, p)
+        store.save(tmp_path / "p.json", tmp_path / "p.bin")
+        scene_rows(rng, fc)
+        store.load(tmp_path / "p.json", tmp_path / "p.bin")
+        assert fc.w._rows == [] and not np.any(fc.w.grad) and not np.any(fc.b.grad)
+
+    def test_without_input_grad_accumulates_the_same_weights(self):
+        rng = np.random.default_rng(45)
+        x, dy = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        layers = [FCLayer(4, 3, "sigmoid", np.random.default_rng(1)) for _ in range(2)]
+        for layer in layers:
+            layer.forward(x)
+        assert layers[0].backward(dy).shape == (5, 4)
+        assert layers[1].backward(dy, input_grad=False) is None
+        assert layers[0].w.grad.tobytes() == layers[1].w.grad.tobytes()
+        assert layers[0].b.grad.tobytes() == layers[1].b.grad.tobytes()
+
 
 # --------------------------------------------------------- gradient checks
 

@@ -11,10 +11,11 @@ from hoicascade.cascade import (
     resample_for_stage,
 )
 from hoicascade.features import CooccurrenceTable, cross_stage_fuse
-from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align
+from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
+    LabeledPair,
     RelationFold,
     classify_relation,
     dedup_by_lineage,
@@ -23,6 +24,7 @@ from hoicascade.interaction import (
     merge_and_filter,
     rank_pairs,
     run_localization,
+    SampledPairBatch,
     sample_training_pairs,
     total_loss,
 )
@@ -60,7 +62,70 @@ def sampled_batches(model, seed=0, people=2):
     return grid, batches
 
 
+def overlapping_stage_batches(model, seed=2):
+    """Stage batches over the six pairs of a two-person, two-object scene:
+    no pair twice within a stage, most pairs in more than one stage."""
+    rng = np.random.default_rng(seed)
+    grid = FeatureGrid(0.05 * rng.normal(size=(model.channels, 32, 32)), 64, 64)
+    entities = [Instance(0, 1.0, Box(2, 4, 14, 30)), Instance(0, 1.0, Box(30, 4, 42, 30)),
+                Instance(1, 1.0, Box(4, 36, 14, 46)), Instance(2, 1.0, Box(34, 36, 44, 46))]
+    pairs = enumerate_pairs(entities)
+
+    def batch(rows):
+        labeled = [LabeledPair(pairs[i], i % 2 == 0,
+                               (i % 2 == 0) * rng.integers(0, 2, model.n_verbs).astype(float))
+                   for i in rows]
+        return SampledPairBatch([lab for lab in labeled if lab.positive],
+                                [lab for lab in labeled if not lab.positive])
+
+    return grid, [batch([0, 1, 2, 3]), batch([2, 3, 4, 5]), batch([5, 4, 3, 2, 1, 0])]
+
+
 class TestRelationPass:
+    def test_repeated_pairs_accumulate_the_gradients_of_separate_passes(self):
+        model = tiny_model(seed=35)
+        grid, batches = overlapping_stage_batches(model)
+        empty = SampledPairBatch([], [])
+        alone = [[b if s == t else empty for s, b in enumerate(batches)] for t in range(3)]
+
+        def distinct_rows(stage_batches):
+            rp = RelationPass(model, grid, [(t, b.all_pairs()) for t, b in enumerate(stage_batches)])
+            return rp.n, len(rp.pooled.x_s)
+
+        assert distinct_rows(batches) == (14, 6)
+        assert [distinct_rows(b) for b in alone] == [(4, 4), (4, 4), (6, 6)]
+
+        def gradients(stage_batches):
+            for _, p in model.store.items():
+                p.grad = None
+            relation_losses_multi(model, grid, stage_batches)
+            return {name: p.grad.copy() for name, p in model.store.items()}
+
+        joint = gradients(batches)
+        separate = [gradients(b) for b in alone]
+        assert all(np.any(joint[name]) for name in joint if ".box." not in name)
+        for name, got in joint.items():
+            want = sum(g[name] for g in separate)
+            # the conv layers run in float32 on the pair maps
+            rtol = 1e-5 if ".conv" in name else 1e-12
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max(), name
+
+    def test_pass_encodes_each_distinct_map_once(self, monkeypatch):
+        model = tiny_model(seed=36)
+        grid, batches = sampled_batches(model)
+        encoded = []
+        forward = model.geo_encoder.forward
+        monkeypatch.setattr(model.geo_encoder, "forward",
+                            lambda maps: encoded.append(maps) or forward(maps))
+        stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
+        rp = RelationPass(model, grid, stage_pairs).forward()
+        per_pair = [spatial_pair_encoding([lab.candidate.human.box],
+                                          [lab.candidate.object.box])[0][0].tobytes()
+                    for _, pairs in stage_pairs for lab in pairs]
+        [maps] = encoded
+        assert [m.tobytes() for m in maps] == list(dict.fromkeys(per_pair))
+        assert len(maps) < rp.n == len(per_pair)
+
     def test_trained_features_are_deployed_features(self):
         model = tiny_model(seed=31)
         grid, batches = sampled_batches(model)
