@@ -59,8 +59,9 @@ class CooccurrenceTable:
         return freq
 
     def to_json(self):
-        return json.dumps({str(c): self.frequencies()[c].tolist()
-                           for c in range(self.n_classes)}, sort_keys=True)
+        freq = self.frequencies()
+        return json.dumps({str(c): freq[c].tolist() for c in range(self.n_classes)},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
@@ -119,7 +120,8 @@ def ihsm_enhance(h_grid):
 def build_efra_stack(channels, pooled_hw, rng, hidden=256):
     """FC_x2 stack scoring the relevance of a face-derived feature for an
     object feature: flattened concat -> linear hidden -> sigmoid scalar.
-    Inference folds it into one sigmoid layer (`FCStack.folded`)."""
+    Training and inference fold it into one sigmoid layer
+    (`FCStack.folded`)."""
     in_dim = 2 * channels * pooled_hw[0] * pooled_hw[1]
     return FCStack(in_dim, hidden, 1, rng, out_activation="sigmoid")
 
@@ -186,9 +188,10 @@ def build_fusion_stack(visual_dim, rng, hidden=FUSED_DIM):
     """Linear FC_x2 mapping the summed visual tensors to the 1024-d vector.
 
     Both layers are linear, and so are the heads that read the vector up
-    to their sigmoids, which lets inference fold stack and heads into one
-    map (`interaction.RelationFold`). A hidden nonlinearity here would stop
-    that fold at this stack's first layer."""
+    to their sigmoids, which lets training and inference fold stack and
+    heads into one map per stage (`interaction.RelationFold`); the fold's
+    adjoint trains the two factored layers. A hidden nonlinearity here
+    would stop that fold at this stack's first layer."""
     return FCStack(visual_dim, hidden, FUSED_DIM, rng)
 
 

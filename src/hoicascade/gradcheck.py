@@ -1,7 +1,8 @@
 """Finite-difference gradient suites for every operation training
 backpropagates through: fully connected layers, the conv+pool encoder, the
 facial attention stacks, the ranking and classification heads, the fusion
-stack, the ranking hinge and the binary cross-entropy.
+stack, the adjoint of a folded stack, the ranking hinge and the binary
+cross-entropy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .interaction import RCMHeads, RRMHead
 from .numerics import (
     ConvPoolEncoder,
     FCLayer,
+    FCStack,
     GradCheckReport,
     Param,
     binary_cross_entropy,
@@ -145,6 +147,44 @@ def check_fusion(points=10, tol=1e-4):
     return report
 
 
+def check_fold_adjoint(points=10, tol=1e-4):
+    """A loss of a folded layer's outputs, taken back through
+    `FCStack.unfold_grad` onto the stack's blocks: at even points the fold
+    has a linear head, whose gradient is checked too (the fusion stack and
+    its heads); at odd points a sigmoid stack folds alone (EFRA)."""
+    report = GradCheckReport(tol=tol)
+    for point in range(points):
+        rng = np.random.default_rng([47, point])
+        with_head = point % 2 == 0
+        stack = FCStack(6, 5, 4, rng, out_activation="none" if with_head else "sigmoid")
+        blocks = dict(stack.params("stack"))
+        for name, p in blocks.items():  # the biases start at zero
+            if name.endswith(".b"):
+                p.value[...] = rng.normal(size=p.value.shape)
+        head_w, head_b = Param(rng.normal(size=(3, 4))), Param(rng.normal(size=3))
+        if with_head:
+            blocks.update({"head.w": head_w, "head.b": head_b})
+        x = rng.normal(size=(2, 6))
+        w = rng.normal(size=(2, 3 if with_head else 4))
+
+        def run():
+            if with_head:
+                layer = stack.folded(head_w.value, head_b.value)
+            else:
+                layer = stack.folded()
+            y = layer.forward(x)
+            layer.backward(w, input_grad=False)
+            d_head = stack.unfold_grad(layer.w.grad, layer.b.grad,
+                                       head_w.value if with_head else None)
+            if with_head:
+                head_w.grad += d_head[0]
+                head_b.grad += d_head[1]
+            return float((y * w).sum())
+
+        _merge(report, finite_diff_check(run, blocks, tol=tol), point)
+    return report
+
+
 def check_hinge(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
@@ -192,6 +232,7 @@ ALL_CHECKS = {
     "rrm_head": check_rrm,
     "rcm_heads": check_rcm,
     "fusion_stack": check_fusion,
+    "fold_adjoint": check_fold_adjoint,
     "pairwise_hinge": check_hinge,
     "binary_cross_entropy": check_bce,
 }

@@ -230,13 +230,11 @@ def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
             pos.append(LabeledPair(cand, True, targets))
         else:
             neg.append(LabeledPair(cand, False, np.zeros(n_verbs)))
-    # one Instance per annotated person, so features pool it once
-    humans = {}
     for gt in gt_pairs:
-        human = humans.setdefault(gt.h_box, Instance(PERSON_CLASS, 1.0, gt.h_box))
         targets = np.zeros(n_verbs)
         targets[list(gt.verbs)] = 1.0
-        pos.append(LabeledPair(HOICandidate(human, Instance(gt.o_class, 1.0, gt.o_box)),
+        pos.append(LabeledPair(HOICandidate(Instance(PERSON_CLASS, 1.0, gt.h_box),
+                                            Instance(gt.o_class, 1.0, gt.o_box)),
                                True, targets))
     p, n = POS_NEG_RATIO
     n_pos = min(len(pos), MAX_TRAIN_PAIRS * p // (p + n))
@@ -370,7 +368,7 @@ class CascadeModel:
         image, from one geometric-encoder call on the distinct pair maps and
         one EFRA call on the distinct pairs, gathered back to one row per
         candidate; EFRA runs the fold's stacks when a `RelationFold` is
-        given, else the factored ones that training runs."""
+        given, else the factored ones."""
         pooled = self.pool_pairs(grid, candidates)
         return RelationFeatures(
             x_s=pooled.x_s[pooled.rows],
@@ -455,36 +453,57 @@ class CascadeModel:
 
 
 class RelationFold:
-    """The relation blocks of one inference run, folded.
+    """The relation blocks folded: the maps training and inference run.
 
     Every FC_x2 stack is linear up to its output (`FCStack`), and so are
     the heads that read the fused vector, up to their sigmoids. So:
 
     - each EFRA stack is one 2C*49 -> 1 sigmoid layer;
-    - `visual` is the fusion stack followed by the last stage's ranker
-      (its fused half) and visual verb head: one 3C*49 -> 1 + N map whose
+    - `maps[t]` is the fusion stack followed by stage t's ranker (its
+      fused half) and visual verb head: one 3C*49 -> 1 + N map whose
       columns are a rank logit and N visual verb logits;
-    - `rank_geo` is the ranker's geometric half with the ranker's bias.
+    - `rank_geos[t]` is stage t's ranker geometric half with its bias.
 
-    The semantic and geometric verb heads are the model's own layers. A
-    fold holds products of the weights it was built from, so it is built
-    once per run (`infer_scenes`, `ranking_constraint_report`, or an
-    `infer_image` called without one), never cached on the model and never
-    saved; training keeps the factored layers.
+    A fold serves the stages it is built for, which include the last:
+    inference serves only the last, training every stage. `fuse`,
+    `visual`, `rank_geo`, the model's own `semantic` and `geometric` verb
+    heads, and `score` by default serve the last stage.
+
+    A fold holds products of the weights it was built from, so it is built
+    once per inference run (`infer_scenes`, `ranking_constraint_report`, or
+    an `infer_image` called without one) and once per SGD step in training
+    (`training.StepFold`), never cached on the model and never saved.
+    Training backpropagates through the fold's layers, and `leave_grad`
+    leaves their gradient with the factored blocks: the first read of one
+    of those (`sgd_step`) runs `flush`, the fold's adjoint, after which the
+    fold is `taken`.
     """
 
-    def __init__(self, model: CascadeModel):
-        rrm, last = model.rrm_heads[-1].fc, model.rcm_heads[-1]
-        self.visual = model.fusion_stack.folded(
-            np.concatenate([rrm.w.value[:, :FUSED_DIM], last.visual.w.value]),
-            np.concatenate([[0.0], last.visual.b.value]))
-        self.rank_geo = FCLayer(GEOMETRIC_DIM, 1)
-        self.rank_geo.w.value[...] = rrm.w.value[:, FUSED_DIM:]
-        self.rank_geo.b.value[...] = rrm.b.value
+    def __init__(self, model: CascadeModel, stages=None):
+        last = model.config.stages - 1
+        self.model = model
+        self.stages = (last,) if stages is None else tuple(stages)
+        self.maps, self.rank_geos = {}, {}
+        for t in self.stages:
+            self.maps[t] = model.fusion_stack.folded(*self._head(t))
+            rrm = model.rrm_heads[t].fc
+            self.rank_geos[t] = FCLayer(GEOMETRIC_DIM, 1)
+            self.rank_geos[t].w.value[...] = rrm.w.value[:, FUSED_DIM:]
+            self.rank_geos[t].b.value[...] = rrm.b.value
         self.face_stack = model.face_stack.folded()
         self.noface_stack = model.noface_stack.folded()
-        self.semantic, self.geometric = last.semantic, last.geometric
-        self.one_stage = model.config.stages == 1
+        self.visual, self.rank_geo = self.maps[last], self.rank_geos[last]
+        self.semantic = model.rcm_heads[last].semantic
+        self.geometric = model.rcm_heads[last].geometric
+        self.one_stage = last == 0
+        self.taken = False
+
+    def _head(self, t):
+        """Stage t's linear head on the fused vector: the ranker's fused
+        half (its bias is `rank_geos[t]`'s) over the visual verb head."""
+        rrm, visual = self.model.rrm_heads[t].fc, self.model.rcm_heads[t].visual
+        return (np.concatenate([rrm.w.value[:, :FUSED_DIM], visual.w.value]),
+                np.concatenate([[0.0], visual.b.value]))
 
     def fuse(self, x_v):
         """(P, 1 + N) folded rows from one `cross_stage_fuse` call. The
@@ -493,9 +512,47 @@ class RelationFold:
         return cross_stage_fuse(x_v, np.zeros_like(x_v) if self.one_stage else x_v,
                                 self.visual)
 
-    def score(self, folded, x_g):
-        """Ranking scores, as the last `RRMHead.score` on the fused rows."""
-        return sigmoid(folded[:, 0] + self.rank_geo.forward(x_g)[:, 0])
+    def score(self, folded, x_g, stage=None):
+        """Ranking scores, as `RRMHead.score` on the fused rows of a stage,
+        the last by default."""
+        rank_geo = self.rank_geo if stage is None else self.rank_geos[stage]
+        return sigmoid(folded[:, 0] + rank_geo.forward(x_g)[:, 0])
+
+    def leave_grad(self):
+        """Leave the gradient of the fold's layers with the factored blocks
+        they were built from (`Param.leave_with`)."""
+        model = self.model
+        stacks = (model.fusion_stack, model.face_stack, model.noface_stack)
+        blocks = [p for stack in stacks for _, p in stack.params("")]
+        for t in self.stages:
+            blocks += [p for _, p in model.rrm_heads[t].params("")]
+            blocks += [p for _, p in model.rcm_heads[t].visual.params("")]
+        for p in blocks:
+            p.leave_with(self)
+
+    def flush(self):
+        """The fold's adjoint, run once: add the gradient of its layers to
+        the factored blocks, the stages' heads stacked into one
+        `FCStack.unfold_grad` call. The weights must not have moved since
+        the fold was built."""
+        if self.taken:
+            return
+        self.taken = True
+        model, width = self.model, 1 + self.model.n_verbs
+        d_head, d_bias = model.fusion_stack.unfold_grad(
+            np.concatenate([self.maps[t].w.grad for t in self.stages]),
+            np.concatenate([self.maps[t].b.grad for t in self.stages]),
+            np.concatenate([self._head(t)[0] for t in self.stages]))
+        for i, t in enumerate(self.stages):
+            rows = slice(i * width, (i + 1) * width)
+            rrm, visual = model.rrm_heads[t].fc, model.rcm_heads[t].visual
+            rrm.w.grad[:, :FUSED_DIM] += d_head[rows][:1]
+            rrm.w.grad[:, FUSED_DIM:] += self.rank_geos[t].w.grad
+            rrm.b.grad += self.rank_geos[t].b.grad
+            visual.w.grad += d_head[rows][1:]
+            visual.b.grad += d_bias[rows][1:]
+        model.face_stack.unfold_grad(self.face_stack.w.grad, self.face_stack.b.grad)
+        model.noface_stack.unfold_grad(self.noface_stack.w.grad, self.noface_stack.b.grad)
 
 
 # -------------------------------------------------------------- inference

@@ -8,10 +8,13 @@ is reused (the training loops respect this ordering).
 
 An FC weight gradient is taken once per SGD step: `FCLayer.backward`
 records its (dy, x) rows on the weight `Param`, and the gradient is the
-one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). Reading
-`Param.grad` adds any pending product to the buffer first, and
-`ParamStore.load` drops pending rows. Bias and conv gradients are added
-at once.
+one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). A block
+may also leave its gradient with a source that computes it later: the
+relation layers train through their fold (`FCStack.folded`), whose
+gradient reaches the factored blocks through the fold's adjoint
+(`FCStack.unfold_grad`). Reading `Param.grad` takes any pending source
+and product first, and `ParamStore.load` drops both. Bias and conv
+gradients are added at once.
 """
 
 from __future__ import annotations
@@ -30,37 +33,61 @@ CHECKPOINT_VERSION = 1
 class Param:
     """One trainable block: a value array and a same-shaped gradient buffer.
 
-    The buffer is allocated at zero on first use, so a loaded model that
-    only infers holds none. A block keeps its own copy of `value`, unless
-    `copy` is False: then it takes over the float64 array it is given, as
-    the layers do with the arrays `init_uniform` builds for them."""
+    The buffer is allocated on first use, so a loaded model that only
+    infers holds none, and `sgd_step` drops it. A block keeps its own copy
+    of `value`, unless `copy` is False: then it takes over the float64
+    array it is given, as the layers do with the arrays `init_uniform`
+    builds for them."""
 
-    __slots__ = ("value", "_grad", "_rows")
+    __slots__ = ("value", "_grad", "_rows", "_source")
 
     def __init__(self, value, copy=True):
         self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
         self._rows = []  # pending (dy, x) weight-gradient rows
+        self._source = None  # pending gradient held elsewhere (`leave_with`)
 
     def defer(self, dy, x):
         """Record the gradient dy.T @ x, to be taken with the other pending
         rows in one product. The arrays are kept, not copied."""
         self._rows.append((dy, x))
 
+    def leave_with(self, source):
+        """Leave a gradient of this block with `source`: the next read of
+        `.grad` first calls `source.flush()`, which adds it here and to the
+        other blocks the source feeds. A block holds one source, so another
+        one pending is flushed first."""
+        if self._source is not None and self._source is not source:
+            pending, self._source = self._source, None
+            pending.flush()
+        self._source = source
+
+    def accumulate(self, grad):
+        """Add `grad` to the gradient; with no buffer yet, `grad` becomes
+        the buffer, so it must be an array nothing else holds."""
+        if self._grad is None:
+            self._grad = grad
+        else:
+            self._grad += grad
+
     @property
     def grad(self):
-        if self._grad is None:
-            self._grad = np.zeros(self.value.shape)
+        if self._source is not None:
+            source, self._source = self._source, None
+            source.flush()
         if self._rows:
             dys, xs = zip(*self._rows)
             self._rows = []
-            self._grad += np.concatenate(dys).T @ np.concatenate(xs)
+            self.accumulate(np.concatenate(dys).T @ np.concatenate(xs))
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape)
         return self._grad
 
     @grad.setter
     def grad(self, grad):
         self._grad = grad
         self._rows = []
+        self._source = None
 
 
 class ParamStore:
@@ -151,18 +178,19 @@ class ParamStore:
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """p <- p - lr * grad for every block, then zero the gradients. Pending
-    weight rows are taken first, so the check for non-finite values covers
-    their product. A block whose gradient was never used is skipped:
-    p - lr * 0 is p, bit for bit."""
+    """p <- p - lr * grad for every block, and the gradients are dropped.
+    Pending sources and weight rows are taken first, so the check for
+    non-finite values covers them. A block whose gradient was never used
+    is skipped: p - lr * 0 is p, bit for bit."""
     for name, p in store.items():
-        if p._grad is None and not p._rows:
+        if p._grad is None and not p._rows and p._source is None:
             continue
         grad = p.grad
         if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in block {name!r}")
-        p.value -= lr * grad
-        grad[...] = 0.0
+        grad *= lr
+        p.value -= grad
+        p._grad = None
 
 
 def init_uniform(rng, shape, fan_in, fan_out):
@@ -236,7 +264,9 @@ class FCStack:
     """Two stacked FC layers (the repeated FC_x2 pattern).
 
     The hidden layer is linear, so the stack is linear up to its output
-    activation, and at inference `folded` replaces it by one layer.
+    activation, and `folded` replaces it by one layer. Training and
+    inference both run that layer; `unfold_grad` takes its gradient back
+    to the two factored layers, which stay the trained parameters.
     """
 
     def __init__(self, in_dim, hidden_dim, out_dim, rng, out_activation="none"):
@@ -261,6 +291,34 @@ class FCStack:
         layer.w.value[...] = w2 @ self.fc1.w.value
         layer.b.value[...] = w2 @ self.fc1.b.value + b2
         return layer
+
+    def unfold_grad(self, d_w, d_b, head_w=None):
+        """The adjoint of `folded`: add to the stack's blocks the gradient
+        that reaches them through a folded layer whose weight and bias have
+        the gradients (d_w, d_b), and return the head's (dH, dh) when the
+        fold had a head. Folds of several heads take one call with the
+        heads and their gradients stacked row-wise.
+
+        With A = K W1, K = H W2 and a = K b1 + H b2 + h (H = I without a
+        head): dW1 = K^T dA, db1 = K^T da, P = dA W1^T + da b1^T,
+        dW2 = H^T P, db2 = H^T da, dH = P W2^T + da b2^T and dh = da.
+        The values must be those the fold was built from."""
+        w1, b1 = self.fc1.w.value, self.fc1.b.value
+        w2, b2 = self.fc2.w.value, self.fc2.b.value
+        k = w2 if head_w is None else head_w @ w2
+        self.fc1.w.accumulate(k.T @ d_w)
+        self.fc1.b.accumulate(k.T @ d_b)
+        p = d_w @ w1.T
+        p += np.outer(d_b, b1)
+        if head_w is None:
+            self.fc2.w.accumulate(p)
+            self.fc2.b.accumulate(np.array(d_b))
+            return None
+        self.fc2.w.accumulate(head_w.T @ p)
+        self.fc2.b.accumulate(head_w.T @ d_b)
+        d_head = p @ w2.T
+        d_head += np.outer(d_b, b2)
+        return d_head, d_b
 
     def forward(self, x):
         return self.fc2.forward(self.fc1.forward(x))

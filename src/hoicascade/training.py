@@ -4,9 +4,11 @@ SCENES_PER_STEP scenes (image-centric batches).
 
 Gradient flow: planted feature grids are constants, so localization
 gradients stop at the stage heads, and relation gradients flow through the
-fusion stack, the facial-attention stacks and the geometric encoder. Box
-coordinates and the prior-stage visual tensor propagate as data only,
-which keeps the per-stage graphs independent.
+folded relation maps (`RelationFold`, one per SGD step), whose adjoint
+trains the fusion stack, the facial-attention stacks and the heads, and
+through the geometric encoder. Box coordinates and the prior-stage visual
+tensor propagate as data only, which keeps the per-stage graphs
+independent.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
     RelationFold,
-    classify_relation,
     dedup_by_lineage,
     enumerate_pairs,
     infer_image,
@@ -122,8 +123,10 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
 
 class RelationPass:
     """Batched forward/backward over the sampled relation pairs of one or
-    more stages at once, on the features inference builds: the pairs are
-    pooled by `CascadeModel.pool_pairs` and assembled by `visual_tensor`.
+    more stages at once, on the features and folded maps inference runs:
+    the pairs are pooled by `CascadeModel.pool_pairs` and assembled by
+    `visual_tensor` through the fold's EFRA layers, and each stage's rows
+    go through that stage's fold map (`RelationFold`).
 
     Stage losses are independent (the prior-stage tensor is detached), so
     the shared feature machinery runs a single combined forward, stage
@@ -132,11 +135,15 @@ class RelationPass:
     the geometric encoder runs once per distinct pair map and EFRA once per
     distinct pair; their outputs are gathered to one row per sampled pair,
     and backward folds the row gradients back with one indexed add each.
+    The folded layers' gradient reaches the factored blocks through the
+    fold's adjoint, when the SGD step reads it.
     """
 
-    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
-        """stage_pairs: list of (stage_index, [LabeledPair, ...])."""
+    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs, step_fold=None):
+        """stage_pairs: list of (stage_index, [LabeledPair, ...]); the pass
+        runs the current fold of `step_fold`, or a fold built for it."""
         self.model = model
+        self.fold = (step_fold or StepFold(model)).current()
         self.stages = [stage for stage, _ in stage_pairs]
         self.slices = []
         entries = []
@@ -150,28 +157,33 @@ class RelationPass:
         self.x_s = self.pooled.x_s[self.pooled.rows]
 
     def forward(self):
-        model, pooled = self.model, self.pooled
+        model, fold, pooled = self.model, self.fold, self.pooled
         self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
-        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
+        self.x_v = model.visual_tensor(pooled, fold)[pooled.rows].reshape(self.n, -1)
         # prior-stage tensor enters as data: zeros at stage 1, a detached
         # copy of the current tensor afterwards
-        self.fused = model.fusion_stack.forward(self.x_v * self.prev_mult[:, None])
+        x = self.x_v * self.prev_mult[:, None]
+        self.folded = np.zeros((self.n, 1 + model.n_verbs))
         self.g = np.zeros(self.n)
         self.s_s = np.zeros_like(self.x_s)
         self.s_g = np.zeros((self.n, model.n_verbs))
-        self.s_v = np.zeros((self.n, model.n_verbs))
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
                 continue
-            self.g[sl] = model.rrm_heads[stage].score(self.fused[sl], self.x_g[sl])
-            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
-                self.x_s[sl], self.x_g[sl], self.fused[sl], model.rcm_heads[stage])
+            self.folded[sl] = fold.maps[stage].forward(x[sl])
+            self.g[sl] = fold.score(self.folded[sl], self.x_g[sl], stage)
+            heads = model.rcm_heads[stage]
+            self.s_s[sl] = heads.semantic.forward(self.x_s[sl])
+            self.s_g[sl] = heads.geometric.forward(self.x_g[sl])
+        self.s_v = sigmoid(self.folded[:, 1:])
         return self
 
     def backward(self, d_g, d_s_s, d_s_g, d_s_v):
-        model, pooled = self.model, self.pooled
-        width = self.fused.shape[1]
-        d_fused = np.zeros_like(self.fused)
+        model, fold, pooled = self.model, self.fold, self.pooled
+        d_folded = np.empty_like(self.folded)
+        d_folded[:, 0] = d_g * self.g * (1.0 - self.g)
+        d_folded[:, 1:] = d_s_v * self.s_v * (1.0 - self.s_v)
+        d_xv = np.zeros_like(self.x_v)
         d_xg = np.zeros_like(self.x_g)
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
@@ -179,11 +191,9 @@ class RelationPass:
             heads = model.rcm_heads[stage]
             heads.semantic.backward(d_s_s[sl], input_grad=False)
             d_xg[sl] += heads.geometric.backward(d_s_g[sl])
-            d_fused[sl] += heads.visual.backward(d_s_v[sl])
-            d_rrm_in = model.rrm_heads[stage].fc.backward(d_g[sl, None])
-            d_fused[sl] += d_rrm_in[:, :width]
-            d_xg[sl] += d_rrm_in[:, width:]
-        d_xv = model.fusion_stack.backward(d_fused) * self.prev_mult[:, None]
+            d_xg[sl] += fold.rank_geos[stage].backward(d_folded[sl, :1])
+            d_xv[sl] = fold.maps[stage].backward(d_folded[sl])
+        d_xv *= self.prev_mult[:, None]
         # only the object stream o_bar = o + alpha * face + alpha_bar * noface
         # depends on trained layers, through the EFRA scores
         face, noface = pooled.face, pooled.noface
@@ -191,16 +201,33 @@ class RelationPass:
         np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
         d_alpha = (d_obar * face.reshape(len(face), -1)).sum(axis=1)
         d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
-        efra_attend_backward(d_alpha, d_alpha_bar, model.face_stack,
-                             model.noface_stack, face.shape[1:])
+        efra_attend_backward(d_alpha, d_alpha_bar, fold.face_stack,
+                             fold.noface_stack, face.shape[1:])
+        fold.leave_grad()
         d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
 
 
-def relation_losses_multi(model, grid, stage_batches):
+class StepFold:
+    """The `RelationFold` of the current SGD step: built on first use, and
+    again on the first use after its gradient was taken, since the
+    `sgd_step` that takes it moves the weights."""
+
+    def __init__(self, model: CascadeModel):
+        self.model = model
+        self.fold = None
+
+    def current(self) -> RelationFold:
+        if self.fold is None or self.fold.taken:
+            self.fold = RelationFold(self.model, range(self.model.config.stages))
+        return self.fold
+
+
+def relation_losses_multi(model, grid, stage_batches, step_fold=None):
     """Ranking hinge plus three-stream BCE for every stage's sampled batch,
-    and their backward.
+    and their backward, through the current fold of `step_fold`, or a fold
+    built for this call.
 
     Losses are normalized per pair/element so the learning rate stays
     stable across batch sizes; the stage weights (gamma) scale the
@@ -210,7 +237,7 @@ def relation_losses_multi(model, grid, stage_batches):
     out = [{"rrm": 0.0, "rcm": 0.0} for _ in stage_batches]
     if not any(pairs for _, pairs in stage_pairs):
         return out
-    rp = RelationPass(model, grid, stage_pairs).forward()
+    rp = RelationPass(model, grid, stage_pairs, step_fold).forward()
     targets = np.zeros((rp.n, model.n_verbs))
     row = 0
     for _, pairs in stage_pairs:
@@ -260,13 +287,13 @@ SCENES_PER_STEP = 8  # image-centric batches: mean gradient over a few scenes
 
 
 def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec, rng,
-                 with_relation):
+                 with_relation, step_fold=None):
     """Per-stage losses of one scene, their gradients accumulated: the
     localization losses of every stage and, with_relation, the relation
     losses of the pairs sampled from each stage's outputs, all stages in
-    one `relation_losses_multi` call."""
+    one `relation_losses_multi` call through `step_fold`."""
     gt = scene.gt_instances()
-    gt_pairs = gt_pairs_of(scene, spec)
+    gt_pairs = gt_pairs_of(scene, spec) if with_relation else None
     proposals = seed_instances(scene)
     stage_losses, stage_batches = [], []
     for t in range(model.config.stages):
@@ -280,7 +307,8 @@ def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec,
                 enumerate_pairs(outputs, model.person_class), gt_pairs,
                 model.config.iou_thresholds[t], model.n_verbs, rng))
     if with_relation:
-        for losses, rel in zip(stage_losses, relation_losses_multi(model, grid, stage_batches)):
+        relation = relation_losses_multi(model, grid, stage_batches, step_fold)
+        for losses, rel in zip(stage_losses, relation):
             losses.update(rel)
     return stage_losses
 
@@ -308,6 +336,7 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
     if log is None:
         log = TrainLog()
     rng = np.random.default_rng([config.seed, 101])
+    step_fold = StepFold(model)
     order = np.arange(len(train_scenes))
     for epochs, with_relation, epoch_log in ((config.phase1_epochs, False, log.phase1),
                                              (config.phase2_epochs, True, log.phase2)):
@@ -317,7 +346,7 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
             for step_i, si in enumerate(order, start=1):
                 scene = train_scenes[si]
                 epoch_losses.append(total_loss(scene_losses(
-                    model, grids[scene.image_id], scene, spec, rng, with_relation),
+                    model, grids[scene.image_id], scene, spec, rng, with_relation, step_fold),
                     model.config))
                 pending += 1
                 if pending == SCENES_PER_STEP or step_i == len(order):

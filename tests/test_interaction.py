@@ -200,7 +200,7 @@ class TestSampleTrainingPairs:
               GroundTruthPair(Box(30, 4, 42, 30), Box(44, 4, 54, 14), 1, frozenset({2}))]
         pairs = sample_training_pairs([], gt, 0.5, 4, np.random.default_rng(0)).all_pairs()
         humans = [lab.candidate.human for lab in pairs]
-        assert humans[0] is humans[1] and humans[2] is not humans[0]
+        assert humans[0].box == humans[1].box and humans[2].box != humans[0].box
 
         calls = []
         ihsm = interaction.ihsm_enhance

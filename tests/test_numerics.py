@@ -586,6 +586,113 @@ class TestDeferredWeightGradients:
         assert layers[0].b.grad.tobytes() == layers[1].b.grad.tobytes()
 
 
+class Source:
+    """A gradient held for a few blocks until one of them reads `.grad`."""
+
+    def __init__(self, grads):
+        self.grads = grads  # {Param: gradient}
+        self.flushes = 0
+        for p in grads:
+            p.leave_with(self)
+
+    def flush(self):
+        if self.flushes == 0:
+            self.flushes += 1
+            for p, g in self.grads.items():
+                p.grad += g
+
+
+class TestPendingSources:
+    def test_one_read_flushes_every_block_once(self):
+        a, b = Param(np.zeros(3)), Param(np.zeros((2, 2)))
+        source = Source({a: np.arange(3.0), b: np.ones((2, 2))})
+        assert a._grad is None and b._grad is None
+        np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+        np.testing.assert_array_equal(a.grad, np.arange(3.0))
+        np.testing.assert_array_equal(a.grad, np.arange(3.0))
+        assert source.flushes == 1 and a._source is None and b._source is None
+
+    def test_another_source_flushes_the_first(self):
+        p = Param(np.zeros(2))
+        first = Source({p: np.ones(2)})
+        second = Source({p: np.full(2, 2.0)})
+        assert first.flushes == 1 and second.flushes == 0
+        np.testing.assert_array_equal(p.grad, [3.0, 3.0])
+
+    def test_sgd_step_takes_a_pending_source_and_drops_the_buffers(self):
+        store = ParamStore()
+        w = store.add("w", Param(np.ones((2, 3))))
+        untouched = store.add("untouched", Param(np.ones(2)))
+        Source({w: np.full((2, 3), 4.0)})
+        sgd_step(store, 0.25)
+        np.testing.assert_array_equal(w.value, np.zeros((2, 3)))
+        np.testing.assert_array_equal(untouched.value, np.ones(2))
+        assert w._grad is None and w._source is None and untouched._grad is None
+
+    def test_sgd_step_checks_a_pending_source(self):
+        store = ParamStore()
+        w = store.add("fold.w", Param(np.ones(2)))
+        Source({w: np.array([0.0, np.nan])})
+        with pytest.raises(TrainingError, match="fold.w"):
+            sgd_step(store, 0.1)
+
+    def test_load_drops_a_pending_source(self, tmp_path):
+        store = ParamStore()
+        p = store.add("p", Param(np.ones(2)))
+        store.save(tmp_path / "p.json", tmp_path / "p.bin")
+        source = Source({p: np.ones(2)})
+        store.load(tmp_path / "p.json", tmp_path / "p.bin")
+        assert not np.any(p.grad) and source.flushes == 0
+
+    def test_first_product_becomes_the_buffer(self):
+        rng = np.random.default_rng(46)
+        fc = FCLayer(4, 3, rng=rng)
+        dw, _ = scene_rows(rng, fc, batches=(2, 3))
+        grad = fc.w.grad
+        assert grad.base is None and grad.flags.c_contiguous
+        np.testing.assert_allclose(grad, dw, rtol=1e-12)
+
+
+class TestFoldAdjoint:
+    @pytest.mark.parametrize("with_head", [True, False], ids=["head", "no_head"])
+    def test_adjoint_matches_the_factored_backward(self, with_head):
+        rng = np.random.default_rng(48)
+        stacks = [FCStack(7, 5, 4, np.random.default_rng(3),
+                          "none" if with_head else "sigmoid") for _ in range(2)]
+        head_w, head_b = rng.normal(size=(3, 4)), rng.normal(size=3)
+        x = rng.normal(size=(6, 7))
+        dy = rng.normal(size=(6, 3 if with_head else 4))
+        for fc in ("fc1", "fc2"):  # the biases start at zero
+            bias = rng.normal(size=getattr(stacks[0], fc).out_dim)
+            for stack in stacks:
+                getattr(stack, fc).b.value[...] = bias
+        factored, folded = stacks
+        layer = folded.folded(head_w, head_b) if with_head else folded.folded()
+        y = layer.forward(x)
+        layer.backward(dy, input_grad=False)
+        d_head = folded.unfold_grad(layer.w.grad, layer.b.grad,
+                                    head_w if with_head else None)
+        h = factored.forward(x)
+        if with_head:
+            np.testing.assert_allclose(y, h @ head_w.T + head_b, rtol=1e-12)
+            factored.backward(dy @ head_w)
+            np.testing.assert_allclose(d_head[0], dy.T @ h, rtol=1e-12)
+            np.testing.assert_allclose(d_head[1], dy.sum(axis=0), rtol=1e-12)
+        else:
+            np.testing.assert_allclose(y, h, rtol=1e-12)
+            factored.backward(dy)
+            assert d_head is None
+        for (name, want), (_, got) in zip(factored.params("s"), folded.params("s")):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, err_msg=name)
+
+    def test_gradcheck_suite(self):
+        from hoicascade.gradcheck import ALL_CHECKS
+
+        report = ALL_CHECKS["fold_adjoint"](points=4)
+        assert report.passed, str(report)
+        assert any(name.startswith("head.") for name in report.per_block)
+
+
 # --------------------------------------------------------- gradient checks
 
 def _fc_loss(fc, x, weights):

@@ -4,13 +4,14 @@ import pytest
 from hoicascade.cascade import (
     MASK_POOLED_HW,
     POOLED_HW,
+    CascadeConfig,
     Instance,
     apply_box_deltas,
     clip_box,
     mask_cell_targets,
     resample_for_stage,
 )
-from hoicascade.features import CooccurrenceTable, cross_stage_fuse
+from hoicascade.features import CooccurrenceTable, cross_stage_fuse, efra_attend_backward
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
     CascadeModel,
@@ -28,9 +29,16 @@ from hoicascade.interaction import (
     sample_training_pairs,
     total_loss,
 )
-from hoicascade.numerics import binary_cross_entropy, finite_diff_check, sigmoid, smooth_l1
+from hoicascade.numerics import (
+    binary_cross_entropy,
+    finite_diff_check,
+    sgd_step,
+    sigmoid,
+    smooth_l1,
+)
 from hoicascade.training import (
     RelationPass,
+    StepFold,
     localization_stage_step,
     prepare_grids,
     relation_losses_multi,
@@ -132,16 +140,18 @@ class TestRelationPass:
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
         rp = RelationPass(model, grid, stage_pairs).forward()
         candidates = [lab.candidate for _, pairs in stage_pairs for lab in pairs]
-        later = np.arange(rp.slices[1].start, rp.n)  # stages >= 2
-        assert rp.slices[0].stop > 0 and later.size > 0
+        last = rp.slices[-1]
+        assert rp.slices[0].stop > 0 and last.stop > last.start
 
-        feats = model.build_features(grid, candidates)
+        fold = RelationFold(model)
+        feats = model.build_features(grid, candidates, fold)
         np.testing.assert_array_equal(rp.x_s, feats.x_s)
         np.testing.assert_array_equal(rp.x_g, feats.x_g)
         np.testing.assert_array_equal(rp.x_v, feats.x_v.reshape(len(candidates), -1))
-        np.testing.assert_array_equal(rp.fused[later],
-                                      cross_stage_fuse(feats.x_v, feats.x_v,
-                                                       model.fusion_stack)[later])
+        # the last stage trains the rows inference ranks and classifies
+        folded = fold.fuse(feats.x_v[last])
+        np.testing.assert_array_equal(rp.folded[last], folded)
+        np.testing.assert_array_equal(rp.g[last], fold.score(folded, feats.x_g[last]))
 
     def test_backward_matches_finite_differences(self):
         model = tiny_model(seed=33)
@@ -159,6 +169,120 @@ class TestRelationPass:
         report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=1, seed=0)
         assert report.passed, str(report)
         assert all(np.any(p.grad) for p in blocks.values())  # analytic grads left in place
+
+
+class FactoredPass(RelationPass):
+    """The relation pass on the factored layers, as a reference: the fusion
+    stack's forward and backward, each stage's `RRMHead` and `RCMHeads` on
+    the fused rows, and the factored EFRA stacks."""
+
+    def forward(self):
+        model, pooled = self.model, self.pooled
+        self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
+        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
+        self.fused = model.fusion_stack.forward(self.x_v * self.prev_mult[:, None])
+        self.g = np.zeros(self.n)
+        self.s_s, self.s_g, self.s_v = (np.zeros((self.n, model.n_verbs)) for _ in range(3))
+        for stage, sl in zip(self.stages, self.slices):
+            self.g[sl] = model.rrm_heads[stage].score(self.fused[sl], self.x_g[sl])
+            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
+                self.x_s[sl], self.x_g[sl], self.fused[sl], model.rcm_heads[stage])
+        return self
+
+    def backward(self, d_g, d_s_s, d_s_g, d_s_v):
+        model, pooled = self.model, self.pooled
+        width = self.fused.shape[1]
+        d_fused = np.zeros_like(self.fused)
+        d_xg = np.zeros_like(self.x_g)
+        for stage, sl in zip(self.stages, self.slices):
+            heads = model.rcm_heads[stage]
+            heads.semantic.backward(d_s_s[sl])
+            d_xg[sl] += heads.geometric.backward(d_s_g[sl])
+            d_fused[sl] += heads.visual.backward(d_s_v[sl])
+            d_rrm_in = model.rrm_heads[stage].fc.backward(d_g[sl, None])
+            d_fused[sl] += d_rrm_in[:, :width]
+            d_xg[sl] += d_rrm_in[:, width:]
+        d_xv = model.fusion_stack.backward(d_fused) * self.prev_mult[:, None]
+        face, noface = pooled.face, pooled.noface
+        d_obar = np.zeros((len(face), face[0].size))
+        np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
+        efra_attend_backward((d_obar * face.reshape(len(face), -1)).sum(axis=1),
+                             (d_obar * noface.reshape(len(face), -1)).sum(axis=1),
+                             model.face_stack, model.noface_stack, face.shape[1:])
+        d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
+        np.add.at(d_maps, pooled.map_rows, d_xg)
+        model.geo_encoder.backward(d_maps)
+
+
+def one_stage_model(seed):
+    return tiny_model(seed=seed, config=CascadeConfig(
+        stages=1, iou_thresholds=(0.5,), beta=(1.0,), gamma=(1.0,), seg_weights=(1.0,)))
+
+
+class TestFoldAdjoint:
+    """Training runs the folded maps; the fold's adjoint must give the
+    factored blocks the gradients of the factored layers."""
+
+    @staticmethod
+    def gradients(model, grid, batches):
+        for _, p in model.store.items():
+            p.grad = None
+        relation_losses_multi(model, grid, batches)
+        return {name: p.grad.copy() for name, p in model.store.items() if ".box." not in name}
+
+    @pytest.mark.parametrize("make_model", [tiny_model, one_stage_model],
+                             ids=["three_stages", "one_stage"])
+    def test_adjoint_matches_factored_reference(self, make_model, monkeypatch):
+        from hoicascade import training
+
+        model = make_model(38)
+        rng = np.random.default_rng(9)
+        for name, p in model.store.items():  # the biases start at zero
+            if name.endswith(".b"):
+                p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+        grid, batches = sampled_batches(model, seed=3)
+        assert all(b.all_pairs() for b in batches)
+        folded = self.gradients(model, grid, batches)
+        monkeypatch.setattr(training, "RelationPass", FactoredPass)
+        factored = self.gradients(model, grid, batches)
+        assert set(folded) == set(factored)
+        for name, want in factored.items():
+            # the conv layers run in float32 on the pair maps
+            rtol = 1e-5 if ".conv" in name else 1e-12
+            assert np.any(want), name
+            assert np.abs(folded[name] - want).max() <= rtol * np.abs(want).max(), name
+
+    def test_sgd_step_takes_the_fold_gradient(self):
+        model = tiny_model(seed=39)
+        grid, batches = sampled_batches(model, seed=4)
+        before = {name: p.value.copy() for name, p in model.store.items()}
+        relation_losses_multi(model, grid, batches)
+        fusion = model.fusion_stack.fc1.w
+        assert fusion._grad is None and fusion._source is not None  # pending
+        want = {name: p.grad.copy() for name, p in model.store.items()}
+        relation_losses_multi(model, grid, batches)  # the same gradient again
+        sgd_step(model.store, 0.5)
+        for name, p in model.store.items():
+            np.testing.assert_allclose(p.value, before[name] - want[name], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(want[name]).max()))
+            assert p._source is None and p._grad is None
+
+    def test_step_fold_serves_until_its_gradient_is_taken(self):
+        model = tiny_model(seed=40)
+        grid, batches = sampled_batches(model, seed=5)
+        step_fold = StepFold(model)
+        fold = step_fold.current()
+        assert step_fold.current() is fold and fold.stages == (0, 1, 2)
+        relation_losses_multi(model, grid, batches, step_fold)
+        relation_losses_multi(model, grid, batches, step_fold)
+        assert step_fold.current() is fold and not fold.taken
+        sgd_step(model.store, 0.1)
+        assert fold.taken
+        rebuilt = step_fold.current()
+        assert rebuilt is not fold
+        # built from the moved weights
+        assert not np.array_equal(rebuilt.visual.w.value, fold.visual.w.value)
+        np.testing.assert_array_equal(rebuilt.visual.w.value, RelationFold(model).visual.w.value)
 
 
 def trained_model(n_scenes, **run):
