@@ -34,16 +34,20 @@ class Param:
     """One trainable block: a value array and a same-shaped gradient buffer.
 
     The buffer is allocated on first use, so a loaded model that only
-    infers holds none, and `sgd_step` drops it. A block keeps its own copy
-    of `value`, unless `copy` is False: then it takes over the float64
-    array it is given, as the layers do with the arrays `init_uniform`
-    builds for them."""
+    infers holds none. `sgd_step` keeps it as the spare the next step's
+    first gradient is written into, neither zeroed nor freed: buffers
+    freed and allocated again every step left the heap, and the page
+    faults of whatever the process ran next, different from one training
+    to the next. A block keeps its own copy of `value`, unless `copy` is
+    False: then it takes over the float64 array it is given, as the
+    layers do with the arrays `init_uniform` builds for them."""
 
-    __slots__ = ("value", "_grad", "_rows", "_source")
+    __slots__ = ("value", "_grad", "_spare", "_rows", "_source")
 
     def __init__(self, value, copy=True):
         self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
+        self._spare = None  # the buffer of a gradient `sgd_step` has taken
         self._rows = []  # pending (dy, x) weight-gradient rows
         self._source = None  # pending gradient held elsewhere (`leave_with`)
 
@@ -62,13 +66,26 @@ class Param:
             pending.flush()
         self._source = source
 
+    def _buffer(self):
+        """The spare buffer, or a new one; its contents are stale."""
+        buf, self._spare = self._spare, None
+        return np.empty(self.value.shape) if buf is None else buf
+
     def accumulate(self, grad):
-        """Add `grad` to the gradient; with no buffer yet, `grad` becomes
-        the buffer, so it must be an array nothing else holds."""
+        """Add `grad` to the gradient; the first is copied into the buffer."""
         if self._grad is None:
-            self._grad = grad
+            self._grad = self._buffer()
+            self._grad[...] = grad
         else:
             self._grad += grad
+
+    def add_product(self, a, b):
+        """Add a @ b to the gradient; the first is written straight into
+        the buffer."""
+        if self._grad is None:
+            self._grad = np.matmul(a, b, out=self._buffer())
+        else:
+            self._grad += a @ b
 
     @property
     def grad(self):
@@ -78,9 +95,10 @@ class Param:
         if self._rows:
             dys, xs = zip(*self._rows)
             self._rows = []
-            self.accumulate(np.concatenate(dys).T @ np.concatenate(xs))
+            self.add_product(np.concatenate(dys).T, np.concatenate(xs))
         if self._grad is None:
-            self._grad = np.zeros(self.value.shape)
+            self._grad = self._buffer()
+            self._grad.fill(0.0)
         return self._grad
 
     @grad.setter
@@ -178,10 +196,11 @@ class ParamStore:
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """p <- p - lr * grad for every block, and the gradients are dropped.
-    Pending sources and weight rows are taken first, so the check for
-    non-finite values covers them. A block whose gradient was never used
-    is skipped: p - lr * 0 is p, bit for bit."""
+    """p <- p - lr * grad for every block; each gradient buffer is scaled
+    in place and kept as the block's spare. Pending sources and weight
+    rows are taken first, so the check for non-finite values covers them.
+    A block whose gradient was never used is skipped: p - lr * 0 is p,
+    bit for bit."""
     for name, p in store.items():
         if p._grad is None and not p._rows and p._source is None:
             continue
@@ -190,7 +209,7 @@ def sgd_step(store: ParamStore, lr: float):
             raise TrainingError(f"non-finite gradient in block {name!r}")
         grad *= lr
         p.value -= grad
-        p._grad = None
+        p._grad, p._spare = None, grad
 
 
 def init_uniform(rng, shape, fan_in, fan_out):
@@ -306,16 +325,16 @@ class FCStack:
         w1, b1 = self.fc1.w.value, self.fc1.b.value
         w2, b2 = self.fc2.w.value, self.fc2.b.value
         k = w2 if head_w is None else head_w @ w2
-        self.fc1.w.accumulate(k.T @ d_w)
-        self.fc1.b.accumulate(k.T @ d_b)
+        self.fc1.w.add_product(k.T, d_w)
+        self.fc1.b.add_product(k.T, d_b)
         p = d_w @ w1.T
         p += np.outer(d_b, b1)
         if head_w is None:
             self.fc2.w.accumulate(p)
-            self.fc2.b.accumulate(np.array(d_b))
+            self.fc2.b.accumulate(d_b)
             return None
-        self.fc2.w.accumulate(head_w.T @ p)
-        self.fc2.b.accumulate(head_w.T @ d_b)
+        self.fc2.w.add_product(head_w.T, p)
+        self.fc2.b.add_product(head_w.T, d_b)
         d_head = p @ w2.T
         d_head += np.outer(d_b, b2)
         return d_head, d_b

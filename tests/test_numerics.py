@@ -552,6 +552,23 @@ class TestDeferredWeightGradients:
         np.testing.assert_allclose(fc.b.value, b0 - 0.1 * db, rtol=1e-12)
         assert fc.w._rows == [] and not np.any(fc.w.grad)
 
+    def test_the_next_step_writes_into_the_kept_buffer(self):
+        rng = np.random.default_rng(46)
+        fc = FCLayer(5, 3, rng=rng)
+        store = ParamStore()
+        for name, p in fc.params("fc"):
+            store.add(name, p)
+        scene_rows(rng, fc)
+        sgd_step(store, 0.1)
+        spare = fc.w._spare
+        assert fc.w._grad is None and spare is not None
+        w0 = fc.w.value.copy()
+        dw, _ = scene_rows(rng, fc, batches=(2,))  # the stale spare is not added
+        assert fc.w.grad is spare
+        sgd_step(store, 0.1)
+        np.testing.assert_allclose(fc.w.value, w0 - 0.1 * dw, rtol=1e-12)
+        assert fc.w._spare is spare
+
     def test_sgd_step_checks_the_product(self):
         fc = FCLayer(2, 1, rng=np.random.default_rng(43))
         store = ParamStore()
@@ -619,7 +636,7 @@ class TestPendingSources:
         assert first.flushes == 1 and second.flushes == 0
         np.testing.assert_array_equal(p.grad, [3.0, 3.0])
 
-    def test_sgd_step_takes_a_pending_source_and_drops_the_buffers(self):
+    def test_sgd_step_takes_a_pending_source_and_keeps_the_buffers(self):
         store = ParamStore()
         w = store.add("w", Param(np.ones((2, 3))))
         untouched = store.add("untouched", Param(np.ones(2)))
@@ -627,7 +644,16 @@ class TestPendingSources:
         sgd_step(store, 0.25)
         np.testing.assert_array_equal(w.value, np.zeros((2, 3)))
         np.testing.assert_array_equal(untouched.value, np.ones(2))
-        assert w._grad is None and w._source is None and untouched._grad is None
+        assert w._grad is None and w._source is None and w._spare is not None
+        assert untouched._grad is None and untouched._spare is None
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))  # the spare, zeroed
+
+    def test_a_first_gradient_is_copied_not_taken_over(self):
+        p, g = Param(np.zeros(3)), np.arange(3.0)
+        p.accumulate(g)
+        p.grad += 1.0
+        np.testing.assert_array_equal(g, np.arange(3.0))
+        np.testing.assert_array_equal(p.grad, np.arange(3.0) + 1.0)
 
     def test_sgd_step_checks_a_pending_source(self):
         store = ParamStore()
