@@ -62,6 +62,8 @@ class CascadeConfig:
             raise DataError("IoU thresholds must be strictly increasing")
         if not 0.0 <= self.merge_threshold <= 1.0:
             raise DataError("merge threshold must lie in [0, 1]")
+        if not 0.0 < self.hinge_margin < float("inf"):
+            raise DataError(f"'hinge_margin' must be finite and > 0, got {self.hinge_margin!r}")
 
 
 HEAD_INIT_SCALE = 0.01  # near-zero head init keeps early refinements tame

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from .errors import DataError, FormatError, TrainingError
 from .formats import (
@@ -195,6 +196,10 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     from .gradcheck import run_all_gradchecks
 
+    if args.points < 1:
+        raise DataError(f"option 'points' must be >= 1, got {args.points}")
+    if not 0 < args.tol < math.inf:
+        raise DataError(f"option 'tol' must be finite and > 0, got {args.tol}")
     started = time.perf_counter()
     reports = run_all_gradchecks(points=args.points, tol=args.tol)
     elapsed = time.perf_counter() - started
@@ -213,6 +218,10 @@ def cmd_gradcheck(args):
 def cmd_oracle(args):
     from .oracles import run_equivalence_suite
 
+    if args.instances < 1:
+        raise DataError(f"option 'instances' must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise DataError(f"option 'seed' must be >= 0, got {args.seed}")
     started = time.perf_counter()
     report = run_equivalence_suite(n_instances=args.instances, seed=args.seed)
     elapsed = time.perf_counter() - started
@@ -224,7 +233,9 @@ def cmd_oracle(args):
     return EXIT_OK if report.passed else EXIT_CHECK
 
 
+@cache
 def make_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hoicascade",
         description="Cascaded human-object interaction recognition on synthetic scenes")

@@ -148,21 +148,12 @@ def efra_attend(face_feat, noface_feat, obj_feat, face_stack, noface_stack):
     return alpha, alpha_bar
 
 
-def efra_attend_backward(d_alpha, d_alpha_bar, face_stack, noface_stack, feat_shape):
-    """Backpropagate (B,) score gradients through both stacks.
-
-    Returns (d_face, d_noface, d_obj), each (B, *feat_shape).
-    """
-    d_alpha = np.asarray(d_alpha, dtype=np.float64)
-    d_alpha_bar = np.asarray(d_alpha_bar, dtype=np.float64)
-    b = d_alpha.shape[0]
-    flat = int(np.prod(feat_shape))
-    d_fo = face_stack.backward(d_alpha[:, None])
-    d_no = noface_stack.backward(d_alpha_bar[:, None])
-    d_face = d_fo[:, :flat].reshape(b, *feat_shape)
-    d_noface = d_no[:, :flat].reshape(b, *feat_shape)
-    d_obj = (d_fo[:, flat:] + d_no[:, flat:]).reshape(b, *feat_shape)
-    return d_face, d_noface, d_obj
+def efra_attend_backward(d_alpha, d_alpha_bar, face_stack, noface_stack):
+    """Backpropagate (B,) score gradients through both stacks, whose
+    gradients accumulate; the features are data, so no input gradient is
+    returned."""
+    face_stack.backward(np.asarray(d_alpha, dtype=np.float64)[:, None])
+    noface_stack.backward(np.asarray(d_alpha_bar, dtype=np.float64)[:, None])
 
 
 def efra_enhance(obj_feat, face_feat, noface_feat, alpha, alpha_bar):

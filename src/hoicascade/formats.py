@@ -375,9 +375,21 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("detect", "segment"):
             raise DataError(f"unknown mode {self.mode!r}")
-        for key in ("stages", "top_k", "grid_size"):
-            if getattr(self, key) < 1:
-                raise DataError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
+        for keys, allowed, want in RUN_CONFIG_RANGES:
+            for key in keys:
+                if not allowed(getattr(self, key)):
+                    raise DataError(f"config key {key!r} must be {want}, "
+                                    f"got {getattr(self, key)}")
+
+
+# (keys, test, requirement); NaN fails every test
+RUN_CONFIG_RANGES = (
+    (("stages", "top_k", "grid_size"), lambda v: v >= 1, ">= 1"),
+    (("phase1_epochs", "phase2_epochs", "seed"), lambda v: v >= 0, ">= 0"),
+    (("learning_rate", "hinge_margin"), lambda v: 0 < v < math.inf, "finite and > 0"),
+    (("jitter", "noise_sigma"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("merge_threshold", "occlusion_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
 
 
 def run_config_from(values: dict) -> RunConfig:

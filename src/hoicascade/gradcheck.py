@@ -1,8 +1,12 @@
-"""Finite-difference gradient suites for every operation training
-backpropagates through: fully connected layers, the conv+pool encoder, the
-facial attention stacks, the ranking and classification heads, the fusion
-stack, the adjoint of a folded stack, the ranking hinge and the binary
-cross-entropy.
+"""Finite-difference gradient suites for the layers and losses training
+is built from: fully connected layers, the conv+pool encoder, the facial
+attention stacks, the ranking and classification heads, the fusion stack,
+the ranking hinge and the binary cross-entropy.
+
+Training runs the attention stacks, the fusion stack and the heads that
+read it folded (`FCStack.folded`). Their suites check the factored layers
+the fold is built from; the fold-adjoint suite checks the path training
+runs, a folded stack's gradient taken back to its blocks.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def check_efra(points=10, tol=1e-4):
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(np.ones(1), np.full(1, 0.5), face_stack, noface_stack, (2, 2, 2))
+            efra_attend_backward(np.ones(1), np.full(1, 0.5), face_stack, noface_stack)
             return float(alpha[0] + 0.5 * alpha_bar[0])
 
         _merge(report, finite_diff_check(run, blocks, tol=tol, max_entries=6), point)

@@ -472,11 +472,9 @@ class RelationFold:
     A fold holds products of the weights it was built from, so it is built
     once per inference run (`infer_scenes`, `ranking_constraint_report`, or
     an `infer_image` called without one) and once per SGD step in training
-    (`training.StepFold`), never cached on the model and never saved.
-    Training backpropagates through the fold's layers, and `leave_grad`
-    leaves their gradient with the factored blocks: the first read of one
-    of those (`sgd_step`) runs `flush`, the fold's adjoint, after which the
-    fold is `taken`.
+    (`training.relation_losses_multi`), never cached on the model and never
+    saved. Training backpropagates through the fold's layers, and `flush`,
+    the fold's adjoint, then adds their gradient to the factored blocks.
     """
 
     def __init__(self, model: CascadeModel, stages=None):
@@ -496,7 +494,6 @@ class RelationFold:
         self.semantic = model.rcm_heads[last].semantic
         self.geometric = model.rcm_heads[last].geometric
         self.one_stage = last == 0
-        self.taken = False
 
     def _head(self, t):
         """Stage t's linear head on the fused vector: the ranker's fused
@@ -518,26 +515,12 @@ class RelationFold:
         rank_geo = self.rank_geo if stage is None else self.rank_geos[stage]
         return sigmoid(folded[:, 0] + rank_geo.forward(x_g)[:, 0])
 
-    def leave_grad(self):
-        """Leave the gradient of the fold's layers with the factored blocks
-        they were built from (`Param.leave_with`)."""
-        model = self.model
-        stacks = (model.fusion_stack, model.face_stack, model.noface_stack)
-        blocks = [p for stack in stacks for _, p in stack.params("")]
-        for t in self.stages:
-            blocks += [p for _, p in model.rrm_heads[t].params("")]
-            blocks += [p for _, p in model.rcm_heads[t].visual.params("")]
-        for p in blocks:
-            p.leave_with(self)
-
     def flush(self):
-        """The fold's adjoint, run once: add the gradient of its layers to
-        the factored blocks, the stages' heads stacked into one
-        `FCStack.unfold_grad` call. The weights must not have moved since
-        the fold was built."""
-        if self.taken:
-            return
-        self.taken = True
+        """The fold's adjoint: add the gradient of its layers to the
+        factored blocks, the stages' heads stacked into one
+        `FCStack.unfold_grad` call. Run once per fold, after the last
+        backward through it; the weights must not have moved since the
+        fold was built."""
         model, width = self.model, 1 + self.model.n_verbs
         d_head, d_bias = model.fusion_stack.unfold_grad(
             np.concatenate([self.maps[t].w.grad for t in self.stages]),

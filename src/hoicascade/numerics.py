@@ -8,13 +8,10 @@ is reused (the training loops respect this ordering).
 
 An FC weight gradient is taken once per SGD step: `FCLayer.backward`
 records its (dy, x) rows on the weight `Param`, and the gradient is the
-one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). A block
-may also leave its gradient with a source that computes it later: the
-relation layers train through their fold (`FCStack.folded`), whose
-gradient reaches the factored blocks through the fold's adjoint
-(`FCStack.unfold_grad`). Reading `Param.grad` takes any pending source
-and product first, and `ParamStore.load` drops both. Bias and conv
-gradients are added at once.
+one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). Reading
+`Param.grad` takes the pending product first, and `ParamStore.load` drops
+it. Bias and conv gradients are added at once, and so is the gradient a
+folded stack's adjoint (`FCStack.unfold_grad`) gives its factored blocks.
 """
 
 from __future__ import annotations
@@ -33,38 +30,29 @@ CHECKPOINT_VERSION = 1
 class Param:
     """One trainable block: a value array and a same-shaped gradient buffer.
 
-    The buffer is allocated on first use, so a loaded model that only
-    infers holds none. `sgd_step` keeps it as the spare the next step's
-    first gradient is written into, neither zeroed nor freed: buffers
+    The only gradient not yet in the buffer is the FC weight rows that
+    `defer` records; reading `.grad` takes them. The buffer is allocated
+    on first use, so a loaded model that only infers holds none.
+    `sgd_step` keeps it as the spare the next step's first gradient is
+    written into, neither zeroed nor freed: buffers
     freed and allocated again every step left the heap, and the page
     faults of whatever the process ran next, different from one training
     to the next. A block keeps its own copy of `value`, unless `copy` is
     False: then it takes over the float64 array it is given, as the
     layers do with the arrays `init_uniform` builds for them."""
 
-    __slots__ = ("value", "_grad", "_spare", "_rows", "_source")
+    __slots__ = ("value", "_grad", "_spare", "_rows")
 
     def __init__(self, value, copy=True):
         self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
         self._spare = None  # the buffer of a gradient `sgd_step` has taken
         self._rows = []  # pending (dy, x) weight-gradient rows
-        self._source = None  # pending gradient held elsewhere (`leave_with`)
 
     def defer(self, dy, x):
         """Record the gradient dy.T @ x, to be taken with the other pending
         rows in one product. The arrays are kept, not copied."""
         self._rows.append((dy, x))
-
-    def leave_with(self, source):
-        """Leave a gradient of this block with `source`: the next read of
-        `.grad` first calls `source.flush()`, which adds it here and to the
-        other blocks the source feeds. A block holds one source, so another
-        one pending is flushed first."""
-        if self._source is not None and self._source is not source:
-            pending, self._source = self._source, None
-            pending.flush()
-        self._source = source
 
     def _buffer(self):
         """The spare buffer, or a new one; its contents are stale."""
@@ -89,9 +77,6 @@ class Param:
 
     @property
     def grad(self):
-        if self._source is not None:
-            source, self._source = self._source, None
-            source.flush()
         if self._rows:
             dys, xs = zip(*self._rows)
             self._rows = []
@@ -105,7 +90,6 @@ class Param:
     def grad(self, grad):
         self._grad = grad
         self._rows = []
-        self._source = None
 
 
 class ParamStore:
@@ -197,12 +181,11 @@ class ParamStore:
 
 def sgd_step(store: ParamStore, lr: float):
     """p <- p - lr * grad for every block; each gradient buffer is scaled
-    in place and kept as the block's spare. Pending sources and weight
-    rows are taken first, so the check for non-finite values covers them.
-    A block whose gradient was never used is skipped: p - lr * 0 is p,
-    bit for bit."""
+    in place and kept as the block's spare. Pending weight rows are taken
+    first, so the check for non-finite values covers them. A block whose
+    gradient was never used is skipped: p - lr * 0 is p, bit for bit."""
     for name, p in store.items():
-        if p._grad is None and not p._rows and p._source is None:
+        if p._grad is None and not p._rows:
             continue
         grad = p.grad
         if not np.all(np.isfinite(grad)):

@@ -3,12 +3,12 @@ localization and relation recognition, with one SGD step per
 SCENES_PER_STEP scenes (image-centric batches).
 
 Gradient flow: planted feature grids are constants, so localization
-gradients stop at the stage heads, and relation gradients flow through the
-folded relation maps (`RelationFold`, one per SGD step), whose adjoint
-trains the fusion stack, the facial-attention stacks and the heads, and
-through the geometric encoder. Box coordinates and the prior-stage visual
-tensor propagate as data only, which keeps the per-stage graphs
-independent.
+gradients stop at the stage heads. Relation gradients flow through the
+folded relation maps and through the geometric encoder. The step's
+`relation_losses_multi` call builds that fold (`RelationFold`) and runs
+its adjoint, which trains the fusion stack, the facial-attention stacks
+and the heads. Box coordinates and the prior-stage visual tensor
+propagate as data only, which keeps the per-stage graphs independent.
 """
 
 from __future__ import annotations
@@ -136,14 +136,15 @@ class RelationPass:
     distinct pair; their outputs are gathered to one row per sampled pair,
     and backward folds the row gradients back with one indexed add each.
     The folded layers' gradient reaches the factored blocks through the
-    fold's adjoint, when the SGD step reads it.
+    fold's adjoint, which `relation_losses_multi` runs after the step's
+    last pass.
     """
 
-    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs, step_fold=None):
-        """stage_pairs: list of (stage_index, [LabeledPair, ...]); the pass
-        runs the current fold of `step_fold`, or a fold built for it."""
+    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs, fold: RelationFold):
+        """stage_pairs: list of (stage_index, [LabeledPair, ...]); `fold`
+        serves every stage listed."""
         self.model = model
-        self.fold = (step_fold or StepFold(model)).current()
+        self.fold = fold
         self.stages = [stage for stage, _ in stage_pairs]
         self.slices = []
         entries = []
@@ -201,72 +202,59 @@ class RelationPass:
         np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
         d_alpha = (d_obar * face.reshape(len(face), -1)).sum(axis=1)
         d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
-        efra_attend_backward(d_alpha, d_alpha_bar, fold.face_stack,
-                             fold.noface_stack, face.shape[1:])
-        fold.leave_grad()
+        efra_attend_backward(d_alpha, d_alpha_bar, fold.face_stack, fold.noface_stack)
         d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
 
 
-class StepFold:
-    """The `RelationFold` of the current SGD step: built on first use, and
-    again on the first use after its gradient was taken, since the
-    `sgd_step` that takes it moves the weights."""
-
-    def __init__(self, model: CascadeModel):
-        self.model = model
-        self.fold = None
-
-    def current(self) -> RelationFold:
-        if self.fold is None or self.fold.taken:
-            self.fold = RelationFold(self.model, range(self.model.config.stages))
-        return self.fold
-
-
-def relation_losses_multi(model, grid, stage_batches, step_fold=None):
-    """Ranking hinge plus three-stream BCE for every stage's sampled batch,
-    and their backward, through the current fold of `step_fold`, or a fold
-    built for this call.
+def relation_losses_multi(model, scene_batches):
+    """Ranking hinge plus three-stream BCE for every stage's sampled batch
+    of the scenes of one SGD step, and their backward. `scene_batches`
+    holds one (grid, stage_batches) pair per scene. Every scene with pairs
+    runs one `RelationPass` through one `RelationFold` of all stages, built
+    here, whose adjoint runs before the call returns: the factored blocks
+    then hold the step's relation gradient. Returns, per scene, the
+    per-stage {"rrm", "rcm"} losses.
 
     Losses are normalized per pair/element so the learning rate stays
     stable across batch sizes; the stage weights (gamma) scale the
     gradients here.
     """
-    stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
-    out = [{"rrm": 0.0, "rcm": 0.0} for _ in stage_batches]
-    if not any(pairs for _, pairs in stage_pairs):
+    out = [[{"rrm": 0.0, "rcm": 0.0} for _ in batches] for _, batches in scene_batches]
+    if not any(b.all_pairs() for _, batches in scene_batches for b in batches):
         return out
-    rp = RelationPass(model, grid, stage_pairs, step_fold).forward()
-    targets = np.zeros((rp.n, model.n_verbs))
-    row = 0
-    for _, pairs in stage_pairs:
-        for lab in pairs:
-            targets[row] = lab.verb_targets
-            row += 1
-
-    d_g = np.zeros(rp.n)
-    d_s = [np.zeros_like(targets) for _ in range(3)]
-    for t, (batch, sl) in enumerate(zip(stage_batches, rp.slices)):
-        if sl.stop == sl.start:
+    fold = RelationFold(model, range(model.config.stages))
+    for (grid, stage_batches), scene_out in zip(scene_batches, out):
+        stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
+        if not any(pairs for _, pairs in stage_pairs):
             continue
-        n_pos = len(batch.positives)
-        g = rp.g[sl]
-        pos_g, neg_g = g[:n_pos], g[n_pos:]
-        hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, model.config.hinge_margin)
-        hinge_norm = max(len(pos_g) * len(neg_g), 1)
-        out[t]["rrm"] = hinge / hinge_norm
-        gamma = model.config.gamma[t]
-        d_g[sl] = np.concatenate([d_pos, d_neg]) * (gamma / hinge_norm)
+        rp = RelationPass(model, grid, stage_pairs, fold).forward()
+        targets = np.array([lab.verb_targets for _, pairs in stage_pairs for lab in pairs],
+                           dtype=np.float64)
+        d_g = np.zeros(rp.n)
+        d_s = [np.zeros_like(targets) for _ in range(3)]
+        for t, (batch, sl) in enumerate(zip(stage_batches, rp.slices)):
+            if sl.stop == sl.start:
+                continue
+            n_pos = len(batch.positives)
+            g = rp.g[sl]
+            pos_g, neg_g = g[:n_pos], g[n_pos:]
+            hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, model.config.hinge_margin)
+            hinge_norm = max(len(pos_g) * len(neg_g), 1)
+            scene_out[t]["rrm"] = hinge / hinge_norm
+            gamma = model.config.gamma[t]
+            d_g[sl] = np.concatenate([d_pos, d_neg]) * (gamma / hinge_norm)
 
-        t_sl = targets[sl]
-        bce_total = 0.0
-        for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
-            bce, d_stream = binary_cross_entropy(stream, t_sl)
-            bce_total += bce / t_sl.size
-            d_s[k][sl] = gamma * d_stream / t_sl.size
-        out[t]["rcm"] = bce_total
-    rp.backward(d_g, d_s[0], d_s[1], d_s[2])
+            t_sl = targets[sl]
+            bce_total = 0.0
+            for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
+                bce, d_stream = binary_cross_entropy(stream, t_sl)
+                bce_total += bce / t_sl.size
+                d_s[k][sl] = gamma * d_stream / t_sl.size
+            scene_out[t]["rcm"] = bce_total
+        rp.backward(d_g, d_s[0], d_s[1], d_s[2])
+    fold.flush()
     return out
 
 
@@ -287,11 +275,11 @@ SCENES_PER_STEP = 8  # image-centric batches: mean gradient over a few scenes
 
 
 def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec, rng,
-                 with_relation, step_fold=None):
-    """Per-stage losses of one scene, their gradients accumulated: the
-    localization losses of every stage and, with_relation, the relation
-    losses of the pairs sampled from each stage's outputs, all stages in
-    one `relation_losses_multi` call through `step_fold`."""
+                 with_relation):
+    """The localization losses of every stage of one scene, their
+    gradients accumulated, and, with_relation, the relation pairs sampled
+    from each stage's outputs, for `relation_losses_multi`: (per-stage
+    losses, per-stage batches)."""
     gt = scene.gt_instances()
     gt_pairs = gt_pairs_of(scene, spec) if with_relation else None
     proposals = seed_instances(scene)
@@ -306,11 +294,7 @@ def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec,
             stage_batches.append(sample_training_pairs(
                 enumerate_pairs(outputs, model.person_class), gt_pairs,
                 model.config.iou_thresholds[t], model.n_verbs, rng))
-    if with_relation:
-        relation = relation_losses_multi(model, grid, stage_batches, step_fold)
-        for losses, rel in zip(stage_losses, relation):
-            losses.update(rel)
-    return stage_losses
+    return stage_losses, stage_batches
 
 
 @dataclass
@@ -336,22 +320,26 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
     if log is None:
         log = TrainLog()
     rng = np.random.default_rng([config.seed, 101])
-    step_fold = StepFold(model)
     order = np.arange(len(train_scenes))
     for epochs, with_relation, epoch_log in ((config.phase1_epochs, False, log.phase1),
                                              (config.phase2_epochs, True, log.phase2)):
         for _ in range(epochs):
             rng.shuffle(order)
-            epoch_losses, pending = [], 0
-            for step_i, si in enumerate(order, start=1):
-                scene = train_scenes[si]
-                epoch_losses.append(total_loss(scene_losses(
-                    model, grids[scene.image_id], scene, spec, rng, with_relation, step_fold),
-                    model.config))
-                pending += 1
-                if pending == SCENES_PER_STEP or step_i == len(order):
-                    sgd_step(model.store, config.learning_rate / pending)
-                    pending = 0
+            epoch_losses = []
+            for start in range(0, len(order), SCENES_PER_STEP):
+                step = [train_scenes[si] for si in order[start:start + SCENES_PER_STEP]]
+                step_grids = [grids[scene.image_id] for scene in step]
+                scene_stage_losses, scene_batches = zip(*(
+                    scene_losses(model, grid, scene, spec, rng, with_relation)
+                    for grid, scene in zip(step_grids, step)))
+                if with_relation:
+                    relation = relation_losses_multi(model, list(zip(step_grids, scene_batches)))
+                    for stage_losses, rel in zip(scene_stage_losses, relation):
+                        for losses, stage_rel in zip(stage_losses, rel):
+                            losses.update(stage_rel)
+                epoch_losses += [total_loss(stage_losses, model.config)
+                                 for stage_losses in scene_stage_losses]
+                sgd_step(model.store, config.learning_rate / len(step))
             epoch_log.append(float(np.mean(epoch_losses)))
     return model
 

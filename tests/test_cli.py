@@ -277,16 +277,40 @@ class TestErrorPaths:
         assert "'ks'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("command, flag, key", [
-        ("train", "--stages", "stages"),
-        ("infer", "--top-k", "top_k"),
-        ("synth", "--grid-size", "grid_size"),
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--stages", "0"),
+        ("infer", "--top-k", "0"),
+        ("synth", "--grid-size", "0"),
+        ("train", "--hinge-margin", "0"),
+        ("train", "--hinge-margin", "-1"),
+        ("train", "--learning-rate", "nan"),
+        ("train", "--learning-rate", "-0.5"),
+        ("train", "--phase1-epochs", "-2"),
+        ("train", "--phase2-epochs", "-1"),
+        ("synth", "--jitter", "-1"),
+        ("synth", "--occlusion-rate", "2"),
+        ("synth", "--noise-sigma", "-1"),
+        ("synth", "--seed", "-1"),
+        ("train", "--seed", "-1"),
     ])
     def test_impossible_run_setting_exit_2(self, pipeline, tmp_path, capsys,
-                                           command, flag, key):
-        assert main([command, flag, "0"] + self.io_flags(command, pipeline, tmp_path)) == 2
-        assert f"'{key}'" in capsys.readouterr().err
+                                           command, flag, value):
+        key = flag[2:].replace("-", "_")
+        assert main([command, flag, value] + self.io_flags(command, pipeline, tmp_path)) == 2
+        assert f"config key '{key}' must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gradcheck", "--points", "0"),
+        ("gradcheck", "--tol", "0"),
+        ("gradcheck", "--tol", "nan"),
+        ("gradcheck", "--tol", "inf"),
+        ("oracle", "--instances", "0"),
+        ("oracle", "--seed", "-1"),
+    ])
+    def test_bad_check_option_exit_2(self, capsys, command, flag, value):
+        assert main([command, flag, value]) == 2
+        assert f"option '{flag[2:]}' must be" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("section, key", [("config", "merge_threshold"), (None, "channels"),
@@ -338,6 +362,8 @@ class TestErrorPaths:
          "field 'person_class' must be a class index in [0, 5), got 99"),
         ("model.json", lambda text: edit_model_json(text, representation="mask"),
          "field 'representation' must be 'box' or absent, got 'mask'"),
+        ("model.json", lambda text: edit_model_json(text, config={"hinge_margin": 0.0}),
+         "field 'config': 'hinge_margin' must be finite and > 0, got 0.0"),
     ])
     def test_corrupt_checkpoint_exit_2(self, pipeline, tmp_path, capsys, name, corrupt, message):
         model = tmp_path / "model"
@@ -502,3 +528,10 @@ class TestChecks:
 
     def test_gradcheck_small(self):
         assert main(["gradcheck", "--points", "2"]) == 0
+
+    def test_parser_is_built_once(self):
+        from hoicascade.cli import make_parser
+
+        assert main(["oracle", "--instances", "0"]) == 2
+        assert make_parser() is make_parser()
+        assert make_parser.cache_info().misses == 1

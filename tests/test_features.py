@@ -239,7 +239,7 @@ class TestEfra:
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(np.ones(1), np.ones(1), face_stack, noface_stack, (2, 2, 2))
+            efra_attend_backward(np.ones(1), np.ones(1), face_stack, noface_stack)
             return float(alpha[0] + alpha_bar[0])
 
         report = finite_diff_check(run, blocks, tol=1e-4)

@@ -603,48 +603,16 @@ class TestDeferredWeightGradients:
         assert layers[0].b.grad.tobytes() == layers[1].b.grad.tobytes()
 
 
-class Source:
-    """A gradient held for a few blocks until one of them reads `.grad`."""
-
-    def __init__(self, grads):
-        self.grads = grads  # {Param: gradient}
-        self.flushes = 0
-        for p in grads:
-            p.leave_with(self)
-
-    def flush(self):
-        if self.flushes == 0:
-            self.flushes += 1
-            for p, g in self.grads.items():
-                p.grad += g
-
-
-class TestPendingSources:
-    def test_one_read_flushes_every_block_once(self):
-        a, b = Param(np.zeros(3)), Param(np.zeros((2, 2)))
-        source = Source({a: np.arange(3.0), b: np.ones((2, 2))})
-        assert a._grad is None and b._grad is None
-        np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
-        np.testing.assert_array_equal(a.grad, np.arange(3.0))
-        np.testing.assert_array_equal(a.grad, np.arange(3.0))
-        assert source.flushes == 1 and a._source is None and b._source is None
-
-    def test_another_source_flushes_the_first(self):
-        p = Param(np.zeros(2))
-        first = Source({p: np.ones(2)})
-        second = Source({p: np.full(2, 2.0)})
-        assert first.flushes == 1 and second.flushes == 0
-        np.testing.assert_array_equal(p.grad, [3.0, 3.0])
-
-    def test_sgd_step_takes_a_pending_source_and_keeps_the_buffers(self):
+class TestGradientBuffers:
+    def test_sgd_step_keeps_the_buffers(self):
         store = ParamStore()
         w = store.add("w", Param(np.ones((2, 3))))
         untouched = store.add("untouched", Param(np.ones(2)))
-        Source({w: np.full((2, 3), 4.0)})
+        w.accumulate(np.full((2, 3), 4.0))
         sgd_step(store, 0.25)
         np.testing.assert_array_equal(w.value, np.zeros((2, 3)))
         np.testing.assert_array_equal(untouched.value, np.ones(2))
-        assert w._grad is None and w._source is None and w._spare is not None
+        assert w._grad is None and w._spare is not None
         assert untouched._grad is None and untouched._spare is None
         np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))  # the spare, zeroed
 
@@ -654,21 +622,6 @@ class TestPendingSources:
         p.grad += 1.0
         np.testing.assert_array_equal(g, np.arange(3.0))
         np.testing.assert_array_equal(p.grad, np.arange(3.0) + 1.0)
-
-    def test_sgd_step_checks_a_pending_source(self):
-        store = ParamStore()
-        w = store.add("fold.w", Param(np.ones(2)))
-        Source({w: np.array([0.0, np.nan])})
-        with pytest.raises(TrainingError, match="fold.w"):
-            sgd_step(store, 0.1)
-
-    def test_load_drops_a_pending_source(self, tmp_path):
-        store = ParamStore()
-        p = store.add("p", Param(np.ones(2)))
-        store.save(tmp_path / "p.json", tmp_path / "p.bin")
-        source = Source({p: np.ones(2)})
-        store.load(tmp_path / "p.json", tmp_path / "p.bin")
-        assert not np.any(p.grad) and source.flushes == 0
 
     def test_first_product_becomes_the_buffer(self):
         rng = np.random.default_rng(46)

@@ -11,6 +11,7 @@ from hoicascade.cascade import (
     mask_cell_targets,
     resample_for_stage,
 )
+from hoicascade.errors import TrainingError
 from hoicascade.features import CooccurrenceTable, cross_stage_fuse, efra_attend_backward
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
@@ -38,7 +39,6 @@ from hoicascade.numerics import (
 )
 from hoicascade.training import (
     RelationPass,
-    StepFold,
     localization_stage_step,
     prepare_grids,
     relation_losses_multi,
@@ -89,6 +89,11 @@ def overlapping_stage_batches(model, seed=2):
     return grid, [batch([0, 1, 2, 3]), batch([2, 3, 4, 5]), batch([5, 4, 3, 2, 1, 0])]
 
 
+def every_stage_fold(model):
+    """The fold a training step runs: one map per stage."""
+    return RelationFold(model, range(model.config.stages))
+
+
 class TestRelationPass:
     def test_repeated_pairs_accumulate_the_gradients_of_separate_passes(self):
         model = tiny_model(seed=35)
@@ -97,7 +102,8 @@ class TestRelationPass:
         alone = [[b if s == t else empty for s, b in enumerate(batches)] for t in range(3)]
 
         def distinct_rows(stage_batches):
-            rp = RelationPass(model, grid, [(t, b.all_pairs()) for t, b in enumerate(stage_batches)])
+            rp = RelationPass(model, grid, [(t, b.all_pairs()) for t, b in enumerate(stage_batches)],
+                              every_stage_fold(model))
             return rp.n, len(rp.pooled.x_s)
 
         assert distinct_rows(batches) == (14, 6)
@@ -106,7 +112,7 @@ class TestRelationPass:
         def gradients(stage_batches):
             for _, p in model.store.items():
                 p.grad = None
-            relation_losses_multi(model, grid, stage_batches)
+            relation_losses_multi(model, [(grid, stage_batches)])
             return {name: p.grad.copy() for name, p in model.store.items()}
 
         joint = gradients(batches)
@@ -126,7 +132,7 @@ class TestRelationPass:
         monkeypatch.setattr(model.geo_encoder, "forward",
                             lambda maps: encoded.append(maps) or forward(maps))
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
-        rp = RelationPass(model, grid, stage_pairs).forward()
+        rp = RelationPass(model, grid, stage_pairs, every_stage_fold(model)).forward()
         per_pair = [spatial_pair_encoding([lab.candidate.human.box],
                                           [lab.candidate.object.box])[0][0].tobytes()
                     for _, pairs in stage_pairs for lab in pairs]
@@ -138,7 +144,7 @@ class TestRelationPass:
         model = tiny_model(seed=31)
         grid, batches = sampled_batches(model)
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
-        rp = RelationPass(model, grid, stage_pairs).forward()
+        rp = RelationPass(model, grid, stage_pairs, every_stage_fold(model)).forward()
         candidates = [lab.candidate for _, pairs in stage_pairs for lab in pairs]
         last = rp.slices[-1]
         assert rp.slices[0].stop > 0 and last.stop > last.start
@@ -158,7 +164,7 @@ class TestRelationPass:
         grid, batches = sampled_batches(model, seed=1, people=1)
 
         def loss():
-            out = relation_losses_multi(model, grid, batches)
+            [out] = relation_losses_multi(model, [(grid, batches)])
             return sum(g * (o["rrm"] + o["rcm"]) for g, o in zip(model.config.gamma, out))
 
         # every relation block except the conv layers, whose max-pool ties
@@ -208,7 +214,7 @@ class FactoredPass(RelationPass):
         np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
         efra_attend_backward((d_obar * face.reshape(len(face), -1)).sum(axis=1),
                              (d_obar * noface.reshape(len(face), -1)).sum(axis=1),
-                             model.face_stack, model.noface_stack, face.shape[1:])
+                             model.face_stack, model.noface_stack)
         d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
@@ -227,7 +233,7 @@ class TestFoldAdjoint:
     def gradients(model, grid, batches):
         for _, p in model.store.items():
             p.grad = None
-        relation_losses_multi(model, grid, batches)
+        relation_losses_multi(model, [(grid, batches)])
         return {name: p.grad.copy() for name, p in model.store.items() if ".box." not in name}
 
     @pytest.mark.parametrize("make_model", [tiny_model, one_stage_model],
@@ -252,37 +258,83 @@ class TestFoldAdjoint:
             assert np.any(want), name
             assert np.abs(folded[name] - want).max() <= rtol * np.abs(want).max(), name
 
+    FOLD_BLOCKS = (".fusion.", ".face_stack.", ".noface_stack.", ".rrm.", ".rcm.vis.")
+
+    def test_the_call_leaves_the_fold_gradient_on_the_factored_blocks(self):
+        model = tiny_model(seed=39)
+        scenes = [sampled_batches(model, seed=4), overlapping_stage_batches(model, seed=6)]
+        factored = {name: p for name, p in model.store.items()
+                    if any(part in name for part in self.FOLD_BLOCKS)}
+        assert len(factored) == 24
+
+        def gradients(scene_batches):
+            for _, p in model.store.items():
+                p.grad = None
+            relation_losses_multi(model, scene_batches)
+            # the adjoint has run: nothing of the step is left pending
+            assert all(p._grad is not None and not p._rows for p in factored.values())
+            return {name: p.grad.copy() for name, p in model.store.items()}
+
+        joint = gradients(scenes)
+        separate = [gradients([scene]) for scene in scenes]
+        for name, got in joint.items():
+            want = separate[0][name] + separate[1][name]
+            # the conv layers run in float32 on the pair maps
+            rtol = 1e-5 if ".conv" in name else 1e-12
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max(), name
+
     def test_sgd_step_takes_the_fold_gradient(self):
         model = tiny_model(seed=39)
         grid, batches = sampled_batches(model, seed=4)
         before = {name: p.value.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, grid, batches)
-        fusion = model.fusion_stack.fc1.w
-        assert fusion._grad is None and fusion._source is not None  # pending
+        relation_losses_multi(model, [(grid, batches)])
         want = {name: p.grad.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, grid, batches)  # the same gradient again
+        relation_losses_multi(model, [(grid, batches)])  # the same gradient again
         sgd_step(model.store, 0.5)
         for name, p in model.store.items():
             np.testing.assert_allclose(p.value, before[name] - want[name], rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(want[name]).max()))
-            assert p._source is None and p._grad is None
+            assert p._grad is None and not p._rows
 
-    def test_step_fold_serves_until_its_gradient_is_taken(self):
+    def test_non_finite_fold_gradient_names_the_block(self, monkeypatch):
         model = tiny_model(seed=40)
         grid, batches = sampled_batches(model, seed=5)
-        step_fold = StepFold(model)
-        fold = step_fold.current()
-        assert step_fold.current() is fold and fold.stages == (0, 1, 2)
-        relation_losses_multi(model, grid, batches, step_fold)
-        relation_losses_multi(model, grid, batches, step_fold)
-        assert step_fold.current() is fold and not fold.taken
-        sgd_step(model.store, 0.1)
-        assert fold.taken
-        rebuilt = step_fold.current()
-        assert rebuilt is not fold
-        # built from the moved weights
-        assert not np.array_equal(rebuilt.visual.w.value, fold.visual.w.value)
-        np.testing.assert_array_equal(rebuilt.visual.w.value, RelationFold(model).visual.w.value)
+        flush = RelationFold.flush
+
+        def poisoned(fold):
+            fold.face_stack.w.grad[0, 0] = np.nan
+            flush(fold)
+
+        monkeypatch.setattr(RelationFold, "flush", poisoned)
+        relation_losses_multi(model, [(grid, batches)])
+        with pytest.raises(TrainingError, match="'shared.face_stack.fc1.w'"):
+            sgd_step(model.store, 0.1)
+
+
+class TestFoldPerStep:
+    @staticmethod
+    def count_folds(monkeypatch, **run):
+        from hoicascade import training
+        from hoicascade.formats import RunConfig
+        from hoicascade.synth import SceneSpec, generate_dataset
+
+        built = []
+
+        class CountedFold(RelationFold):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.stages)
+
+        monkeypatch.setattr(training, "RelationFold", CountedFold)
+        spec = SceneSpec(seed=7)
+        train_model(generate_dataset(spec, 20), spec, RunConfig(seed=7, **run),
+                    spec.min_channels(), 32)
+        return built
+
+    def test_one_fold_per_phase2_step_and_none_in_phase1(self, monkeypatch):
+        # 20 scenes make steps of 8, 8 and 4 scenes
+        assert self.count_folds(monkeypatch, phase1_epochs=1, phase2_epochs=1) == [(0, 1, 2)] * 3
+        assert self.count_folds(monkeypatch, phase1_epochs=2, phase2_epochs=0) == []
 
 
 def trained_model(n_scenes, **run):
@@ -479,9 +531,11 @@ def test_training_beats_the_untrained_model(tmp_path):
         write_predictions_ndjson(path, infer_scenes(model, test, spec, config, grids))
         preds = read_predictions_ndjson(path)
         rng = np.random.default_rng(0)
-        relation = np.mean([[loss["rrm"] + loss["rcm"] for loss in scene_losses(
-            model, grids[scene.image_id], scene, spec, rng, with_relation=True)]
-            for scene in test[:6]], axis=0)
+        sampled = [(grids[scene.image_id], scene_losses(model, grids[scene.image_id], scene,
+                                                        spec, rng, with_relation=True)[1])
+                   for scene in test[:6]]
+        relation = np.mean([[loss["rrm"] + loss["rcm"] for loss in scene]
+                            for scene in relation_losses_multi(model, sampled)], axis=0)
         return (map_rel(preds, gts, spec.n_verbs).map_rel,
                 recall_at_k(preds, gts, spec.geometric_verbs).mean, relation)
 
