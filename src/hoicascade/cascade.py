@@ -19,7 +19,19 @@ log = logging.getLogger(__name__)
 POOLED_HW = (7, 7)
 MASK_POOLED_HW = (14, 14)
 MASK_LOGIT_DIM = MASK_POOLED_HW[0] * MASK_POOLED_HW[1]
-HINGE_MARGIN = 0.2
+MAX_STAGES = 5  # a sixth stage would train at IoU 1.0
+
+
+def iou_threshold(t):
+    """The IoU at which stage t (from 0) labels its proposals positive:
+    0.5, 0.6, ... rising a tenth per stage."""
+    return round(0.5 + 0.1 * t, 2)
+
+
+def stage_weight(t):
+    """The weight of stage t's box, mask and relation losses: 1, 0.5,
+    0.25, ... halving per stage."""
+    return 0.5 ** t
 
 
 @dataclass
@@ -40,30 +52,19 @@ class Instance:
 
 @dataclass
 class CascadeConfig:
-    """Stage count, per-stage IoU thresholds, merge cutoff, loss weights and
-    the ranking hinge margin."""
+    """What inference reads of the cascade: the stage count and the
+    confidence cutoff of the cross-stage merge. The training schedule per
+    stage is `iou_threshold` and `stage_weight`."""
 
     stages: int = 3
-    iou_thresholds: tuple = (0.5, 0.6, 0.7)
     merge_threshold: float = 0.3
-    beta: tuple = (1.0, 0.5, 0.25)
-    gamma: tuple = (1.0, 0.5, 0.25)
-    seg_weights: tuple = (1.0, 0.5, 0.25)
-    hinge_margin: float = HINGE_MARGIN
 
     def __post_init__(self):
         t = self.stages
-        if type(t) is not int or t < 1:
-            raise DataError(f"stage count must be an integer >= 1, got {t!r}")
-        if not (len(self.iou_thresholds) == len(self.beta) == len(self.gamma)
-                == len(self.seg_weights) == t):
-            raise DataError(f"per-stage schedules must all have length T = stages = {t}")
-        if any(b >= a for a, b in zip(self.iou_thresholds[1:], self.iou_thresholds)):
-            raise DataError("IoU thresholds must be strictly increasing")
+        if type(t) is not int or not 1 <= t <= MAX_STAGES:
+            raise DataError(f"stage count must be an integer in [1, {MAX_STAGES}], got {t!r}")
         if not 0.0 <= self.merge_threshold <= 1.0:
             raise DataError("merge threshold must lie in [0, 1]")
-        if not 0.0 < self.hinge_margin < float("inf"):
-            raise DataError(f"'hinge_margin' must be finite and > 0, got {self.hinge_margin!r}")
 
 
 HEAD_INIT_SCALE = 0.01  # near-zero head init keeps early refinements tame

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cascade import MAX_STAGES
 from .errors import DataError, FormatError
 from .geometry import BitMask, Box
 from .metrics import TripletRecord
-from .synth import Entity, Scene, SceneSpec, SeedProposal, Triplet
+from .synth import MIN_IMAGE_SIZE, Entity, Scene, SceneSpec, SeedProposal, Triplet
 
 
 # ------------------------------------------------------------------ masks
@@ -380,11 +381,17 @@ class RunConfig:
                 if not allowed(getattr(self, key)):
                     raise DataError(f"config key {key!r} must be {want}, "
                                     f"got {getattr(self, key)}")
+        if self.entities_max < self.entities_min:
+            raise DataError(f"config key 'entities_max' must be >= entities_min "
+                            f"({self.entities_min}), got {self.entities_max}")
 
 
 # (keys, test, requirement); NaN fails every test
 RUN_CONFIG_RANGES = (
-    (("stages", "top_k", "grid_size"), lambda v: v >= 1, ">= 1"),
+    (("stages",), lambda v: 1 <= v <= MAX_STAGES, f"in [1, {MAX_STAGES}]"),
+    (("top_k", "grid_size", "train_scenes", "test_scenes"), lambda v: v >= 1, ">= 1"),
+    (("entities_min",), lambda v: v >= 2, ">= 2 (a person and an object)"),
+    (("image_size",), lambda v: v >= MIN_IMAGE_SIZE, f">= {MIN_IMAGE_SIZE}"),
     (("phase1_epochs", "phase2_epochs", "seed"), lambda v: v >= 0, ">= 0"),
     (("learning_rate", "hinge_margin"), lambda v: 0 < v < math.inf, "finite and > 0"),
     (("jitter", "noise_sigma"), lambda v: 0 <= v < math.inf, "finite and >= 0"),

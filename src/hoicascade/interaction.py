@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .cascade import (
     merge_and_filter,
     refine_stage,
     segment_stage,
+    stage_weight,
 )
 from .errors import DataError, FormatError, ShapeError
 from .features import (
@@ -247,15 +248,17 @@ def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
 
 
 def total_loss(stage_losses, cfg: CascadeConfig) -> float:
-    """Weighted sum over stages: beta*loc + gamma*(rrm + rcm) [+ seg]."""
+    """Sum over stages of w*loc + w*(rrm + rcm) [+ w*seg], w the
+    `stage_weight` of the stage."""
     if len(stage_losses) != cfg.stages:
         raise ShapeError(f"expected {cfg.stages} stage losses, got {len(stage_losses)}")
     total = 0.0
     for t, losses in enumerate(stage_losses):
-        total += cfg.beta[t] * losses.get("loc", 0.0)
-        total += cfg.gamma[t] * (losses.get("rrm", 0.0) + losses.get("rcm", 0.0))
+        weight = stage_weight(t)
+        total += weight * losses.get("loc", 0.0)
+        total += weight * (losses.get("rrm", 0.0) + losses.get("rcm", 0.0))
         if "seg" in losses:
-            total += cfg.seg_weights[t] * losses["seg"]
+            total += weight * losses["seg"]
     return total
 
 
@@ -278,7 +281,6 @@ class CascadeModel:
         self.config = config or CascadeConfig()
         self.person_class = person_class
         self.segment = segment
-        self.seed = seed
         self.cooccurrence = None
 
         rng = np.random.default_rng(seed) if init else None
@@ -386,11 +388,9 @@ class CascadeModel:
             "grid_size": self.grid_size,
             "person_class": self.person_class,
             "segment": self.segment,
-            "seed": self.seed,
             "config": asdict(self.config),
+            "cooccurrence": json.loads(self.cooccurrence.to_json()),
         }
-        if self.cooccurrence is not None:
-            meta["cooccurrence"] = json.loads(self.cooccurrence.to_json())
         with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -423,30 +423,35 @@ class CascadeModel:
             conf = meta["config"]
             if not isinstance(conf, dict):
                 raise FormatError(f"{path}: field 'config' must be an object")
-            values = {f.name: conf[f.name] for f in fields(CascadeConfig)}
-            for name in (f.name for f in fields(CascadeConfig) if isinstance(f.default, tuple)):
-                if not isinstance(values[name], list):  # per-stage tuples are JSON lists
-                    raise FormatError(f"{path}: field 'config.{name}' must be a list, "
-                                      f"got {values[name]!r}")
-                values[name] = tuple(values[name])
+            # older checkpoints also carry the training schedule; it is not read
             try:
-                cfg = CascadeConfig(**values)
+                cfg = CascadeConfig(conf["stages"], conf["merge_threshold"])
             except (DataError, TypeError) as exc:
                 raise FormatError(f"{path}: field 'config': {exc}") from None
             model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
-                        seed=meta["seed"], person_class=person, segment=meta["segment"],
+                        person_class=person, segment=meta["segment"],
                         grid_size=meta["grid_size"], init=False)
+            rows = meta["cooccurrence"]
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
-        if "cooccurrence" in meta:
-            try:
-                model.cooccurrence = CooccurrenceTable.from_json(json.dumps(meta["cooccurrence"]))
-                shape = model.cooccurrence.counts.shape
-            except (KeyError, TypeError, ValueError):
-                shape = None
-            if shape != (model.n_classes, model.n_verbs):
-                raise FormatError(f"{path}: field 'cooccurrence' must be {model.n_classes} rows "
-                                  f"of {model.n_verbs} verb frequencies")
+        try:
+            table = CooccurrenceTable.from_json(json.dumps(rows))
+            shape = table.counts.shape
+        except (KeyError, TypeError, ValueError):
+            shape = None
+        if shape != (model.n_classes, model.n_verbs):
+            raise FormatError(f"{path}: field 'cooccurrence' must be {model.n_classes} rows "
+                              f"of {model.n_verbs} verb frequencies")
+        for c, row in enumerate(table.counts):
+            # NaN fails the range test; from_json would also parse "0.5" or true
+            if (not all(type(v) in (int, float) for v in rows[str(c)])
+                    or not np.all((row >= 0.0) & (row <= 1.0))):
+                raise FormatError(f"{path}: field 'cooccurrence' row {c} must hold finite "
+                                  f"frequencies in [0, 1], got {rows[str(c)]}")
+            if abs(row.sum() - 1.0) > 1e-9:
+                raise FormatError(f"{path}: field 'cooccurrence' row {c} must sum to 1, "
+                                  f"got {row.sum()!r}")
+        model.cooccurrence = table
         model.store.load(os.path.join(directory, "params.json"),
                          os.path.join(directory, "params.bin"))
         return model
@@ -470,8 +475,8 @@ class RelationFold:
     heads, and `score` by default serve the last stage.
 
     A fold holds products of the weights it was built from, so it is built
-    once per inference run (`infer_scenes`, `ranking_constraint_report`, or
-    an `infer_image` called without one) and once per SGD step in training
+    once per inference run (`infer_scenes`, or an `infer_image` called
+    without one) and once per SGD step in training
     (`training.relation_losses_multi`), never cached on the model and never
     saved. Training backpropagates through the fold's layers, and `flush`,
     the fold's adjoint, then adds their gradient to the factored blocks.

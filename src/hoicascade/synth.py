@@ -34,6 +34,8 @@ SIZE_RANGES = {
     "ball": ((12, 20), (12, 20)),
 }
 DEFAULT_SIZE_RANGE = ((12, 28), (12, 28))
+# below 48 px the scaled small-object sizes collapse under 3 px
+MIN_IMAGE_SIZE = 48
 ELLIPTICAL_CLASSES = {"person", "cup", "ball"}
 
 HOLDABLE = ("cup", "phone", "ball")
@@ -312,8 +314,7 @@ def generate_scene(spec: SceneSpec, index, image_id=None) -> Scene:
     """One deterministic scene; the per-scene rng derives from (seed, index)."""
     rng = np.random.default_rng([spec.seed, index])
     size = spec.image_size
-    # below 48 px the scaled small-object sizes collapse under 3 px
-    if size < 48:
+    if size < MIN_IMAGE_SIZE:
         raise DataError(f"image size {size} cannot fit the entity size ranges")
     lo, hi = spec.entities_range
     n_entities = int(rng.integers(lo, hi + 1))

@@ -1,6 +1,10 @@
 """Two-phase training in one loop: localization first, then joint
 localization and relation recognition, with one SGD step per
-SCENES_PER_STEP scenes (image-centric batches).
+SCENES_PER_STEP scenes (image-centric batches). Stage t labels its
+proposals and relation pairs at `cascade.iou_threshold(t)` and weighs
+its losses by `cascade.stage_weight(t)`; the ranking hinge margin and
+the learning rate come from the run's `RunConfig`. The model saves none
+of them.
 
 Gradient flow: planted feature grids are constants, so localization
 gradients stop at the stage heads. Relation gradients flow through the
@@ -20,10 +24,12 @@ import numpy as np
 from .cascade import (
     CascadeConfig,
     Instance,
+    iou_threshold,
     mask_cell_targets,
     mask_head_input,
     refine_stage,
     resample_for_stage,
+    stage_weight,
 )
 from .errors import DataError
 from .features import CooccurrenceTable, efra_attend_backward
@@ -32,11 +38,8 @@ from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
     RelationFold,
-    dedup_by_lineage,
     enumerate_pairs,
     infer_image,
-    match_candidate_to_gt,
-    merge_and_filter,
     run_localization,
     sample_training_pairs,
     total_loss,
@@ -78,8 +81,7 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
     instances for the next stage); refined ground-truth rows carry lineage
     -1 and keep flowing to deeper stages.
     """
-    cfg = model.config
-    labeled = resample_for_stage(proposals, gt_instances, cfg.iou_thresholds[stage])
+    labeled = resample_for_stage(proposals, gt_instances, iou_threshold(stage))
     head = model.box_heads[stage]
     losses = {"loc": 0.0}
     if model.segment:
@@ -101,8 +103,9 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         reg_loss = sl1 / len(pos)
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
-    head.scorer.backward(cfg.beta[stage] * d_scores / len(labeled), input_grad=False)
-    head.regressor.backward(cfg.beta[stage] * d_deltas, input_grad=False)
+    weight = stage_weight(stage)
+    head.scorer.backward(weight * d_scores / len(labeled), input_grad=False)
+    head.regressor.backward(weight * d_deltas, input_grad=False)
 
     # the refined box is data to the mask loss, a stop-gradient by design
     masked = [i for i in pos if model.segment and refined[i] is not None
@@ -116,8 +119,7 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         probs = sigmoid(seg_head.forward(feats))
         seg_bce, d_probs = binary_cross_entropy(probs, targets14)
         losses["seg"] = seg_bce / targets14.size
-        seg_head.backward(cfg.seg_weights[stage] / targets14.size
-                          * d_probs * probs * (1.0 - probs))
+        seg_head.backward(weight / targets14.size * d_probs * probs * (1.0 - probs))
     return losses, [inst for inst in refined if inst is not None]
 
 
@@ -208,7 +210,7 @@ class RelationPass:
         model.geo_encoder.backward(d_maps)
 
 
-def relation_losses_multi(model, scene_batches):
+def relation_losses_multi(model, scene_batches, hinge_margin):
     """Ranking hinge plus three-stream BCE for every stage's sampled batch
     of the scenes of one SGD step, and their backward. `scene_batches`
     holds one (grid, stage_batches) pair per scene. Every scene with pairs
@@ -218,8 +220,8 @@ def relation_losses_multi(model, scene_batches):
     per-stage {"rrm", "rcm"} losses.
 
     Losses are normalized per pair/element so the learning rate stays
-    stable across batch sizes; the stage weights (gamma) scale the
-    gradients here.
+    stable across batch sizes; the stage weights (`stage_weight`) scale
+    the gradients here.
     """
     out = [[{"rrm": 0.0, "rcm": 0.0} for _ in batches] for _, batches in scene_batches]
     if not any(b.all_pairs() for _, batches in scene_batches for b in batches):
@@ -240,35 +242,22 @@ def relation_losses_multi(model, scene_batches):
             n_pos = len(batch.positives)
             g = rp.g[sl]
             pos_g, neg_g = g[:n_pos], g[n_pos:]
-            hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, model.config.hinge_margin)
+            hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, hinge_margin)
             hinge_norm = max(len(pos_g) * len(neg_g), 1)
             scene_out[t]["rrm"] = hinge / hinge_norm
-            gamma = model.config.gamma[t]
-            d_g[sl] = np.concatenate([d_pos, d_neg]) * (gamma / hinge_norm)
+            weight = stage_weight(t)
+            d_g[sl] = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm)
 
             t_sl = targets[sl]
             bce_total = 0.0
             for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
                 bce, d_stream = binary_cross_entropy(stream, t_sl)
                 bce_total += bce / t_sl.size
-                d_s[k][sl] = gamma * d_stream / t_sl.size
+                d_s[k][sl] = weight * d_stream / t_sl.size
             scene_out[t]["rcm"] = bce_total
         rp.backward(d_g, d_s[0], d_s[1], d_s[2])
     fold.flush()
     return out
-
-
-def default_cascade_config(config: RunConfig) -> CascadeConfig:
-    t = config.stages
-    return CascadeConfig(
-        stages=t,
-        iou_thresholds=tuple(round(0.5 + 0.1 * i, 2) for i in range(t)),
-        merge_threshold=config.merge_threshold,
-        beta=tuple(0.5 ** i for i in range(t)),
-        gamma=tuple(0.5 ** i for i in range(t)),
-        seg_weights=tuple(0.5 ** i for i in range(t)),
-        hinge_margin=config.hinge_margin,
-    )
 
 
 SCENES_PER_STEP = 8  # image-centric batches: mean gradient over a few scenes
@@ -293,7 +282,7 @@ def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec,
             outputs = [inst for inst in proposals if inst.lineage >= 0]
             stage_batches.append(sample_training_pairs(
                 enumerate_pairs(outputs, model.person_class), gt_pairs,
-                model.config.iou_thresholds[t], model.n_verbs, rng))
+                iou_threshold(t), model.n_verbs, rng))
     return stage_losses, stage_batches
 
 
@@ -312,7 +301,7 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
     if not train_scenes:
         raise DataError("no training scenes")
     model = CascadeModel(spec.n_classes, spec.n_verbs, channels,
-                         default_cascade_config(config),
+                         CascadeConfig(config.stages, config.merge_threshold),
                          seed=config.seed, person_class=spec.person_class,
                          segment=config.mode == "segment", grid_size=grid_size)
     model.cooccurrence = build_cooccurrence(train_scenes, spec)
@@ -333,7 +322,8 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
                     scene_losses(model, grid, scene, spec, rng, with_relation)
                     for grid, scene in zip(step_grids, step)))
                 if with_relation:
-                    relation = relation_losses_multi(model, list(zip(step_grids, scene_batches)))
+                    relation = relation_losses_multi(model, list(zip(step_grids, scene_batches)),
+                                                     config.hinge_margin)
                     for stage_losses, rel in zip(scene_stage_losses, relation):
                         for losses, stage_rel in zip(stage_losses, rel):
                             losses.update(stage_rel)
@@ -360,41 +350,6 @@ def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig
         records.append(predictions_to_record(scene.image_id, preds,
                                              with_masks=model.segment))
     return records
-
-
-def ranking_constraint_report(model, scenes, spec, grids=None):
-    """Per-scene check of the ranking constraint on annotated pairs.
-
-    Candidate pairs are built and fused through the batched inference path,
-    partitioned into annotated / un-annotated at the last stage's IoU
-    threshold, and scored with the deployed ranker, all from one relation
-    fold of the model. Returns (scenes
-    where every annotated pair outranks every un-annotated one, scenes with
-    both kinds present, total raw hinge sum)."""
-    if grids is None:
-        grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
-    thr = model.config.iou_thresholds[-1]
-    fold = RelationFold(model)
-    scored_scenes = ordered_scenes = 0
-    hinge_total = 0.0
-    for scene in scenes:
-        grid = grids[scene.image_id]
-        gt_pairs = gt_pairs_of(scene, spec)
-        stage_outputs = run_localization(grid, seed_instances(scene), model)
-        kept = dedup_by_lineage(merge_and_filter(stage_outputs,
-                                                 model.config.merge_threshold))
-        candidates = enumerate_pairs(kept, model.person_class)
-        labels = np.asarray([match_candidate_to_gt(c, gt_pairs, thr)[0] >= 0
-                             for c in candidates], dtype=bool)
-        if not labels.any() or labels.all():
-            continue
-        feats = model.build_features(grid, candidates, fold)
-        g = fold.score(fold.fuse(feats.x_v), feats.x_g)
-        hinge, _, _ = pairwise_hinge_loss(g[labels], g[~labels], model.config.hinge_margin)
-        hinge_total += hinge
-        ordered_scenes += int(g[labels].min() > g[~labels].max())
-        scored_scenes += 1
-    return ordered_scenes, scored_scenes, hinge_total
 
 
 def stage_mean_ious(model, scenes, spec, config=None, grids=None):

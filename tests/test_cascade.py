@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from hoicascade import interaction
 from hoicascade.cascade import (
     MASK_POOLED_HW,
+    MAX_STAGES,
     POOLED_HW,
     CascadeConfig,
     Instance,
@@ -16,14 +17,17 @@ from hoicascade.cascade import (
     box_delta_targets,
     clip_box,
     dedup_by_lineage,
+    iou_threshold,
     merge_and_filter,
     rasterize_mask_into_box,
     refine_stage,
     resample_for_stage,
     segment_stage,
+    stage_weight,
 )
 from hoicascade.errors import DataError
 from hoicascade.features import CooccurrenceTable
+from hoicascade.formats import RunConfig
 from hoicascade.geometry import BitMask, Box, FeatureGrid, box_iou, roi_align
 from hoicascade.numerics import FCLayer, sigmoid
 
@@ -45,19 +49,29 @@ def zero_head(channels=3):
 class TestCascadeConfig:
     def test_defaults_match_protocol_constants(self):
         cfg = CascadeConfig()
-        assert cfg.stages == 3
-        assert cfg.iou_thresholds == (0.5, 0.6, 0.7)
-        assert cfg.merge_threshold == 0.3
-        assert cfg.beta == (1.0, 0.5, 0.25)
-        assert cfg.gamma == (1.0, 0.5, 0.25)
+        assert [f.name for f in fields(cfg)] == ["stages", "merge_threshold"]
+        assert (cfg.stages, cfg.merge_threshold) == (3, 0.3)
 
-    def test_thresholds_must_increase(self):
-        with pytest.raises(DataError):
-            CascadeConfig(iou_thresholds=(0.5, 0.5, 0.7))
+    @pytest.mark.parametrize("stages", [0, MAX_STAGES + 1, 2.0])
+    def test_stage_count_outside_one_to_five_rejected(self, stages):
+        with pytest.raises(DataError, match=r"stage count must be an integer in \[1, 5\]"):
+            CascadeConfig(stages=stages)
+        if type(stages) is int:
+            with pytest.raises(DataError, match=r"config key 'stages' must be in \[1, 5\]"):
+                RunConfig(stages=stages)
 
-    def test_schedule_lengths_checked(self):
-        with pytest.raises(DataError):
-            CascadeConfig(stages=2, iou_thresholds=(0.5, 0.6, 0.7))
+    def test_one_to_five_stages_accepted(self):
+        assert MAX_STAGES == 5
+        for stages in range(1, MAX_STAGES + 1):
+            assert CascadeConfig(stages=stages).stages == RunConfig(stages=stages).stages
+
+
+class TestStageSchedule:
+    def test_iou_thresholds_rise_a_tenth_per_stage(self):
+        assert [iou_threshold(t) for t in range(MAX_STAGES)] == [0.5, 0.6, 0.7, 0.8, 0.9]
+
+    def test_stage_weights_halve_per_stage(self):
+        assert [stage_weight(t) for t in range(MAX_STAGES)] == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
 class TestRefineStage:

@@ -1,11 +1,14 @@
 import json
 import re
 import shutil
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from hoicascade.cli import COMMAND_KEYS, main
+from hoicascade.features import CooccurrenceTable
 from hoicascade.formats import RunConfig, rle_decode
 from hoicascade.interaction import CascadeModel
 from hoicascade.synth import SceneSpec
@@ -107,6 +110,23 @@ class TestPipeline:
                      "--out", str(preds)] + pipeline["flags"]["infer"]) == 0
         assert preds.read_bytes() == pipeline["preds"].read_bytes()
 
+    def test_checkpoint_with_the_training_schedule_predicts_the_same(self, pipeline, tmp_path):
+        # older checkpoints also carry the per-stage schedules, the hinge
+        # margin and the seed; inference never read them, and load ignores them
+        model, preds = tmp_path / "model", tmp_path / "p.ndjson"
+        shutil.copytree(pipeline["model"], model)
+        meta = json.loads((model / "model.json").read_text())
+        assert set(meta["config"]) == {"stages", "merge_threshold"} and "seed" not in meta
+        meta["config"].update(iou_thresholds=[0.5, 0.6, 0.7], beta=[1.0, 0.5, 0.25],
+                              gamma=[1.0, 0.5, 0.25], seg_weights=[1.0, 0.5, 0.25],
+                              hinge_margin=0.2)
+        with open(model / "model.json", "w", encoding="utf-8") as fh:
+            json.dump({**meta, "seed": 3}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(preds)] + pipeline["flags"]["infer"]) == 0
+        assert preds.read_bytes() == pipeline["preds"].read_bytes()
+
     @pytest.mark.parametrize("empty, ran", [("phase1", "phase2"), ("phase2", "phase1")])
     def test_zero_epoch_phase_saves_a_loadable_model(self, pipeline, tmp_path, capsys,
                                                      empty, ran):
@@ -195,6 +215,25 @@ def edit_first_block(text, block=None, **fields):
     return json.dumps(manifest)
 
 
+def saved_model_json_fields():
+    """(section, key) of every field a freshly saved model.json holds: each
+    top-level key, and each key of its `config`."""
+    model = CascadeModel(n_classes=2, n_verbs=2, channels=1)
+    model.cooccurrence = CooccurrenceTable.from_triplets([(1, 0)], 2, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(tmp)
+        meta = json.loads((Path(tmp) / "model.json").read_text())
+    return ([(None, key) for key in sorted(meta)]
+            + [("config", key) for key in sorted(meta["config"])])
+
+
+def edit_cooccurrence(text, row, column, value):
+    """model.json text with one co-occurrence frequency replaced."""
+    meta = json.loads(text)
+    meta["cooccurrence"][str(row)][column] = value
+    return json.dumps(meta)
+
+
 def edit_model_json(text, config=None, **fields):
     """model.json text with `fields` set in it and `config` merged into its
     config object."""
@@ -279,6 +318,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--stages", "0"),
+        ("train", "--stages", "6"),
         ("infer", "--top-k", "0"),
         ("synth", "--grid-size", "0"),
         ("train", "--hinge-margin", "0"),
@@ -292,12 +332,24 @@ class TestErrorPaths:
         ("synth", "--noise-sigma", "-1"),
         ("synth", "--seed", "-1"),
         ("train", "--seed", "-1"),
+        ("synth", "--train-scenes", "-1"),
+        ("synth", "--test-scenes", "0"),
+        ("synth", "--entities-min", "0"),
+        ("synth", "--image-size", "0"),
+        ("synth", "--image-size", "40"),
     ])
     def test_impossible_run_setting_exit_2(self, pipeline, tmp_path, capsys,
                                            command, flag, value):
         key = flag[2:].replace("-", "_")
         assert main([command, flag, value] + self.io_flags(command, pipeline, tmp_path)) == 2
         assert f"config key '{key}' must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_entities_max_below_entities_min_exit_2(self, pipeline, tmp_path, capsys):
+        flags = ["--entities-min", "4", "--entities-max", "3"]
+        assert main(["synth"] + flags + self.io_flags("synth", pipeline, tmp_path)) == 2
+        assert ("config key 'entities_max' must be >= entities_min (4), got 3"
+                in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -313,8 +365,8 @@ class TestErrorPaths:
         assert f"option '{flag[2:]}' must be" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("section, key", [("config", "merge_threshold"), (None, "channels"),
-                                              (None, "grid_size"), ("config", "hinge_margin")])
+    # every field save writes is one load requires: a write-only field fails
+    @pytest.mark.parametrize("section, key", saved_model_json_fields())
     def test_model_json_missing_key_exit_2(self, pipeline, tmp_path, capsys, section, key):
         model = tmp_path / "model"
         shutil.copytree(pipeline["model"], model)
@@ -354,16 +406,20 @@ class TestErrorPaths:
             {**json.loads(text), "cooccurrence": {k: v[:-1] for k, v in
                                                   json.loads(text)["cooccurrence"].items()}}),
          "field 'cooccurrence' must be"),
-        ("model.json", lambda text: edit_model_json(text, config={"iou_thresholds": 0.5}),
-         "field 'config.iou_thresholds' must be a list, got 0.5"),
-        ("model.json", lambda text: edit_model_json(text, config={"stages": 2}),
-         "field 'config': per-stage schedules must all have length T = stages = 2"),
+        ("model.json", lambda text: edit_cooccurrence(text, 1, 0, float("nan")),
+         "field 'cooccurrence' row 1 must hold finite frequencies in [0, 1], got [nan, "),
+        ("model.json", lambda text: edit_model_json(text, config={"stages": 6}),
+         "field 'config': stage count must be an integer in [1, 5], got 6"),
         ("model.json", lambda text: edit_model_json(text, person_class=99),
          "field 'person_class' must be a class index in [0, 5), got 99"),
         ("model.json", lambda text: edit_model_json(text, representation="mask"),
          "field 'representation' must be 'box' or absent, got 'mask'"),
-        ("model.json", lambda text: edit_model_json(text, config={"hinge_margin": 0.0}),
-         "field 'config': 'hinge_margin' must be finite and > 0, got 0.0"),
+        ("model.json", lambda text: edit_cooccurrence(text, 2, 1, -5.0),
+         "field 'cooccurrence' row 2 must hold finite frequencies in [0, 1], got ["),
+        ("model.json", lambda text: edit_cooccurrence(text, 0, 0, 0.5),
+         "field 'cooccurrence' row 0 must sum to 1, got "),
+        ("model.json", lambda text: edit_cooccurrence(text, 3, 0, "0.0"),
+         "field 'cooccurrence' row 3 must hold finite frequencies in [0, 1], got ["),
     ])
     def test_corrupt_checkpoint_exit_2(self, pipeline, tmp_path, capsys, name, corrupt, message):
         model = tmp_path / "model"

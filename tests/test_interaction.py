@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hoicascade.cascade import HINGE_MARGIN, CascadeConfig, Instance
+from hoicascade.cascade import CascadeConfig, Instance, stage_weight
 from hoicascade.errors import DataError, FormatError, ShapeError
 from hoicascade.features import (
     CooccurrenceTable,
@@ -27,7 +27,6 @@ from hoicascade.interaction import (
     enumerate_pairs,
     fuse_scores,
     infer_image,
-    match_candidate_to_gt,
     merge_and_filter,
     rank_pairs,
     run_localization,
@@ -262,8 +261,7 @@ class TestSampleTrainingPairs:
 
 class TestTotalLoss:
     def test_paper_coefficients(self):
-        cfg = CascadeConfig()
-        assert cfg.beta == cfg.gamma == (1.0, 0.5, 0.25)
+        assert [stage_weight(t) for t in range(CascadeConfig().stages)] == [1.0, 0.5, 0.25]
 
     def test_all_zero(self):
         cfg = CascadeConfig()
@@ -281,11 +279,11 @@ class TestTotalLoss:
                 for _ in range(3)]
         v0 = total_loss(base, cfg)
         for t in range(3):
-            for key, coeff in (("loc", cfg.beta[t]), ("rrm", cfg.gamma[t]),
-                               ("rcm", cfg.gamma[t])):
+            for key in ("loc", "rrm", "rcm"):
                 bumped = [dict(d) for d in base]
                 bumped[t][key] += 1.0
-                np.testing.assert_allclose(total_loss(bumped, cfg) - v0, coeff, atol=1e-12)
+                np.testing.assert_allclose(total_loss(bumped, cfg) - v0, stage_weight(t),
+                                           atol=1e-12)
 
     def test_seg_terms_use_seg_weights(self):
         cfg = CascadeConfig()
@@ -430,9 +428,7 @@ class TestBatchedInference:
         assert_matches_reference(infer_image(grid, seeds, model, top_k=4), reference)
 
     def test_one_stage_model(self):
-        config = CascadeConfig(stages=1, iou_thresholds=(0.5,), beta=(1.0,),
-                               gamma=(1.0,), seg_weights=(1.0,))
-        model = tiny_model(seed=22, config=config)
+        model = tiny_model(seed=22, config=CascadeConfig(stages=1))
         grid, seeds = crowded_scene(model, seed=1)
         assert_matches_reference(infer_image(grid, seeds, model, top_k=6),
                                  per_pair_reference(grid, seeds, model, top_k=6))
@@ -525,44 +521,6 @@ class TestBatchedInference:
         assert_matches_reference(after, per_pair_reference(grid, seeds, model))
         assert [p.score for p in after] != [p.score for p in before]
 
-    def test_ranking_constraint_report_matches_per_pair_reference(self):
-        from hoicascade.numerics import pairwise_hinge_loss
-        from hoicascade.synth import SceneSpec, generate_dataset, gt_pairs_of
-        from hoicascade.training import (build_cooccurrence, prepare_grids,
-                                         ranking_constraint_report, seed_instances)
-
-        # small jitter: the untrained cascade keeps some pairs above the last threshold
-        spec = SceneSpec(entities_range=(4, 7), jitter=0.05, seed=4)
-        scenes = generate_dataset(spec, 10)
-        model = CascadeModel(spec.n_classes, spec.n_verbs, spec.min_channels(), seed=4)
-        model.cooccurrence = build_cooccurrence(scenes, spec)
-        grids = prepare_grids(scenes, spec, model.channels, 32)
-
-        thr = model.config.iou_thresholds[-1]
-        ordered, counted, hinge_total = 0, 0, 0.0
-        for scene in scenes:
-            grid = grids[scene.image_id]
-            kept = dedup_by_lineage(merge_and_filter(
-                run_localization(grid, seed_instances(scene), model),
-                model.config.merge_threshold))
-            g, labels = [], []
-            for c in enumerate_pairs(kept, model.person_class):
-                f = model.build_features(grid, [c])
-                fused = cross_stage_fuse(f.x_v, f.x_v, model.fusion_stack)
-                g.append(float(model.rrm_heads[-1].score(fused, f.x_g)[0]))
-                labels.append(match_candidate_to_gt(c, gt_pairs_of(scene, spec), thr)[0] >= 0)
-            g, labels = np.asarray(g), np.asarray(labels, dtype=bool)
-            if labels.any() and not labels.all():
-                counted += 1
-                hinge_total += pairwise_hinge_loss(g[labels], g[~labels],
-                                                    model.config.hinge_margin)[0]
-                ordered += int(g[labels].min() > g[~labels].max())
-
-        assert counted > 0
-        got = ranking_constraint_report(model, scenes, spec, grids=grids)
-        assert got[:2] == (ordered, counted)
-        np.testing.assert_allclose(got[2], hinge_total, atol=1e-12)
-
 
 class TestModelPersistence:
     def test_save_load_roundtrip(self, tmp_path):
@@ -577,7 +535,7 @@ class TestModelPersistence:
         p1 = infer_image(grid, seeds, first)
         p2 = infer_image(grid, seeds, second)
         assert [(q.verb, q.score) for q in p1] == [(q.verb, q.score) for q in p2]
-        assert first.config.iou_thresholds == (0.5, 0.6, 0.7)
+        assert first.config == model.config == CascadeConfig()
         assert np.allclose(first.cooccurrence.frequencies(),
                            model.cooccurrence.frequencies())
 
@@ -614,11 +572,12 @@ class TestModelPersistence:
         infer_image(grid, seeds, loaded)
         assert [name for name, p in loaded.store.items() if p._grad is not None] == []
 
-    def test_checkpoint_carries_grid_geometry_and_hinge_margin(self, tmp_path):
-        tiny_model(grid_size=16, config=CascadeConfig(hinge_margin=0.5)).save(tmp_path / "m")
+    def test_checkpoint_carries_grid_geometry_and_cascade_config(self, tmp_path):
+        config = CascadeConfig(stages=2, merge_threshold=0.4)
+        tiny_model(grid_size=16, config=config).save(tmp_path / "m")
         loaded = CascadeModel.load(tmp_path / "m")
         assert (loaded.channels, loaded.grid_size) == (3, 16)
-        assert loaded.config.hinge_margin == 0.5
+        assert loaded.config == config
 
     def test_seg_blocks_only_in_segment_mode(self):
         detect = tiny_model()
@@ -644,6 +603,3 @@ class TestModelPersistence:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=r"extra=\[.*'stage1\.seg\."):
             CascadeModel.load(tmp_path / "model")
-
-    def test_hinge_margin_constant(self):
-        assert HINGE_MARGIN == 0.2

@@ -8,11 +8,14 @@ from hoicascade.cascade import (
     Instance,
     apply_box_deltas,
     clip_box,
+    iou_threshold,
     mask_cell_targets,
     resample_for_stage,
+    stage_weight,
 )
 from hoicascade.errors import TrainingError
 from hoicascade.features import CooccurrenceTable, cross_stage_fuse, efra_attend_backward
+from hoicascade.formats import RunConfig
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
     CascadeModel,
@@ -46,6 +49,8 @@ from hoicascade.training import (
     train_model,
 )
 
+MARGIN = RunConfig().hinge_margin
+
 
 def tiny_model(seed=0, **kw):
     model = CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed, **kw)
@@ -66,7 +71,7 @@ def sampled_batches(model, seed=0, people=2):
           GroundTruthPair(humans[1].box, objects[1].box, 2, frozenset({3}))][:people]
     candidates = enumerate_pairs(humans[:people] + objects)
     batches = [sample_training_pairs(candidates, gt, thr, model.n_verbs, rng)
-               for thr in model.config.iou_thresholds]
+               for thr in map(iou_threshold, range(model.config.stages))]
     return grid, batches
 
 
@@ -112,7 +117,7 @@ class TestRelationPass:
         def gradients(stage_batches):
             for _, p in model.store.items():
                 p.grad = None
-            relation_losses_multi(model, [(grid, stage_batches)])
+            relation_losses_multi(model, [(grid, stage_batches)], MARGIN)
             return {name: p.grad.copy() for name, p in model.store.items()}
 
         joint = gradients(batches)
@@ -164,8 +169,8 @@ class TestRelationPass:
         grid, batches = sampled_batches(model, seed=1, people=1)
 
         def loss():
-            [out] = relation_losses_multi(model, [(grid, batches)])
-            return sum(g * (o["rrm"] + o["rcm"]) for g, o in zip(model.config.gamma, out))
+            [out] = relation_losses_multi(model, [(grid, batches)], MARGIN)
+            return sum(stage_weight(t) * (o["rrm"] + o["rcm"]) for t, o in enumerate(out))
 
         # every relation block except the conv layers, whose max-pool ties
         # on binary pair maps make central differences unreliable
@@ -221,8 +226,7 @@ class FactoredPass(RelationPass):
 
 
 def one_stage_model(seed):
-    return tiny_model(seed=seed, config=CascadeConfig(
-        stages=1, iou_thresholds=(0.5,), beta=(1.0,), gamma=(1.0,), seg_weights=(1.0,)))
+    return tiny_model(seed=seed, config=CascadeConfig(stages=1))
 
 
 class TestFoldAdjoint:
@@ -233,7 +237,7 @@ class TestFoldAdjoint:
     def gradients(model, grid, batches):
         for _, p in model.store.items():
             p.grad = None
-        relation_losses_multi(model, [(grid, batches)])
+        relation_losses_multi(model, [(grid, batches)], MARGIN)
         return {name: p.grad.copy() for name, p in model.store.items() if ".box." not in name}
 
     @pytest.mark.parametrize("make_model", [tiny_model, one_stage_model],
@@ -270,7 +274,7 @@ class TestFoldAdjoint:
         def gradients(scene_batches):
             for _, p in model.store.items():
                 p.grad = None
-            relation_losses_multi(model, scene_batches)
+            relation_losses_multi(model, scene_batches, MARGIN)
             # the adjoint has run: nothing of the step is left pending
             assert all(p._grad is not None and not p._rows for p in factored.values())
             return {name: p.grad.copy() for name, p in model.store.items()}
@@ -287,9 +291,9 @@ class TestFoldAdjoint:
         model = tiny_model(seed=39)
         grid, batches = sampled_batches(model, seed=4)
         before = {name: p.value.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, [(grid, batches)])
+        relation_losses_multi(model, [(grid, batches)], MARGIN)
         want = {name: p.grad.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, [(grid, batches)])  # the same gradient again
+        relation_losses_multi(model, [(grid, batches)], MARGIN)  # the same gradient again
         sgd_step(model.store, 0.5)
         for name, p in model.store.items():
             np.testing.assert_allclose(p.value, before[name] - want[name], rtol=0,
@@ -306,7 +310,7 @@ class TestFoldAdjoint:
             flush(fold)
 
         monkeypatch.setattr(RelationFold, "flush", poisoned)
-        relation_losses_multi(model, [(grid, batches)])
+        relation_losses_multi(model, [(grid, batches)], MARGIN)
         with pytest.raises(TrainingError, match="'shared.face_stack.fc1.w'"):
             sgd_step(model.store, 0.1)
 
@@ -315,7 +319,6 @@ class TestFoldPerStep:
     @staticmethod
     def count_folds(monkeypatch, **run):
         from hoicascade import training
-        from hoicascade.formats import RunConfig
         from hoicascade.synth import SceneSpec, generate_dataset
 
         built = []
@@ -340,7 +343,6 @@ class TestFoldPerStep:
 def trained_model(n_scenes, **run):
     """A model trained one epoch per phase on a fixed-seed corpus, with
     eight held-out scenes and their feature grids."""
-    from hoicascade.formats import RunConfig
     from hoicascade.synth import SceneSpec, generate_dataset
 
     spec = SceneSpec(seed=7)
@@ -439,7 +441,7 @@ class TestLocalizationStageStep:
         grid, gt, seeds = localization_scene(seed=4)
         proposals = seeds
         for t, head in enumerate(model.box_heads):
-            labeled = resample_for_stage(proposals, gt, model.config.iou_thresholds[t])
+            labeled = resample_for_stage(proposals, gt, iou_threshold(t))
             rows = [head.forward(roi_align(grid, [lab.box], POOLED_HW).reshape(1, -1))
                     for lab in labeled]
             deltas = np.concatenate([d for d, _ in rows])
@@ -509,7 +511,6 @@ def test_training_beats_the_untrained_model(tmp_path):
     grow tenfold when those are negated.
     """
     from hoicascade.formats import (
-        RunConfig,
         read_predictions_ndjson,
         scenes_to_gt_records,
         write_predictions_ndjson,
@@ -535,7 +536,8 @@ def test_training_beats_the_untrained_model(tmp_path):
                                                         spec, rng, with_relation=True)[1])
                    for scene in test[:6]]
         relation = np.mean([[loss["rrm"] + loss["rcm"] for loss in scene]
-                            for scene in relation_losses_multi(model, sampled)], axis=0)
+                            for scene in relation_losses_multi(model, sampled,
+                                                               config.hinge_margin)], axis=0)
         return (map_rel(preds, gts, spec.n_verbs).map_rel,
                 recall_at_k(preds, gts, spec.geometric_verbs).mean, relation)
 
