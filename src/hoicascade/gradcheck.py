@@ -39,19 +39,27 @@ def _merge(target: GradCheckReport, source: GradCheckReport, point):
 
 
 def check_fc(points=10, tol=1e-4):
+    """The loss sums two batches, each with its own forward and backward,
+    so the gradient checked is the one two backward calls add up. Their
+    terms can cancel to an entry far smaller than either, so the central
+    difference takes a step of 1e-4: at 1e-3 its truncation error alone
+    is 1.5e-4 of such an entry (at the second point)."""
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([11, point])
         fc = FCLayer(6, 4, "sigmoid" if point % 2 else "none", rng)
-        x = rng.normal(size=(1, 6))
-        w = rng.normal(size=(1, 4))
+        batches = [(rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4))) for rows in (1, 2)]
 
         def run():
-            y = fc.forward(x)
-            fc.backward(w)
-            return float((y * w).sum())
+            loss = 0.0
+            for x, w in batches:
+                y = fc.forward(x)
+                fc.backward(w)
+                loss += float((y * w).sum())
+            return loss
 
-        _merge(report, finite_diff_check(run, dict(fc.params("fc")), tol=tol), point)
+        _merge(report, finite_diff_check(run, dict(fc.params("fc")), tol=tol, step=1e-4),
+               point)
     return report
 
 

@@ -6,17 +6,16 @@ the float32 pair maps it is given. Layers cache their most recent forward
 inputs, so each forward must be followed by its backward before the layer
 is reused (the training loops respect this ordering).
 
-An FC weight gradient is taken once per SGD step: `FCLayer.backward`
-records its (dy, x) rows on the weight `Param`, and the gradient is the
-one product dY.T @ X of the stacked rows (sum_i dy_i.T @ x_i). Reading
-`Param.grad` takes the pending product first, and `ParamStore.load` drops
-it. Bias and conv gradients are added at once, and so is the gradient a
-folded stack's adjoint (`FCStack.unfold_grad`) gives its factored blocks.
+Every gradient is added to its block's buffer when it is computed: by a
+layer's backward, by a folded stack's adjoint (`FCStack.unfold_grad`) and
+by the losses' callers. `sgd_step` takes the buffers, and
+`ParamStore.load` drops them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,42 +29,27 @@ CHECKPOINT_VERSION = 1
 class Param:
     """One trainable block: a value array and a same-shaped gradient buffer.
 
-    The only gradient not yet in the buffer is the FC weight rows that
-    `defer` records; reading `.grad` takes them. The buffer is allocated
-    on first use, so a loaded model that only infers holds none.
-    `sgd_step` keeps it as the spare the next step's first gradient is
-    written into, neither zeroed nor freed: buffers
-    freed and allocated again every step left the heap, and the page
-    faults of whatever the process ran next, different from one training
-    to the next. A block keeps its own copy of `value`, unless `copy` is
-    False: then it takes over the float64 array it is given, as the
-    layers do with the arrays `init_uniform` builds for them."""
+    Every gradient is added to the buffer when it is computed. The buffer
+    is allocated on first use, so a loaded model that only infers holds
+    none. `sgd_step` keeps it as the spare the next step's first gradient
+    is written into, neither zeroed nor freed: buffers freed and allocated
+    again every step left the heap, and the page faults of whatever the
+    process ran next, different from one training to the next. A block
+    keeps its own copy of `value`, unless `copy` is False: then it takes
+    over the float64 array it is given, as the layers do with the arrays
+    `init_uniform` builds for them."""
 
-    __slots__ = ("value", "_grad", "_spare", "_rows")
+    __slots__ = ("value", "_grad", "_spare")
 
     def __init__(self, value, copy=True):
         self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
         self._spare = None  # the buffer of a gradient `sgd_step` has taken
-        self._rows = []  # pending (dy, x) weight-gradient rows
-
-    def defer(self, dy, x):
-        """Record the gradient dy.T @ x, to be taken with the other pending
-        rows in one product. The arrays are kept, not copied."""
-        self._rows.append((dy, x))
 
     def _buffer(self):
         """The spare buffer, or a new one; its contents are stale."""
         buf, self._spare = self._spare, None
         return np.empty(self.value.shape) if buf is None else buf
-
-    def accumulate(self, grad):
-        """Add `grad` to the gradient; the first is copied into the buffer."""
-        if self._grad is None:
-            self._grad = self._buffer()
-            self._grad[...] = grad
-        else:
-            self._grad += grad
 
     def add_product(self, a, b):
         """Add a @ b to the gradient; the first is written straight into
@@ -77,10 +61,6 @@ class Param:
 
     @property
     def grad(self):
-        if self._rows:
-            dys, xs = zip(*self._rows)
-            self._rows = []
-            self.add_product(np.concatenate(dys).T, np.concatenate(xs))
         if self._grad is None:
             self._grad = self._buffer()
             self._grad.fill(0.0)
@@ -89,7 +69,6 @@ class Param:
     @grad.setter
     def grad(self, grad):
         self._grad = grad
-        self._rows = []
 
 
 class ParamStore:
@@ -144,8 +123,6 @@ class ParamStore:
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{manifest_path}: unsupported checkpoint version "
                               f"{manifest.get('version')}")
-        with open(blob_path, "rb") as fh:
-            blob = fh.read()
         try:
             blocks = manifest["blocks"]
             if not isinstance(blocks, dict):
@@ -167,27 +144,30 @@ class ParamStore:
             extra = set(blocks) - set(self._blocks)
             raise FormatError(f"{manifest_path}: checkpoint block mismatch: "
                               f"missing={sorted(missing)} extra={sorted(extra)}")
-        for name, (shape, offset) in layout.items():
-            p = self._blocks[name]
-            if shape != p.value.shape:
-                raise FormatError(f"block {name!r}: shape {shape} != {p.value.shape}")
-            n = int(np.prod(shape)) if shape else 1
-            if offset + 4 * n > len(blob):
-                raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
-            # one widening copy, straight from the blob into the block
-            p.value[...] = np.frombuffer(blob, "<f4", count=n, offset=offset).reshape(shape)
-            p.grad = None
+        for name, (shape, _) in layout.items():
+            want = self._blocks[name].value.shape
+            if shape != want:
+                raise FormatError(f"block {name!r}: shape {shape} != {want}")
+        with open(blob_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            for name, (shape, offset) in layout.items():
+                p = self._blocks[name]
+                if offset + 4 * p.value.size > size:
+                    raise FormatError(f"{blob_path}: block {name!r}: blob truncated")
+                # one block read at a time, widened into the block's array
+                fh.seek(offset)
+                p.value[...] = np.fromfile(fh, "<f4", count=p.value.size).reshape(shape)
+                p.grad = None
 
 
 def sgd_step(store: ParamStore, lr: float):
     """p <- p - lr * grad for every block; each gradient buffer is scaled
-    in place and kept as the block's spare. Pending weight rows are taken
-    first, so the check for non-finite values covers them. A block whose
-    gradient was never used is skipped: p - lr * 0 is p, bit for bit."""
+    in place and kept as the block's spare. A block whose gradient was
+    never used is skipped: p - lr * 0 is p, bit for bit."""
     for name, p in store.items():
-        if p._grad is None and not p._rows:
+        grad = p._grad
+        if grad is None:
             continue
-        grad = p.grad
         if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in block {name!r}")
         grad *= lr
@@ -246,9 +226,7 @@ class FCLayer:
         return y
 
     def backward(self, dy, input_grad=True):
-        """Accumulate db, defer dW (`Param.defer`: dy and the forward input
-        are kept until the gradient is taken, so neither may be written to
-        before then); return dx unless input_grad is False."""
+        """Accumulate dW and db; return dx unless input_grad is False."""
         dy = np.asarray(dy, dtype=np.float64)
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -256,7 +234,7 @@ class FCLayer:
             raise ShapeError(f"FCLayer backward expects {self._y.shape}, got {dy.shape}")
         if self.activation == "sigmoid":
             dy = dy * self._y * (1.0 - self._y)
-        self.w.defer(dy, self._x)
+        self.w.add_product(dy.T, self._x)
         self.b.grad += dy.sum(axis=0)
         if input_grad:
             return dy @ self.w.value
@@ -313,8 +291,8 @@ class FCStack:
         p = d_w @ w1.T
         p += np.outer(d_b, b1)
         if head_w is None:
-            self.fc2.w.accumulate(p)
-            self.fc2.b.accumulate(d_b)
+            self.fc2.w.grad += p
+            self.fc2.b.grad += d_b
             return None
         self.fc2.w.add_product(head_w.T, p)
         self.fc2.b.add_product(head_w.T, d_b)

@@ -520,24 +520,36 @@ def scene_rows(rng, fc, batches=(4, 1, 7)):
     return dw, db
 
 
-class TestDeferredWeightGradients:
+class TestFCWeightGradients:
     @pytest.mark.parametrize("activation", ["none", "sigmoid"])
-    def test_deferred_gradient_equals_per_scene_accumulation(self, activation):
+    def test_gradient_equals_per_scene_accumulation(self, activation):
         rng = np.random.default_rng(40)
         fc = FCLayer(5, 3, activation, rng)
         dw, db = scene_rows(rng, fc)
-        assert len(fc.w._rows) == 3 and fc.w._grad is None  # weight rows pending
-        np.testing.assert_allclose(fc.b._grad, db, rtol=1e-12)  # bias at once
-        np.testing.assert_allclose(fc.w.grad, dw, rtol=1e-12)
-        assert fc.w._rows == []  # reading .grad took the product
+        np.testing.assert_allclose(fc.b._grad, db, rtol=1e-12)
+        np.testing.assert_allclose(fc.w._grad, dw, rtol=1e-12)
 
-    def test_grad_read_adds_pending_rows_to_the_buffer(self):
+    def test_backward_adds_to_the_gradient_in_the_buffer(self):
         rng = np.random.default_rng(41)
         fc = FCLayer(4, 2, rng=rng)
         fc.w.grad[...] = 1.0
+        buffer = fc.w.grad
         dw, _ = scene_rows(rng, fc, batches=(3,))
+        assert fc.w.grad is buffer
         np.testing.assert_allclose(fc.w.grad, dw + 1.0, rtol=1e-12)
-        np.testing.assert_allclose(fc.w.grad, dw + 1.0, rtol=1e-12)  # taken once
+
+    @pytest.mark.parametrize("activation", ["none", "sigmoid"])
+    def test_writing_the_inputs_after_backward_leaves_the_gradient(self, activation):
+        rng = np.random.default_rng(47)
+        fc = FCLayer(4, 3, activation, rng)
+        x, dy = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        y = fc.forward(x)
+        fc.backward(dy)
+        dz = dy * y * (1.0 - y) if activation == "sigmoid" else dy
+        want = dz.T @ x
+        x[...] = 0.0
+        dy[...] = 0.0
+        np.testing.assert_allclose(fc.w.grad, want, rtol=1e-12)
 
     def test_sgd_step_takes_the_product(self):
         rng = np.random.default_rng(42)
@@ -550,7 +562,7 @@ class TestDeferredWeightGradients:
         sgd_step(store, 0.1)
         np.testing.assert_allclose(fc.w.value, w0 - 0.1 * dw, rtol=1e-12)
         np.testing.assert_allclose(fc.b.value, b0 - 0.1 * db, rtol=1e-12)
-        assert fc.w._rows == [] and not np.any(fc.w.grad)
+        assert not np.any(fc.w.grad)
 
     def test_the_next_step_writes_into_the_kept_buffer(self):
         rng = np.random.default_rng(46)
@@ -575,12 +587,13 @@ class TestDeferredWeightGradients:
         for name, p in fc.params("head"):
             store.add(name, p)
         fc.forward(np.array([[np.inf, 1.0]]))
-        fc.backward(np.array([[0.0]]))
-        assert fc.w._grad is None and not np.any(fc.b.grad)
-        with pytest.raises(TrainingError, match="head.w"), np.errstate(invalid="ignore"):
-            sgd_step(store, 0.1)  # 0 * inf in the product
+        with np.errstate(invalid="ignore"):
+            fc.backward(np.array([[0.0]]))  # 0 * inf in the product
+        assert not np.any(fc.b.grad)
+        with pytest.raises(TrainingError, match="head.w"):
+            sgd_step(store, 0.1)
 
-    def test_load_drops_pending_rows(self, tmp_path):
+    def test_load_drops_the_gradient(self, tmp_path):
         rng = np.random.default_rng(44)
         fc = FCLayer(3, 2, rng=rng)
         store = ParamStore()
@@ -589,7 +602,7 @@ class TestDeferredWeightGradients:
         store.save(tmp_path / "p.json", tmp_path / "p.bin")
         scene_rows(rng, fc)
         store.load(tmp_path / "p.json", tmp_path / "p.bin")
-        assert fc.w._rows == [] and not np.any(fc.w.grad) and not np.any(fc.b.grad)
+        assert fc.w._grad is None and fc.b._grad is None
 
     def test_without_input_grad_accumulates_the_same_weights(self):
         rng = np.random.default_rng(45)
@@ -608,20 +621,13 @@ class TestGradientBuffers:
         store = ParamStore()
         w = store.add("w", Param(np.ones((2, 3))))
         untouched = store.add("untouched", Param(np.ones(2)))
-        w.accumulate(np.full((2, 3), 4.0))
+        w.grad += np.full((2, 3), 4.0)
         sgd_step(store, 0.25)
         np.testing.assert_array_equal(w.value, np.zeros((2, 3)))
         np.testing.assert_array_equal(untouched.value, np.ones(2))
         assert w._grad is None and w._spare is not None
         assert untouched._grad is None and untouched._spare is None
         np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))  # the spare, zeroed
-
-    def test_a_first_gradient_is_copied_not_taken_over(self):
-        p, g = Param(np.zeros(3)), np.arange(3.0)
-        p.accumulate(g)
-        p.grad += 1.0
-        np.testing.assert_array_equal(g, np.arange(3.0))
-        np.testing.assert_array_equal(p.grad, np.arange(3.0) + 1.0)
 
     def test_first_product_becomes_the_buffer(self):
         rng = np.random.default_rng(46)
