@@ -60,11 +60,13 @@ class CascadeConfig:
     merge_threshold: float = 0.3
 
     def __post_init__(self):
-        t = self.stages
+        t, m = self.stages, self.merge_threshold
         if type(t) is not int or not 1 <= t <= MAX_STAGES:
-            raise DataError(f"stage count must be an integer in [1, {MAX_STAGES}], got {t!r}")
-        if not 0.0 <= self.merge_threshold <= 1.0:
-            raise DataError("merge threshold must lie in [0, 1]")
+            raise DataError(f"key 'stages': stage count must be an integer in "
+                            f"[1, {MAX_STAGES}], got {t!r}")
+        if type(m) not in (int, float) or not 0.0 <= m <= 1.0:
+            raise DataError(f"key 'merge_threshold': merge threshold must be a number "
+                            f"in [0, 1], got {m!r}")
 
 
 HEAD_INIT_SCALE = 0.01  # near-zero head init keeps early refinements tame

@@ -1,11 +1,10 @@
-"""Human-centric relation features: class-verb co-occurrence prior,
+"""Human-centric relation features: the class-verb co-occurrence prior
+(one array whose rows are the object classes' verb distributions),
 geometric pair encoding, attention-enhanced visual features and the
 cross-stage fused vector.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -20,64 +19,26 @@ FACE_TOP_FRACTION = 0.30
 FACE_WIDTH_FRACTION = 0.50
 
 
-class CooccurrenceTable:
-    """Object-class x verb co-occurrence counts with row frequencies."""
-
-    def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.ndim != 2:
-            raise ShapeError("co-occurrence counts must be 2-d")
-        if np.any(counts < 0):
-            raise DataError("co-occurrence counts must be non-negative")
-        self.counts = counts
-
-    @classmethod
-    def from_triplets(cls, triplets, n_classes, n_verbs):
-        """triplets: iterable of (object_class, verb) pairs from annotations."""
-        triplets = list(triplets)
-        if not triplets:
-            raise DataError("no annotated triplets to build a co-occurrence table")
-        counts = np.zeros((n_classes, n_verbs))
-        for obj_class, verb in triplets:
-            counts[obj_class, verb] += 1
-        return cls(counts)
-
-    @property
-    def n_classes(self):
-        return self.counts.shape[0]
-
-    @property
-    def n_verbs(self):
-        return self.counts.shape[1]
-
-    def frequencies(self):
-        """Row-normalized counts; rows with no observations are uniform."""
-        totals = self.counts.sum(axis=1, keepdims=True)
-        uniform = np.full_like(self.counts, 1.0 / self.n_verbs)
-        with np.errstate(invalid="ignore"):
-            freq = np.where(totals > 0, self.counts / np.where(totals > 0, totals, 1.0), uniform)
-        return freq
-
-    def to_json(self):
-        freq = self.frequencies()
-        return json.dumps({str(c): freq[c].tolist() for c in range(self.n_classes)},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        n_classes = len(data)
-        rows = [data[str(c)] for c in range(n_classes)]
-        table = cls.__new__(cls)
-        table.counts = np.asarray(rows, dtype=np.float64)
-        return table
+def cooccurrence_prior(pairs, n_classes, n_verbs):
+    """(n_classes, n_verbs) array whose row c is the verb distribution of
+    object class c over the annotated (object_class, verb) pairs; a class
+    never annotated gets the uniform row."""
+    counts = np.zeros((n_classes, n_verbs))
+    for obj_class, verb in pairs:
+        counts[obj_class, verb] += 1
+    totals = counts.sum(axis=1, keepdims=True)
+    if not totals.any():
+        raise DataError("no annotated triplets to build a co-occurrence prior")
+    return np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / n_verbs)
 
 
-def semantic_prior(object_class, table: CooccurrenceTable):
-    """Verb-frequency row for an object class; uniform for unseen classes."""
-    if 0 <= object_class < table.n_classes:
-        return table.frequencies()[object_class].copy()
-    return np.full(table.n_verbs, 1.0 / table.n_verbs)
+def semantic_prior(object_class, prior):
+    """Verb-frequency row of `prior` for an object class; uniform for a
+    class outside it."""
+    n_classes, n_verbs = prior.shape
+    if 0 <= object_class < n_classes:
+        return prior[object_class].copy()
+    return np.full(n_verbs, 1.0 / n_verbs)
 
 
 def geometric_feature(pair_maps, encoder):

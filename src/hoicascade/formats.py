@@ -199,25 +199,32 @@ def write_meta(path, spec: SceneSpec, extra=None):
 def read_meta(path):
     """A data directory's SceneSpec and its meta dict, in which `channels`
     and `grid_size`, the feature-grid geometry `synth` recorded, are checked
-    integers in range."""
+    integers in range. Integer settings must be JSON integers and the noise
+    settings JSON numbers; neither is rounded or parsed from a string."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from None
     try:
-        data["channels"], data["grid_size"] = int(data["channels"]), int(data["grid_size"])
+        for key in ("image_size", "person_class", "seed", "channels", "grid_size"):
+            if type(data[key]) is not int:
+                raise FormatError(f"{path}: field {key!r} must be an integer, "
+                                  f"got {data[key]!r}")
+        for key in ("jitter", "occlusion_rate", "noise_sigma"):
+            if type(data[key]) not in (int, float):
+                raise FormatError(f"{path}: field {key!r} must be a number, got {data[key]!r}")
         spec = SceneSpec(
-            image_size=int(data["image_size"]),
+            image_size=data["image_size"],
             class_names=tuple(data["class_names"]),
-            person_class=int(data["person_class"]),
+            person_class=data["person_class"],
             verb_names=tuple(data["verb_names"]),
             geometric_verbs=frozenset(data["geometric_verbs"]),
             entities_range=tuple(data["entities_range"]),
             jitter=float(data["jitter"]),
             occlusion_rate=float(data["occlusion_rate"]),
             noise_sigma=float(data["noise_sigma"]),
-            seed=int(data["seed"]),
+            seed=data["seed"],
         )
     except KeyError as exc:
         raise FormatError(f"{path}: dataset meta missing field {exc}") from None

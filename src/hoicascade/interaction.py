@@ -25,7 +25,6 @@ from .cascade import (
 )
 from .errors import DataError, FormatError, ShapeError
 from .features import (
-    CooccurrenceTable,
     FUSED_DIM,
     GEOMETRIC_DIM,
     assemble_visual,
@@ -269,6 +268,8 @@ class CascadeModel:
     machinery (geometric encoder, facial attention stacks, fusion stack).
     `channels` and `grid_size` are the feature-grid geometry the model was
     trained on; the checkpoint carries them, and inference renders with them.
+    `cooccurrence` is the semantic stream's prior: an (n_classes, n_verbs)
+    array whose row c is the verb distribution of object class c.
     With `init` False every block starts at zero and nothing is drawn from
     the seed, for `load` to fill from a checkpoint."""
 
@@ -331,7 +332,7 @@ class CascadeModel:
         per human box; the crops and the face-removed features each pool
         all humans in one RoIAlign call."""
         if self.cooccurrence is None:
-            raise DataError("model has no co-occurrence table; train or load first")
+            raise DataError("model has no co-occurrence prior; train or load first")
         slot = {}
         rows = np.array([slot.setdefault((c.human.box, c.object.box, c.object.class_id),
                                          len(slot)) for c in candidates], dtype=np.intp)
@@ -389,7 +390,7 @@ class CascadeModel:
             "person_class": self.person_class,
             "segment": self.segment,
             "config": asdict(self.config),
-            "cooccurrence": json.loads(self.cooccurrence.to_json()),
+            "cooccurrence": {str(c): row.tolist() for c, row in enumerate(self.cooccurrence)},
         }
         with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
@@ -412,6 +413,9 @@ class CascadeModel:
                 if type(meta[key]) is not int or meta[key] < 1:
                     raise FormatError(f"{path}: field {key!r} must be an integer >= 1, "
                                       f"got {meta[key]!r}")
+            if type(meta["segment"]) is not bool:
+                raise FormatError(f"{path}: field 'segment' must be true or false, "
+                                  f"got {meta['segment']!r}")
             person = meta["person_class"]
             if type(person) is not int or not 0 <= person < meta["n_classes"]:
                 raise FormatError(f"{path}: field 'person_class' must be a class index in "
@@ -426,8 +430,8 @@ class CascadeModel:
             # older checkpoints also carry the training schedule; it is not read
             try:
                 cfg = CascadeConfig(conf["stages"], conf["merge_threshold"])
-            except (DataError, TypeError) as exc:
-                raise FormatError(f"{path}: field 'config': {exc}") from None
+            except DataError as exc:
+                raise FormatError(f"{path}: field 'config' {exc}") from None
             model = cls(meta["n_classes"], meta["n_verbs"], meta["channels"], cfg,
                         person_class=person, segment=meta["segment"],
                         grid_size=meta["grid_size"], init=False)
@@ -435,15 +439,15 @@ class CascadeModel:
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
         try:
-            table = CooccurrenceTable.from_json(json.dumps(rows))
-            shape = table.counts.shape
+            prior = np.array([rows[str(c)] for c in range(len(rows))], dtype=np.float64)
+            shape = prior.shape
         except (KeyError, TypeError, ValueError):
             shape = None
         if shape != (model.n_classes, model.n_verbs):
             raise FormatError(f"{path}: field 'cooccurrence' must be {model.n_classes} rows "
                               f"of {model.n_verbs} verb frequencies")
-        for c, row in enumerate(table.counts):
-            # NaN fails the range test; from_json would also parse "0.5" or true
+        for c, row in enumerate(prior):
+            # NaN fails the range test; np.array would also parse "0.5" or true
             if (not all(type(v) in (int, float) for v in rows[str(c)])
                     or not np.all((row >= 0.0) & (row <= 1.0))):
                 raise FormatError(f"{path}: field 'cooccurrence' row {c} must hold finite "
@@ -451,7 +455,8 @@ class CascadeModel:
             if abs(row.sum() - 1.0) > 1e-9:
                 raise FormatError(f"{path}: field 'cooccurrence' row {c} must sum to 1, "
                                   f"got {row.sum()!r}")
-        model.cooccurrence = table
+        # the saved rows sum to 1 within 1e-9; divide each by its sum once
+        model.cooccurrence = prior / prior.sum(axis=1, keepdims=True)
         model.store.load(os.path.join(directory, "params.json"),
                          os.path.join(directory, "params.bin"))
         return model

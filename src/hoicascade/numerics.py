@@ -554,8 +554,6 @@ def finite_diff_check(loss_fn, blocks, tol=1e-4, step=1e-3, max_entries=20, seed
     gradients into `blocks` (a mapping name -> Param with zeroed grads).
     Up to max_entries coordinates per block are probed (seeded choice).
     """
-    if isinstance(blocks, ParamStore):
-        blocks = dict(blocks.items())
     for p in blocks.values():
         p.grad[...] = 0.0
     loss_fn()

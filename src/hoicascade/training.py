@@ -32,7 +32,7 @@ from .cascade import (
     stage_weight,
 )
 from .errors import DataError
-from .features import CooccurrenceTable, efra_attend_backward
+from .features import cooccurrence_prior, efra_attend_backward
 from .formats import RunConfig, predictions_to_record
 from .geometry import FeatureGrid, box_iou
 from .interaction import (
@@ -48,12 +48,11 @@ from .numerics import binary_cross_entropy, pairwise_hinge_loss, sgd_step, sigmo
 from .synth import SceneSpec, gt_pairs_of, render_feature_grid
 
 
-def build_cooccurrence(scenes, spec: SceneSpec) -> CooccurrenceTable:
-    triples = []
-    for scene in scenes:
-        for t in scene.triplets:
-            triples.append((scene.entities[t.object].class_id, t.verb))
-    return CooccurrenceTable.from_triplets(triples, spec.n_classes, spec.n_verbs)
+def build_cooccurrence(scenes, spec: SceneSpec) -> np.ndarray:
+    """The co-occurrence prior of the annotated triplets of `scenes`."""
+    return cooccurrence_prior(((scene.entities[t.object].class_id, t.verb)
+                               for scene in scenes for t in scene.triplets),
+                              spec.n_classes, spec.n_verbs)
 
 
 def prepare_grids(scenes, spec: SceneSpec, channels, grid_size):

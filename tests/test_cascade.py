@@ -26,7 +26,7 @@ from hoicascade.cascade import (
     stage_weight,
 )
 from hoicascade.errors import DataError
-from hoicascade.features import CooccurrenceTable
+from hoicascade.features import cooccurrence_prior
 from hoicascade.formats import RunConfig
 from hoicascade.geometry import BitMask, Box, FeatureGrid, box_iou, roi_align
 from hoicascade.numerics import FCLayer, sigmoid
@@ -209,7 +209,7 @@ def stage_instances():
 
 def loc_model(seed=0, **kw):
     model = interaction.CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed, **kw)
-    model.cooccurrence = CooccurrenceTable.from_triplets([(1, 0), (1, 2), (2, 3)], 3, 4)
+    model.cooccurrence = cooccurrence_prior([(1, 0), (1, 2), (2, 3)], 3, 4)
     return model
 
 

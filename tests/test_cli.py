@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hoicascade.cli import COMMAND_KEYS, main
-from hoicascade.features import CooccurrenceTable
+from hoicascade.features import cooccurrence_prior
 from hoicascade.formats import RunConfig, rle_decode
 from hoicascade.interaction import CascadeModel
 from hoicascade.synth import SceneSpec
@@ -219,7 +219,7 @@ def saved_model_json_fields():
     """(section, key) of every field a freshly saved model.json holds: each
     top-level key, and each key of its `config`."""
     model = CascadeModel(n_classes=2, n_verbs=2, channels=1)
-    model.cooccurrence = CooccurrenceTable.from_triplets([(1, 0)], 2, 2)
+    model.cooccurrence = cooccurrence_prior([(1, 0)], 2, 2)
     with tempfile.TemporaryDirectory() as tmp:
         model.save(tmp)
         meta = json.loads((Path(tmp) / "model.json").read_text())
@@ -378,6 +378,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"{model / 'model.json'}: missing key '{key}'" in err
 
+    # every field load reads has its JSON type checked: a string or a null
+    # in its place exits 2 naming the field
+    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("section, key", saved_model_json_fields())
+    def test_model_json_wrong_type_exit_2(self, pipeline, tmp_path, capsys, section, key,
+                                          value):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        meta = json.loads((model / "model.json").read_text())
+        (meta[section] if section else meta)[key] = value
+        (model / "model.json").write_text(json.dumps(meta))
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'model.json'}: field '{section or key}'" in err and f"'{key}'" in err
+        assert not (tmp_path / "p.ndjson").exists()
+
     @pytest.mark.parametrize("name, corrupt, message", [
         ("model.json", lambda text: text[:-10], "invalid JSON"),
         ("params.json", lambda text: text[:-10], "invalid JSON"),
@@ -406,10 +423,19 @@ class TestErrorPaths:
             {**json.loads(text), "cooccurrence": {k: v[:-1] for k, v in
                                                   json.loads(text)["cooccurrence"].items()}}),
          "field 'cooccurrence' must be"),
+        ("model.json", lambda text: json.dumps(
+            {**json.loads(text), "cooccurrence": {**json.loads(text)["cooccurrence"],
+                                                  "5": [0.5, 0.5, 0, 0, 0, 0]}}),
+         "field 'cooccurrence' must be"),
         ("model.json", lambda text: edit_cooccurrence(text, 1, 0, float("nan")),
          "field 'cooccurrence' row 1 must hold finite frequencies in [0, 1], got [nan, "),
         ("model.json", lambda text: edit_model_json(text, config={"stages": 6}),
-         "field 'config': stage count must be an integer in [1, 5], got 6"),
+         "field 'config' key 'stages': stage count must be an integer in [1, 5], got 6"),
+        ("model.json", lambda text: edit_model_json(text, segment=1),
+         "field 'segment' must be true or false, got 1"),
+        ("model.json", lambda text: edit_model_json(text, config={"merge_threshold": True}),
+         "field 'config' key 'merge_threshold': merge threshold must be a number in [0, 1], "
+         "got True"),
         ("model.json", lambda text: edit_model_json(text, person_class=99),
          "field 'person_class' must be a class index in [0, 5), got 99"),
         ("model.json", lambda text: edit_model_json(text, representation="mask"),
@@ -444,6 +470,22 @@ class TestErrorPaths:
          "dataset meta needs grid_size >= 1 and channels >= 13, got 0 and 13"),
         (lambda meta: json.dumps({**meta, "channels": 5}),
          "dataset meta needs grid_size >= 1 and channels >= 13, got 32 and 5"),
+        (lambda meta: json.dumps({**meta, "grid_size": 32.9}),
+         "field 'grid_size' must be an integer, got 32.9"),
+        (lambda meta: json.dumps({**meta, "image_size": 128.7}),
+         "field 'image_size' must be an integer, got 128.7"),
+        (lambda meta: json.dumps({**meta, "person_class": 0.4}),
+         "field 'person_class' must be an integer, got 0.4"),
+        (lambda meta: json.dumps({**meta, "channels": "13"}),
+         "field 'channels' must be an integer, got '13'"),
+        (lambda meta: json.dumps({**meta, "seed": 1.5}),
+         "field 'seed' must be an integer, got 1.5"),
+        (lambda meta: json.dumps({**meta, "seed": True}),
+         "field 'seed' must be an integer, got True"),
+        (lambda meta: json.dumps({**meta, "jitter": "0.25"}),
+         "field 'jitter' must be a number, got '0.25'"),
+        (lambda meta: json.dumps({**meta, "noise_sigma": False}),
+         "field 'noise_sigma' must be a number, got False"),
     ])
     def test_bad_meta_exit_2(self, pipeline, tmp_path, capsys, command, corrupt, message):
         data = tmp_path / "data"

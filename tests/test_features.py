@@ -3,10 +3,10 @@ import pytest
 
 from hoicascade.errors import DataError, ShapeError
 from hoicascade.features import (
-    CooccurrenceTable,
     assemble_visual,
     build_efra_stack,
     build_fusion_stack,
+    cooccurrence_prior,
     cross_stage_fuse,
     efra_attend,
     efra_attend_backward,
@@ -17,6 +17,7 @@ from hoicascade.features import (
     semantic_prior,
 )
 from hoicascade.geometry import Box
+from hoicascade.interaction import CascadeModel
 from hoicascade.numerics import ConvPoolEncoder, FCLayer, finite_diff_check, sigmoid
 
 
@@ -57,42 +58,47 @@ def count_oracle(triplets, n_classes, n_verbs):
 
 class TestCooccurrence:
     def test_single_triplet_one_hot(self):
-        t = CooccurrenceTable.from_triplets([(2, 5)], 5, 6)
-        row = semantic_prior(2, t)
+        prior = cooccurrence_prior([(2, 5)], 5, 6)
+        row = semantic_prior(2, prior)
         expected = np.zeros(6)
         expected[5] = 1.0
         np.testing.assert_array_equal(row, expected)
 
     def test_two_triplets_split(self):
-        t = CooccurrenceTable.from_triplets([(1, 1), (1, 3)], 4, 6)
-        row = semantic_prior(1, t)
+        prior = cooccurrence_prior([(1, 1), (1, 3)], 4, 6)
+        row = semantic_prior(1, prior)
         np.testing.assert_allclose(row, [0, 0.5, 0, 0.5, 0, 0])
 
     def test_counting_matches_hash_oracle(self):
         rng = np.random.default_rng(17)
         triplets = [(int(rng.integers(0, 5)), int(rng.integers(0, 6))) for _ in range(300)]
-        t = CooccurrenceTable.from_triplets(triplets, 5, 6)
-        np.testing.assert_array_equal(t.counts, count_oracle(triplets, 5, 6))
+        counts = count_oracle(triplets, 5, 6)
+        assert counts.sum(axis=1).all()
+        np.testing.assert_array_equal(cooccurrence_prior(triplets, 5, 6),
+                                      counts / counts.sum(axis=1, keepdims=True))
 
     def test_empty_annotations_error(self):
         with pytest.raises(DataError):
-            CooccurrenceTable.from_triplets([], 5, 6)
+            cooccurrence_prior([], 5, 6)
 
     def test_unseen_class_uniform(self):
-        t = CooccurrenceTable.from_triplets([(0, 0)], 3, 4)
-        np.testing.assert_allclose(semantic_prior(7, t), np.full(4, 0.25))
-        np.testing.assert_allclose(semantic_prior(2, t), np.full(4, 0.25))
+        prior = cooccurrence_prior([(0, 0)], 3, 4)
+        np.testing.assert_allclose(semantic_prior(7, prior), np.full(4, 0.25))
+        np.testing.assert_allclose(semantic_prior(2, prior), np.full(4, 0.25))
 
     def test_rows_sum_to_one_tightly(self):
         rng = np.random.default_rng(19)
         triplets = [(int(rng.integers(0, 4)), int(rng.integers(0, 7))) for _ in range(100)]
-        t = CooccurrenceTable.from_triplets(triplets, 6, 7)
-        np.testing.assert_allclose(t.frequencies().sum(axis=1), 1.0, atol=1e-9)
+        prior = cooccurrence_prior(triplets, 6, 7)
+        np.testing.assert_allclose(prior.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_json_roundtrip(self):
-        t = CooccurrenceTable.from_triplets([(0, 1), (2, 3), (2, 3)], 3, 4)
-        back = CooccurrenceTable.from_json(t.to_json())
-        np.testing.assert_allclose(back.frequencies(), t.frequencies())
+    def test_save_load_roundtrip(self, tmp_path):
+        model = CascadeModel(n_classes=3, n_verbs=4, channels=1)
+        model.cooccurrence = cooccurrence_prior([(0, 1), (2, 3), (2, 3), (0, 2), (0, 2)], 3, 4)
+        model.save(tmp_path)
+        back = CascadeModel.load(tmp_path).cooccurrence
+        assert back.shape == (3, 4) and back.dtype == np.float64
+        np.testing.assert_allclose(back, model.cooccurrence, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------- geometric feature

@@ -6,7 +6,7 @@ import pytest
 from hoicascade.cascade import CascadeConfig, Instance, stage_weight
 from hoicascade.errors import DataError, FormatError, ShapeError
 from hoicascade.features import (
-    CooccurrenceTable,
+    cooccurrence_prior,
     cross_stage_fuse,
     face_region,
     semantic_prior,
@@ -44,8 +44,7 @@ def inst(class_id, box, conf=0.9, **kw):
 
 def tiny_model(channels=3, seed=0, **kw):
     model = CascadeModel(n_classes=3, n_verbs=4, channels=channels, seed=seed, **kw)
-    model.cooccurrence = CooccurrenceTable.from_triplets(
-        [(1, 0), (1, 2), (2, 3)], 3, 4)
+    model.cooccurrence = cooccurrence_prior([(1, 0), (1, 2), (2, 3)], 3, 4)
     return model
 
 
@@ -536,8 +535,8 @@ class TestModelPersistence:
         p2 = infer_image(grid, seeds, second)
         assert [(q.verb, q.score) for q in p1] == [(q.verb, q.score) for q in p2]
         assert first.config == model.config == CascadeConfig()
-        assert np.allclose(first.cooccurrence.frequencies(),
-                           model.cooccurrence.frequencies())
+        np.testing.assert_allclose(first.cooccurrence, model.cooccurrence,
+                                   rtol=0, atol=1e-15)
 
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
         from hoicascade import numerics

@@ -14,7 +14,7 @@ from hoicascade.cascade import (
     stage_weight,
 )
 from hoicascade.errors import TrainingError
-from hoicascade.features import CooccurrenceTable, cross_stage_fuse, efra_attend_backward
+from hoicascade.features import cooccurrence_prior, cross_stage_fuse, efra_attend_backward
 from hoicascade.formats import RunConfig
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
@@ -54,8 +54,7 @@ MARGIN = RunConfig().hinge_margin
 
 def tiny_model(seed=0, **kw):
     model = CascadeModel(n_classes=3, n_verbs=4, channels=3, seed=seed, **kw)
-    model.cooccurrence = CooccurrenceTable.from_triplets(
-        [(1, 0), (1, 2), (2, 3)], 3, 4)
+    model.cooccurrence = cooccurrence_prior([(1, 0), (1, 2), (2, 3)], 3, 4)
     return model
 
 
