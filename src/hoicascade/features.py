@@ -1,7 +1,7 @@
 """Human-centric relation features: the class-verb co-occurrence prior
 (one array whose rows are the object classes' verb distributions),
 geometric pair encoding, attention-enhanced visual features and the
-cross-stage fused vector.
+cross-stage step into a stage's relation map.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .geometry import Box
-from .numerics import FCStack, softmax_rows
+from .numerics import softmax_rows
 
-FUSED_DIM = 1024
 GEOMETRIC_DIM = 256
 
 FACE_TOP_FRACTION = 0.30
@@ -78,20 +77,13 @@ def ihsm_enhance(h_grid):
 
 # ------------------------------------------------------------------- EFRA
 
-def build_efra_stack(channels, pooled_hw, rng, hidden=256):
-    """FC_x2 stack scoring the relevance of a face-derived feature for an
-    object feature: flattened concat -> linear hidden -> sigmoid scalar.
-    Training and inference fold it into one sigmoid layer
-    (`FCStack.folded`)."""
-    in_dim = 2 * channels * pooled_hw[0] * pooled_hw[1]
-    return FCStack(in_dim, hidden, 1, rng, out_activation="sigmoid")
-
-
-def efra_attend(face_feat, noface_feat, obj_feat, face_stack, noface_stack):
+def efra_attend(face_feat, noface_feat, obj_feat, face_layer, noface_layer):
     """Attention scores (alpha, alpha_bar), each (B,) in (0, 1), for the
     facial and face-removed human features against the object feature.
+    Each layer is a 2C*H*W -> 1 sigmoid `FCLayer` on the flattened
+    (face-derived, object) concatenation.
 
-    Takes batches (B, C, H, W); the stacks cache this forward, so call the
+    Takes batches (B, C, H, W); the layers cache this forward, so call the
     matching backward before reusing them.
     """
     face_feat = np.asarray(face_feat, dtype=np.float64)
@@ -104,17 +96,18 @@ def efra_attend(face_feat, noface_feat, obj_feat, face_stack, noface_stack):
     b = face_feat.shape[0]
     fo = np.concatenate([face_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
     no = np.concatenate([noface_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
-    alpha = face_stack.forward(fo)[:, 0]
-    alpha_bar = noface_stack.forward(no)[:, 0]
+    alpha = face_layer.forward(fo)[:, 0]
+    alpha_bar = noface_layer.forward(no)[:, 0]
     return alpha, alpha_bar
 
 
-def efra_attend_backward(d_alpha, d_alpha_bar, face_stack, noface_stack):
-    """Backpropagate (B,) score gradients through both stacks, whose
+def efra_attend_backward(d_alpha, d_alpha_bar, face_layer, noface_layer):
+    """Backpropagate (B,) score gradients through both layers, whose
     gradients accumulate; the features are data, so no input gradient is
-    returned."""
-    face_stack.backward(np.asarray(d_alpha, dtype=np.float64)[:, None])
-    noface_stack.backward(np.asarray(d_alpha_bar, dtype=np.float64)[:, None])
+    computed."""
+    face_layer.backward(np.asarray(d_alpha, dtype=np.float64)[:, None], input_grad=False)
+    noface_layer.backward(np.asarray(d_alpha_bar, dtype=np.float64)[:, None],
+                          input_grad=False)
 
 
 def efra_enhance(obj_feat, face_feat, noface_feat, alpha, alpha_bar):
@@ -136,25 +129,14 @@ def assemble_visual(human_feat, obj_feat, union_feat):
     return np.concatenate(parts, axis=-3)
 
 
-def build_fusion_stack(visual_dim, rng, hidden=FUSED_DIM):
-    """Linear FC_x2 mapping the summed visual tensors to the 1024-d vector.
+def cross_stage_fuse(x_v, x_v_prev, layer):
+    """`layer` applied to the sum of the current and prior-stage tensors.
 
-    Both layers are linear, and so are the heads that read the vector up
-    to their sigmoids, which lets training and inference fold stack and
-    heads into one map per stage (`interaction.RelationFold`); the fold's
-    adjoint trains the two factored layers. A hidden nonlinearity here
-    would stop that fold at this stack's first layer."""
-    return FCStack(visual_dim, hidden, FUSED_DIM, rng)
-
-
-def cross_stage_fuse(x_v, x_v_prev, stack):
-    """`stack` applied to the sum of the current and prior-stage tensors.
-
-    With the fusion stack the result is the fused 1024-d vector. Inference
-    passes the folded relation map of `interaction.RelationFold` instead and
-    gets, per pair, the ranker's fused-half logit and the visual verb
-    logits. Stage 1 passes a zero tensor as predecessor. Takes batches,
-    (B, D) rows or (B, 3C, H, W) tensors, one row of output per pair.
+    Inference passes the last stage's relation map, one of
+    `CascadeModel.visual_maps`, and gets, per pair, the visual half of the
+    rank logit and the visual verb logits. Stage 1 passes a zero tensor as
+    predecessor. Takes batches, (B, D) rows or (B, 3C, H, W) tensors, one
+    row of output per pair.
     """
     x_v = np.asarray(x_v, dtype=np.float64)
     x_v_prev = np.asarray(x_v_prev, dtype=np.float64)
@@ -163,4 +145,4 @@ def cross_stage_fuse(x_v, x_v_prev, stack):
     if x_v.ndim not in (2, 4):
         raise ShapeError(f"cross-stage fusion expects (B, D) or (B, 3C, H, W), got {x_v.shape}")
     total = x_v + x_v_prev
-    return stack.forward(total.reshape(total.shape[0], -1))
+    return layer.forward(total.reshape(total.shape[0], -1))

@@ -200,7 +200,9 @@ def read_meta(path):
     """A data directory's SceneSpec and its meta dict, in which `channels`
     and `grid_size`, the feature-grid geometry `synth` recorded, are checked
     integers in range. Integer settings must be JSON integers and the noise
-    settings JSON numbers; neither is rounded or parsed from a string."""
+    settings JSON numbers in the ranges `synth` accepts for them
+    (`RUN_CONFIG_RANGES`); neither is rounded or parsed from a string. The
+    geometric verbs must be indices into the verb vocabulary."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -214,6 +216,9 @@ def read_meta(path):
         for key in ("jitter", "occlusion_rate", "noise_sigma"):
             if type(data[key]) not in (int, float):
                 raise FormatError(f"{path}: field {key!r} must be a number, got {data[key]!r}")
+            allowed, want = config_range(key)
+            if not allowed(data[key]):
+                raise FormatError(f"{path}: field {key!r} must be {want}, got {data[key]!r}")
         spec = SceneSpec(
             image_size=data["image_size"],
             class_names=tuple(data["class_names"]),
@@ -230,6 +235,9 @@ def read_meta(path):
         raise FormatError(f"{path}: dataset meta missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed dataset meta: {exc}") from None
+    if not all(type(v) is int and 0 <= v < spec.n_verbs for v in data["geometric_verbs"]):
+        raise FormatError(f"{path}: field 'geometric_verbs' must hold verb indices in "
+                          f"[0, {spec.n_verbs}), got {data['geometric_verbs']!r}")
     if data["grid_size"] < 1 or data["channels"] < spec.min_channels():
         raise FormatError(f"{path}: dataset meta needs grid_size >= 1 and channels >= "
                           f"{spec.min_channels()}, got {data['grid_size']} and {data['channels']}")
@@ -404,6 +412,11 @@ RUN_CONFIG_RANGES = (
     (("jitter", "noise_sigma"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
     (("merge_threshold", "occlusion_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
 )
+
+
+def config_range(key):
+    """(test, requirement) of a run setting's row in RUN_CONFIG_RANGES."""
+    return next((allowed, want) for keys, allowed, want in RUN_CONFIG_RANGES if key in keys)
 
 
 def run_config_from(values: dict) -> RunConfig:

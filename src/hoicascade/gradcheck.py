@@ -1,29 +1,18 @@
 """Finite-difference gradient suites for the layers and losses training
 is built from: fully connected layers, the conv+pool encoder, the facial
-attention stacks, the ranking and classification heads, the fusion stack,
-the ranking hinge and the binary cross-entropy.
-
-Training runs the attention stacks, the fusion stack and the heads that
-read it folded (`FCStack.folded`). Their suites check the factored layers
-the fold is built from; the fold-adjoint suite checks the path training
-runs, a folded stack's gradient taken back to its blocks.
+attention layers, the ranking and classification heads, the ranking hinge
+and the binary cross-entropy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .features import (
-    build_efra_stack,
-    build_fusion_stack,
-    efra_attend,
-    efra_attend_backward,
-)
+from .features import efra_attend, efra_attend_backward
 from .interaction import RCMHeads, RRMHead
 from .numerics import (
     ConvPoolEncoder,
     FCLayer,
-    FCStack,
     GradCheckReport,
     Param,
     binary_cross_entropy,
@@ -85,14 +74,13 @@ def check_efra(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([23, point])
-        face_stack = build_efra_stack(2, (2, 2), rng, hidden=6)
-        noface_stack = build_efra_stack(2, (2, 2), rng, hidden=6)
+        face, noface = (FCLayer(16, 1, "sigmoid", rng) for _ in range(2))
         f, fb, o = (rng.normal(size=(1, 2, 2, 2)) for _ in range(3))
-        blocks = dict(face_stack.params("face") + noface_stack.params("noface"))
+        blocks = dict(face.params("face") + noface.params("noface"))
 
         def run():
-            alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(np.ones(1), np.full(1, 0.5), face_stack, noface_stack)
+            alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
+            efra_attend_backward(np.ones(1), np.full(1, 0.5), face, noface)
             return float(alpha[0] + 0.5 * alpha_bar[0])
 
         _merge(report, finite_diff_check(run, blocks, tol=tol, max_entries=6), point)
@@ -100,16 +88,18 @@ def check_efra(points=10, tol=1e-4):
 
 
 def check_rrm(points=10, tol=1e-4):
+    """The ranker's geometric half under the sigmoid it shares with the
+    visual half, a column of the relation map (data here)."""
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([29, point])
         head = RRMHead(rng)
-        fused = rng.normal(size=(1, 1024))
+        visual = rng.normal(size=(1, 5))
         geo = rng.normal(size=(1, 256))
 
         def run():
-            g = head.score(fused, geo)
-            head.fc.backward(np.ones((1, 1)))
+            g = head.score(visual, geo)
+            head.geometric.backward((g * (1.0 - g))[:, None])
             return float(g[0])
 
         _merge(report, finite_diff_check(run, dict(head.params("rrm")), tol=tol,
@@ -124,76 +114,17 @@ def check_rcm(points=10, tol=1e-4):
         heads = RCMHeads(4, rng)
         x_s = rng.uniform(size=(1, 4))
         x_g = rng.normal(size=(1, 256))
-        fused = rng.normal(size=(1, 1024))
         w = rng.normal(size=(1, 4))
 
         def run():
             s_s = heads.semantic.forward(x_s)
             s_g = heads.geometric.forward(x_g)
-            s_v = heads.visual.forward(fused)
             heads.semantic.backward(w)
             heads.geometric.backward(w)
-            heads.visual.backward(w)
-            return float(((s_s + s_g + s_v) * w).sum())
+            return float(((s_s + s_g) * w).sum())
 
         _merge(report, finite_diff_check(run, dict(heads.params("rcm")), tol=tol,
                                          max_entries=6), point)
-    return report
-
-
-def check_fusion(points=10, tol=1e-4):
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([37, point])
-        stack = build_fusion_stack(12, rng, hidden=8)
-        x = rng.normal(size=12)
-        w = rng.normal(size=1024)
-
-        def run():
-            y = stack.forward(x[None])
-            stack.backward(w[None])
-            return float((y[0] * w).sum())
-
-        _merge(report, finite_diff_check(run, dict(stack.params("fusion")), tol=tol,
-                                         max_entries=6), point)
-    return report
-
-
-def check_fold_adjoint(points=10, tol=1e-4):
-    """A loss of a folded layer's outputs, taken back through
-    `FCStack.unfold_grad` onto the stack's blocks: at even points the fold
-    has a linear head, whose gradient is checked too (the fusion stack and
-    its heads); at odd points a sigmoid stack folds alone (EFRA)."""
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([47, point])
-        with_head = point % 2 == 0
-        stack = FCStack(6, 5, 4, rng, out_activation="none" if with_head else "sigmoid")
-        blocks = dict(stack.params("stack"))
-        for name, p in blocks.items():  # the biases start at zero
-            if name.endswith(".b"):
-                p.value[...] = rng.normal(size=p.value.shape)
-        head_w, head_b = Param(rng.normal(size=(3, 4))), Param(rng.normal(size=3))
-        if with_head:
-            blocks.update({"head.w": head_w, "head.b": head_b})
-        x = rng.normal(size=(2, 6))
-        w = rng.normal(size=(2, 3 if with_head else 4))
-
-        def run():
-            if with_head:
-                layer = stack.folded(head_w.value, head_b.value)
-            else:
-                layer = stack.folded()
-            y = layer.forward(x)
-            layer.backward(w, input_grad=False)
-            d_head = stack.unfold_grad(layer.w.grad, layer.b.grad,
-                                       head_w.value if with_head else None)
-            if with_head:
-                head_w.grad += d_head[0]
-                head_b.grad += d_head[1]
-            return float((y * w).sum())
-
-        _merge(report, finite_diff_check(run, blocks, tol=tol), point)
     return report
 
 
@@ -243,8 +174,6 @@ ALL_CHECKS = {
     "efra_attention": check_efra,
     "rrm_head": check_rrm,
     "rcm_heads": check_rcm,
-    "fusion_stack": check_fusion,
-    "fold_adjoint": check_fold_adjoint,
     "pairwise_hinge": check_hinge,
     "binary_cross_entropy": check_bce,
 }

@@ -25,11 +25,8 @@ from .cascade import (
 )
 from .errors import DataError, FormatError, ShapeError
 from .features import (
-    FUSED_DIM,
     GEOMETRIC_DIM,
     assemble_visual,
-    build_efra_stack,
-    build_fusion_stack,
     cross_stage_fuse,
     efra_attend,
     efra_enhance,
@@ -105,34 +102,31 @@ class TripletPrediction:
 
 
 class RRMHead:
-    """Ranking score g(P) = sigmoid(FC([fused visual, geometric]))."""
+    """Ranking score g(P) = sigmoid(v + FC(geometric)), v the visual half
+    of the rank logit: column 0 of the stage's relation map
+    (`CascadeModel.visual_maps`)."""
 
     def __init__(self, rng):
-        self.fc = FCLayer(FUSED_DIM + GEOMETRIC_DIM, 1, "sigmoid", rng)
+        self.geometric = FCLayer(GEOMETRIC_DIM, 1, "none", rng)
 
     def params(self, prefix):
-        return self.fc.params(f"{prefix}.fc")
+        return self.geometric.params(f"{prefix}.geo")
 
-    def score(self, fused, geometric):
-        fused = np.asarray(fused, dtype=np.float64)
-        x = np.concatenate([fused, np.asarray(geometric, dtype=np.float64)], axis=-1)
-        out = self.fc.forward(x)
-        return out[..., 0]
+    def score(self, visual, geometric):
+        return sigmoid(visual[:, 0] + self.geometric.forward(geometric)[:, 0])
 
 
 class RCMHeads:
-    """Independent semantic / geometric / visual verb scorers."""
+    """Semantic and geometric verb scorers; the visual verb logits are
+    columns 1.. of the stage's relation map."""
 
     def __init__(self, n_verbs, rng):
         self.n_verbs = n_verbs
         self.semantic = FCLayer(n_verbs, n_verbs, "sigmoid", rng)
         self.geometric = FCLayer(GEOMETRIC_DIM, n_verbs, "sigmoid", rng)
-        self.visual = FCLayer(FUSED_DIM, n_verbs, "sigmoid", rng)
 
     def params(self, prefix):
-        return (self.semantic.params(f"{prefix}.sem")
-                + self.geometric.params(f"{prefix}.geo")
-                + self.visual.params(f"{prefix}.vis"))
+        return self.semantic.params(f"{prefix}.sem") + self.geometric.params(f"{prefix}.geo")
 
 
 def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
@@ -149,13 +143,13 @@ def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
     return pairs
 
 
-def rank_pairs(fused, x_g, rrm) -> np.ndarray:
-    """Candidate rows by ranking score, descending, from one ranker call:
-    an `RRMHead` on fused rows or a `RelationFold` on its folded rows. The
-    sort is stable, so ties keep enumeration order."""
-    if fused is None or x_g is None or len(fused) != len(x_g):
-        raise DataError("every candidate needs fused and geometric features before ranking")
-    return np.argsort(-rrm.score(fused, x_g), kind="stable")
+def rank_pairs(visual, x_g, rrm) -> np.ndarray:
+    """Candidate rows by ranking score, descending, from one `RRMHead`
+    call on the rows of the stage's relation map. The sort is stable, so
+    ties keep enumeration order."""
+    if visual is None or x_g is None or len(visual) != len(x_g):
+        raise DataError("every candidate needs visual and geometric features before ranking")
+    return np.argsort(-rrm.score(visual, x_g), kind="stable")
 
 
 def select_topk(ranked, k=TOP_K):
@@ -164,16 +158,12 @@ def select_topk(ranked, k=TOP_K):
     return ranked[:k]
 
 
-def classify_relation(x_s, x_g, fused, heads):
+def classify_relation(x_s, x_g, visual, heads):
     """Per-stream verb scores (s_s, s_g, s_v), one row per pair;
-    multi-label, no softmax. `heads` is one stage's `RCMHeads` on fused
-    rows, or a `RelationFold` on its folded rows, whose columns after the
-    first are the visual verb logits."""
-    if isinstance(heads, RelationFold):
-        s_v = sigmoid(fused[:, 1:])
-    else:
-        s_v = heads.visual.forward(fused)
-    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), s_v
+    multi-label, no softmax. `heads` is one stage's `RCMHeads`, and
+    `visual` the rows of that stage's relation map, whose columns after
+    the first are the visual verb logits."""
+    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), sigmoid(visual[:, 1:])
 
 
 def fuse_scores(s_v, s_g, s_s):
@@ -265,7 +255,15 @@ def total_loss(stage_losses, cfg: CascadeConfig) -> float:
 
 class CascadeModel:
     """Per-stage localization and relation heads plus the shared feature
-    machinery (geometric encoder, facial attention stacks, fusion stack).
+    machinery (geometric encoder, facial attention layers).
+
+    Stage t's relation map `visual_maps[t]` takes the summed visual tensor
+    (3C*7*7) to 1 + N logits: column 0 is the visual half of the rank
+    logit, whose geometric half is `rrm_heads[t]`, and the others are the
+    visual verb logits. The paper's FC_x2 fusion stack and the heads that
+    read it are linear up to their sigmoids, so this one layer expresses
+    their product, and each one-layer facial-attention map stands for an
+    FC_x2 stack in the same way (README, "Paper fidelity").
     `channels` and `grid_size` are the feature-grid geometry the model was
     trained on; the checkpoint carries them, and inference renders with them.
     `cooccurrence` is the semantic stream's prior: an (n_classes, n_verbs)
@@ -286,13 +284,15 @@ class CascadeModel:
 
         rng = np.random.default_rng(seed) if init else None
         t_stages = self.config.stages
+        cells = POOLED_HW[0] * POOLED_HW[1]
         self.box_heads = [StageHead(channels, rng) for _ in range(t_stages)]
         self.rrm_heads = [RRMHead(rng) for _ in range(t_stages)]
         self.rcm_heads = [RCMHeads(n_verbs, rng) for _ in range(t_stages)]
         self.geo_encoder = ConvPoolEncoder(2, (64, 64), rng=rng)
-        self.face_stack = build_efra_stack(channels, POOLED_HW, rng)
-        self.noface_stack = build_efra_stack(channels, POOLED_HW, rng)
-        self.fusion_stack = build_fusion_stack(3 * channels * POOLED_HW[0] * POOLED_HW[1], rng)
+        self.face_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
+        self.noface_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
+        self.visual_maps = [FCLayer(3 * channels * cells, 1 + n_verbs, "none", rng)
+                            for _ in range(t_stages)]
         # mask heads exist only in segment mode and draw last, so the other
         # blocks start from the same values in both modes
         self.seg_heads = [SegHead(channels, rng) for _ in range(t_stages)] if segment else []
@@ -300,13 +300,13 @@ class CascadeModel:
         self.store = ParamStore()
         for t in range(t_stages):
             for name, p in (self.box_heads[t].params(f"stage{t + 1}.box")
+                            + self.visual_maps[t].params(f"stage{t + 1}.visual")
                             + self.rrm_heads[t].params(f"stage{t + 1}.rrm")
                             + self.rcm_heads[t].params(f"stage{t + 1}.rcm")):
                 self.store.add(name, p)
         for name, p in (self.geo_encoder.params("shared.geo_encoder")
-                        + self.face_stack.params("shared.face_stack")
-                        + self.noface_stack.params("shared.noface_stack")
-                        + self.fusion_stack.params("shared.fusion")):
+                        + self.face_attention.params("shared.face_attention")
+                        + self.noface_attention.params("shared.noface_attention")):
             self.store.add(name, p)
         for t, head in enumerate(self.seg_heads):
             for name, p in head.params(f"stage{t + 1}.seg"):
@@ -353,30 +353,26 @@ class CascadeModel:
             union=roi_align(grid, [union_box(h, o) for h, o in zip(h_boxes, o_boxes)],
                             POOLED_HW))
 
-    def visual_tensor(self, pooled: PooledPairs, stacks=None):
+    def visual_tensor(self, pooled: PooledPairs):
         """(D, 3C, 7, 7) visual tensors of the distinct pairs: the IHSM
         human stream, the object stream enhanced by EFRA, and the union
-        stream, from one EFRA call.
-        The EFRA stacks are `stacks.face_stack` / `stacks.noface_stack`:
-        the model's own by default, or a `RelationFold`'s folded ones."""
-        stacks = stacks or self
+        stream, from one EFRA call."""
         alpha, alpha_bar = efra_attend(pooled.face, pooled.noface, pooled.obj,
-                                       stacks.face_stack, stacks.noface_stack)
+                                       self.face_attention, self.noface_attention)
         o_bar = efra_enhance(pooled.obj, pooled.face, pooled.noface,
                              alpha[:, None, None, None], alpha_bar[:, None, None, None])
         return assemble_visual(pooled.h_bar, o_bar, pooled.union)
 
-    def build_features(self, grid: FeatureGrid, candidates, fold=None) -> RelationFeatures:
+    def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
         """Inference-path relation features of all candidate pairs of one
         image, from one geometric-encoder call on the distinct pair maps and
         one EFRA call on the distinct pairs, gathered back to one row per
-        candidate; EFRA runs the fold's stacks when a `RelationFold` is
-        given, else the factored ones."""
+        candidate."""
         pooled = self.pool_pairs(grid, candidates)
         return RelationFeatures(
             x_s=pooled.x_s[pooled.rows],
             x_g=geometric_feature(pooled.pair_maps, self.geo_encoder)[pooled.map_rows],
-            x_v=self.visual_tensor(pooled, fold)[pooled.rows])
+            x_v=self.visual_tensor(pooled)[pooled.rows])
 
     # -------------------------------------------------------------- io
 
@@ -462,92 +458,6 @@ class CascadeModel:
         return model
 
 
-class RelationFold:
-    """The relation blocks folded: the maps training and inference run.
-
-    Every FC_x2 stack is linear up to its output (`FCStack`), and so are
-    the heads that read the fused vector, up to their sigmoids. So:
-
-    - each EFRA stack is one 2C*49 -> 1 sigmoid layer;
-    - `maps[t]` is the fusion stack followed by stage t's ranker (its
-      fused half) and visual verb head: one 3C*49 -> 1 + N map whose
-      columns are a rank logit and N visual verb logits;
-    - `rank_geos[t]` is stage t's ranker geometric half with its bias.
-
-    A fold serves the stages it is built for, which include the last:
-    inference serves only the last, training every stage. `fuse`,
-    `visual`, `rank_geo`, the model's own `semantic` and `geometric` verb
-    heads, and `score` by default serve the last stage.
-
-    A fold holds products of the weights it was built from, so it is built
-    once per inference run (`infer_scenes`, or an `infer_image` called
-    without one) and once per SGD step in training
-    (`training.relation_losses_multi`), never cached on the model and never
-    saved. Training backpropagates through the fold's layers, and `flush`,
-    the fold's adjoint, then adds their gradient to the factored blocks.
-    """
-
-    def __init__(self, model: CascadeModel, stages=None):
-        last = model.config.stages - 1
-        self.model = model
-        self.stages = (last,) if stages is None else tuple(stages)
-        self.maps, self.rank_geos = {}, {}
-        for t in self.stages:
-            self.maps[t] = model.fusion_stack.folded(*self._head(t))
-            rrm = model.rrm_heads[t].fc
-            self.rank_geos[t] = FCLayer(GEOMETRIC_DIM, 1)
-            self.rank_geos[t].w.value[...] = rrm.w.value[:, FUSED_DIM:]
-            self.rank_geos[t].b.value[...] = rrm.b.value
-        self.face_stack = model.face_stack.folded()
-        self.noface_stack = model.noface_stack.folded()
-        self.visual, self.rank_geo = self.maps[last], self.rank_geos[last]
-        self.semantic = model.rcm_heads[last].semantic
-        self.geometric = model.rcm_heads[last].geometric
-        self.one_stage = last == 0
-
-    def _head(self, t):
-        """Stage t's linear head on the fused vector: the ranker's fused
-        half (its bias is `rank_geos[t]`'s) over the visual verb head."""
-        rrm, visual = self.model.rrm_heads[t].fc, self.model.rcm_heads[t].visual
-        return (np.concatenate([rrm.w.value[:, :FUSED_DIM], visual.w.value]),
-                np.concatenate([[0.0], visual.b.value]))
-
-    def fuse(self, x_v):
-        """(P, 1 + N) folded rows from one `cross_stage_fuse` call. The
-        predecessor is the pair's own tensor, or zeros in a one-stage model,
-        whose last stage is stage 1."""
-        return cross_stage_fuse(x_v, np.zeros_like(x_v) if self.one_stage else x_v,
-                                self.visual)
-
-    def score(self, folded, x_g, stage=None):
-        """Ranking scores, as `RRMHead.score` on the fused rows of a stage,
-        the last by default."""
-        rank_geo = self.rank_geo if stage is None else self.rank_geos[stage]
-        return sigmoid(folded[:, 0] + rank_geo.forward(x_g)[:, 0])
-
-    def flush(self):
-        """The fold's adjoint: add the gradient of its layers to the
-        factored blocks, the stages' heads stacked into one
-        `FCStack.unfold_grad` call. Run once per fold, after the last
-        backward through it; the weights must not have moved since the
-        fold was built."""
-        model, width = self.model, 1 + self.model.n_verbs
-        d_head, d_bias = model.fusion_stack.unfold_grad(
-            np.concatenate([self.maps[t].w.grad for t in self.stages]),
-            np.concatenate([self.maps[t].b.grad for t in self.stages]),
-            np.concatenate([self._head(t)[0] for t in self.stages]))
-        for i, t in enumerate(self.stages):
-            rows = slice(i * width, (i + 1) * width)
-            rrm, visual = model.rrm_heads[t].fc, model.rcm_heads[t].visual
-            rrm.w.grad[:, :FUSED_DIM] += d_head[rows][:1]
-            rrm.w.grad[:, FUSED_DIM:] += self.rank_geos[t].w.grad
-            rrm.b.grad += self.rank_geos[t].b.grad
-            visual.w.grad += d_head[rows][1:]
-            visual.b.grad += d_bias[rows][1:]
-        model.face_stack.unfold_grad(self.face_stack.w.grad, self.face_stack.b.grad)
-        model.noface_stack.unfold_grad(self.noface_stack.w.grad, self.noface_stack.b.grad)
-
-
 # -------------------------------------------------------------- inference
 
 def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
@@ -576,15 +486,16 @@ def run_localization(grid: FeatureGrid, seed_proposals, model: CascadeModel):
 
 
 def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
-                top_k=TOP_K, fold: RelationFold | None = None) -> list[TripletPrediction]:
+                top_k=TOP_K) -> list[TripletPrediction]:
     """Full image protocol: cascade localization, stage merging and
     filtering, pair ranking, top-k selection, and the final stage's fused
     scores emitted per verb. Relation work is batched over the image's
-    pairs and runs the folded relation map (`RelationFold`, built here when
-    none is given): one EFRA call, one `cross_stage_fuse` call giving every
-    pair's rank logit and visual verb logits, one ranker call, and one
-    classifier call, the last stage's, on the kept rows; earlier stages'
-    classifiers train the shared layers but are not run here.
+    pairs: one EFRA call, one `cross_stage_fuse` call into the last stage's
+    relation map giving every pair's visual rank and verb logits, one
+    ranker call, and one classifier call, the last stage's, on the kept
+    rows; earlier stages' heads train the shared layers but are not run
+    here. The predecessor tensor is the pair's own, or zeros in a
+    one-stage model, whose last stage is stage 1.
     """
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
@@ -592,12 +503,13 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     candidates = enumerate_pairs(kept, model.person_class)
     if not candidates:
         return []
-    if fold is None:
-        fold = RelationFold(model)
-    feats = model.build_features(grid, candidates, fold)
-    folded = fold.fuse(feats.x_v)
-    top = select_topk(rank_pairs(folded, feats.x_g, fold), top_k)
-    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], folded[top], fold)
+    last = model.config.stages - 1
+    feats = model.build_features(grid, candidates)
+    visual = cross_stage_fuse(feats.x_v, feats.x_v if last else np.zeros_like(feats.x_v),
+                              model.visual_maps[last])
+    top = select_topk(rank_pairs(visual, feats.x_g, model.rrm_heads[last]), top_k)
+    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], visual[top],
+                                      model.rcm_heads[last])
     scores = fuse_scores(s_v, s_g, s_s)
     return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
                               float(scores[row, verb]))

@@ -1,5 +1,6 @@
 """Minimal dense-tensor math: layers with hand-written backward passes,
-losses, a plain SGD step, and a central finite-difference gradient checker.
+losses, a momentum SGD step, and a central finite-difference gradient
+checker.
 
 Arithmetic is float64, except that the conv encoder runs in float32 on
 the float32 pair maps it is given. Layers cache their most recent forward
@@ -7,9 +8,8 @@ inputs, so each forward must be followed by its backward before the layer
 is reused (the training loops respect this ordering).
 
 Every gradient is added to its block's buffer when it is computed: by a
-layer's backward, by a folded stack's adjoint (`FCStack.unfold_grad`) and
-by the losses' callers. `sgd_step` takes the buffers, and
-`ParamStore.load` drops them.
+layer's backward and by the losses' callers. `sgd_step` takes the buffers
+into each block's velocity, and `ParamStore.load` drops both.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from .errors import ShapeError, TrainingError, FormatError
 
 CHECKPOINT_MAGIC = "hoicascade-params"
 CHECKPOINT_VERSION = 1
+MOMENTUM = 0.9  # SGD momentum, as in the R-CNN family's training recipe
 
 
 class Param:
-    """One trainable block: a value array and a same-shaped gradient buffer.
+    """One trainable block: a value array, a same-shaped gradient buffer
+    and the block's SGD velocity.
 
     Every gradient is added to the buffer when it is computed. The buffer
     is allocated on first use, so a loaded model that only infers holds
@@ -37,14 +39,16 @@ class Param:
     process ran next, different from one training to the next. A block
     keeps its own copy of `value`, unless `copy` is False: then it takes
     over the float64 array it is given, as the layers do with the arrays
-    `init_uniform` builds for them."""
+    `init_uniform` builds for them. The velocity exists from a block's
+    first step on, and is never saved."""
 
-    __slots__ = ("value", "_grad", "_spare")
+    __slots__ = ("value", "_grad", "_spare", "_vel")
 
     def __init__(self, value, copy=True):
         self.value = np.array(value, dtype=np.float64) if copy else value
         self._grad = None
         self._spare = None  # the buffer of a gradient `sgd_step` has taken
+        self._vel = None
 
     def _buffer(self):
         """The spare buffer, or a new one; its contents are stale."""
@@ -112,7 +116,8 @@ class ParamStore:
             fh.write(b"".join(chunks))
 
     def load(self, manifest_path, blob_path):
-        """Load values into existing blocks; shapes must match exactly."""
+        """Load values into existing blocks; shapes must match exactly.
+        Every block is left with no gradient and no velocity."""
         with open(manifest_path, encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
@@ -157,20 +162,26 @@ class ParamStore:
                 # one block read at a time, widened into the block's array
                 fh.seek(offset)
                 p.value[...] = np.fromfile(fh, "<f4", count=p.value.size).reshape(shape)
-                p.grad = None
+                p.grad = p._vel = None
 
 
 def sgd_step(store: ParamStore, lr: float):
-    """p <- p - lr * grad for every block; each gradient buffer is scaled
-    in place and kept as the block's spare. A block whose gradient was
-    never used is skipped: p - lr * 0 is p, bit for bit."""
+    """v <- MOMENTUM * v + grad and p <- p - lr * v for every block, with
+    v zero before a block's first step (Sutskever et al., 2013). lr * v is
+    written into the gradient buffer, which is then kept as the block's
+    spare. A block without a gradient this step is skipped, velocity and
+    all, as torch.optim.SGD skips a parameter whose grad is None."""
     for name, p in store.items():
         grad = p._grad
         if grad is None:
             continue
         if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in block {name!r}")
-        grad *= lr
+        if p._vel is None:
+            p._vel = np.zeros_like(grad)
+        p._vel *= MOMENTUM
+        p._vel += grad
+        np.multiply(p._vel, lr, out=grad)
         p.value -= grad
         p._grad, p._spare = None, grad
 
@@ -178,7 +189,7 @@ def sgd_step(store: ParamStore, lr: float):
 def init_uniform(rng, shape, fan_in, fan_out):
     """Glorot-style uniform values (the reference method never states an
     init scheme), or zeros without drawing when `rng` is None: the blocks
-    of a loaded checkpoint or a fold get their values afterwards."""
+    of a loaded checkpoint get their values afterwards."""
     if rng is None:
         return np.zeros(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -238,73 +249,6 @@ class FCLayer:
         self.b.grad += dy.sum(axis=0)
         if input_grad:
             return dy @ self.w.value
-
-
-class FCStack:
-    """Two stacked FC layers (the repeated FC_x2 pattern).
-
-    The hidden layer is linear, so the stack is linear up to its output
-    activation, and `folded` replaces it by one layer. Training and
-    inference both run that layer; `unfold_grad` takes its gradient back
-    to the two factored layers, which stay the trained parameters.
-    """
-
-    def __init__(self, in_dim, hidden_dim, out_dim, rng, out_activation="none"):
-        self.fc1 = FCLayer(in_dim, hidden_dim, "none", rng)
-        self.fc2 = FCLayer(hidden_dim, out_dim, out_activation, rng)
-
-    def params(self, prefix):
-        return self.fc1.params(f"{prefix}.fc1") + self.fc2.params(f"{prefix}.fc2")
-
-    def folded(self, head_w=None, head_b=None):
-        """One layer computing this stack, or the stack followed by the
-        linear head H x + h when (head_w, head_b) is given: W = (H W2) W1,
-        multiplied from the narrow head end, and b = H (W2 b1 + b2) + h.
-        The layer holds products of the current weights and does not
-        follow later updates to them."""
-        w2, b2, out = self.fc2.w.value, self.fc2.b.value, self.fc2.activation
-        if head_w is not None and out != "none":
-            raise ValueError("only a linear chain folds")
-        if head_w is not None:
-            w2, b2 = head_w @ w2, head_w @ b2 + head_b
-        layer = FCLayer(self.fc1.in_dim, len(w2), out)
-        layer.w.value[...] = w2 @ self.fc1.w.value
-        layer.b.value[...] = w2 @ self.fc1.b.value + b2
-        return layer
-
-    def unfold_grad(self, d_w, d_b, head_w=None):
-        """The adjoint of `folded`: add to the stack's blocks the gradient
-        that reaches them through a folded layer whose weight and bias have
-        the gradients (d_w, d_b), and return the head's (dH, dh) when the
-        fold had a head. Folds of several heads take one call with the
-        heads and their gradients stacked row-wise.
-
-        With A = K W1, K = H W2 and a = K b1 + H b2 + h (H = I without a
-        head): dW1 = K^T dA, db1 = K^T da, P = dA W1^T + da b1^T,
-        dW2 = H^T P, db2 = H^T da, dH = P W2^T + da b2^T and dh = da.
-        The values must be those the fold was built from."""
-        w1, b1 = self.fc1.w.value, self.fc1.b.value
-        w2, b2 = self.fc2.w.value, self.fc2.b.value
-        k = w2 if head_w is None else head_w @ w2
-        self.fc1.w.add_product(k.T, d_w)
-        self.fc1.b.add_product(k.T, d_b)
-        p = d_w @ w1.T
-        p += np.outer(d_b, b1)
-        if head_w is None:
-            self.fc2.w.grad += p
-            self.fc2.b.grad += d_b
-            return None
-        self.fc2.w.add_product(head_w.T, p)
-        self.fc2.b.add_product(head_w.T, d_b)
-        d_head = p @ w2.T
-        d_head += np.outer(d_b, b2)
-        return d_head, d_b
-
-    def forward(self, x):
-        return self.fc2.forward(self.fc1.forward(x))
-
-    def backward(self, dy):
-        return self.fc1.backward(self.fc2.backward(dy))
 
 
 class Conv2D:

@@ -7,12 +7,11 @@ the learning rate come from the run's `RunConfig`. The model saves none
 of them.
 
 Gradient flow: planted feature grids are constants, so localization
-gradients stop at the stage heads. Relation gradients flow through the
-folded relation maps and through the geometric encoder. The step's
-`relation_losses_multi` call builds that fold (`RelationFold`) and runs
-its adjoint, which trains the fusion stack, the facial-attention stacks
-and the heads. Box coordinates and the prior-stage visual tensor
-propagate as data only, which keeps the per-stage graphs independent.
+gradients stop at the stage heads. Relation gradients flow through each
+stage's relation map and heads, the facial-attention layers and the
+geometric encoder: the layers inference runs are the trained parameters.
+Box coordinates and the prior-stage visual tensor propagate as data only,
+which keeps the per-stage graphs independent.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .formats import RunConfig, predictions_to_record
 from .geometry import FeatureGrid, box_iou
 from .interaction import (
     CascadeModel,
-    RelationFold,
+    classify_relation,
     enumerate_pairs,
     infer_image,
     run_localization,
@@ -124,10 +123,10 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
 
 class RelationPass:
     """Batched forward/backward over the sampled relation pairs of one or
-    more stages at once, on the features and folded maps inference runs:
-    the pairs are pooled by `CascadeModel.pool_pairs` and assembled by
-    `visual_tensor` through the fold's EFRA layers, and each stage's rows
-    go through that stage's fold map (`RelationFold`).
+    more stages at once, on the features and layers inference runs: the
+    pairs are pooled by `CascadeModel.pool_pairs` and assembled by
+    `visual_tensor`, and each stage's rows go through that stage's
+    relation map and heads.
 
     Stage losses are independent (the prior-stage tensor is detached), so
     the shared feature machinery runs a single combined forward, stage
@@ -136,16 +135,11 @@ class RelationPass:
     the geometric encoder runs once per distinct pair map and EFRA once per
     distinct pair; their outputs are gathered to one row per sampled pair,
     and backward folds the row gradients back with one indexed add each.
-    The folded layers' gradient reaches the factored blocks through the
-    fold's adjoint, which `relation_losses_multi` runs after the step's
-    last pass.
     """
 
-    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs, fold: RelationFold):
-        """stage_pairs: list of (stage_index, [LabeledPair, ...]); `fold`
-        serves every stage listed."""
+    def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
+        """stage_pairs: list of (stage_index, [LabeledPair, ...])."""
         self.model = model
-        self.fold = fold
         self.stages = [stage for stage, _ in stage_pairs]
         self.slices = []
         entries = []
@@ -159,32 +153,29 @@ class RelationPass:
         self.x_s = self.pooled.x_s[self.pooled.rows]
 
     def forward(self):
-        model, fold, pooled = self.model, self.fold, self.pooled
+        model, pooled = self.model, self.pooled
         self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
-        self.x_v = model.visual_tensor(pooled, fold)[pooled.rows].reshape(self.n, -1)
+        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
         # prior-stage tensor enters as data: zeros at stage 1, a detached
         # copy of the current tensor afterwards
         x = self.x_v * self.prev_mult[:, None]
-        self.folded = np.zeros((self.n, 1 + model.n_verbs))
+        self.visual = np.zeros((self.n, 1 + model.n_verbs))
         self.g = np.zeros(self.n)
-        self.s_s = np.zeros_like(self.x_s)
-        self.s_g = np.zeros((self.n, model.n_verbs))
+        self.s_s, self.s_g, self.s_v = (np.zeros((self.n, model.n_verbs)) for _ in range(3))
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
                 continue
-            self.folded[sl] = fold.maps[stage].forward(x[sl])
-            self.g[sl] = fold.score(self.folded[sl], self.x_g[sl], stage)
-            heads = model.rcm_heads[stage]
-            self.s_s[sl] = heads.semantic.forward(self.x_s[sl])
-            self.s_g[sl] = heads.geometric.forward(self.x_g[sl])
-        self.s_v = sigmoid(self.folded[:, 1:])
+            self.visual[sl] = model.visual_maps[stage].forward(x[sl])
+            self.g[sl] = model.rrm_heads[stage].score(self.visual[sl], self.x_g[sl])
+            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
+                self.x_s[sl], self.x_g[sl], self.visual[sl], model.rcm_heads[stage])
         return self
 
     def backward(self, d_g, d_s_s, d_s_g, d_s_v):
-        model, fold, pooled = self.model, self.fold, self.pooled
-        d_folded = np.empty_like(self.folded)
-        d_folded[:, 0] = d_g * self.g * (1.0 - self.g)
-        d_folded[:, 1:] = d_s_v * self.s_v * (1.0 - self.s_v)
+        model, pooled = self.model, self.pooled
+        d_visual = np.empty_like(self.visual)
+        d_visual[:, 0] = d_g * self.g * (1.0 - self.g)
+        d_visual[:, 1:] = d_s_v * self.s_v * (1.0 - self.s_v)
         d_xv = np.zeros_like(self.x_v)
         d_xg = np.zeros_like(self.x_g)
         for stage, sl in zip(self.stages, self.slices):
@@ -193,8 +184,8 @@ class RelationPass:
             heads = model.rcm_heads[stage]
             heads.semantic.backward(d_s_s[sl], input_grad=False)
             d_xg[sl] += heads.geometric.backward(d_s_g[sl])
-            d_xg[sl] += fold.rank_geos[stage].backward(d_folded[sl, :1])
-            d_xv[sl] = fold.maps[stage].backward(d_folded[sl])
+            d_xg[sl] += model.rrm_heads[stage].geometric.backward(d_visual[sl, :1])
+            d_xv[sl] = model.visual_maps[stage].backward(d_visual[sl])
         d_xv *= self.prev_mult[:, None]
         # only the object stream o_bar = o + alpha * face + alpha_bar * noface
         # depends on trained layers, through the EFRA scores
@@ -203,7 +194,7 @@ class RelationPass:
         np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
         d_alpha = (d_obar * face.reshape(len(face), -1)).sum(axis=1)
         d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
-        efra_attend_backward(d_alpha, d_alpha_bar, fold.face_stack, fold.noface_stack)
+        efra_attend_backward(d_alpha, d_alpha_bar, model.face_attention, model.noface_attention)
         d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
@@ -213,9 +204,8 @@ def relation_losses_multi(model, scene_batches, hinge_margin):
     """Ranking hinge plus three-stream BCE for every stage's sampled batch
     of the scenes of one SGD step, and their backward. `scene_batches`
     holds one (grid, stage_batches) pair per scene. Every scene with pairs
-    runs one `RelationPass` through one `RelationFold` of all stages, built
-    here, whose adjoint runs before the call returns: the factored blocks
-    then hold the step's relation gradient. Returns, per scene, the
+    runs one `RelationPass` of all its stages, whose backward adds the
+    step's relation gradient to the blocks. Returns, per scene, the
     per-stage {"rrm", "rcm"} losses.
 
     Losses are normalized per pair/element so the learning rate stays
@@ -223,14 +213,11 @@ def relation_losses_multi(model, scene_batches, hinge_margin):
     the gradients here.
     """
     out = [[{"rrm": 0.0, "rcm": 0.0} for _ in batches] for _, batches in scene_batches]
-    if not any(b.all_pairs() for _, batches in scene_batches for b in batches):
-        return out
-    fold = RelationFold(model, range(model.config.stages))
     for (grid, stage_batches), scene_out in zip(scene_batches, out):
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
         if not any(pairs for _, pairs in stage_pairs):
             continue
-        rp = RelationPass(model, grid, stage_pairs, fold).forward()
+        rp = RelationPass(model, grid, stage_pairs).forward()
         targets = np.array([lab.verb_targets for _, pairs in stage_pairs for lab in pairs],
                            dtype=np.float64)
         d_g = np.zeros(rp.n)
@@ -255,7 +242,6 @@ def relation_losses_multi(model, scene_batches, hinge_margin):
                 d_s[k][sl] = weight * d_stream / t_sl.size
             scene_out[t]["rcm"] = bce_total
         rp.backward(d_g, d_s[0], d_s[1], d_s[2])
-    fold.flush()
     return out
 
 
@@ -337,15 +323,13 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
 
 def infer_scenes(model: CascadeModel, scenes, spec: SceneSpec, config: RunConfig,
                  grids=None):
-    """Predictions per scene, as NDJSON-ready records, from one relation
-    fold of the model."""
+    """Predictions per scene, as NDJSON-ready records."""
     if grids is None:
         grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
-    fold = RelationFold(model)
     records = []
     for scene in scenes:
         preds = infer_image(grids[scene.image_id], seed_instances(scene), model,
-                            top_k=config.top_k, fold=fold)
+                            top_k=config.top_k)
         records.append(predictions_to_record(scene.image_id, preds,
                                              with_masks=model.segment))
     return records

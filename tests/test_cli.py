@@ -498,6 +498,63 @@ class TestErrorPaths:
         assert main([command, "--data", str(data)] + io_flags) == 2
         assert f"{meta}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("geometric_verbs", [99], "must hold verb indices in [0, 6), got [99]"),
+        ("geometric_verbs", ["a"], "must hold verb indices in [0, 6), got ['a']"),
+        ("jitter", -3, "must be finite and >= 0, got -3"),
+        ("occlusion_rate", 7, "must be in [0, 1], got 7"),
+        ("noise_sigma", "1e400", "must be finite and >= 0, got inf"),
+    ])
+    def test_meta_out_of_range_exit_2(self, pipeline, tmp_path, capsys, command, key, value,
+                                      message):
+        """A `meta.json` setting that `synth` would have refused; 1e400 is
+        written as a JSON number and parses as inf."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        meta = data / "meta.json"
+        fields = json.loads(meta.read_text())
+        fields[key] = "@" if value == "1e400" else value
+        meta.write_text(json.dumps(fields).replace('"@"', "1e400"))
+        io_flags = {"train": ["--out", str(tmp_path / "m")],
+                    "infer": ["--model", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p.ndjson")],
+                    "eval": ["--preds", str(pipeline["preds"])]}[command]
+        assert main([command, "--data", str(data)] + io_flags) == 2
+        assert f"{meta}: field '{key}' {message}" in capsys.readouterr().err
+
+    def test_checkpoint_of_the_factored_relation_stacks_exit_2(self, pipeline, tmp_path,
+                                                               capsys):
+        """A checkpoint in the older layout, which held the FC_x2 fusion and
+        EFRA stacks and the heads on the fused vector, loads no longer: it
+        names every missing and every extra block."""
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        manifest = json.loads((model / "params.json").read_text())
+        new = sorted(name for name in manifest["blocks"]
+                     if re.search(r"\.visual\.|\.rrm\.|_attention\.", name))
+        old = {}
+        for t in (1, 2, 3):
+            old.update({f"stage{t}.rrm.fc.w": [1, 1280], f"stage{t}.rrm.fc.b": [1],
+                        f"stage{t}.rcm.vis.w": [6, 1024], f"stage{t}.rcm.vis.b": [6]})
+        for stack, (width, hidden, out) in {"face_stack": (1274, 256, 1),
+                                            "noface_stack": (1274, 256, 1),
+                                            "fusion": (1911, 1024, 1024)}.items():
+            old.update({f"shared.{stack}.fc1.w": [hidden, width],
+                        f"shared.{stack}.fc1.b": [hidden],
+                        f"shared.{stack}.fc2.w": [out, hidden], f"shared.{stack}.fc2.b": [out]})
+        for name in new:
+            del manifest["blocks"][name]
+        manifest["blocks"].update({name: {"shape": shape, "offset": 0}
+                                   for name, shape in old.items()})
+        (model / "params.json").write_text(json.dumps(manifest))
+        assert len(new) == 16 and len(old) == 24
+        assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.ndjson")]) == 2
+        assert (f"{model / 'params.json'}: checkpoint block mismatch: missing={new} "
+                f"extra={sorted(old)}") in capsys.readouterr().err
+        assert not (tmp_path / "p.ndjson").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("entities[1].class_id", 99), ("entities[1].class_id", 7),
         ("entities[1].class_id", -1), ("entities[1].class_id", "x"),

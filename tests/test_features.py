@@ -4,8 +4,6 @@ import pytest
 from hoicascade.errors import DataError, ShapeError
 from hoicascade.features import (
     assemble_visual,
-    build_efra_stack,
-    build_fusion_stack,
     cooccurrence_prior,
     cross_stage_fuse,
     efra_attend,
@@ -183,44 +181,42 @@ class TestIhsm:
 # ------------------------------------------------------------------- EFRA
 
 class TestEfra:
-    def _stacks(self, seed=0, c=2, hw=(3, 3)):
+    def _layers(self, seed=0, c=2, hw=(3, 3)):
         rng = np.random.default_rng(seed)
-        return (build_efra_stack(c, hw, rng, hidden=8),
-                build_efra_stack(c, hw, rng, hidden=8))
+        return tuple(FCLayer(2 * c * hw[0] * hw[1], 1, "sigmoid", rng) for _ in range(2))
 
     def test_zero_weights_give_half(self):
-        face_stack, noface_stack = self._stacks()
-        for stack in (face_stack, noface_stack):
-            for _, p in stack.params("s"):
+        face, noface = self._layers()
+        for layer in (face, noface):
+            for _, p in layer.params("s"):
                 p.value[...] = 0.0
         rng = np.random.default_rng(1)
         f, fb, o = (rng.normal(size=(1, 2, 3, 3)) for _ in range(3))
-        alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
+        alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
         assert alpha[0] == 0.5 and alpha_bar[0] == 0.5
 
     def test_scores_in_unit_interval(self):
-        face_stack, noface_stack = self._stacks(7)
+        face, noface = self._layers(7)
         rng = np.random.default_rng(2)
         for _ in range(20):
             f, fb, o = (rng.normal(scale=3.0, size=(1, 2, 3, 3)) for _ in range(3))
-            alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
+            alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
             assert 0.0 < alpha[0] < 1.0 and 0.0 < alpha_bar[0] < 1.0
 
     def test_matches_direct_matmul_sigmoid_oracle(self):
-        face_stack, noface_stack = self._stacks(11)
+        face, noface = self._layers(11)
         rng = np.random.default_rng(3)
         f, fb, o = (rng.normal(size=(1, 2, 3, 3)) for _ in range(3))
-        alpha, _ = efra_attend(f, fb, o, face_stack, noface_stack)
+        alpha, _ = efra_attend(f, fb, o, face, noface)
         x = np.concatenate([f.ravel(), o.ravel()])
-        h = face_stack.fc1.w.value @ x + face_stack.fc1.b.value
-        z = face_stack.fc2.w.value @ h + face_stack.fc2.b.value
+        z = face.w.value @ x + face.b.value
         np.testing.assert_allclose(alpha[0], sigmoid(z)[0], atol=1e-12)
 
     def test_shape_mismatch(self):
-        face_stack, noface_stack = self._stacks()
+        face, noface = self._layers()
         with pytest.raises(ShapeError):
             efra_attend(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 2, 2)),
-                        face_stack, noface_stack)
+                        face, noface)
 
     def test_enhance_identity_and_double(self):
         rng = np.random.default_rng(4)
@@ -238,14 +234,14 @@ class TestEfra:
             assert abs(got[idx] - (o[idx] + a * f[idx] + ab * fb[idx])) < 1e-12
 
     def test_attend_gradients(self):
-        face_stack, noface_stack = self._stacks(13, c=2, hw=(2, 2))
+        face, noface = self._layers(13, c=2, hw=(2, 2))
         rng = np.random.default_rng(6)
         f, fb, o = (rng.normal(size=(1, 2, 2, 2)) for _ in range(3))
-        blocks = dict(face_stack.params("face") + noface_stack.params("noface"))
+        blocks = dict(face.params("face") + noface.params("noface"))
 
         def run():
-            alpha, alpha_bar = efra_attend(f, fb, o, face_stack, noface_stack)
-            efra_attend_backward(np.ones(1), np.ones(1), face_stack, noface_stack)
+            alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
+            efra_attend_backward(np.ones(1), np.ones(1), face, noface)
             return float(alpha[0] + alpha_bar[0])
 
         report = finite_diff_check(run, blocks, tol=1e-4)
@@ -276,33 +272,35 @@ class TestAssembleVisual:
 class TestCrossStageFuse:
     def test_prev_equals_current_is_doubling(self):
         rng = np.random.default_rng(9)
-        stack = build_fusion_stack(3 * 2 * 4 * 4, rng, hidden=16)
+        layer = FCLayer(3 * 2 * 4 * 4, 5, rng=rng)
         x = rng.normal(size=(1, 6, 4, 4))
-        fused = cross_stage_fuse(x, x, stack)
-        direct = stack.forward((2 * x).reshape(1, -1))
+        fused = cross_stage_fuse(x, x, layer)
+        direct = layer.forward((2 * x).reshape(1, -1))
         np.testing.assert_allclose(fused, direct, atol=1e-12)
 
-    def test_output_length_1024(self):
+    def test_one_row_of_map_outputs_per_pair(self):
         rng = np.random.default_rng(10)
-        stack = build_fusion_stack(6 * 4 * 4, rng, hidden=32)
-        fused = cross_stage_fuse(np.zeros((1, 6, 4, 4)), np.zeros((1, 6, 4, 4)), stack)
-        assert fused.shape == (1, 1024)
+        layer = FCLayer(6 * 4 * 4, 1 + 4, rng=rng)
+        fused = cross_stage_fuse(np.zeros((3, 6, 4, 4)), np.zeros((3, 6, 4, 4)), layer)
+        assert fused.shape == (3, 5)
 
     def test_random_vs_matmul_oracle(self):
         rng = np.random.default_rng(11)
-        stack = build_fusion_stack(8, rng, hidden=4)
+        layer = FCLayer(8, 4, rng=rng)
+        layer.b.value[...] = rng.normal(size=4)
         x = rng.normal(size=(1, 8))
         prev = rng.normal(size=(1, 8))
-        got = cross_stage_fuse(x, prev, stack)
-        h = stack.fc1.w.value @ (x + prev)[0] + stack.fc1.b.value
-        ref = stack.fc2.w.value @ h + stack.fc2.b.value
+        got = cross_stage_fuse(x, prev, layer)
+        total = (x + prev)[0]
+        ref = np.array([b + sum(w * v for w, v in zip(row, total))
+                        for row, b in zip(layer.w.value, layer.b.value)])
         np.testing.assert_allclose(got, ref[None], atol=1e-12)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(12)
-        stack = build_fusion_stack(8, rng, hidden=4)
+        layer = FCLayer(8, 4, rng=rng)
         with pytest.raises(ShapeError):
-            cross_stage_fuse(np.zeros((1, 8)), np.zeros((1, 9)), stack)
+            cross_stage_fuse(np.zeros((1, 8)), np.zeros((1, 9)), layer)
 
 
 # ------------------------------------------------- batched inputs only
@@ -318,11 +316,11 @@ UNBATCHED_CALLS = {
     "FCLayer.backward": lambda: _fc_backward_of_one_row(np.zeros(2)),
     "ConvPoolEncoder.forward": lambda: ConvPoolEncoder(2, (8, 8)).forward(np.zeros((2, 8, 8))),
     "efra_attend": lambda: efra_attend(*[np.zeros((2, 3, 3))] * 3,
-                                       *[build_efra_stack(2, (3, 3), None, hidden=8)] * 2),
+                                       *[FCLayer(36, 1, "sigmoid")] * 2),
     "cross_stage_fuse-tensor": lambda: cross_stage_fuse(
-        np.zeros((6, 4, 4)), np.zeros((6, 4, 4)), build_fusion_stack(96, None, hidden=8)),
+        np.zeros((6, 4, 4)), np.zeros((6, 4, 4)), FCLayer(96, 5)),
     "cross_stage_fuse-vector": lambda: cross_stage_fuse(
-        np.zeros(96), np.zeros(96), build_fusion_stack(96, None, hidden=8)),
+        np.zeros(96), np.zeros(96), FCLayer(96, 5)),
 }
 
 

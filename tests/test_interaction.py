@@ -21,7 +21,6 @@ from hoicascade.interaction import (
     HOICandidate,
     RCMHeads,
     RelationFeatures,
-    RelationFold,
     RRMHead,
     classify_relation,
     enumerate_pairs,
@@ -49,13 +48,14 @@ def tiny_model(channels=3, seed=0, **kw):
 
 
 def fake_features(model, rng, n=1):
-    """A batch of n random relation rows and their fused visual rows."""
+    """A batch of n random relation rows and their relation-map rows: a
+    visual rank logit and N visual verb logits each."""
     feats = RelationFeatures(
         x_s=rng.uniform(size=(n, model.n_verbs)),
         x_g=rng.normal(size=(n, 256)),
         x_v=rng.normal(size=(n, 3 * model.channels, 7, 7)),
     )
-    return feats, rng.normal(size=(n, 1024))
+    return feats, rng.normal(size=(n, 1 + model.n_verbs))
 
 
 class TestEnumeratePairs:
@@ -82,9 +82,10 @@ class TestRankAndSelect:
         rng = np.random.default_rng(0)
         model = tiny_model()
         head = model.rrm_heads[0]
-        head.fc.w.value[...] = 0.0
-        head.fc.b.value[...] = 0.0
+        head.geometric.w.value[...] = 0.0
+        head.geometric.b.value[...] = 0.0
         feats, fused = fake_features(model, rng, 4)
+        fused[:, 0] = 0.0
         assert rank_pairs(fused, feats.x_g, head).tolist() == [0, 1, 2, 3]
         np.testing.assert_array_equal(head.score(fused, feats.x_g), np.full(4, 0.5))
 
@@ -130,10 +131,11 @@ class TestClassifyAndFuse:
     def test_zero_weights_half_everywhere(self):
         model = tiny_model()
         heads = model.rcm_heads[0]
-        for layer in (heads.semantic, heads.geometric, heads.visual):
+        for layer in (heads.semantic, heads.geometric):
             layer.w.value[...] = 0.0
             layer.b.value[...] = 0.0
         feats, fused = fake_features(model, np.random.default_rng(2))
+        fused[...] = 0.0
         s_s, s_g, s_v = classify_relation(feats.x_s, feats.x_g, fused, heads)
         for s in (s_s, s_g, s_v):
             assert s.shape == (1, model.n_verbs)
@@ -336,10 +338,11 @@ class TestInferImage:
         merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
         kept = dedup_by_lineage(merged)
         cands = enumerate_pairs(kept, model.person_class)
-        # one-pair batches throughout: features, fusion, ranking, classification
+        # one-pair batches throughout: features, relation maps, ranking,
+        # classification
         feats = [model.build_features(grid, [c]) for c in cands]
         rank_scores = [float(model.rrm_heads[-1].score(
-            fuse_step(f.x_v, f.x_v, model.fusion_stack), f.x_g)[0]) for f in feats]
+            fuse_step(f.x_v, f.x_v, model.visual_maps[-1]), f.x_g)[0]) for f in feats]
         ranked = sorted(range(len(cands)), key=lambda i: -rank_scores[i])
         top = select_topk(ranked, 64)
         expected = []
@@ -348,7 +351,7 @@ class TestInferImage:
             prev = np.zeros_like(f.x_v)
             fused_scores = None
             for t in range(model.config.stages):
-                fused = fuse_step(f.x_v, prev, model.fusion_stack)
+                fused = fuse_step(f.x_v, prev, model.visual_maps[t])
                 s_s, s_g, s_v = classify(f.x_s, f.x_g, fused, model.rcm_heads[t])
                 fused_scores = ((s_v + s_g) * s_s)[0]
                 prev = f.x_v
@@ -373,7 +376,8 @@ class TestInferImage:
 
 def per_pair_reference(grid, seeds, model, top_k=TOP_K):
     """(human box, object box, verb, score) rows of the inference protocol,
-    built, fused, ranked and classified one pair at a time."""
+    built, mapped, ranked and classified one pair at a time, on the
+    stages' own relation maps and heads."""
     kept = dedup_by_lineage(merge_and_filter(run_localization(grid, seeds, model),
                                              model.config.merge_threshold))
     cands = enumerate_pairs(kept, model.person_class)
@@ -381,11 +385,10 @@ def per_pair_reference(grid, seeds, model, top_k=TOP_K):
 
     def fused(f, stage):  # zero predecessor at stage 1, the pair's own tensor after
         prev = f.x_v if stage > 0 else np.zeros_like(f.x_v)
-        return cross_stage_fuse(f.x_v, prev, model.fusion_stack)
+        return cross_stage_fuse(f.x_v, prev, model.visual_maps[stage])
 
-    rank_stage = 1 if model.config.stages > 1 else 0
-    rank_scores = [float(model.rrm_heads[-1].score(fused(f, rank_stage), f.x_g)[0])
-                   for f in feats]
+    last = model.config.stages - 1
+    rank_scores = [float(model.rrm_heads[-1].score(fused(f, last), f.x_g)[0]) for f in feats]
     rows = []
     for i in sorted(range(len(cands)), key=lambda i: -rank_scores[i])[:top_k]:
         f = feats[i]
@@ -451,22 +454,18 @@ class TestBatchedInference:
 
         monkeypatch.setattr(FCLayer, "forward", counting_forward)
         model = tiny_model(seed=24)
-        fold = RelationFold(model)
         last = model.rcm_heads[-1]
-        once = [fold.visual, fold.rank_geo, fold.face_stack, fold.noface_stack,
-                model.geo_encoder.fc, last.semantic, last.geometric]
-        # inference reads the folded maps, not the factored chains
-        unused = [model.fusion_stack.fc1, model.fusion_stack.fc2, model.face_stack.fc1,
-                  model.face_stack.fc2, model.noface_stack.fc1, model.noface_stack.fc2,
-                  last.visual]
-        unused += [head.fc for head in model.rrm_heads]
-        for heads in model.rcm_heads[:-1]:  # only the emitted stage classifies
-            unused += [heads.semantic, heads.geometric, heads.visual]
+        once = [model.visual_maps[-1], model.rrm_heads[-1].geometric, model.face_attention,
+                model.noface_attention, model.geo_encoder.fc, last.semantic, last.geometric]
+        # only the emitted stage maps, ranks and classifies
+        unused = model.visual_maps[:-1] + [head.geometric for head in model.rrm_heads[:-1]]
+        for heads in model.rcm_heads[:-1]:
+            unused += [heads.semantic, heads.geometric]
         grid, seeds = crowded_scene(model)
         pair_counts = []
         for image_seeds in (seeds[:1] + seeds[3:4], seeds):  # one person and one object, all
             calls.clear()
-            preds = infer_image(grid, image_seeds, model, fold=fold)
+            preds = infer_image(grid, image_seeds, model)
             pair_counts.append(len(preds) // model.n_verbs)
             assert [calls.get(id(layer), 0) for layer in once] == [1] * len(once)
             assert [calls.get(id(layer), 0) for layer in unused] == [0] * len(unused)
@@ -507,7 +506,7 @@ class TestBatchedInference:
             np.testing.assert_array_equal(pooled.noface[row],
                                           roi_align(zeroed, [c.human.box])[0])
 
-    def test_fold_is_not_stale_after_a_weight_update(self):
+    def test_inference_follows_a_weight_update(self):
         model = tiny_model(seed=25)
         grid, seeds = crowded_scene(model, seed=3)
         before = infer_image(grid, seeds, model)

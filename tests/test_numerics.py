@@ -9,7 +9,6 @@ from hoicascade.numerics import (
     Conv2D,
     ConvPoolEncoder,
     FCLayer,
-    FCStack,
     MaxPool2x2,
     Param,
     ParamStore,
@@ -455,6 +454,18 @@ class TestSgdStep:
         sgd_step(store, 0.1)
         np.testing.assert_allclose(p.value, [0.8])
 
+    def test_momentum_rule(self):
+        store = ParamStore()
+        p = store.add("a", Param(np.array([1.0])))
+        p.grad[...] = 2.0
+        sgd_step(store, 0.1)  # v = 2
+        p.grad[...] = 1.0
+        sgd_step(store, 0.1)  # v = 0.9 * 2 + 1
+        np.testing.assert_allclose(p.value, [1.0 - 0.2 - 0.28], rtol=1e-15)
+        sgd_step(store, 0.1)  # no gradient: neither value nor velocity moves
+        np.testing.assert_allclose(p.value, [0.52], rtol=1e-15)
+        np.testing.assert_allclose(p._vel, [2.8], rtol=1e-15)
+
     def test_multiblock_equals_per_block(self):
         rng = np.random.default_rng(31)
         vals = {n: rng.normal(size=s) for n, s in [("a", (3,)), ("b", (2, 2))]}
@@ -570,7 +581,7 @@ class TestFCWeightGradients:
         store = ParamStore()
         for name, p in fc.params("fc"):
             store.add(name, p)
-        scene_rows(rng, fc)
+        g1, _ = scene_rows(rng, fc)
         sgd_step(store, 0.1)
         spare = fc.w._spare
         assert fc.w._grad is None and spare is not None
@@ -578,7 +589,8 @@ class TestFCWeightGradients:
         dw, _ = scene_rows(rng, fc, batches=(2,))  # the stale spare is not added
         assert fc.w.grad is spare
         sgd_step(store, 0.1)
-        np.testing.assert_allclose(fc.w.value, w0 - 0.1 * dw, rtol=1e-12)
+        # the momentum step: the velocity after the first step is g1
+        np.testing.assert_allclose(fc.w.value, w0 - 0.1 * (0.9 * g1 + dw), rtol=1e-12)
         assert fc.w._spare is spare
 
     def test_sgd_step_checks_the_product(self):
@@ -603,6 +615,25 @@ class TestFCWeightGradients:
         scene_rows(rng, fc)
         store.load(tmp_path / "p.json", tmp_path / "p.bin")
         assert fc.w._grad is None and fc.b._grad is None
+
+    def test_load_drops_the_gradient_and_the_velocity(self, tmp_path):
+        rng = np.random.default_rng(49)
+        fc = FCLayer(3, 2, rng=rng)
+        store = ParamStore()
+        for name, p in fc.params("fc"):
+            store.add(name, p)
+        store.save(tmp_path / "p.json", tmp_path / "p.bin")
+        scene_rows(rng, fc)
+        sgd_step(store, 0.1)
+        scene_rows(rng, fc)
+        assert all(p._vel is not None and p._grad is not None for _, p in store.items())
+        store.load(tmp_path / "p.json", tmp_path / "p.bin")
+        assert all(p._vel is None and p._grad is None for _, p in store.items())
+        # the next step starts from zero velocity: a plain gradient step
+        w0 = fc.w.value.copy()
+        dw, _ = scene_rows(rng, fc, batches=(3,))
+        sgd_step(store, 0.1)
+        np.testing.assert_allclose(fc.w.value, w0 - 0.1 * dw, rtol=1e-12)
 
     def test_without_input_grad_accumulates_the_same_weights(self):
         rng = np.random.default_rng(45)
@@ -636,46 +667,6 @@ class TestGradientBuffers:
         grad = fc.w.grad
         assert grad.base is None and grad.flags.c_contiguous
         np.testing.assert_allclose(grad, dw, rtol=1e-12)
-
-
-class TestFoldAdjoint:
-    @pytest.mark.parametrize("with_head", [True, False], ids=["head", "no_head"])
-    def test_adjoint_matches_the_factored_backward(self, with_head):
-        rng = np.random.default_rng(48)
-        stacks = [FCStack(7, 5, 4, np.random.default_rng(3),
-                          "none" if with_head else "sigmoid") for _ in range(2)]
-        head_w, head_b = rng.normal(size=(3, 4)), rng.normal(size=3)
-        x = rng.normal(size=(6, 7))
-        dy = rng.normal(size=(6, 3 if with_head else 4))
-        for fc in ("fc1", "fc2"):  # the biases start at zero
-            bias = rng.normal(size=getattr(stacks[0], fc).out_dim)
-            for stack in stacks:
-                getattr(stack, fc).b.value[...] = bias
-        factored, folded = stacks
-        layer = folded.folded(head_w, head_b) if with_head else folded.folded()
-        y = layer.forward(x)
-        layer.backward(dy, input_grad=False)
-        d_head = folded.unfold_grad(layer.w.grad, layer.b.grad,
-                                    head_w if with_head else None)
-        h = factored.forward(x)
-        if with_head:
-            np.testing.assert_allclose(y, h @ head_w.T + head_b, rtol=1e-12)
-            factored.backward(dy @ head_w)
-            np.testing.assert_allclose(d_head[0], dy.T @ h, rtol=1e-12)
-            np.testing.assert_allclose(d_head[1], dy.sum(axis=0), rtol=1e-12)
-        else:
-            np.testing.assert_allclose(y, h, rtol=1e-12)
-            factored.backward(dy)
-            assert d_head is None
-        for (name, want), (_, got) in zip(factored.params("s"), folded.params("s")):
-            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, err_msg=name)
-
-    def test_gradcheck_suite(self):
-        from hoicascade.gradcheck import ALL_CHECKS
-
-        report = ALL_CHECKS["fold_adjoint"](points=4)
-        assert report.passed, str(report)
-        assert any(name.startswith("head.") for name in report.per_block)
 
 
 # --------------------------------------------------------- gradient checks
@@ -749,20 +740,6 @@ class TestFiniteDiffCheck:
         slack = neg.value[None, :] - pos.value[:, None] + 0.2
         assert np.all(np.abs(slack) > 1e-2)
         report = finite_diff_check(run, {"pos": pos, "neg": neg}, tol=1e-4)
-        assert report.passed, str(report)
-
-    def test_fc_stack_gradients(self):
-        rng = np.random.default_rng(47)
-        stack = FCStack(5, 4, 2, rng, out_activation="sigmoid")
-        x = rng.normal(size=(1, 5))
-        w = rng.normal(size=(1, 2))
-
-        def run():
-            y = stack.forward(x)
-            stack.backward(w)
-            return float((y * w).sum())
-
-        report = finite_diff_check(run, dict(stack.params("s")), tol=1e-4)
         assert report.passed, str(report)
 
 

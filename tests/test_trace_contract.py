@@ -37,13 +37,13 @@ def test_every_traced_layer_is_a_callable():
 
 
 def test_relation_pass_exposes_its_row_count():
-    from test_training import every_stage_fold, sampled_batches, tiny_model
+    from test_training import sampled_batches, tiny_model
 
     layertrace = load_layertrace()
     model = tiny_model(seed=37)
     grid, batches = sampled_batches(model)
     stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
-    rp = RelationPass(model, grid, stage_pairs, every_stage_fold(model))
+    rp = RelationPass(model, grid, stage_pairs)
     assert rp.n == sum(len(pairs) for _, pairs in stage_pairs)
     assert layertrace._pass_rows((rp,), None) == (rp.n,)
     assert np.shape(rp.forward().g) == (rp.n,)

@@ -13,21 +13,14 @@ from hoicascade.cascade import (
     resample_for_stage,
     stage_weight,
 )
-from hoicascade.errors import TrainingError
-from hoicascade.features import cooccurrence_prior, cross_stage_fuse, efra_attend_backward
+from hoicascade.features import cooccurrence_prior, cross_stage_fuse
 from hoicascade.formats import RunConfig
 from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pair_encoding
 from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
     LabeledPair,
-    RelationFold,
-    classify_relation,
-    dedup_by_lineage,
     enumerate_pairs,
-    fuse_scores,
-    merge_and_filter,
-    rank_pairs,
     run_localization,
     SampledPairBatch,
     sample_training_pairs,
@@ -36,7 +29,6 @@ from hoicascade.interaction import (
 from hoicascade.numerics import (
     binary_cross_entropy,
     finite_diff_check,
-    sgd_step,
     sigmoid,
     smooth_l1,
 )
@@ -93,11 +85,6 @@ def overlapping_stage_batches(model, seed=2):
     return grid, [batch([0, 1, 2, 3]), batch([2, 3, 4, 5]), batch([5, 4, 3, 2, 1, 0])]
 
 
-def every_stage_fold(model):
-    """The fold a training step runs: one map per stage."""
-    return RelationFold(model, range(model.config.stages))
-
-
 class TestRelationPass:
     def test_repeated_pairs_accumulate_the_gradients_of_separate_passes(self):
         model = tiny_model(seed=35)
@@ -106,8 +93,8 @@ class TestRelationPass:
         alone = [[b if s == t else empty for s, b in enumerate(batches)] for t in range(3)]
 
         def distinct_rows(stage_batches):
-            rp = RelationPass(model, grid, [(t, b.all_pairs()) for t, b in enumerate(stage_batches)],
-                              every_stage_fold(model))
+            rp = RelationPass(model, grid,
+                              [(t, b.all_pairs()) for t, b in enumerate(stage_batches)])
             return rp.n, len(rp.pooled.x_s)
 
         assert distinct_rows(batches) == (14, 6)
@@ -136,7 +123,7 @@ class TestRelationPass:
         monkeypatch.setattr(model.geo_encoder, "forward",
                             lambda maps: encoded.append(maps) or forward(maps))
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
-        rp = RelationPass(model, grid, stage_pairs, every_stage_fold(model)).forward()
+        rp = RelationPass(model, grid, stage_pairs).forward()
         per_pair = [spatial_pair_encoding([lab.candidate.human.box],
                                           [lab.candidate.object.box])[0][0].tobytes()
                     for _, pairs in stage_pairs for lab in pairs]
@@ -148,253 +135,59 @@ class TestRelationPass:
         model = tiny_model(seed=31)
         grid, batches = sampled_batches(model)
         stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
-        rp = RelationPass(model, grid, stage_pairs, every_stage_fold(model)).forward()
+        rp = RelationPass(model, grid, stage_pairs).forward()
         candidates = [lab.candidate for _, pairs in stage_pairs for lab in pairs]
         last = rp.slices[-1]
         assert rp.slices[0].stop > 0 and last.stop > last.start
 
-        fold = RelationFold(model)
-        feats = model.build_features(grid, candidates, fold)
+        feats = model.build_features(grid, candidates)
         np.testing.assert_array_equal(rp.x_s, feats.x_s)
         np.testing.assert_array_equal(rp.x_g, feats.x_g)
         np.testing.assert_array_equal(rp.x_v, feats.x_v.reshape(len(candidates), -1))
         # the last stage trains the rows inference ranks and classifies
-        folded = fold.fuse(feats.x_v[last])
-        np.testing.assert_array_equal(rp.folded[last], folded)
-        np.testing.assert_array_equal(rp.g[last], fold.score(folded, feats.x_g[last]))
+        visual = cross_stage_fuse(feats.x_v[last], feats.x_v[last], model.visual_maps[-1])
+        np.testing.assert_array_equal(rp.visual[last], visual)
+        np.testing.assert_array_equal(rp.g[last],
+                                      model.rrm_heads[-1].score(visual, feats.x_g[last]))
 
     def test_backward_matches_finite_differences(self):
         model = tiny_model(seed=33)
         grid, batches = sampled_batches(model, seed=1, people=1)
 
+        # sigmoid scores lie in (0, 1), so a margin of 1 keeps every
+        # (positive, negative) hinge term active, away from its kink: each
+        # stage's ranker gets a gradient whatever the initial weights
         def loss():
-            [out] = relation_losses_multi(model, [(grid, batches)], MARGIN)
+            [out] = relation_losses_multi(model, [(grid, batches)], 1.0)
             return sum(stage_weight(t) * (o["rrm"] + o["rcm"]) for t, o in enumerate(out))
 
         # every relation block except the conv layers, whose max-pool ties
         # on binary pair maps make central differences unreliable
         blocks = {name: p for name, p in model.store.items()
                   if ".box." not in name and ".conv" not in name}
-        assert len(blocks) == 38
+        assert len(blocks) == 30
         report = finite_diff_check(loss, blocks, tol=1e-4, max_entries=1, seed=0)
         assert report.passed, str(report)
         assert all(np.any(p.grad) for p in blocks.values())  # analytic grads left in place
 
-
-class FactoredPass(RelationPass):
-    """The relation pass on the factored layers, as a reference: the fusion
-    stack's forward and backward, each stage's `RRMHead` and `RCMHeads` on
-    the fused rows, and the factored EFRA stacks."""
-
-    def forward(self):
-        model, pooled = self.model, self.pooled
-        self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
-        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
-        self.fused = model.fusion_stack.forward(self.x_v * self.prev_mult[:, None])
-        self.g = np.zeros(self.n)
-        self.s_s, self.s_g, self.s_v = (np.zeros((self.n, model.n_verbs)) for _ in range(3))
-        for stage, sl in zip(self.stages, self.slices):
-            self.g[sl] = model.rrm_heads[stage].score(self.fused[sl], self.x_g[sl])
-            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
-                self.x_s[sl], self.x_g[sl], self.fused[sl], model.rcm_heads[stage])
-        return self
-
-    def backward(self, d_g, d_s_s, d_s_g, d_s_v):
-        model, pooled = self.model, self.pooled
-        width = self.fused.shape[1]
-        d_fused = np.zeros_like(self.fused)
-        d_xg = np.zeros_like(self.x_g)
-        for stage, sl in zip(self.stages, self.slices):
-            heads = model.rcm_heads[stage]
-            heads.semantic.backward(d_s_s[sl])
-            d_xg[sl] += heads.geometric.backward(d_s_g[sl])
-            d_fused[sl] += heads.visual.backward(d_s_v[sl])
-            d_rrm_in = model.rrm_heads[stage].fc.backward(d_g[sl, None])
-            d_fused[sl] += d_rrm_in[:, :width]
-            d_xg[sl] += d_rrm_in[:, width:]
-        d_xv = model.fusion_stack.backward(d_fused) * self.prev_mult[:, None]
-        face, noface = pooled.face, pooled.noface
-        d_obar = np.zeros((len(face), face[0].size))
-        np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
-        efra_attend_backward((d_obar * face.reshape(len(face), -1)).sum(axis=1),
-                             (d_obar * noface.reshape(len(face), -1)).sum(axis=1),
-                             model.face_stack, model.noface_stack)
-        d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
-        np.add.at(d_maps, pooled.map_rows, d_xg)
-        model.geo_encoder.backward(d_maps)
-
-
-def one_stage_model(seed):
-    return tiny_model(seed=seed, config=CascadeConfig(stages=1))
-
-
-class TestFoldAdjoint:
-    """Training runs the folded maps; the fold's adjoint must give the
-    factored blocks the gradients of the factored layers."""
-
-    @staticmethod
-    def gradients(model, grid, batches):
-        for _, p in model.store.items():
-            p.grad = None
-        relation_losses_multi(model, [(grid, batches)], MARGIN)
-        return {name: p.grad.copy() for name, p in model.store.items() if ".box." not in name}
-
-    @pytest.mark.parametrize("make_model", [tiny_model, one_stage_model],
-                             ids=["three_stages", "one_stage"])
-    def test_adjoint_matches_factored_reference(self, make_model, monkeypatch):
-        from hoicascade import training
-
-        model = make_model(38)
-        rng = np.random.default_rng(9)
-        for name, p in model.store.items():  # the biases start at zero
-            if name.endswith(".b"):
-                p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
-        grid, batches = sampled_batches(model, seed=3)
-        assert all(b.all_pairs() for b in batches)
-        folded = self.gradients(model, grid, batches)
-        monkeypatch.setattr(training, "RelationPass", FactoredPass)
-        factored = self.gradients(model, grid, batches)
-        assert set(folded) == set(factored)
-        for name, want in factored.items():
-            # the conv layers run in float32 on the pair maps
-            rtol = 1e-5 if ".conv" in name else 1e-12
-            assert np.any(want), name
-            assert np.abs(folded[name] - want).max() <= rtol * np.abs(want).max(), name
-
-    FOLD_BLOCKS = (".fusion.", ".face_stack.", ".noface_stack.", ".rrm.", ".rcm.vis.")
-
-    def test_the_call_leaves_the_fold_gradient_on_the_factored_blocks(self):
+    def test_scenes_of_one_step_add_their_gradients(self):
         model = tiny_model(seed=39)
         scenes = [sampled_batches(model, seed=4), overlapping_stage_batches(model, seed=6)]
-        factored = {name: p for name, p in model.store.items()
-                    if any(part in name for part in self.FOLD_BLOCKS)}
-        assert len(factored) == 24
 
         def gradients(scene_batches):
             for _, p in model.store.items():
                 p.grad = None
             relation_losses_multi(model, scene_batches, MARGIN)
-            # the adjoint has run: every factored block holds its gradient
-            assert all(p._grad is not None for p in factored.values())
             return {name: p.grad.copy() for name, p in model.store.items()}
 
         joint = gradients(scenes)
         separate = [gradients([scene]) for scene in scenes]
+        assert all(np.any(joint[name]) for name in joint if ".box." not in name)
         for name, got in joint.items():
             want = separate[0][name] + separate[1][name]
             # the conv layers run in float32 on the pair maps
             rtol = 1e-5 if ".conv" in name else 1e-12
             assert np.abs(got - want).max() <= rtol * np.abs(want).max(), name
-
-    def test_sgd_step_takes_the_fold_gradient(self):
-        model = tiny_model(seed=39)
-        grid, batches = sampled_batches(model, seed=4)
-        before = {name: p.value.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, [(grid, batches)], MARGIN)
-        want = {name: p.grad.copy() for name, p in model.store.items()}
-        relation_losses_multi(model, [(grid, batches)], MARGIN)  # the same gradient again
-        sgd_step(model.store, 0.5)
-        for name, p in model.store.items():
-            np.testing.assert_allclose(p.value, before[name] - want[name], rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(want[name]).max()))
-            assert p._grad is None
-
-    def test_non_finite_fold_gradient_names_the_block(self, monkeypatch):
-        model = tiny_model(seed=40)
-        grid, batches = sampled_batches(model, seed=5)
-        flush = RelationFold.flush
-
-        def poisoned(fold):
-            fold.face_stack.w.grad[0, 0] = np.nan
-            flush(fold)
-
-        monkeypatch.setattr(RelationFold, "flush", poisoned)
-        relation_losses_multi(model, [(grid, batches)], MARGIN)
-        with pytest.raises(TrainingError, match="'shared.face_stack.fc1.w'"):
-            sgd_step(model.store, 0.1)
-
-
-class TestFoldPerStep:
-    @staticmethod
-    def count_folds(monkeypatch, **run):
-        from hoicascade import training
-        from hoicascade.synth import SceneSpec, generate_dataset
-
-        built = []
-
-        class CountedFold(RelationFold):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self.stages)
-
-        monkeypatch.setattr(training, "RelationFold", CountedFold)
-        spec = SceneSpec(seed=7)
-        train_model(generate_dataset(spec, 20), spec, RunConfig(seed=7, **run),
-                    spec.min_channels(), 32)
-        return built
-
-    def test_one_fold_per_phase2_step_and_none_in_phase1(self, monkeypatch):
-        # 20 scenes make steps of 8, 8 and 4 scenes
-        assert self.count_folds(monkeypatch, phase1_epochs=1, phase2_epochs=1) == [(0, 1, 2)] * 3
-        assert self.count_folds(monkeypatch, phase1_epochs=2, phase2_epochs=0) == []
-
-
-def trained_model(n_scenes, **run):
-    """A model trained one epoch per phase on a fixed-seed corpus, with
-    eight held-out scenes and their feature grids."""
-    from hoicascade.synth import SceneSpec, generate_dataset
-
-    spec = SceneSpec(seed=7)
-    scenes = generate_dataset(spec, n_scenes)
-    config = RunConfig(seed=7, phase1_epochs=1, phase2_epochs=1, **run)
-    model = train_model(scenes, spec, config, spec.min_channels(), 32)
-    test = generate_dataset(SceneSpec(seed=8), 8, prefix="test")
-    return model, test, prepare_grids(test, spec, model.channels, model.grid_size)
-
-
-class TestRelationFold:
-    """Folded inference against the factored heads on trained weights."""
-
-    @staticmethod
-    def assert_fold_matches_factored(model, scenes, grids):
-        fold = RelationFold(model)
-        rrm, last = model.rrm_heads[-1], model.rcm_heads[-1]
-        rows = 0
-        for scene in scenes:
-            grid = grids[scene.image_id]
-            kept = dedup_by_lineage(merge_and_filter(
-                run_localization(grid, seed_instances(scene), model),
-                model.config.merge_threshold))
-            candidates = enumerate_pairs(kept, model.person_class)
-            if not candidates:
-                continue
-            rows += len(candidates)
-            feats = model.build_features(grid, candidates)
-            prev = feats.x_v if model.config.stages > 1 else np.zeros_like(feats.x_v)
-            fused = cross_stage_fuse(feats.x_v, prev, model.fusion_stack)
-            folded_feats = model.build_features(grid, candidates, fold)
-            folded = fold.fuse(folded_feats.x_v)
-
-            np.testing.assert_allclose(fold.score(folded, folded_feats.x_g),
-                                       rrm.score(fused, feats.x_g), rtol=0, atol=1e-12)
-            assert (rank_pairs(folded, folded_feats.x_g, fold).tolist()
-                    == rank_pairs(fused, feats.x_g, rrm).tolist())
-            want = classify_relation(feats.x_s, feats.x_g, fused, last)
-            got = classify_relation(folded_feats.x_s, folded_feats.x_g, folded, fold)
-            for w, g in zip(want, got):
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(fuse_scores(got[2], got[1], got[0]),
-                                       fuse_scores(want[2], want[1], want[0]),
-                                       rtol=0, atol=1e-12)
-        assert rows > len(scenes)
-
-    def test_trained_model(self):
-        self.assert_fold_matches_factored(*trained_model(24))
-
-    @pytest.mark.parametrize("run", [{"stages": 1}, {"mode": "segment"}],
-                             ids=["one_stage", "segment"])
-    def test_other_model_kinds(self, run):
-        self.assert_fold_matches_factored(*trained_model(8, **run))
 
 
 def localization_scene(seed=0):
@@ -493,43 +286,62 @@ class TestLocalizationStageStep:
         assert all(np.any(p.grad) for p in blocks.values())
 
 
+def held_out_setting(data_seed=11):
+    """30 training scenes of SceneSpec(data_seed), 40 held-out scenes,
+    their ground truth and feature grids."""
+    from hoicascade.formats import scenes_to_gt_records
+    from hoicascade.synth import SceneSpec, generate_dataset
+
+    spec = SceneSpec(seed=data_seed)
+    train = generate_dataset(spec, 30, prefix="train")
+    test = generate_dataset(SceneSpec(seed=data_seed + 1_000_003), 40, prefix="test")
+    return (spec, train, test, scenes_to_gt_records(test),
+            prepare_grids(test, spec, spec.min_channels(), 32))
+
+
+def held_out_quality(model, setting, config, path):
+    """(mAP_rel, mean Recall@K) of `model` on the held-out scenes, read
+    back from the prediction file it writes to `path`."""
+    from hoicascade.formats import read_predictions_ndjson, write_predictions_ndjson
+    from hoicascade.metrics import map_rel, recall_at_k
+    from hoicascade.training import infer_scenes
+
+    spec, _, test, gts, grids = setting
+    write_predictions_ndjson(path, infer_scenes(model, test, spec, config, grids))
+    preds = read_predictions_ndjson(path)
+    return (map_rel(preds, gts, spec.n_verbs).map_rel,
+            recall_at_k(preds, gts, spec.geometric_verbs).mean)
+
+
 def test_training_beats_the_untrained_model(tmp_path):
     """One phase-1 and two phase-2 epochs on 30 scenes lift mAP_rel and
     Recall@K on 40 held-out scenes above the untrained (0 + 0 epoch) model,
     and lower the relation losses of every stage on held-out scenes.
 
     Measured gains of this setting (training seed 0, data seeds 11 to 18):
-    mAP_rel +0.014 to +0.071 and R@K +0.004 to +0.080, every seed
-    positive; at data seed 11, mAP_rel 0.075 -> 0.131 and R@K
-    0.491 -> 0.571. The 0.02 margins sit well under the seed-11 gains, so a
+    mAP_rel -0.035 to +0.063 and R@K -0.021 to +0.088. The short run costs
+    momentum SGD on the direct relation maps: the trained model reads
+    below the untrained one at seeds 13 (mAP_rel 0.121 -> 0.086, R@K
+    0.534 -> 0.513) and 14 (mAP_rel 0.108 -> 0.101), and mean trained
+    mAP_rel is 0.131. At data seed 11, mAP_rel 0.087 -> 0.150 and R@K
+    0.484 -> 0.572. The 0.02 margins sit well under the seed-11 gains, so a
     change of float summation order cannot trip them. These metrics also
     rise when the relation gradients are dropped or negated (localization
     training alone lifts them), so the relation losses of six held-out
-    scenes are checked directly: at seed 11 they fall from 2.2 / 3.1 / 2.6
-    per stage to 1.5 / 1.5 / 1.5, stay put without relation gradients and
-    grow tenfold when those are negated.
+    scenes are checked directly: at seed 11 they fall from 2.9 / 3.1 / 3.1
+    per stage to 1.7 / 1.8 / 1.7, stay put without relation gradients and
+    grow tenfold when those are negated. `test_default_epochs_learn_the_
+    relations` checks what the relation training reaches.
     """
-    from hoicascade.formats import (
-        read_predictions_ndjson,
-        scenes_to_gt_records,
-        write_predictions_ndjson,
-    )
-    from hoicascade.metrics import map_rel, recall_at_k
-    from hoicascade.synth import SceneSpec, generate_dataset
-    from hoicascade.training import infer_scenes, scene_losses
+    from hoicascade.training import scene_losses
 
-    spec = SceneSpec(seed=11)
-    train = generate_dataset(spec, 30, prefix="train")
-    test = generate_dataset(SceneSpec(seed=11 + 1_000_003), 40, prefix="test")
-    gts = scenes_to_gt_records(test)
-    grids = prepare_grids(test, spec, spec.min_channels(), 32)
+    setting = held_out_setting()
+    spec, train, test, _, grids = setting
 
     def quality(phase1_epochs, phase2_epochs):
         config = RunConfig(phase1_epochs=phase1_epochs, phase2_epochs=phase2_epochs)
         model = train_model(train, spec, config, spec.min_channels(), 32)
         path = tmp_path / f"{phase1_epochs}-{phase2_epochs}.ndjson"
-        write_predictions_ndjson(path, infer_scenes(model, test, spec, config, grids))
-        preds = read_predictions_ndjson(path)
         rng = np.random.default_rng(0)
         sampled = [(grids[scene.image_id], scene_losses(model, grids[scene.image_id], scene,
                                                         spec, rng, with_relation=True)[1])
@@ -537,8 +349,7 @@ def test_training_beats_the_untrained_model(tmp_path):
         relation = np.mean([[loss["rrm"] + loss["rcm"] for loss in scene]
                             for scene in relation_losses_multi(model, sampled,
                                                                config.hinge_margin)], axis=0)
-        return (map_rel(preds, gts, spec.n_verbs).map_rel,
-                recall_at_k(preds, gts, spec.geometric_verbs).mean, relation)
+        return (*held_out_quality(model, setting, config, path), relation)
 
     untrained_map, untrained_recall, untrained_relation = quality(0, 0)
     trained_map, trained_recall, trained_relation = quality(1, 2)
@@ -546,3 +357,21 @@ def test_training_beats_the_untrained_model(tmp_path):
     assert trained_recall >= untrained_recall + 0.02, (untrained_recall, trained_recall)
     assert np.all(trained_relation <= 0.8 * untrained_relation), (untrained_relation,
                                                                  trained_relation)
+
+
+def test_default_epochs_learn_the_relations(tmp_path):
+    """The CLI default 6 + 5 epochs on the 30 scenes of the test above
+    reach mAP_rel 0.435 on its 40 held-out scenes at data seed 11
+    (training seed 0), against 0.194 for plain SGD on the factored FC_x2
+    relation stacks that momentum SGD on the direct maps replaced. Over
+    data seeds 11 to 15 this model reads 0.435 / 0.784 / 0.621 / 0.581 /
+    0.691 and the replaced one 0.194 / 0.295 / 0.204 / 0.235 / 0.343, so
+    the 0.40 bound separates the two at every seed.
+    """
+    setting = held_out_setting()
+    spec, train, _, _, _ = setting
+    config = RunConfig()
+    assert (config.phase1_epochs, config.phase2_epochs) == (6, 5)
+    model = train_model(train, spec, config, spec.min_channels(), 32)
+    trained_map, _ = held_out_quality(model, setting, config, tmp_path / "preds.ndjson")
+    assert trained_map >= 0.40, trained_map
