@@ -1,6 +1,6 @@
-"""Multi-stage instance localization: per-stage box refinement heads with
-increasing-IoU resampling, optional segmentation heads, and cross-stage
-proposal merging/filtering.
+"""Multi-stage instance localization: per-stage box maps that regress and
+rescore boxes, with increasing-IoU resampling, optional mask maps, and
+cross-stage proposal merging/filtering.
 """
 
 from __future__ import annotations
@@ -72,41 +72,12 @@ class CascadeConfig:
 HEAD_INIT_SCALE = 0.01  # near-zero head init keeps early refinements tame
 
 
-class StageHead:
-    """Box regression (4 deltas) plus a score refiner (1 logit) over the
-    flattened pooled feature of the input region."""
-
-    def __init__(self, channels, rng):
-        in_dim = channels * POOLED_HW[0] * POOLED_HW[1]
-        self.regressor = FCLayer(in_dim, 4, "none", rng)
-        self.scorer = FCLayer(in_dim, 1, "sigmoid", rng)
-        self.regressor.w.value *= HEAD_INIT_SCALE
-        self.scorer.w.value *= HEAD_INIT_SCALE
-
-    def params(self, prefix):
-        return (self.regressor.params(f"{prefix}.reg")
-                + self.scorer.params(f"{prefix}.score"))
-
-    def forward(self, pooled_flat):
-        return self.regressor.forward(pooled_flat), self.scorer.forward(pooled_flat)
-
-
-class SegHead:
-    """Mask logits (14x14) from the summed current/previous pooled features."""
-
-    def __init__(self, channels, rng):
-        in_dim = channels * MASK_POOLED_HW[0] * MASK_POOLED_HW[1]
-        self.fc = FCLayer(in_dim, MASK_LOGIT_DIM, "none", rng)
-        self.fc.w.value *= HEAD_INIT_SCALE
-
-    def params(self, prefix):
-        return self.fc.params(f"{prefix}.mask")
-
-    def forward(self, pooled_flat):
-        return self.fc.forward(pooled_flat)
-
-    def backward(self, d_logits):
-        return self.fc.backward(d_logits)
+def head_layer(in_dim, out_dim, rng):
+    """A linear layer whose initial weights are HEAD_INIT_SCALE of
+    `FCLayer`'s: the box and mask maps of each stage."""
+    layer = FCLayer(in_dim, out_dim, "none", rng)
+    layer.w.value *= HEAD_INIT_SCALE
+    return layer
 
 
 def apply_box_deltas(box: Box, deltas) -> Box | None:
@@ -142,18 +113,21 @@ def clip_box(box: Box, width, height) -> Box | None:
     return Box(x1, y1, x2, y2)
 
 
-def refine_stage(grid: FeatureGrid, instances, head: StageHead, stage):
+def refine_stage(grid: FeatureGrid, instances, head: FCLayer, stage):
     """One refinement step of a whole stage, shared by training and
-    inference: pool every instance box, regress deltas and rescore all rows
-    with one head call, then decode and clip each row.
+    inference: pool every instance box, take the 4 box deltas and the score
+    logit of all rows from one call of the stage's box map `head` (C*49 ->
+    5), then decode and clip each row.
 
-    Returns (deltas (n, 4), scores (n, 1), refined). refined[i] is instance
-    i on its refined box with the new confidence and stage_of_origin
-    stage + 1, or None (logged) when that box degenerates. Training takes
-    its losses from deltas and scores; inference keeps the survivors.
+    Returns (deltas (n, 4), scores (n, 1), refined), the scores being the
+    sigmoid of column 4. refined[i] is instance i on its refined box with
+    the new confidence and stage_of_origin stage + 1, or None (logged) when
+    that box degenerates. Training takes its losses from deltas and scores;
+    inference keeps the survivors.
     """
     pooled = roi_align(grid, [i.box for i in instances], POOLED_HW).reshape(len(instances), -1)
-    deltas, scores = head.forward(pooled)
+    out = head.forward(pooled)
+    deltas, scores = out[:, :4], sigmoid(out[:, 4:])
     refined = []
     for inst, row_deltas, score in zip(instances, deltas, scores):
         new_box = apply_box_deltas(inst.box, row_deltas)
@@ -210,8 +184,9 @@ def mask_cell_targets(gt_mask: BitMask, box: Box):
     return gt_mask.bits[np.ix_(py, px)].astype(np.float64).ravel()
 
 
-def segment_stage(grid: FeatureGrid, instances, head: SegHead, prev_boxes=None):
-    """Masks for a stage's refined instances from one mask-head call.
+def segment_stage(grid: FeatureGrid, instances, head: FCLayer, prev_boxes=None):
+    """Masks for a stage's refined instances from one call of the stage's
+    mask map `head` (C*196 -> 196 logits).
 
     prev_boxes, from stage 2 on, are the boxes the instances were refined
     from. Logits are thresholded at 0.5 after sigmoid; if every cell of an

@@ -135,8 +135,10 @@ def cross_stage_fuse(x_v, x_v_prev, layer):
     Inference passes the last stage's relation map, one of
     `CascadeModel.visual_maps`, and gets, per pair, the visual half of the
     rank logit and the visual verb logits. Stage 1 passes a zero tensor as
-    predecessor. Takes batches, (B, D) rows or (B, 3C, H, W) tensors, one
-    row of output per pair.
+    predecessor; later stages pass the pair's own tensor, so the map reads
+    2 x_v, and training's gradient flows through both terms. Takes
+    batches, (B, D) rows or (B, 3C, H, W) tensors, one row of output per
+    pair.
     """
     x_v = np.asarray(x_v, dtype=np.float64)
     x_v_prev = np.asarray(x_v_prev, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Finite-difference gradient suites for the layers and losses training
-is built from: fully connected layers, the conv+pool encoder, the facial
-attention layers, the ranking and classification heads, the ranking hinge
-and the binary cross-entropy.
+is built from: fully connected layers (linear and sigmoid), the conv+pool
+encoder, the facial attention layers, the ranking hinge and the binary
+cross-entropy. The composed relation objective is checked by the
+finite-difference test of `training.RelationPass`.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .features import efra_attend, efra_attend_backward
-from .interaction import RCMHeads, RRMHead
 from .numerics import (
     ConvPoolEncoder,
     FCLayer,
@@ -87,47 +87,6 @@ def check_efra(points=10, tol=1e-4):
     return report
 
 
-def check_rrm(points=10, tol=1e-4):
-    """The ranker's geometric half under the sigmoid it shares with the
-    visual half, a column of the relation map (data here)."""
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([29, point])
-        head = RRMHead(rng)
-        visual = rng.normal(size=(1, 5))
-        geo = rng.normal(size=(1, 256))
-
-        def run():
-            g = head.score(visual, geo)
-            head.geometric.backward((g * (1.0 - g))[:, None])
-            return float(g[0])
-
-        _merge(report, finite_diff_check(run, dict(head.params("rrm")), tol=tol,
-                                         max_entries=6), point)
-    return report
-
-
-def check_rcm(points=10, tol=1e-4):
-    report = GradCheckReport(tol=tol)
-    for point in range(points):
-        rng = np.random.default_rng([31, point])
-        heads = RCMHeads(4, rng)
-        x_s = rng.uniform(size=(1, 4))
-        x_g = rng.normal(size=(1, 256))
-        w = rng.normal(size=(1, 4))
-
-        def run():
-            s_s = heads.semantic.forward(x_s)
-            s_g = heads.geometric.forward(x_g)
-            heads.semantic.backward(w)
-            heads.geometric.backward(w)
-            return float(((s_s + s_g) * w).sum())
-
-        _merge(report, finite_diff_check(run, dict(heads.params("rcm")), tol=tol,
-                                         max_entries=6), point)
-    return report
-
-
 def check_hinge(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
@@ -172,8 +131,6 @@ ALL_CHECKS = {
     "fc_forward": check_fc,
     "conv_pool_encoder": check_conv_pool,
     "efra_attention": check_efra,
-    "rrm_head": check_rrm,
-    "rcm_heads": check_rcm,
     "pairwise_hinge": check_hinge,
     "binary_cross_entropy": check_bce,
 }

@@ -1,6 +1,7 @@
 """Relation ranking and triple-stream relation classification: pair
-enumeration, the RRM/RCM heads, score fusion, the per-stage model bundle
-and the image-level inference protocol.
+enumeration, the ranking score (RRM), the per-stream verb scores (RCM),
+score fusion, the per-stage model bundle and the image-level inference
+protocol.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cascade import (
+    MASK_LOGIT_DIM,
     POOLED_HW,
     CascadeConfig,
     Instance,
-    SegHead,
-    StageHead,
     dedup_by_lineage,
+    head_layer,
     merge_and_filter,
     refine_stage,
     segment_stage,
@@ -101,34 +102,6 @@ class TripletPrediction:
     score: float
 
 
-class RRMHead:
-    """Ranking score g(P) = sigmoid(v + FC(geometric)), v the visual half
-    of the rank logit: column 0 of the stage's relation map
-    (`CascadeModel.visual_maps`)."""
-
-    def __init__(self, rng):
-        self.geometric = FCLayer(GEOMETRIC_DIM, 1, "none", rng)
-
-    def params(self, prefix):
-        return self.geometric.params(f"{prefix}.geo")
-
-    def score(self, visual, geometric):
-        return sigmoid(visual[:, 0] + self.geometric.forward(geometric)[:, 0])
-
-
-class RCMHeads:
-    """Semantic and geometric verb scorers; the visual verb logits are
-    columns 1.. of the stage's relation map."""
-
-    def __init__(self, n_verbs, rng):
-        self.n_verbs = n_verbs
-        self.semantic = FCLayer(n_verbs, n_verbs, "sigmoid", rng)
-        self.geometric = FCLayer(GEOMETRIC_DIM, n_verbs, "sigmoid", rng)
-
-    def params(self, prefix):
-        return self.semantic.params(f"{prefix}.sem") + self.geometric.params(f"{prefix}.geo")
-
-
 def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
     """All ordered pairs whose first element is a person; an instance never
     pairs with itself. No persons means no candidates."""
@@ -143,13 +116,20 @@ def enumerate_pairs(instances, person_class=PERSON_CLASS) -> list[HOICandidate]:
     return pairs
 
 
-def rank_pairs(visual, x_g, rrm) -> np.ndarray:
-    """Candidate rows by ranking score, descending, from one `RRMHead`
-    call on the rows of the stage's relation map. The sort is stable, so
-    ties keep enumeration order."""
-    if visual is None or x_g is None or len(visual) != len(x_g):
+def rank_scores(visual, geometric):
+    """Ranking score g(P) = sigmoid(v + u) per pair, v and u the visual and
+    geometric halves of the rank logit: column 0 of the rows of a stage's
+    relation map and of its geometric map."""
+    return sigmoid(visual[:, 0] + geometric[:, 0])
+
+
+def rank_pairs(visual, geometric) -> np.ndarray:
+    """Candidate rows by `rank_scores`, descending, on the rows of one
+    stage's relation map and geometric map. The sort is stable, so ties
+    keep enumeration order."""
+    if visual is None or geometric is None or len(visual) != len(geometric):
         raise DataError("every candidate needs visual and geometric features before ranking")
-    return np.argsort(-rrm.score(visual, x_g), kind="stable")
+    return np.argsort(-rank_scores(visual, geometric), kind="stable")
 
 
 def select_topk(ranked, k=TOP_K):
@@ -158,12 +138,13 @@ def select_topk(ranked, k=TOP_K):
     return ranked[:k]
 
 
-def classify_relation(x_s, x_g, visual, heads):
+def classify_relation(x_s, geometric, visual, semantic):
     """Per-stream verb scores (s_s, s_g, s_v), one row per pair;
-    multi-label, no softmax. `heads` is one stage's `RCMHeads`, and
-    `visual` the rows of that stage's relation map, whose columns after
-    the first are the visual verb logits."""
-    return heads.semantic.forward(x_s), heads.geometric.forward(x_g), sigmoid(visual[:, 1:])
+    multi-label, no softmax. `semantic` is one stage's semantic head, run
+    on the priors x_s; `geometric` and `visual` are the rows of that
+    stage's geometric and relation maps, whose columns after the first are
+    the geometric and visual verb logits."""
+    return semantic.forward(x_s), sigmoid(geometric[:, 1:]), sigmoid(visual[:, 1:])
 
 
 def fuse_scores(s_v, s_g, s_s):
@@ -254,16 +235,23 @@ def total_loss(stage_losses, cfg: CascadeConfig) -> float:
 # ----------------------------------------------------------------- model
 
 class CascadeModel:
-    """Per-stage localization and relation heads plus the shared feature
-    machinery (geometric encoder, facial attention layers).
+    """One layer per input per stage plus the shared feature machinery
+    (geometric encoder, facial attention layers). Stage t owns:
 
-    Stage t's relation map `visual_maps[t]` takes the summed visual tensor
-    (3C*7*7) to 1 + N logits: column 0 is the visual half of the rank
-    logit, whose geometric half is `rrm_heads[t]`, and the others are the
-    visual verb logits. The paper's FC_x2 fusion stack and the heads that
-    read it are linear up to their sigmoids, so this one layer expresses
-    their product, and each one-layer facial-attention map stands for an
-    FC_x2 stack in the same way (README, "Paper fidelity").
+    - `box_heads[t]`, C*7*7 -> 5: the 4 box deltas and the score logit of
+      each pooled box (`refine_stage`);
+    - `visual_maps[t]`, 3C*7*7 -> 1 + N: the summed visual tensor to the
+      visual half of the rank logit (column 0) and the visual verb logits;
+    - `geometric_maps[t]`, 256 -> 1 + N: the geometric feature to the
+      geometric half of the rank logit (column 0) and the geometric verb
+      logits;
+    - `semantic_heads[t]`, N -> N sigmoid: the semantic verb scores;
+    - `seg_heads[t]`, segment mode only, C*14*14 -> 14*14 mask logits.
+
+    The paper's FC_x2 fusion stack and the heads that read it are linear up
+    to their sigmoids, so one relation map expresses their product, and
+    each one-layer facial-attention map stands for an FC_x2 stack in the
+    same way (README, "Paper fidelity").
     `channels` and `grid_size` are the feature-grid geometry the model was
     trained on; the checkpoint carries them, and inference renders with them.
     `cooccurrence` is the semantic stream's prior: an (n_classes, n_verbs)
@@ -285,9 +273,11 @@ class CascadeModel:
         rng = np.random.default_rng(seed) if init else None
         t_stages = self.config.stages
         cells = POOLED_HW[0] * POOLED_HW[1]
-        self.box_heads = [StageHead(channels, rng) for _ in range(t_stages)]
-        self.rrm_heads = [RRMHead(rng) for _ in range(t_stages)]
-        self.rcm_heads = [RCMHeads(n_verbs, rng) for _ in range(t_stages)]
+        self.box_heads = [head_layer(channels * cells, 5, rng) for _ in range(t_stages)]
+        self.geometric_maps = [FCLayer(GEOMETRIC_DIM, 1 + n_verbs, "none", rng)
+                               for _ in range(t_stages)]
+        self.semantic_heads = [FCLayer(n_verbs, n_verbs, "sigmoid", rng)
+                               for _ in range(t_stages)]
         self.geo_encoder = ConvPoolEncoder(2, (64, 64), rng=rng)
         self.face_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
         self.noface_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
@@ -295,14 +285,15 @@ class CascadeModel:
                             for _ in range(t_stages)]
         # mask heads exist only in segment mode and draw last, so the other
         # blocks start from the same values in both modes
-        self.seg_heads = [SegHead(channels, rng) for _ in range(t_stages)] if segment else []
+        self.seg_heads = [head_layer(channels * MASK_LOGIT_DIM, MASK_LOGIT_DIM, rng)
+                          for _ in range(t_stages)] if segment else []
 
         self.store = ParamStore()
         for t in range(t_stages):
             for name, p in (self.box_heads[t].params(f"stage{t + 1}.box")
                             + self.visual_maps[t].params(f"stage{t + 1}.visual")
-                            + self.rrm_heads[t].params(f"stage{t + 1}.rrm")
-                            + self.rcm_heads[t].params(f"stage{t + 1}.rcm")):
+                            + self.geometric_maps[t].params(f"stage{t + 1}.geometric")
+                            + self.semantic_heads[t].params(f"stage{t + 1}.semantic")):
                 self.store.add(name, p)
         for name, p in (self.geo_encoder.params("shared.geo_encoder")
                         + self.face_attention.params("shared.face_attention")
@@ -491,11 +482,12 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     filtering, pair ranking, top-k selection, and the final stage's fused
     scores emitted per verb. Relation work is batched over the image's
     pairs: one EFRA call, one `cross_stage_fuse` call into the last stage's
-    relation map giving every pair's visual rank and verb logits, one
-    ranker call, and one classifier call, the last stage's, on the kept
-    rows; earlier stages' heads train the shared layers but are not run
-    here. The predecessor tensor is the pair's own, or zeros in a
-    one-stage model, whose last stage is stage 1.
+    relation map giving every pair's visual rank and verb logits, one call
+    of its geometric map giving their geometric halves, one ranking, and
+    one semantic-head call, the last stage's, on the kept rows; earlier
+    stages' maps and heads train the shared layers but are not run here.
+    The predecessor tensor is the pair's own, or zeros in a one-stage
+    model, whose last stage is stage 1.
     """
     stage_outputs = run_localization(grid, seed_proposals, model)
     merged = merge_and_filter(stage_outputs, model.config.merge_threshold)
@@ -507,9 +499,10 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
     feats = model.build_features(grid, candidates)
     visual = cross_stage_fuse(feats.x_v, feats.x_v if last else np.zeros_like(feats.x_v),
                               model.visual_maps[last])
-    top = select_topk(rank_pairs(visual, feats.x_g, model.rrm_heads[last]), top_k)
-    s_s, s_g, s_v = classify_relation(feats.x_s[top], feats.x_g[top], visual[top],
-                                      model.rcm_heads[last])
+    geometric = model.geometric_maps[last].forward(feats.x_g)
+    top = select_topk(rank_pairs(visual, geometric), top_k)
+    s_s, s_g, s_v = classify_relation(feats.x_s[top], geometric[top], visual[top],
+                                      model.semantic_heads[last])
     scores = fuse_scores(s_v, s_g, s_s)
     return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
                               float(scores[row, verb]))

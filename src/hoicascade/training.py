@@ -7,11 +7,14 @@ the learning rate come from the run's `RunConfig`. The model saves none
 of them.
 
 Gradient flow: planted feature grids are constants, so localization
-gradients stop at the stage heads. Relation gradients flow through each
-stage's relation map and heads, the facial-attention layers and the
-geometric encoder: the layers inference runs are the trained parameters.
-Box coordinates and the prior-stage visual tensor propagate as data only,
-which keeps the per-stage graphs independent.
+gradients stop at the box and mask maps. Relation gradients flow through
+each stage's relation, geometric and semantic layers, the
+facial-attention layers and the geometric encoder: the layers inference
+runs are the trained parameters. Box coordinates propagate between
+stages as data only. A pair's predecessor visual tensor is its own (pairs
+are built once from the merged instances), so from stage 2 on the
+relation map reads x_v + x_v = 2 x_v, and the gradient flows through both
+terms.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .interaction import (
     classify_relation,
     enumerate_pairs,
     infer_image,
+    rank_scores,
     run_localization,
     sample_training_pairs,
     total_loss,
@@ -102,8 +106,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
     weight = stage_weight(stage)
-    head.scorer.backward(weight * d_scores / len(labeled), input_grad=False)
-    head.regressor.backward(weight * d_deltas, input_grad=False)
+    d_out = np.hstack([d_deltas, d_scores / len(labeled) * scores * (1.0 - scores)])
+    head.backward(weight * d_out, input_grad=False)
 
     # the refined box is data to the mask loss, a stop-gradient by design
     masked = [i for i in pos if model.segment and refined[i] is not None
@@ -117,7 +121,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         probs = sigmoid(seg_head.forward(feats))
         seg_bce, d_probs = binary_cross_entropy(probs, targets14)
         losses["seg"] = seg_bce / targets14.size
-        seg_head.backward(weight / targets14.size * d_probs * probs * (1.0 - probs))
+        seg_head.backward(weight / targets14.size * d_probs * probs * (1.0 - probs),
+                          input_grad=False)
     return losses, [inst for inst in refined if inst is not None]
 
 
@@ -126,15 +131,18 @@ class RelationPass:
     more stages at once, on the features and layers inference runs: the
     pairs are pooled by `CascadeModel.pool_pairs` and assembled by
     `visual_tensor`, and each stage's rows go through that stage's
-    relation map and heads.
+    relation, geometric and semantic layers.
 
-    Stage losses are independent (the prior-stage tensor is detached), so
-    the shared feature machinery runs a single combined forward, stage
-    heads operate on row slices, and one combined backward accumulates the
-    shared-layer gradients. The stages sample many of the same pairs, so
-    the geometric encoder runs once per distinct pair map and EFRA once per
-    distinct pair; their outputs are gathered to one row per sampled pair,
-    and backward folds the row gradients back with one indexed add each.
+    Each stage's loss reads only its own rows, so the shared feature
+    machinery runs a single combined forward, stage layers operate on row
+    slices, and one combined backward accumulates the shared-layer
+    gradients. A pair's predecessor tensor is its own x_v, zeros at stage
+    1: the stage maps read prev_mult * x_v, and backward scales the
+    gradient of x_v by the same factor, through both terms of the sum.
+    The stages sample many of the same pairs, so the geometric encoder
+    runs once per distinct pair map and EFRA once per distinct pair; their
+    outputs are gathered to one row per sampled pair, and backward folds
+    the row gradients back with one indexed add each.
     """
 
     def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
@@ -156,35 +164,34 @@ class RelationPass:
         model, pooled = self.model, self.pooled
         self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
         self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
-        # prior-stage tensor enters as data: zeros at stage 1, a detached
-        # copy of the current tensor afterwards
+        # the prior-stage tensor is the pair's own: zeros at stage 1, x_v
+        # afterwards, so the map reads x_v + x_v
         x = self.x_v * self.prev_mult[:, None]
         self.visual = np.zeros((self.n, 1 + model.n_verbs))
-        self.g = np.zeros(self.n)
+        self.geometric = np.zeros((self.n, 1 + model.n_verbs))
         self.s_s, self.s_g, self.s_v = (np.zeros((self.n, model.n_verbs)) for _ in range(3))
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
                 continue
             self.visual[sl] = model.visual_maps[stage].forward(x[sl])
-            self.g[sl] = model.rrm_heads[stage].score(self.visual[sl], self.x_g[sl])
+            self.geometric[sl] = model.geometric_maps[stage].forward(self.x_g[sl])
             self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
-                self.x_s[sl], self.x_g[sl], self.visual[sl], model.rcm_heads[stage])
+                self.x_s[sl], self.geometric[sl], self.visual[sl], model.semantic_heads[stage])
+        self.g = rank_scores(self.visual, self.geometric)
         return self
 
     def backward(self, d_g, d_s_s, d_s_g, d_s_v):
         model, pooled = self.model, self.pooled
-        d_visual = np.empty_like(self.visual)
-        d_visual[:, 0] = d_g * self.g * (1.0 - self.g)
-        d_visual[:, 1:] = d_s_v * self.s_v * (1.0 - self.s_v)
+        d_rank = d_g * self.g * (1.0 - self.g)
+        d_visual = np.column_stack([d_rank, d_s_v * self.s_v * (1.0 - self.s_v)])
+        d_geometric = np.column_stack([d_rank, d_s_g * self.s_g * (1.0 - self.s_g)])
         d_xv = np.zeros_like(self.x_v)
         d_xg = np.zeros_like(self.x_g)
         for stage, sl in zip(self.stages, self.slices):
             if sl.stop == sl.start:
                 continue
-            heads = model.rcm_heads[stage]
-            heads.semantic.backward(d_s_s[sl], input_grad=False)
-            d_xg[sl] += heads.geometric.backward(d_s_g[sl])
-            d_xg[sl] += model.rrm_heads[stage].geometric.backward(d_visual[sl, :1])
+            model.semantic_heads[stage].backward(d_s_s[sl], input_grad=False)
+            d_xg[sl] = model.geometric_maps[stage].backward(d_geometric[sl])
             d_xv[sl] = model.visual_maps[stage].backward(d_visual[sl])
         d_xv *= self.prev_mult[:, None]
         # only the object stream o_bar = o + alpha * face + alpha_bar * noface
@@ -200,48 +207,43 @@ class RelationPass:
         model.geo_encoder.backward(d_maps)
 
 
-def relation_losses_multi(model, scene_batches, hinge_margin):
+def relation_losses_multi(model, grid: FeatureGrid, stage_batches, hinge_margin):
     """Ranking hinge plus three-stream BCE for every stage's sampled batch
-    of the scenes of one SGD step, and their backward. `scene_batches`
-    holds one (grid, stage_batches) pair per scene. Every scene with pairs
-    runs one `RelationPass` of all its stages, whose backward adds the
-    step's relation gradient to the blocks. Returns, per scene, the
-    per-stage {"rrm", "rcm"} losses.
+    of one scene, and their backward: one `RelationPass` of all the stages
+    with pairs, whose backward adds the scene's relation gradient to the
+    blocks. Returns the per-stage {"rrm", "rcm"} losses.
 
     Losses are normalized per pair/element so the learning rate stays
     stable across batch sizes; the stage weights (`stage_weight`) scale
     the gradients here.
     """
-    out = [[{"rrm": 0.0, "rcm": 0.0} for _ in batches] for _, batches in scene_batches]
-    for (grid, stage_batches), scene_out in zip(scene_batches, out):
-        stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
-        if not any(pairs for _, pairs in stage_pairs):
+    out = [{"rrm": 0.0, "rcm": 0.0} for _ in stage_batches]
+    stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
+    if not any(pairs for _, pairs in stage_pairs):
+        return out
+    rp = RelationPass(model, grid, stage_pairs).forward()
+    targets = np.array([lab.verb_targets for _, pairs in stage_pairs for lab in pairs],
+                       dtype=np.float64)
+    d_g = np.zeros(rp.n)
+    d_s = [np.zeros_like(targets) for _ in range(3)]
+    for t, (batch, sl) in enumerate(zip(stage_batches, rp.slices)):
+        if sl.stop == sl.start:
             continue
-        rp = RelationPass(model, grid, stage_pairs).forward()
-        targets = np.array([lab.verb_targets for _, pairs in stage_pairs for lab in pairs],
-                           dtype=np.float64)
-        d_g = np.zeros(rp.n)
-        d_s = [np.zeros_like(targets) for _ in range(3)]
-        for t, (batch, sl) in enumerate(zip(stage_batches, rp.slices)):
-            if sl.stop == sl.start:
-                continue
-            n_pos = len(batch.positives)
-            g = rp.g[sl]
-            pos_g, neg_g = g[:n_pos], g[n_pos:]
-            hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, hinge_margin)
-            hinge_norm = max(len(pos_g) * len(neg_g), 1)
-            scene_out[t]["rrm"] = hinge / hinge_norm
-            weight = stage_weight(t)
-            d_g[sl] = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm)
+        n_pos = len(batch.positives)
+        g = rp.g[sl]
+        pos_g, neg_g = g[:n_pos], g[n_pos:]
+        hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, hinge_margin)
+        hinge_norm = max(len(pos_g) * len(neg_g), 1)
+        out[t]["rrm"] = hinge / hinge_norm
+        weight = stage_weight(t)
+        d_g[sl] = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm)
 
-            t_sl = targets[sl]
-            bce_total = 0.0
-            for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
-                bce, d_stream = binary_cross_entropy(stream, t_sl)
-                bce_total += bce / t_sl.size
-                d_s[k][sl] = weight * d_stream / t_sl.size
-            scene_out[t]["rcm"] = bce_total
-        rp.backward(d_g, d_s[0], d_s[1], d_s[2])
+        t_sl = targets[sl]
+        for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
+            bce, d_stream = binary_cross_entropy(stream, t_sl)
+            out[t]["rcm"] += bce / t_sl.size
+            d_s[k][sl] = weight * d_stream / t_sl.size
+    rp.backward(d_g, d_s[0], d_s[1], d_s[2])
     return out
 
 
@@ -249,12 +251,13 @@ SCENES_PER_STEP = 8  # image-centric batches: mean gradient over a few scenes
 
 
 def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec, rng,
-                 with_relation):
-    """The localization losses of every stage of one scene, their
-    gradients accumulated, and, with_relation, the relation pairs sampled
-    from each stage's outputs, for `relation_losses_multi`: (per-stage
-    losses, per-stage batches)."""
+                 hinge_margin=None):
+    """The per-stage losses of one scene, their gradients accumulated: the
+    localization losses and, given the ranking `hinge_margin`, the
+    relation losses (`relation_losses_multi`) of the pairs sampled from
+    each stage's outputs."""
     gt = scene.gt_instances()
+    with_relation = hinge_margin is not None
     gt_pairs = gt_pairs_of(scene, spec) if with_relation else None
     proposals = seed_instances(scene)
     stage_losses, stage_batches = [], []
@@ -268,7 +271,12 @@ def scene_losses(model: CascadeModel, grid: FeatureGrid, scene, spec: SceneSpec,
             stage_batches.append(sample_training_pairs(
                 enumerate_pairs(outputs, model.person_class), gt_pairs,
                 iou_threshold(t), model.n_verbs, rng))
-    return stage_losses, stage_batches
+    if with_relation:
+        for losses, relation in zip(stage_losses,
+                                    relation_losses_multi(model, grid, stage_batches,
+                                                          hinge_margin)):
+            losses.update(relation)
+    return stage_losses
 
 
 @dataclass
@@ -295,25 +303,16 @@ def train_model(train_scenes, spec: SceneSpec, config: RunConfig, channels, grid
         log = TrainLog()
     rng = np.random.default_rng([config.seed, 101])
     order = np.arange(len(train_scenes))
-    for epochs, with_relation, epoch_log in ((config.phase1_epochs, False, log.phase1),
-                                             (config.phase2_epochs, True, log.phase2)):
+    for epochs, margin, epoch_log in ((config.phase1_epochs, None, log.phase1),
+                                      (config.phase2_epochs, config.hinge_margin, log.phase2)):
         for _ in range(epochs):
             rng.shuffle(order)
             epoch_losses = []
             for start in range(0, len(order), SCENES_PER_STEP):
                 step = [train_scenes[si] for si in order[start:start + SCENES_PER_STEP]]
-                step_grids = [grids[scene.image_id] for scene in step]
-                scene_stage_losses, scene_batches = zip(*(
-                    scene_losses(model, grid, scene, spec, rng, with_relation)
-                    for grid, scene in zip(step_grids, step)))
-                if with_relation:
-                    relation = relation_losses_multi(model, list(zip(step_grids, scene_batches)),
-                                                     config.hinge_margin)
-                    for stage_losses, rel in zip(scene_stage_losses, relation):
-                        for losses, stage_rel in zip(stage_losses, rel):
-                            losses.update(stage_rel)
-                epoch_losses += [total_loss(stage_losses, model.config)
-                                 for stage_losses in scene_stage_losses]
+                epoch_losses += [total_loss(scene_losses(model, grids[scene.image_id], scene,
+                                                         spec, rng, margin), model.config)
+                                 for scene in step]
                 sgd_step(model.store, config.learning_rate / len(step))
             epoch_log.append(float(np.mean(epoch_losses)))
     return model

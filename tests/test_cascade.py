@@ -10,13 +10,13 @@ from hoicascade.cascade import (
     POOLED_HW,
     CascadeConfig,
     Instance,
+    MASK_LOGIT_DIM,
     LabeledProposal,
-    SegHead,
-    StageHead,
     apply_box_deltas,
     box_delta_targets,
     clip_box,
     dedup_by_lineage,
+    head_layer,
     iou_threshold,
     merge_and_filter,
     rasterize_mask_into_box,
@@ -37,12 +37,19 @@ def make_grid(c=3, size=16, seed=0):
     return FeatureGrid.from_array(rng.normal(size=(c, size, size)))
 
 
+def box_head(seed, channels=3):
+    """A stage's box map: 4 deltas and a score logit per pooled box."""
+    return head_layer(channels * POOLED_HW[0] * POOLED_HW[1], 5, np.random.default_rng(seed))
+
+
+def mask_head(seed, channels=3):
+    return head_layer(channels * MASK_LOGIT_DIM, MASK_LOGIT_DIM, np.random.default_rng(seed))
+
+
 def zero_head(channels=3):
-    head = StageHead(channels, np.random.default_rng(0))
-    head.regressor.w.value[...] = 0.0
-    head.regressor.b.value[...] = 0.0
-    head.scorer.w.value[...] = 0.0
-    head.scorer.b.value[...] = 0.0
+    head = box_head(0, channels)
+    head.w.value[...] = 0.0
+    head.b.value[...] = 0.0
     return head
 
 
@@ -112,7 +119,7 @@ class TestRefineStage:
     def test_degenerate_refinement_dropped(self):
         grid = make_grid()
         head = zero_head()
-        head.regressor.b.value[...] = [0.0, 0.0, -9.0, 0.0]  # shrink to nothing
+        head.b.value[:4] = [0.0, 0.0, -9.0, 0.0]  # shrink to nothing
         inst = Instance(1, 0.9, Box(2, 2, 8, 8))
         assert refine_stage(grid, [inst], head, 0)[2] == [None]
 
@@ -120,9 +127,9 @@ class TestRefineStage:
 class TestSegmentStage:
     def test_positive_logits_fill_box(self):
         grid = make_grid(size=32)
-        head = SegHead(3, np.random.default_rng(0))
-        head.fc.w.value[...] = 0.0
-        head.fc.b.value[...] = 5.0
+        head = mask_head(0)
+        head.w.value[...] = 0.0
+        head.b.value[...] = 5.0
         inst = Instance(1, 0.9, Box(4, 4, 20, 24), stage_of_origin=1)
         [out] = segment_stage(grid, [inst], head)
         assert out.mask is not None
@@ -131,9 +138,9 @@ class TestSegmentStage:
 
     def test_zero_weights_single_cell_fallback(self):
         grid = make_grid(size=32)
-        head = SegHead(3, np.random.default_rng(0))
-        head.fc.w.value[...] = 0.0
-        head.fc.b.value[...] = 0.0
+        head = mask_head(0)
+        head.w.value[...] = 0.0
+        head.b.value[...] = 0.0
         inst = Instance(1, 0.9, Box(4, 4, 18, 18), stage_of_origin=1)
         [out] = segment_stage(grid, [inst], head)
         # argmax of an all-zero logit vector is cell 0: top-left corner only
@@ -160,7 +167,7 @@ class TestSegmentStage:
 
     def test_prev_pooled_shifts_logits(self):
         grid = make_grid(size=32, seed=5)
-        head = SegHead(3, np.random.default_rng(1))
+        head = mask_head(1)
         inst = Instance(1, 0.9, Box(4, 4, 20, 20), stage_of_origin=2)
         [a] = segment_stage(grid, [inst], head)
         [b] = segment_stage(grid, [inst], head, prev_boxes=[Box(10, 2, 30, 26)])
@@ -169,13 +176,13 @@ class TestSegmentStage:
 
 def refine_one(grid, inst, head):
     """One-instance refinement, the reference for the batched refine_stage."""
-    deltas, score = head.forward(roi_align(grid, [inst.box], POOLED_HW).reshape(1, -1))
-    box = apply_box_deltas(inst.box, deltas[0])
+    out = head.forward(roi_align(grid, [inst.box], POOLED_HW).reshape(1, -1))
+    box = apply_box_deltas(inst.box, out[0, :4])
     if box is not None:
         box = clip_box(box, grid.image_width, grid.image_height)
     if box is None:
         return None
-    return replace(inst, box=box, confidence=float(score[0, 0]),
+    return replace(inst, box=box, confidence=float(sigmoid(out[0, 4])),
                    stage_of_origin=inst.stage_of_origin + 1)
 
 
@@ -219,8 +226,8 @@ class TestOneLocalizationPath:
 
     def test_refine_stage_matches_one_instance_reference(self):
         grid = FeatureGrid(np.random.default_rng(1).normal(size=(3, 16, 16)), 32, 32)
-        head = StageHead(3, np.random.default_rng(2))
-        head.regressor.w.value *= 30.0  # refinements that move the boxes
+        head = box_head(2)
+        head.w.value[:4] *= 30.0  # refinements that move the boxes
         instances = stage_instances()
         deltas, scores, refined = refine_stage(grid, instances, head, 1)
         assert deltas.shape == (5, 4) and scores.shape == (5, 1)
@@ -239,8 +246,8 @@ class TestOneLocalizationPath:
     @pytest.mark.parametrize("with_prev", [False, True])
     def test_segment_stage_matches_one_instance_reference(self, with_prev):
         grid = FeatureGrid(np.random.default_rng(3).normal(size=(3, 16, 16)), 32, 32)
-        head = SegHead(3, np.random.default_rng(4))
-        head.fc.w.value *= 20.0
+        head = mask_head(4)
+        head.w.value *= 20.0
         instances = [inst for i, inst in enumerate(stage_instances()) if i != 3]
         instances.append(Instance(1, 1.0, Box(10.2, 10.2, 10.6, 10.6), lineage=5))
         prev = [Box(1, 1, 20, 20)] * len(instances) if with_prev else None
@@ -255,9 +262,9 @@ class TestOneLocalizationPath:
     def test_run_localization_matches_one_instance_reference(self, segment):
         model = loc_model(seed=9, segment=segment)
         for head in model.box_heads:
-            head.regressor.w.value *= 30.0
+            head.w.value[:4] *= 30.0
         for head in model.seg_heads:
-            head.fc.w.value *= 20.0
+            head.w.value *= 20.0
         grid = FeatureGrid(np.random.default_rng(10).normal(size=(3, 16, 16)), 32, 32)
         expected, current = [], [replace(inst, stage_of_origin=0) for inst in stage_instances()]
         for t in range(model.config.stages):
@@ -296,8 +303,7 @@ class TestOneLocalizationPath:
         monkeypatch.setattr(interaction, "refine_stage", counting_refine)
         model = loc_model(seed=5, segment=segment)
         grid = FeatureGrid(0.05 * np.random.default_rng(6).normal(size=(3, 16, 16)), 32, 32)
-        layers = [layer for head in model.box_heads for layer in (head.regressor, head.scorer)]
-        layers += [head.fc for head in model.seg_heads]
+        layers = model.box_heads + model.seg_heads
         for run, seeds in ((interaction.run_localization, stage_instances()[:1]),
                            (interaction.run_localization, stage_instances()),
                            (interaction.infer_image, stage_instances())):
@@ -308,7 +314,7 @@ class TestOneLocalizationPath:
 
     def test_all_degenerate_at_stage_one(self, monkeypatch):
         model = loc_model(seed=7)
-        model.box_heads[0].regressor.b.value[...] = [0.0, 0.0, -9.0, 0.0]
+        model.box_heads[0].b.value[:4] = [0.0, 0.0, -9.0, 0.0]
         grid = FeatureGrid(np.random.default_rng(8).normal(size=(3, 16, 16)), 32, 32)
         refine = interaction.refine_stage
         calls = []

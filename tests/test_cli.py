@@ -523,36 +523,50 @@ class TestErrorPaths:
         assert main([command, "--data", str(data)] + io_flags) == 2
         assert f"{meta}: field '{key}' {message}" in capsys.readouterr().err
 
-    def test_checkpoint_of_the_factored_relation_stacks_exit_2(self, pipeline, tmp_path,
-                                                               capsys):
-        """A checkpoint in the older layout, which held the FC_x2 fusion and
-        EFRA stacks and the heads on the fused vector, loads no longer: it
-        names every missing and every extra block."""
+    @pytest.mark.parametrize("layout", ["separate_heads", "factored_stacks"])
+    def test_checkpoint_of_an_older_layout_exit_2(self, pipeline, tmp_path, capsys, layout):
+        """Checkpoints of the older layouts load no longer, and the error
+        names every missing and every extra block: the one with separate
+        box regressor and scorer, ranker and verb heads, and the one before
+        it, which also held the FC_x2 fusion and EFRA stacks and the heads
+        on the fused vector."""
         model = tmp_path / "model"
         shutil.copytree(pipeline["model"], model)
         manifest = json.loads((model / "params.json").read_text())
-        new = sorted(name for name in manifest["blocks"]
-                     if re.search(r"\.visual\.|\.rrm\.|_attention\.", name))
-        old = {}
-        for t in (1, 2, 3):
-            old.update({f"stage{t}.rrm.fc.w": [1, 1280], f"stage{t}.rrm.fc.b": [1],
-                        f"stage{t}.rcm.vis.w": [6, 1024], f"stage{t}.rcm.vis.b": [6]})
-        for stack, (width, hidden, out) in {"face_stack": (1274, 256, 1),
-                                            "noface_stack": (1274, 256, 1),
-                                            "fusion": (1911, 1024, 1024)}.items():
-            old.update({f"shared.{stack}.fc1.w": [hidden, width],
-                        f"shared.{stack}.fc1.b": [hidden],
-                        f"shared.{stack}.fc2.w": [out, hidden], f"shared.{stack}.fc2.b": [out]})
+        stage = {"box.reg.w": [4, 637], "box.reg.b": [4], "box.score.w": [1, 637],
+                 "box.score.b": [1], "visual.w": [7, 1911], "visual.b": [7],
+                 "rrm.geo.w": [1, 256], "rrm.geo.b": [1], "rcm.sem.w": [6, 6], "rcm.sem.b": [6],
+                 "rcm.geo.w": [6, 256], "rcm.geo.b": [6]}
+        shared = {f"{name}_attention.{p}": shape for name in ("face", "noface")
+                  for p, shape in (("w", [1, 1274]), ("b", [1]))}
+        if layout == "factored_stacks":
+            for name in ("visual.w", "visual.b", "rrm.geo.w", "rrm.geo.b"):
+                del stage[name]
+            stage.update({"rrm.fc.w": [1, 1280], "rrm.fc.b": [1],
+                          "rcm.vis.w": [6, 1024], "rcm.vis.b": [6]})
+            shared = {}
+            for stack, (width, hidden, out) in {"face_stack": (1274, 256, 1),
+                                                "noface_stack": (1274, 256, 1),
+                                                "fusion": (1911, 1024, 1024)}.items():
+                shared.update({f"{stack}.fc1.w": [hidden, width], f"{stack}.fc1.b": [hidden],
+                               f"{stack}.fc2.w": [out, hidden], f"{stack}.fc2.b": [out]})
+        # the geometric encoder is the same in every layout
+        old = {name: info["shape"] for name, info in manifest["blocks"].items()
+               if name.startswith("shared.geo_encoder.")}
+        old.update({f"stage{t}.{name}": shape for t in (1, 2, 3) for name, shape in stage.items()})
+        old.update({f"shared.{name}": shape for name, shape in shared.items()})
+        new = sorted(set(manifest["blocks"]) - set(old))
+        extra = sorted(set(old) - set(manifest["blocks"]))
         for name in new:
             del manifest["blocks"][name]
-        manifest["blocks"].update({name: {"shape": shape, "offset": 0}
-                                   for name, shape in old.items()})
+        manifest["blocks"].update({name: {"shape": old[name], "offset": 0} for name in extra})
         (model / "params.json").write_text(json.dumps(manifest))
-        assert len(new) == 16 and len(old) == 24
+        assert (len(new), len(extra)) == {"separate_heads": (18, 30),
+                                          "factored_stacks": (28, 48)}[layout]
         assert main(["infer", "--model", str(model), "--data", str(pipeline["data"]),
                      "--out", str(tmp_path / "p.ndjson")]) == 2
         assert (f"{model / 'params.json'}: checkpoint block mismatch: missing={new} "
-                f"extra={sorted(old)}") in capsys.readouterr().err
+                f"extra={extra}") in capsys.readouterr().err
         assert not (tmp_path / "p.ndjson").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -610,7 +624,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("name, corrupt, message", [
         ("params.bin", lambda raw: raw[:1000], "blob truncated"),
-        ("params.json", lambda raw: raw.replace(b'"stage1.box.reg.w"', b'"stage1.box.reg.v"'),
+        ("params.json", lambda raw: raw.replace(b'"stage1.box.w"', b'"stage1.box.v"'),
          "checkpoint block mismatch"),
     ])
     def test_checkpoint_load_error_names_file(self, pipeline, tmp_path, capsys,

@@ -19,22 +19,21 @@ from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
     HOICandidate,
-    RCMHeads,
     RelationFeatures,
-    RRMHead,
     classify_relation,
     enumerate_pairs,
     fuse_scores,
     infer_image,
     merge_and_filter,
     rank_pairs,
+    rank_scores,
     run_localization,
     sample_training_pairs,
     select_topk,
     total_loss,
     dedup_by_lineage,
 )
-from hoicascade.numerics import sgd_step
+from hoicascade.numerics import sgd_step, sigmoid
 
 
 def inst(class_id, box, conf=0.9, **kw):
@@ -81,23 +80,24 @@ class TestRankAndSelect:
     def test_zero_weights_preserve_order(self):
         rng = np.random.default_rng(0)
         model = tiny_model()
-        head = model.rrm_heads[0]
-        head.geometric.w.value[...] = 0.0
-        head.geometric.b.value[...] = 0.0
+        layer = model.geometric_maps[0]
+        layer.w.value[...] = 0.0
+        layer.b.value[...] = 0.0
         feats, fused = fake_features(model, rng, 4)
         fused[:, 0] = 0.0
-        assert rank_pairs(fused, feats.x_g, head).tolist() == [0, 1, 2, 3]
-        np.testing.assert_array_equal(head.score(fused, feats.x_g), np.full(4, 0.5))
+        geometric = layer.forward(feats.x_g)
+        assert rank_pairs(fused, geometric).tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(rank_scores(fused, geometric), np.full(4, 0.5))
 
     def test_sorting_by_score(self):
         model = tiny_model()
         rng = np.random.default_rng(1)
         feats, fused = fake_features(model, rng, 3)
-        head = model.rrm_heads[0]
+        geometric = model.geometric_maps[0].forward(feats.x_g)
         scores = []
         for i in range(3):
-            scores.append(float(head.score(fused[i:i + 1], feats.x_g[i:i + 1])[0]))
-        ranked = rank_pairs(fused, feats.x_g, head)
+            scores.append(float(rank_scores(fused[i:i + 1], geometric[i:i + 1])[0]))
+        ranked = rank_pairs(fused, geometric)
         expected = np.argsort([-s for s in scores], kind="stable")
         assert ranked.tolist() == expected.tolist()
 
@@ -105,18 +105,22 @@ class TestRankAndSelect:
         model = tiny_model(seed=3)
         rng = np.random.default_rng(5)
         feats, fused = fake_features(model, rng, 10)
-        ranked = rank_pairs(fused, feats.x_g, model.rrm_heads[1])
-        got = model.rrm_heads[1].score(fused, feats.x_g)[ranked].tolist()
+        layer = model.geometric_maps[1]
+        ranked = rank_pairs(fused, layer.forward(feats.x_g))
+        # the rank logit sums the visual and geometric column 0
+        logit = fused[:, 0] + feats.x_g @ layer.w.value[0] + layer.b.value[0]
+        got = sigmoid(logit)[ranked].tolist()
         assert got == sorted(got, reverse=True)
         assert sorted(ranked.tolist()) == list(range(10))
 
     def test_missing_features_error(self):
         model = tiny_model()
         feats, fused = fake_features(model, np.random.default_rng(0), 2)
+        geometric = model.geometric_maps[0].forward(feats.x_g)
         with pytest.raises(DataError):
-            rank_pairs(None, feats.x_g, model.rrm_heads[0])
+            rank_pairs(None, geometric)
         with pytest.raises(DataError):
-            rank_pairs(fused[:1], feats.x_g, model.rrm_heads[0])
+            rank_pairs(fused[:1], geometric)
 
     def test_topk(self):
         assert TOP_K == 64
@@ -130,24 +134,29 @@ class TestRankAndSelect:
 class TestClassifyAndFuse:
     def test_zero_weights_half_everywhere(self):
         model = tiny_model()
-        heads = model.rcm_heads[0]
-        for layer in (heads.semantic, heads.geometric):
+        for layer in (model.semantic_heads[0], model.geometric_maps[0]):
             layer.w.value[...] = 0.0
             layer.b.value[...] = 0.0
         feats, fused = fake_features(model, np.random.default_rng(2))
         fused[...] = 0.0
-        s_s, s_g, s_v = classify_relation(feats.x_s, feats.x_g, fused, heads)
+        s_s, s_g, s_v = classify_relation(feats.x_s, model.geometric_maps[0].forward(feats.x_g),
+                                          fused, model.semantic_heads[0])
         for s in (s_s, s_g, s_v):
             assert s.shape == (1, model.n_verbs)
             np.testing.assert_array_equal(s, np.full((1, model.n_verbs), 0.5))
 
     def test_matches_matmul_sigmoid_oracle(self):
         model = tiny_model(seed=7)
-        heads = model.rcm_heads[2]
+        semantic, geometric = model.semantic_heads[2], model.geometric_maps[2]
         feats, fused = fake_features(model, np.random.default_rng(3))
-        s_s, _, _ = classify_relation(feats.x_s, feats.x_g, fused, heads)
-        z = heads.semantic.w.value @ feats.x_s[0] + heads.semantic.b.value
+        s_s, s_g, s_v = classify_relation(feats.x_s, geometric.forward(feats.x_g), fused,
+                                          semantic)
+        z = semantic.w.value @ feats.x_s[0] + semantic.b.value
         np.testing.assert_allclose(s_s[0], 1 / (1 + np.exp(-z)), atol=1e-12)
+        # the verb columns follow the rank column of the geometric and visual rows
+        z = geometric.w.value[1:] @ feats.x_g[0] + geometric.b.value[1:]
+        np.testing.assert_allclose(s_g[0], 1 / (1 + np.exp(-z)), atol=1e-12)
+        np.testing.assert_allclose(s_v[0], 1 / (1 + np.exp(-fused[0, 1:])), atol=1e-12)
 
     def test_fuse_with_unit_semantic(self):
         s_v, s_g = np.array([0.2, 0.3]), np.array([0.1, 0.5])
@@ -308,8 +317,8 @@ class TestInferImage:
     def test_no_instances_above_threshold(self):
         model = tiny_model()
         for head in model.box_heads:
-            head.scorer.w.value[...] = 0.0
-            head.scorer.b.value[...] = -9.0  # confidence ~ 0
+            head.w.value[4] = 0.0
+            head.b.value[4] = -9.0  # confidence ~ 0
         grid, seeds = self._scene(model)
         assert infer_image(grid, seeds, model) == []
 
@@ -341,9 +350,10 @@ class TestInferImage:
         # one-pair batches throughout: features, relation maps, ranking,
         # classification
         feats = [model.build_features(grid, [c]) for c in cands]
-        rank_scores = [float(model.rrm_heads[-1].score(
-            fuse_step(f.x_v, f.x_v, model.visual_maps[-1]), f.x_g)[0]) for f in feats]
-        ranked = sorted(range(len(cands)), key=lambda i: -rank_scores[i])
+        ranking = [float(rank_scores(fuse_step(f.x_v, f.x_v, model.visual_maps[-1]),
+                                     model.geometric_maps[-1].forward(f.x_g))[0])
+                   for f in feats]
+        ranked = sorted(range(len(cands)), key=lambda i: -ranking[i])
         top = select_topk(ranked, 64)
         expected = []
         for i in top:
@@ -352,7 +362,8 @@ class TestInferImage:
             fused_scores = None
             for t in range(model.config.stages):
                 fused = fuse_step(f.x_v, prev, model.visual_maps[t])
-                s_s, s_g, s_v = classify(f.x_s, f.x_g, fused, model.rcm_heads[t])
+                s_s, s_g, s_v = classify(f.x_s, model.geometric_maps[t].forward(f.x_g), fused,
+                                         model.semantic_heads[t])
                 fused_scores = ((s_v + s_g) * s_s)[0]
                 prev = f.x_v
             for verb in range(model.n_verbs):
@@ -377,7 +388,7 @@ class TestInferImage:
 def per_pair_reference(grid, seeds, model, top_k=TOP_K):
     """(human box, object box, verb, score) rows of the inference protocol,
     built, mapped, ranked and classified one pair at a time, on the
-    stages' own relation maps and heads."""
+    stages' own relation, geometric and semantic layers."""
     kept = dedup_by_lineage(merge_and_filter(run_localization(grid, seeds, model),
                                              model.config.merge_threshold))
     cands = enumerate_pairs(kept, model.person_class)
@@ -388,12 +399,14 @@ def per_pair_reference(grid, seeds, model, top_k=TOP_K):
         return cross_stage_fuse(f.x_v, prev, model.visual_maps[stage])
 
     last = model.config.stages - 1
-    rank_scores = [float(model.rrm_heads[-1].score(fused(f, last), f.x_g)[0]) for f in feats]
+    ranking = [float(rank_scores(fused(f, last), model.geometric_maps[last].forward(f.x_g))[0])
+               for f in feats]
     rows = []
-    for i in sorted(range(len(cands)), key=lambda i: -rank_scores[i])[:top_k]:
+    for i in sorted(range(len(cands)), key=lambda i: -ranking[i])[:top_k]:
         f = feats[i]
-        for t, heads in enumerate(model.rcm_heads):
-            s_s, s_g, s_v = classify_relation(f.x_s, f.x_g, fused(f, t), heads)
+        for t, semantic in enumerate(model.semantic_heads):
+            s_s, s_g, s_v = classify_relation(f.x_s, model.geometric_maps[t].forward(f.x_g),
+                                              fused(f, t), semantic)
             scores = ((s_v + s_g) * s_s)[0]
         rows += [(cands[i].human.box, cands[i].object.box, verb, scores[verb])
                  for verb in range(model.n_verbs)]
@@ -454,13 +467,10 @@ class TestBatchedInference:
 
         monkeypatch.setattr(FCLayer, "forward", counting_forward)
         model = tiny_model(seed=24)
-        last = model.rcm_heads[-1]
-        once = [model.visual_maps[-1], model.rrm_heads[-1].geometric, model.face_attention,
-                model.noface_attention, model.geo_encoder.fc, last.semantic, last.geometric]
+        once = [model.visual_maps[-1], model.geometric_maps[-1], model.semantic_heads[-1],
+                model.face_attention, model.noface_attention, model.geo_encoder.fc]
         # only the emitted stage maps, ranks and classifies
-        unused = model.visual_maps[:-1] + [head.geometric for head in model.rrm_heads[:-1]]
-        for heads in model.rcm_heads[:-1]:
-            unused += [heads.semantic, heads.geometric]
+        unused = model.visual_maps[:-1] + model.geometric_maps[:-1] + model.semantic_heads[:-1]
         grid, seeds = crowded_scene(model)
         pair_counts = []
         for image_seeds in (seeds[:1] + seeds[3:4], seeds):  # one person and one object, all
@@ -576,6 +586,33 @@ class TestModelPersistence:
         loaded = CascadeModel.load(tmp_path / "m")
         assert (loaded.channels, loaded.grid_size) == (3, 16)
         assert loaded.config == config
+
+    @pytest.mark.parametrize("segment, params", [(False, 583_075), (True, 2_081_887)])
+    def test_checkpoint_layout_of_the_default_model(self, segment, params):
+        """One layer per input per stage: 8 blocks each, 10 shared, and a
+        mask map per stage in segment mode, at the CLI's default data."""
+        from hoicascade.synth import SceneSpec
+
+        spec = SceneSpec()
+        model = CascadeModel(spec.n_classes, spec.n_verbs, spec.min_channels(), segment=segment)
+        c, n = spec.min_channels(), spec.n_verbs
+        c49 = c * 49
+        assert (c, n) == (13, 6)
+        stage = {"box.w": (5, c49), "box.b": (5,), "visual.w": (1 + n, 3 * c49),
+                 "visual.b": (1 + n,), "geometric.w": (1 + n, 256), "geometric.b": (1 + n,),
+                 "semantic.w": (n, n), "semantic.b": (n,)}
+        shared = {"geo_encoder.conv1.w": (8, 2, 3, 3), "geo_encoder.conv1.b": (8,),
+                  "geo_encoder.conv2.w": (8, 8, 3, 3), "geo_encoder.conv2.b": (8,),
+                  "geo_encoder.fc.w": (256, 2048), "geo_encoder.fc.b": (256,),
+                  "face_attention.w": (1, 2 * c49), "face_attention.b": (1,),
+                  "noface_attention.w": (1, 2 * c49), "noface_attention.b": (1,)}
+        expected = {f"stage{t}.{name}": shape for t in (1, 2, 3) for name, shape in stage.items()}
+        expected.update({f"shared.{name}": shape for name, shape in shared.items()})
+        if segment:
+            for t in (1, 2, 3):
+                expected.update({f"stage{t}.seg.w": (196, c * 196), f"stage{t}.seg.b": (196,)})
+        assert {name: p.value.shape for name, p in model.store.items()} == expected
+        assert sum(p.value.size for _, p in model.store.items()) == params
 
     def test_seg_blocks_only_in_segment_mode(self):
         detect = tiny_model()
