@@ -75,7 +75,7 @@ HEAD_INIT_SCALE = 0.01  # near-zero head init keeps early refinements tame
 def head_layer(in_dim, out_dim, rng):
     """A linear layer whose initial weights are HEAD_INIT_SCALE of
     `FCLayer`'s: the box and mask maps of each stage."""
-    layer = FCLayer(in_dim, out_dim, "none", rng)
+    layer = FCLayer(in_dim, out_dim, rng)
     layer.w.value *= HEAD_INIT_SCALE
     return layer
 
@@ -119,17 +119,17 @@ def refine_stage(grid: FeatureGrid, instances, head: FCLayer, stage):
     logit of all rows from one call of the stage's box map `head` (C*49 ->
     5), then decode and clip each row.
 
-    Returns (deltas (n, 4), scores (n, 1), refined), the scores being the
-    sigmoid of column 4. refined[i] is instance i on its refined box with
-    the new confidence and stage_of_origin stage + 1, or None (logged) when
-    that box degenerates. Training takes its losses from deltas and scores;
-    inference keeps the survivors.
+    Returns (deltas (n, 4), logits (n, 1), refined), the logits being
+    column 4. refined[i] is instance i on its refined box with the sigmoid
+    of its logit as the new confidence and stage_of_origin stage + 1, or
+    None (logged) when that box degenerates. Training takes its losses
+    from deltas and logits; inference keeps the survivors.
     """
     pooled = roi_align(grid, [i.box for i in instances], POOLED_HW).reshape(len(instances), -1)
     out = head.forward(pooled)
-    deltas, scores = out[:, :4], sigmoid(out[:, 4:])
+    deltas, logits = out[:, :4], out[:, 4:]
     refined = []
-    for inst, row_deltas, score in zip(instances, deltas, scores):
+    for inst, row_deltas, score in zip(instances, deltas, sigmoid(logits)):
         new_box = apply_box_deltas(inst.box, row_deltas)
         if new_box is not None:
             new_box = clip_box(new_box, grid.image_width, grid.image_height)
@@ -139,7 +139,7 @@ def refine_stage(grid: FeatureGrid, instances, head: FCLayer, stage):
         else:
             refined.append(replace(inst, box=new_box, confidence=float(score[0]),
                                    stage_of_origin=stage + 1))
-    return deltas, scores, refined
+    return deltas, logits, refined
 
 
 def rasterize_mask_into_box(cell_bits, box: Box, width, height) -> BitMask:

@@ -152,6 +152,12 @@ def cmd_infer(args):
     config = build_run_config(args)
     model = CascadeModel.load(args.model)
     spec, _, scenes = read_split(args.data, args.split)
+    # grid channels and co-occurrence rows are laid out by these
+    for key in ("n_classes", "n_verbs", "person_class"):
+        if getattr(spec, key) != getattr(model, key):
+            raise DataError(f"{os.path.join(args.data, 'meta.json')}: field {key!r} is "
+                            f"{getattr(spec, key)}, but the model's "
+                            f"{os.path.join(args.model, 'model.json')} has {getattr(model, key)}")
     records = infer_scenes(model, scenes, spec, config)
     write_predictions_ndjson(args.out, records)
     n = sum(len(r["triplets"]) for r in records)

@@ -1,7 +1,11 @@
 """Human-centric relation features: the class-verb co-occurrence prior
-(one array whose rows are the object classes' verb distributions),
-geometric pair encoding, attention-enhanced visual features and the
-cross-stage step into a stage's relation map.
+(one array whose rows are the object classes' verb distributions, indexed
+by object class), geometric pair encoding, attention-enhanced visual
+features and the cross-stage step into a stage's relation map.
+
+The EFRA scores are the sigmoids of two linear layers' logits:
+`efra_attend` takes them and `efra_attend_backward` applies their
+derivative, given the scores it returned.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .geometry import Box
-from .numerics import softmax_rows
+from .numerics import sigmoid, softmax_rows
 
 GEOMETRIC_DIM = 256
 
@@ -29,15 +33,6 @@ def cooccurrence_prior(pairs, n_classes, n_verbs):
     if not totals.any():
         raise DataError("no annotated triplets to build a co-occurrence prior")
     return np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / n_verbs)
-
-
-def semantic_prior(object_class, prior):
-    """Verb-frequency row of `prior` for an object class; uniform for a
-    class outside it."""
-    n_classes, n_verbs = prior.shape
-    if 0 <= object_class < n_classes:
-        return prior[object_class].copy()
-    return np.full(n_verbs, 1.0 / n_verbs)
 
 
 def geometric_feature(pair_maps, encoder):
@@ -79,9 +74,9 @@ def ihsm_enhance(h_grid):
 
 def efra_attend(face_feat, noface_feat, obj_feat, face_layer, noface_layer):
     """Attention scores (alpha, alpha_bar), each (B,) in (0, 1), for the
-    facial and face-removed human features against the object feature.
-    Each layer is a 2C*H*W -> 1 sigmoid `FCLayer` on the flattened
-    (face-derived, object) concatenation.
+    facial and face-removed human features against the object feature:
+    the sigmoid of a 2C*H*W -> 1 `FCLayer` on the flattened (face-derived,
+    object) concatenation.
 
     Takes batches (B, C, H, W); the layers cache this forward, so call the
     matching backward before reusing them.
@@ -96,18 +91,18 @@ def efra_attend(face_feat, noface_feat, obj_feat, face_layer, noface_layer):
     b = face_feat.shape[0]
     fo = np.concatenate([face_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
     no = np.concatenate([noface_feat.reshape(b, -1), obj_feat.reshape(b, -1)], axis=1)
-    alpha = face_layer.forward(fo)[:, 0]
-    alpha_bar = noface_layer.forward(no)[:, 0]
-    return alpha, alpha_bar
+    return sigmoid(face_layer.forward(fo)[:, 0]), sigmoid(noface_layer.forward(no)[:, 0])
 
 
-def efra_attend_backward(d_alpha, d_alpha_bar, face_layer, noface_layer):
-    """Backpropagate (B,) score gradients through both layers, whose
-    gradients accumulate; the features are data, so no input gradient is
-    computed."""
-    face_layer.backward(np.asarray(d_alpha, dtype=np.float64)[:, None], input_grad=False)
-    noface_layer.backward(np.asarray(d_alpha_bar, dtype=np.float64)[:, None],
-                          input_grad=False)
+def efra_attend_backward(d_alpha, d_alpha_bar, alpha, alpha_bar, face_layer, noface_layer):
+    """Backpropagate (B,) score gradients through the sigmoids, at the
+    scores (alpha, alpha_bar) of the matching `efra_attend`, and both
+    layers, whose gradients accumulate; the features are data, so no input
+    gradient is computed."""
+    for d, score, layer in ((d_alpha, alpha, face_layer),
+                            (d_alpha_bar, alpha_bar, noface_layer)):
+        layer.backward((np.asarray(d, dtype=np.float64) * score * (1.0 - score))[:, None],
+                       input_grad=False)
 
 
 def efra_enhance(obj_feat, face_feat, noface_feat, alpha, alpha_bar):

@@ -1,8 +1,9 @@
 """Finite-difference gradient suites for the layers and losses training
-is built from: fully connected layers (linear and sigmoid), the conv+pool
-encoder, the facial attention layers, the ranking hinge and the binary
-cross-entropy. The composed relation objective is checked by the
-finite-difference test of `training.RelationPass`.
+is built from: fully connected layers, the conv+pool encoder, the facial
+attention scores (the sigmoid of each attention layer, differentiated in
+`efra_attend_backward`), the ranking hinge and the binary cross-entropy on
+logits. The composed relation objective is checked by the
+finite-difference test of `training.relation_losses_multi`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def check_fc(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([11, point])
-        fc = FCLayer(6, 4, "sigmoid" if point % 2 else "none", rng)
+        fc = FCLayer(6, 4, rng)
         batches = [(rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4))) for rows in (1, 2)]
 
         def run():
@@ -74,13 +75,13 @@ def check_efra(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([23, point])
-        face, noface = (FCLayer(16, 1, "sigmoid", rng) for _ in range(2))
+        face, noface = (FCLayer(16, 1, rng) for _ in range(2))
         f, fb, o = (rng.normal(size=(1, 2, 2, 2)) for _ in range(3))
         blocks = dict(face.params("face") + noface.params("noface"))
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
-            efra_attend_backward(np.ones(1), np.full(1, 0.5), face, noface)
+            efra_attend_backward(np.ones(1), np.full(1, 0.5), alpha, alpha_bar, face, noface)
             return float(alpha[0] + 0.5 * alpha_bar[0])
 
         _merge(report, finite_diff_check(run, blocks, tol=tol, max_entries=6), point)
@@ -113,17 +114,15 @@ def check_bce(points=10, tol=1e-4):
     report = GradCheckReport(tol=tol)
     for point in range(points):
         rng = np.random.default_rng([43, point])
-        # keep scores away from the clamp: the log's curvature near 0/1
-        # swamps the central-difference truncation budget
-        scores = Param(rng.uniform(0.15, 0.85, size=6))
+        logits = Param(rng.uniform(-12.0, 12.0, size=6))
         targets = (rng.uniform(size=6) < 0.5).astype(float)
 
         def run():
-            loss, grad = binary_cross_entropy(scores.value, targets)
-            scores.grad += grad
+            loss, grad = binary_cross_entropy(logits.value, targets)
+            logits.grad += grad
             return loss
 
-        _merge(report, finite_diff_check(run, {"scores": scores}, tol=tol), point)
+        _merge(report, finite_diff_check(run, {"logits": logits}, tol=tol), point)
     return report
 
 

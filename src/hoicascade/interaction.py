@@ -34,7 +34,6 @@ from .features import (
     face_region,
     geometric_feature,
     ihsm_enhance,
-    semantic_prior,
 )
 from .geometry import (
     Box,
@@ -139,12 +138,14 @@ def select_topk(ranked, k=TOP_K):
 
 
 def classify_relation(x_s, geometric, visual, semantic):
-    """Per-stream verb scores (s_s, s_g, s_v), one row per pair;
-    multi-label, no softmax. `semantic` is one stage's semantic head, run
-    on the priors x_s; `geometric` and `visual` are the rows of that
-    stage's geometric and relation maps, whose columns after the first are
-    the geometric and visual verb logits."""
-    return semantic.forward(x_s), sigmoid(geometric[:, 1:]), sigmoid(visual[:, 1:])
+    """Per-stream verb logits (z_s, z_g, z_v), one row per pair; the
+    stream scores (s_s, s_g, s_v) are their sigmoids, multi-label, no
+    softmax. `semantic` is one stage's semantic head, run on the priors
+    x_s; `geometric` and `visual` are the rows of that stage's geometric
+    and relation maps, whose columns after the first are the geometric and
+    visual verb logits. Training's BCE reads the logits; inference fuses
+    the scores."""
+    return semantic.forward(x_s), geometric[:, 1:], visual[:, 1:]
 
 
 def fuse_scores(s_v, s_g, s_s):
@@ -218,18 +219,11 @@ def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
 
 
 def total_loss(stage_losses, cfg: CascadeConfig) -> float:
-    """Sum over stages of w*loc + w*(rrm + rcm) [+ w*seg], w the
-    `stage_weight` of the stage."""
+    """Sum over stages t of stage_weight(t) times the sum of stage t's
+    losses (loc, and seg, rrm and rcm where the stage has them)."""
     if len(stage_losses) != cfg.stages:
         raise ShapeError(f"expected {cfg.stages} stage losses, got {len(stage_losses)}")
-    total = 0.0
-    for t, losses in enumerate(stage_losses):
-        weight = stage_weight(t)
-        total += weight * losses.get("loc", 0.0)
-        total += weight * (losses.get("rrm", 0.0) + losses.get("rcm", 0.0))
-        if "seg" in losses:
-            total += weight * losses["seg"]
-    return total
+    return sum(stage_weight(t) * sum(losses.values()) for t, losses in enumerate(stage_losses))
 
 
 # ----------------------------------------------------------------- model
@@ -245,13 +239,16 @@ class CascadeModel:
     - `geometric_maps[t]`, 256 -> 1 + N: the geometric feature to the
       geometric half of the rank logit (column 0) and the geometric verb
       logits;
-    - `semantic_heads[t]`, N -> N sigmoid: the semantic verb scores;
+    - `semantic_heads[t]`, N -> N: the semantic verb logits;
     - `seg_heads[t]`, segment mode only, C*14*14 -> 14*14 mask logits.
 
-    The paper's FC_x2 fusion stack and the heads that read it are linear up
-    to their sigmoids, so one relation map expresses their product, and
-    each one-layer facial-attention map stands for an FC_x2 stack in the
-    same way (README, "Paper fidelity").
+    Every layer is linear: each score is the sigmoid of a logit, taken
+    where it is read, and each BCE reads the logits. The paper's FC_x2
+    fusion stack and the heads that read it are linear up to their
+    sigmoids, so one relation map expresses their product, and each
+    one-layer facial-attention map (2C*7*7 -> 1, the logit of an EFRA
+    score) stands for an FC_x2 stack in the same way (README, "Paper
+    fidelity").
     `channels` and `grid_size` are the feature-grid geometry the model was
     trained on; the checkpoint carries them, and inference renders with them.
     `cooccurrence` is the semantic stream's prior: an (n_classes, n_verbs)
@@ -274,14 +271,13 @@ class CascadeModel:
         t_stages = self.config.stages
         cells = POOLED_HW[0] * POOLED_HW[1]
         self.box_heads = [head_layer(channels * cells, 5, rng) for _ in range(t_stages)]
-        self.geometric_maps = [FCLayer(GEOMETRIC_DIM, 1 + n_verbs, "none", rng)
+        self.geometric_maps = [FCLayer(GEOMETRIC_DIM, 1 + n_verbs, rng)
                                for _ in range(t_stages)]
-        self.semantic_heads = [FCLayer(n_verbs, n_verbs, "sigmoid", rng)
-                               for _ in range(t_stages)]
+        self.semantic_heads = [FCLayer(n_verbs, n_verbs, rng) for _ in range(t_stages)]
         self.geo_encoder = ConvPoolEncoder(2, (64, 64), rng=rng)
-        self.face_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
-        self.noface_attention = FCLayer(2 * channels * cells, 1, "sigmoid", rng)
-        self.visual_maps = [FCLayer(3 * channels * cells, 1 + n_verbs, "none", rng)
+        self.face_attention = FCLayer(2 * channels * cells, 1, rng)
+        self.noface_attention = FCLayer(2 * channels * cells, 1, rng)
+        self.visual_maps = [FCLayer(3 * channels * cells, 1 + n_verbs, rng)
                             for _ in range(t_stages)]
         # mask heads exist only in segment mode and draw last, so the other
         # blocks start from the same values in both modes
@@ -337,7 +333,7 @@ class CascadeModel:
         pair_maps, map_index = spatial_pair_encoding(h_boxes, o_boxes)
         return PooledPairs(
             rows=rows, map_rows=map_index[rows],
-            x_s=np.stack([semantic_prior(k, self.cooccurrence) for k in classes]),
+            x_s=self.cooccurrence[list(classes)],
             pair_maps=pair_maps,
             h_bar=h_bar[of_human], face=face[of_human], noface=noface[of_human],
             obj=roi_align(grid, o_boxes, POOLED_HW),
@@ -345,14 +341,15 @@ class CascadeModel:
                             POOLED_HW))
 
     def visual_tensor(self, pooled: PooledPairs):
-        """(D, 3C, 7, 7) visual tensors of the distinct pairs: the IHSM
+        """(D, 3C, 7, 7) visual tensors of the distinct pairs (the IHSM
         human stream, the object stream enhanced by EFRA, and the union
-        stream, from one EFRA call."""
+        stream) from one EFRA call, and that call's (D,) scores alpha and
+        alpha_bar, which `efra_attend_backward` takes."""
         alpha, alpha_bar = efra_attend(pooled.face, pooled.noface, pooled.obj,
                                        self.face_attention, self.noface_attention)
         o_bar = efra_enhance(pooled.obj, pooled.face, pooled.noface,
                              alpha[:, None, None, None], alpha_bar[:, None, None, None])
-        return assemble_visual(pooled.h_bar, o_bar, pooled.union)
+        return assemble_visual(pooled.h_bar, o_bar, pooled.union), alpha, alpha_bar
 
     def build_features(self, grid: FeatureGrid, candidates) -> RelationFeatures:
         """Inference-path relation features of all candidate pairs of one
@@ -363,7 +360,7 @@ class CascadeModel:
         return RelationFeatures(
             x_s=pooled.x_s[pooled.rows],
             x_g=geometric_feature(pooled.pair_maps, self.geo_encoder)[pooled.map_rows],
-            x_v=self.visual_tensor(pooled)[pooled.rows])
+            x_v=self.visual_tensor(pooled)[0][pooled.rows])
 
     # -------------------------------------------------------------- io
 
@@ -501,8 +498,8 @@ def infer_image(grid: FeatureGrid, seed_proposals, model: CascadeModel,
                               model.visual_maps[last])
     geometric = model.geometric_maps[last].forward(feats.x_g)
     top = select_topk(rank_pairs(visual, geometric), top_k)
-    s_s, s_g, s_v = classify_relation(feats.x_s[top], geometric[top], visual[top],
-                                      model.semantic_heads[last])
+    s_s, s_g, s_v = map(sigmoid, classify_relation(feats.x_s[top], geometric[top],
+                                                   visual[top], model.semantic_heads[last]))
     scores = fuse_scores(s_v, s_g, s_s)
     return [TripletPrediction(candidates[i].human, candidates[i].object, verb,
                               float(scores[row, verb]))

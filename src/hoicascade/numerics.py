@@ -7,6 +7,11 @@ the float32 pair maps it is given. Layers cache their most recent forward
 inputs, so each forward must be followed by its backward before the layer
 is reused (the training loops respect this ordering).
 
+No layer applies a sigmoid: a caller that wants probabilities takes the
+sigmoid of a layer's outputs, and `binary_cross_entropy` reads the
+outputs as logits, so its gradient sigmoid(z) - y is the one the layer's
+backward takes.
+
 Every gradient is added to its block's buffer when it is computed: by a
 layer's backward and by the losses' callers. `sgd_step` takes the buffers
 into each block's velocity, and `ParamStore.load` drops both.
@@ -206,22 +211,19 @@ def sigmoid(z):
 
 
 class FCLayer:
-    """Fully connected layer y = act(Wx + b), activation in {none, sigmoid}.
+    """Fully connected layer y = Wx + b. A caller that wants a probability
+    takes the sigmoid of y itself, and its loss reads y as logits.
 
     Takes batches (B, in_dim) only; a single input is a batch of one.
     Without a generator the weights start at zero (`init_uniform`).
     """
 
-    def __init__(self, in_dim, out_dim, activation="none", rng=None):
-        if activation not in ("none", "sigmoid"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, in_dim, out_dim, rng=None):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.activation = activation
         self.w = Param(init_uniform(rng, (out_dim, in_dim), in_dim, out_dim), copy=False)
         self.b = Param(np.zeros(out_dim), copy=False)
         self._x = None
-        self._y = None
 
     def params(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
@@ -230,21 +232,17 @@ class FCLayer:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"FCLayer expects (B, {self.in_dim}), got {x.shape}")
-        z = x @ self.w.value.T + self.b.value
-        y = sigmoid(z) if self.activation == "sigmoid" else z
         self._x = x
-        self._y = y
-        return y
+        return x @ self.w.value.T + self.b.value
 
     def backward(self, dy, input_grad=True):
         """Accumulate dW and db; return dx unless input_grad is False."""
         dy = np.asarray(dy, dtype=np.float64)
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        if dy.shape != self._y.shape:
-            raise ShapeError(f"FCLayer backward expects {self._y.shape}, got {dy.shape}")
-        if self.activation == "sigmoid":
-            dy = dy * self._y * (1.0 - self._y)
+        if dy.shape != (len(self._x), self.out_dim):
+            raise ShapeError(f"FCLayer backward expects {(len(self._x), self.out_dim)}, "
+                             f"got {dy.shape}")
         self.w.add_product(dy.T, self._x)
         self.b.grad += dy.sum(axis=0)
         if input_grad:
@@ -386,7 +384,7 @@ class ConvPoolEncoder:
         self.conv2 = Conv2D(channels[0], channels[1], kernel_size, rng)
         self.pool2 = MaxPool2x2()
         self.flat_dim = channels[1] * (h // 4) * (w // 4)
-        self.fc = FCLayer(self.flat_dim, self.OUT_DIM, "none", rng)
+        self.fc = FCLayer(self.flat_dim, self.OUT_DIM, rng)
 
     def params(self, prefix):
         return (self.conv1.params(f"{prefix}.conv1")
@@ -419,24 +417,17 @@ def softmax_rows(m):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-BCE_CLAMP = 1e-7
-
-
-def binary_cross_entropy(scores, targets):
-    """Summed binary cross-entropy and its gradient w.r.t. the scores.
-
-    Scores are clamped to [1e-7, 1 - 1e-7] before the logs; where the clamp
-    is active the gradient is zero (the clamp is flat there).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
+def binary_cross_entropy(logits, targets):
+    """Summed binary cross-entropy of sigmoid(logits) against the targets,
+    sum(log(1 + e^z) - y z), and its gradient w.r.t. the logits,
+    sigmoid(z) - y. Finite at any finite logit: no clamp, and no flat
+    region where the gradient vanishes."""
+    logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if scores.shape != targets.shape:
-        raise ShapeError(f"scores {scores.shape} vs targets {targets.shape}")
-    s = np.clip(scores, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = -(targets * np.log(s) + (1.0 - targets) * np.log(1.0 - s)).sum()
-    grad = (-targets / s + (1.0 - targets) / (1.0 - s))
-    grad[(scores < BCE_CLAMP) | (scores > 1.0 - BCE_CLAMP)] = 0.0
-    return loss, grad
+    if logits.shape != targets.shape:
+        raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
+    loss = (np.logaddexp(0.0, logits) - targets * logits).sum()
+    return loss, sigmoid(logits) - targets
 
 
 def pairwise_hinge_loss(pos, neg, margin=0.2):

@@ -6,6 +6,13 @@ its losses by `cascade.stage_weight(t)`; the ranking hinge margin and
 the learning rate come from the run's `RunConfig`. The model saves none
 of them.
 
+Every binary cross-entropy reads logits: the box score logit, the mask
+logits and the three streams' verb logits, so each layer's gradient is
+sigmoid(z) - y with no chain rule written by hand. The ranking hinge reads
+the scores g = sigmoid(v + u), its margin in score units. Relation
+training is one `RelationPass` per scene (pooling, encoder and EFRA) and
+one forward-loss-backward loop over the stages in `relation_losses_multi`.
+
 Gradient flow: planted feature grids are constants, so localization
 gradients stop at the box and mask maps. Relation gradients flow through
 each stage's relation, geometric and semantic layers, the
@@ -47,7 +54,7 @@ from .interaction import (
     sample_training_pairs,
     total_loss,
 )
-from .numerics import binary_cross_entropy, pairwise_hinge_loss, sgd_step, sigmoid, smooth_l1
+from .numerics import binary_cross_entropy, pairwise_hinge_loss, sgd_step, smooth_l1
 from .synth import SceneSpec, gt_pairs_of, render_feature_grid
 
 
@@ -77,7 +84,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
 
     The stage's proposals and its ground-truth boxes, in the row order of
     `resample_for_stage`, go through the one batched `refine_stage` that
-    inference runs, and the loss and backward read its deltas and scores.
+    inference runs, and the loss and backward read its deltas and score
+    logits.
     In segment mode the mask loss reads `mask_head_input` on the positive
     rows' refined boxes, as `segment_stage` does. Returns (losses, refined
     instances for the next stage); refined ground-truth rows carry lineage
@@ -92,9 +100,9 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         return losses, []
 
     rows = proposals + [Instance(g.class_id, 1.0, g.box) for g in gt_instances]
-    deltas, scores, refined = refine_stage(grid, rows, head, stage)
+    deltas, logits, refined = refine_stage(grid, rows, head, stage)
     labels = np.array([[1.0 if lab.positive else 0.0] for lab in labeled])
-    bce, d_scores = binary_cross_entropy(scores, labels)
+    bce, d_logits = binary_cross_entropy(logits, labels)
     score_loss = bce / len(labeled)
     pos = [i for i, lab in enumerate(labeled) if lab.positive]
     reg_loss = 0.0
@@ -106,7 +114,7 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
     weight = stage_weight(stage)
-    d_out = np.hstack([d_deltas, d_scores / len(labeled) * scores * (1.0 - scores)])
+    d_out = np.hstack([d_deltas, d_logits / len(labeled)])
     head.backward(weight * d_out, input_grad=False)
 
     # the refined box is data to the mask loss, a stop-gradient by design
@@ -118,82 +126,46 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
         targets14 = np.stack([mask_cell_targets(gt_instances[labeled[i].gt_index].mask,
                                                 refined[i].box) for i in masked])
         seg_head = model.seg_heads[stage]
-        probs = sigmoid(seg_head.forward(feats))
-        seg_bce, d_probs = binary_cross_entropy(probs, targets14)
+        seg_bce, d_logits = binary_cross_entropy(seg_head.forward(feats), targets14)
         losses["seg"] = seg_bce / targets14.size
-        seg_head.backward(weight / targets14.size * d_probs * probs * (1.0 - probs),
-                          input_grad=False)
+        seg_head.backward(weight / targets14.size * d_logits, input_grad=False)
     return losses, [inst for inst in refined if inst is not None]
 
 
 class RelationPass:
-    """Batched forward/backward over the sampled relation pairs of one or
-    more stages at once, on the features and layers inference runs: the
-    pairs are pooled by `CascadeModel.pool_pairs` and assembled by
-    `visual_tensor`, and each stage's rows go through that stage's
-    relation, geometric and semantic layers.
-
-    Each stage's loss reads only its own rows, so the shared feature
-    machinery runs a single combined forward, stage layers operate on row
-    slices, and one combined backward accumulates the shared-layer
-    gradients. A pair's predecessor tensor is its own x_v, zeros at stage
-    1: the stage maps read prev_mult * x_v, and backward scales the
-    gradient of x_v by the same factor, through both terms of the sum.
-    The stages sample many of the same pairs, so the geometric encoder
-    runs once per distinct pair map and EFRA once per distinct pair; their
-    outputs are gathered to one row per sampled pair, and backward folds
-    the row gradients back with one indexed add each.
+    """The work the stages' relation losses share, on the features and
+    layers inference runs: the sampled pairs of every stage are pooled by
+    `CascadeModel.pool_pairs`, the geometric encoder runs once per distinct
+    pair map and EFRA once per distinct pair (`visual_tensor`), and their
+    outputs are gathered to one row per sampled pair, stage after stage.
+    Backward takes the gradients of those rows, folds them back with one
+    indexed add each, and runs EFRA's and the encoder's backward.
     """
 
     def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
-        """stage_pairs: list of (stage_index, [LabeledPair, ...])."""
+        """stage_pairs: one list of `LabeledPair`s per stage, in stage order;
+        `slices[t]` are stage t's rows."""
         self.model = model
-        self.stages = [stage for stage, _ in stage_pairs]
         self.slices = []
         entries = []
-        for _, pairs in stage_pairs:
+        for pairs in stage_pairs:
             self.slices.append(slice(len(entries), len(entries) + len(pairs)))
             entries.extend(pairs)
         self.n = len(entries)
-        self.prev_mult = np.concatenate([np.full(len(pairs), 1.0 if stage == 0 else 2.0)
-                                         for stage, pairs in stage_pairs])
         self.pooled = model.pool_pairs(grid, [lab.candidate for lab in entries])
         self.x_s = self.pooled.x_s[self.pooled.rows]
 
     def forward(self):
         model, pooled = self.model, self.pooled
         self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
-        self.x_v = model.visual_tensor(pooled)[pooled.rows].reshape(self.n, -1)
-        # the prior-stage tensor is the pair's own: zeros at stage 1, x_v
-        # afterwards, so the map reads x_v + x_v
-        x = self.x_v * self.prev_mult[:, None]
-        self.visual = np.zeros((self.n, 1 + model.n_verbs))
-        self.geometric = np.zeros((self.n, 1 + model.n_verbs))
-        self.s_s, self.s_g, self.s_v = (np.zeros((self.n, model.n_verbs)) for _ in range(3))
-        for stage, sl in zip(self.stages, self.slices):
-            if sl.stop == sl.start:
-                continue
-            self.visual[sl] = model.visual_maps[stage].forward(x[sl])
-            self.geometric[sl] = model.geometric_maps[stage].forward(self.x_g[sl])
-            self.s_s[sl], self.s_g[sl], self.s_v[sl] = classify_relation(
-                self.x_s[sl], self.geometric[sl], self.visual[sl], model.semantic_heads[stage])
-        self.g = rank_scores(self.visual, self.geometric)
+        x_v, self.alpha, self.alpha_bar = model.visual_tensor(pooled)
+        self.x_v = x_v[pooled.rows].reshape(self.n, -1)
         return self
 
-    def backward(self, d_g, d_s_s, d_s_g, d_s_v):
+    def backward(self, d_xv, d_xg):
+        """Accumulate the EFRA and encoder gradients of the (n, 3C*49) and
+        (n, 256) row gradients of x_v and x_g."""
         model, pooled = self.model, self.pooled
-        d_rank = d_g * self.g * (1.0 - self.g)
-        d_visual = np.column_stack([d_rank, d_s_v * self.s_v * (1.0 - self.s_v)])
-        d_geometric = np.column_stack([d_rank, d_s_g * self.s_g * (1.0 - self.s_g)])
-        d_xv = np.zeros_like(self.x_v)
-        d_xg = np.zeros_like(self.x_g)
-        for stage, sl in zip(self.stages, self.slices):
-            if sl.stop == sl.start:
-                continue
-            model.semantic_heads[stage].backward(d_s_s[sl], input_grad=False)
-            d_xg[sl] = model.geometric_maps[stage].backward(d_geometric[sl])
-            d_xv[sl] = model.visual_maps[stage].backward(d_visual[sl])
-        d_xv *= self.prev_mult[:, None]
         # only the object stream o_bar = o + alpha * face + alpha_bar * noface
         # depends on trained layers, through the EFRA scores
         face, noface = pooled.face, pooled.noface
@@ -201,7 +173,8 @@ class RelationPass:
         np.add.at(d_obar, pooled.rows, d_xv.reshape(self.n, 3, -1)[:, 1])
         d_alpha = (d_obar * face.reshape(len(face), -1)).sum(axis=1)
         d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
-        efra_attend_backward(d_alpha, d_alpha_bar, model.face_attention, model.noface_attention)
+        efra_attend_backward(d_alpha, d_alpha_bar, self.alpha, self.alpha_bar,
+                             model.face_attention, model.noface_attention)
         d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
@@ -209,41 +182,55 @@ class RelationPass:
 
 def relation_losses_multi(model, grid: FeatureGrid, stage_batches, hinge_margin):
     """Ranking hinge plus three-stream BCE for every stage's sampled batch
-    of one scene, and their backward: one `RelationPass` of all the stages
-    with pairs, whose backward adds the scene's relation gradient to the
-    blocks. Returns the per-stage {"rrm", "rcm"} losses.
+    of one scene, and their backward. One `RelationPass` pools and encodes
+    the pairs of all stages; then each stage runs its relation, geometric
+    and semantic layers on its own rows, takes its losses and runs those
+    layers' backward into its rows of the x_v and x_g gradients, which the
+    pass's backward takes last. Returns the per-stage {"rrm", "rcm"}
+    losses.
 
-    Losses are normalized per pair/element so the learning rate stays
-    stable across batch sizes; the stage weights (`stage_weight`) scale
-    the gradients here.
+    The hinge reads the ranking scores g = sigmoid(v + u), its margin in
+    score units; each BCE reads its stream's verb logits. Losses are
+    normalized per pair/element so the learning rate stays stable across
+    batch sizes; the stage weights (`stage_weight`) scale the gradients
+    here.
     """
     out = [{"rrm": 0.0, "rcm": 0.0} for _ in stage_batches]
-    stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(stage_batches)]
-    if not any(pairs for _, pairs in stage_pairs):
+    stage_pairs = [b.all_pairs() for b in stage_batches]
+    if not any(stage_pairs):
         return out
     rp = RelationPass(model, grid, stage_pairs).forward()
-    targets = np.array([lab.verb_targets for _, pairs in stage_pairs for lab in pairs],
-                       dtype=np.float64)
-    d_g = np.zeros(rp.n)
-    d_s = [np.zeros_like(targets) for _ in range(3)]
-    for t, (batch, sl) in enumerate(zip(stage_batches, rp.slices)):
-        if sl.stop == sl.start:
+    d_xv = np.zeros_like(rp.x_v)
+    d_xg = np.zeros_like(rp.x_g)
+    for t, (batch, pairs, sl) in enumerate(zip(stage_batches, stage_pairs, rp.slices)):
+        if not pairs:
             continue
+        # the prior-stage tensor is the pair's own: zeros at stage 1, x_v
+        # afterwards, so the map reads x_v + x_v and the gradient of x_v
+        # flows through both terms
+        mult = 1.0 if t == 0 else 2.0
+        visual_map, geometric_map = model.visual_maps[t], model.geometric_maps[t]
+        visual = visual_map.forward(mult * rp.x_v[sl])
+        geometric = geometric_map.forward(rp.x_g[sl])
+        g = rank_scores(visual, geometric)
         n_pos = len(batch.positives)
-        g = rp.g[sl]
-        pos_g, neg_g = g[:n_pos], g[n_pos:]
-        hinge, d_pos, d_neg = pairwise_hinge_loss(pos_g, neg_g, hinge_margin)
-        hinge_norm = max(len(pos_g) * len(neg_g), 1)
+        hinge, d_pos, d_neg = pairwise_hinge_loss(g[:n_pos], g[n_pos:], hinge_margin)
+        hinge_norm = max(n_pos * (len(g) - n_pos), 1)
         out[t]["rrm"] = hinge / hinge_norm
         weight = stage_weight(t)
-        d_g[sl] = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm)
+        d_rank = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm) * g * (1.0 - g)
 
-        t_sl = targets[sl]
-        for k, stream in enumerate((rp.s_s[sl], rp.s_g[sl], rp.s_v[sl])):
-            bce, d_stream = binary_cross_entropy(stream, t_sl)
-            out[t]["rcm"] += bce / t_sl.size
-            d_s[k][sl] = weight * d_stream / t_sl.size
-    rp.backward(d_g, d_s[0], d_s[1], d_s[2])
+        targets = np.array([lab.verb_targets for lab in pairs], dtype=np.float64)
+        d_logits = []
+        for logits in classify_relation(rp.x_s[sl], geometric, visual, model.semantic_heads[t]):
+            bce, d = binary_cross_entropy(logits, targets)
+            out[t]["rcm"] += bce / targets.size
+            d_logits.append(weight * d / targets.size)
+        d_zs, d_zg, d_zv = d_logits
+        model.semantic_heads[t].backward(d_zs, input_grad=False)
+        d_xg[sl] = geometric_map.backward(np.column_stack([d_rank, d_zg]))
+        d_xv[sl] = mult * visual_map.backward(np.column_stack([d_rank, d_zv]))
+    rp.backward(d_xv, d_xg)
     return out
 
 

@@ -229,8 +229,8 @@ class TestOneLocalizationPath:
         head = box_head(2)
         head.w.value[:4] *= 30.0  # refinements that move the boxes
         instances = stage_instances()
-        deltas, scores, refined = refine_stage(grid, instances, head, 1)
-        assert deltas.shape == (5, 4) and scores.shape == (5, 1)
+        deltas, logits, refined = refine_stage(grid, instances, head, 1)
+        assert deltas.shape == (5, 4) and logits.shape == (5, 1)
         expected = [refine_one(grid, inst, head) for inst in instances]
         assert [r is None for r in refined] == [False, False, False, True, False]
         assert [e is None for e in expected] == [r is None for r in refined]
@@ -242,6 +242,7 @@ class TestOneLocalizationPath:
                 ref.class_id, ref.lineage, 2)
             np.testing.assert_allclose(got.box.as_tuple(), ref.box.as_tuple(), atol=1e-12)
             np.testing.assert_allclose(got.confidence, ref.confidence, atol=1e-12)
+            assert got.confidence == float(sigmoid(logits[got.lineage, 0]))
 
     @pytest.mark.parametrize("with_prev", [False, True])
     def test_segment_stage_matches_one_instance_reference(self, with_prev):

@@ -523,6 +523,42 @@ class TestErrorPaths:
         assert main([command, "--data", str(data)] + io_flags) == 2
         assert f"{meta}: field '{key}' {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_classes", "n_verbs", "person_class"])
+    def test_infer_on_a_corpus_of_another_vocabulary_exit_2(self, pipeline, tmp_path, capsys,
+                                                            key):
+        """A corpus whose classes or verbs differ from the model's: its
+        feature grids lay their channels out otherwise, and the model reads
+        co-occurrence rows by class. Here one verb fewer (its triplets
+        gone), one class more, or the person at another class index."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        meta_path = data / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if key == "n_verbs":
+            last = len(meta["verb_names"]) - 1
+            meta["verb_names"].pop()
+            meta["geometric_verbs"] = [v for v in meta["geometric_verbs"] if v != last]
+            test = data / "test.ndjson"
+            records = [json.loads(line) for line in test.read_text().splitlines()]
+            for record in records:
+                record["triplets"] = [t for t in record["triplets"] if t["verb"] != last]
+            test.write_text("".join(json.dumps(record) + "\n" for record in records))
+        elif key == "n_classes":
+            meta["class_names"].append("kite")
+            meta["channels"] += 1  # the grids need one more class channel
+        else:
+            names = meta["class_names"]
+            names[0], names[1] = names[1], names[0]
+            meta["person_class"] = 1
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "p.ndjson"
+        assert main(["infer", "--model", str(pipeline["model"]), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{meta_path}: field '{key}' is " in err
+        assert f"but the model's {pipeline['model'] / 'model.json'} has " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("layout", ["separate_heads", "factored_stacks"])
     def test_checkpoint_of_an_older_layout_exit_2(self, pipeline, tmp_path, capsys, layout):
         """Checkpoints of the older layouts load no longer, and the error

@@ -12,7 +12,6 @@ from hoicascade.features import (
     face_region,
     geometric_feature,
     ihsm_enhance,
-    semantic_prior,
 )
 from hoicascade.geometry import Box
 from hoicascade.interaction import CascadeModel
@@ -57,14 +56,14 @@ def count_oracle(triplets, n_classes, n_verbs):
 class TestCooccurrence:
     def test_single_triplet_one_hot(self):
         prior = cooccurrence_prior([(2, 5)], 5, 6)
-        row = semantic_prior(2, prior)
+        row = prior[2]
         expected = np.zeros(6)
         expected[5] = 1.0
         np.testing.assert_array_equal(row, expected)
 
     def test_two_triplets_split(self):
         prior = cooccurrence_prior([(1, 1), (1, 3)], 4, 6)
-        row = semantic_prior(1, prior)
+        row = prior[1]
         np.testing.assert_allclose(row, [0, 0.5, 0, 0.5, 0, 0])
 
     def test_counting_matches_hash_oracle(self):
@@ -81,8 +80,9 @@ class TestCooccurrence:
 
     def test_unseen_class_uniform(self):
         prior = cooccurrence_prior([(0, 0)], 3, 4)
-        np.testing.assert_allclose(semantic_prior(7, prior), np.full(4, 0.25))
-        np.testing.assert_allclose(semantic_prior(2, prior), np.full(4, 0.25))
+        assert prior.shape == (3, 4)
+        np.testing.assert_allclose(prior[1], np.full(4, 0.25))
+        np.testing.assert_allclose(prior[2], np.full(4, 0.25))
 
     def test_rows_sum_to_one_tightly(self):
         rng = np.random.default_rng(19)
@@ -183,7 +183,7 @@ class TestIhsm:
 class TestEfra:
     def _layers(self, seed=0, c=2, hw=(3, 3)):
         rng = np.random.default_rng(seed)
-        return tuple(FCLayer(2 * c * hw[0] * hw[1], 1, "sigmoid", rng) for _ in range(2))
+        return tuple(FCLayer(2 * c * hw[0] * hw[1], 1, rng) for _ in range(2))
 
     def test_zero_weights_give_half(self):
         face, noface = self._layers()
@@ -241,7 +241,7 @@ class TestEfra:
 
         def run():
             alpha, alpha_bar = efra_attend(f, fb, o, face, noface)
-            efra_attend_backward(np.ones(1), np.ones(1), face, noface)
+            efra_attend_backward(np.ones(1), np.ones(1), alpha, alpha_bar, face, noface)
             return float(alpha[0] + alpha_bar[0])
 
         report = finite_diff_check(run, blocks, tol=1e-4)
@@ -316,7 +316,7 @@ UNBATCHED_CALLS = {
     "FCLayer.backward": lambda: _fc_backward_of_one_row(np.zeros(2)),
     "ConvPoolEncoder.forward": lambda: ConvPoolEncoder(2, (8, 8)).forward(np.zeros((2, 8, 8))),
     "efra_attend": lambda: efra_attend(*[np.zeros((2, 3, 3))] * 3,
-                                       *[FCLayer(36, 1, "sigmoid")] * 2),
+                                       *[FCLayer(36, 1)] * 2),
     "cross_stage_fuse-tensor": lambda: cross_stage_fuse(
         np.zeros((6, 4, 4)), np.zeros((6, 4, 4)), FCLayer(96, 5)),
     "cross_stage_fuse-vector": lambda: cross_stage_fuse(

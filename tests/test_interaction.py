@@ -9,7 +9,6 @@ from hoicascade.features import (
     cooccurrence_prior,
     cross_stage_fuse,
     face_region,
-    semantic_prior,
 )
 from hoicascade.geometry import Box, FeatureGrid, box_iou, roi_align
 from hoicascade.interaction import (
@@ -139,24 +138,28 @@ class TestClassifyAndFuse:
             layer.b.value[...] = 0.0
         feats, fused = fake_features(model, np.random.default_rng(2))
         fused[...] = 0.0
-        s_s, s_g, s_v = classify_relation(feats.x_s, model.geometric_maps[0].forward(feats.x_g),
-                                          fused, model.semantic_heads[0])
-        for s in (s_s, s_g, s_v):
-            assert s.shape == (1, model.n_verbs)
-            np.testing.assert_array_equal(s, np.full((1, model.n_verbs), 0.5))
+        logits = classify_relation(feats.x_s, model.geometric_maps[0].forward(feats.x_g),
+                                   fused, model.semantic_heads[0])
+        for z in logits:
+            assert z.shape == (1, model.n_verbs)
+            np.testing.assert_array_equal(z, np.zeros((1, model.n_verbs)))
+            np.testing.assert_array_equal(sigmoid(z), np.full((1, model.n_verbs), 0.5))
 
     def test_matches_matmul_sigmoid_oracle(self):
         model = tiny_model(seed=7)
         semantic, geometric = model.semantic_heads[2], model.geometric_maps[2]
         feats, fused = fake_features(model, np.random.default_rng(3))
-        s_s, s_g, s_v = classify_relation(feats.x_s, geometric.forward(feats.x_g), fused,
+        z_s, z_g, z_v = classify_relation(feats.x_s, geometric.forward(feats.x_g), fused,
                                           semantic)
         z = semantic.w.value @ feats.x_s[0] + semantic.b.value
-        np.testing.assert_allclose(s_s[0], 1 / (1 + np.exp(-z)), atol=1e-12)
+        np.testing.assert_allclose(z_s[0], z, atol=1e-12)
+        np.testing.assert_allclose(sigmoid(z_s)[0], 1 / (1 + np.exp(-z)), atol=1e-12)
         # the verb columns follow the rank column of the geometric and visual rows
         z = geometric.w.value[1:] @ feats.x_g[0] + geometric.b.value[1:]
-        np.testing.assert_allclose(s_g[0], 1 / (1 + np.exp(-z)), atol=1e-12)
-        np.testing.assert_allclose(s_v[0], 1 / (1 + np.exp(-fused[0, 1:])), atol=1e-12)
+        np.testing.assert_allclose(z_g[0], z, atol=1e-12)
+        np.testing.assert_allclose(sigmoid(z_g)[0], 1 / (1 + np.exp(-z)), atol=1e-12)
+        np.testing.assert_array_equal(z_v, fused[:, 1:])
+        np.testing.assert_allclose(sigmoid(z_v)[0], 1 / (1 + np.exp(-fused[0, 1:])), atol=1e-12)
 
     def test_fuse_with_unit_semantic(self):
         s_v, s_g = np.array([0.2, 0.3]), np.array([0.1, 0.5])
@@ -362,8 +365,8 @@ class TestInferImage:
             fused_scores = None
             for t in range(model.config.stages):
                 fused = fuse_step(f.x_v, prev, model.visual_maps[t])
-                s_s, s_g, s_v = classify(f.x_s, model.geometric_maps[t].forward(f.x_g), fused,
-                                         model.semantic_heads[t])
+                s_s, s_g, s_v = map(sigmoid, classify(
+                    f.x_s, model.geometric_maps[t].forward(f.x_g), fused, model.semantic_heads[t]))
                 fused_scores = ((s_v + s_g) * s_s)[0]
                 prev = f.x_v
             for verb in range(model.n_verbs):
@@ -405,8 +408,8 @@ def per_pair_reference(grid, seeds, model, top_k=TOP_K):
     for i in sorted(range(len(cands)), key=lambda i: -ranking[i])[:top_k]:
         f = feats[i]
         for t, semantic in enumerate(model.semantic_heads):
-            s_s, s_g, s_v = classify_relation(f.x_s, model.geometric_maps[t].forward(f.x_g),
-                                              fused(f, t), semantic)
+            s_s, s_g, s_v = map(sigmoid, classify_relation(
+                f.x_s, model.geometric_maps[t].forward(f.x_g), fused(f, t), semantic))
             scores = ((s_v + s_g) * s_s)[0]
         rows += [(cands[i].human.box, cands[i].object.box, verb, scores[verb])
                  for verb in range(model.n_verbs)]
@@ -493,8 +496,7 @@ class TestBatchedInference:
         assert pooled.rows.tolist() == [0, 1, 0] and pooled.map_rows.tolist() == [0, 0, 0]
         feats = model.build_features(grid, candidates)
         for row, c in zip(feats.x_s, candidates):
-            np.testing.assert_array_equal(row, semantic_prior(c.object.class_id,
-                                                              model.cooccurrence))
+            np.testing.assert_array_equal(row, model.cooccurrence[c.object.class_id])
         assert not np.array_equal(feats.x_s[0], feats.x_s[1])
         np.testing.assert_array_equal(feats.x_v[0], feats.x_v[2])
 

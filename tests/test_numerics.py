@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from hoicascade.errors import ShapeError, TrainingError, FormatError
 from hoicascade.numerics import (
-    BCE_CLAMP,
     Conv2D,
     ConvPoolEncoder,
     FCLayer,
@@ -16,6 +16,7 @@ from hoicascade.numerics import (
     finite_diff_check,
     pairwise_hinge_loss,
     sgd_step,
+    sigmoid,
     smooth_l1,
     softmax_rows,
 )
@@ -54,11 +55,12 @@ def conv_same_oracle(x, w, b):
     return out
 
 
-def bce_oracle(scores, targets):
+def bce_oracle(logits, targets):
+    """Elementwise cross-entropy of the probabilities 1 / (1 + e^-z)."""
     total = 0.0
-    for s, t in zip(scores, targets):
-        s = min(max(s, 1e-7), 1 - 1e-7)
-        total += -(t * np.log(s) + (1 - t) * np.log(1 - s))
+    for z, t in zip(logits, targets):
+        s = 1.0 / (1.0 + math.exp(-z))
+        total += -(t * math.log(s) + (1 - t) * math.log(1 - s))
     return total
 
 
@@ -66,21 +68,22 @@ def bce_oracle(scores, targets):
 
 class TestFCLayer:
     def test_identity_weights(self):
-        fc = FCLayer(2, 2, "none")
+        fc = FCLayer(2, 2)
         fc.w.value[...] = np.eye(2)
         fc.b.value[...] = 0.0
         np.testing.assert_array_equal(fc.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
-    def test_zero_weights_sigmoid(self):
-        fc = FCLayer(3, 4, "sigmoid")
+    def test_zero_weights_give_zero_logits(self):
+        fc = FCLayer(3, 4, rng=np.random.default_rng(0))
         fc.w.value[...] = 0.0
         fc.b.value[...] = 0.0
         y = fc.forward(np.array([[5.0, -2.0, 0.1]]))
-        np.testing.assert_array_equal(y, np.full((1, 4), 0.5))
+        np.testing.assert_array_equal(y, np.zeros((1, 4)))
+        np.testing.assert_array_equal(sigmoid(y), np.full((1, 4), 0.5))
 
     def test_random_vs_matmul_oracle(self):
         rng = np.random.default_rng(7)
-        fc = FCLayer(5, 3, "none", rng)
+        fc = FCLayer(5, 3, rng)
         x = rng.normal(size=(1, 5))
         expected = matmul_oracle(fc.w.value, x[0], fc.b.value)
         np.testing.assert_allclose(fc.forward(x), expected[None], atol=1e-12)
@@ -90,9 +93,17 @@ class TestFCLayer:
         with pytest.raises(ShapeError):
             fc.forward(np.zeros((1, 4)))
 
+    def test_backward_checks_the_gradient_shape(self):
+        fc = FCLayer(3, 2)
+        fc.forward(np.zeros((4, 3)))
+        for shape in ((4, 3), (3, 2), (4,)):
+            with pytest.raises(ShapeError, match=r"\(4, 2\)"):
+                fc.backward(np.zeros(shape))
+        assert fc.backward(np.zeros((4, 2))).shape == (4, 3)
+
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(3)
-        fc = FCLayer(4, 2, "sigmoid", rng)
+        fc = FCLayer(4, 2, rng)
         xb = rng.normal(size=(6, 4))
         yb = fc.forward(xb)
         for i in range(6):
@@ -374,31 +385,48 @@ class TestSoftmaxRows:
 # --------------------------------------------------------------------- bce
 
 class TestBinaryCrossEntropy:
-    def test_perfect_prediction_at_clamp(self):
+    def test_confident_right_prediction_costs_almost_nothing(self):
         n = 8
-        scores = np.array([1.0 - BCE_CLAMP, BCE_CLAMP] * (n // 2))
+        # the logits of the probabilities 1 - 1e-7 and 1e-7
+        z = math.log((1.0 - 1e-7) / 1e-7)
+        logits = np.array([z, -z] * (n // 2))
         targets = np.array([1.0, 0.0] * (n // 2))
-        loss, _ = binary_cross_entropy(scores, targets)
+        loss, _ = binary_cross_entropy(logits, targets)
         assert 0.0 <= loss <= 2e-7 * n
 
     def test_midpoint_is_ln2_per_element(self):
-        loss, grad = binary_cross_entropy(np.full(5, 0.5), np.ones(5))
+        loss, grad = binary_cross_entropy(np.zeros(5), np.ones(5))
         np.testing.assert_allclose(loss, 5 * np.log(2.0), atol=1e-12)
-        np.testing.assert_allclose(grad, np.full(5, -2.0), atol=1e-12)
+        np.testing.assert_allclose(grad, np.full(5, -0.5), atol=1e-12)
 
     def test_random_vs_elementwise_oracle(self):
         rng = np.random.default_rng(13)
-        scores = rng.uniform(0.01, 0.99, size=20)
+        logits = rng.uniform(-4.6, 4.6, size=20)
         targets = (rng.uniform(size=20) < 0.5).astype(float)
-        loss, _ = binary_cross_entropy(scores, targets)
-        np.testing.assert_allclose(loss, bce_oracle(scores, targets), atol=1e-10)
+        loss, grad = binary_cross_entropy(logits, targets)
+        np.testing.assert_allclose(loss, bce_oracle(logits, targets), atol=1e-10)
+        np.testing.assert_allclose(grad, 1.0 / (1.0 + np.exp(-logits)) - targets, atol=1e-12)
+
+    def test_confident_wrong_prediction_keeps_its_gradient(self):
+        # sigmoid(-40) is 4e-18: a probability clamped at 1e-7 would read
+        # a loss of 16.1 and a gradient of exactly 0
+        loss, grad = binary_cross_entropy(np.array([-40.0]), np.array([1.0]))
+        np.testing.assert_allclose(loss, 40.0, rtol=1e-12)
+        np.testing.assert_allclose(grad, [-1.0], rtol=1e-12)
+
+    def test_finite_at_extreme_logits(self):
+        logits = np.array([1e3, -1e3, 1e3, -1e3])
+        targets = np.array([1.0, 1.0, 0.0, 0.0])
+        loss, grad = binary_cross_entropy(logits, targets)
+        np.testing.assert_allclose(loss, 2e3, rtol=1e-12)
+        np.testing.assert_array_equal(grad, [0.0, -1.0, 1.0, 0.0])
 
     def test_nonnegative_and_mismatch(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            s = rng.uniform(size=6)
+            z = rng.normal(scale=5.0, size=6)
             t = (rng.uniform(size=6) < 0.5).astype(float)
-            loss, _ = binary_cross_entropy(s, t)
+            loss, _ = binary_cross_entropy(z, t)
             assert loss >= 0.0
         with pytest.raises(ShapeError):
             binary_cross_entropy(np.zeros(3), np.zeros(4))
@@ -525,17 +553,15 @@ def scene_rows(rng, fc, batches=(4, 1, 7)):
         dy = rng.normal(size=(rows, fc.out_dim))
         y = fc.forward(x)
         fc.backward(dy)
-        dz = dy * y * (1.0 - y) if fc.activation == "sigmoid" else dy
-        dw += dz.T @ x
-        db += dz.sum(axis=0)
+        dw += dy.T @ x
+        db += dy.sum(axis=0)
     return dw, db
 
 
 class TestFCWeightGradients:
-    @pytest.mark.parametrize("activation", ["none", "sigmoid"])
-    def test_gradient_equals_per_scene_accumulation(self, activation):
+    def test_gradient_equals_per_scene_accumulation(self):
         rng = np.random.default_rng(40)
-        fc = FCLayer(5, 3, activation, rng)
+        fc = FCLayer(5, 3, rng)
         dw, db = scene_rows(rng, fc)
         np.testing.assert_allclose(fc.b._grad, db, rtol=1e-12)
         np.testing.assert_allclose(fc.w._grad, dw, rtol=1e-12)
@@ -549,22 +575,20 @@ class TestFCWeightGradients:
         assert fc.w.grad is buffer
         np.testing.assert_allclose(fc.w.grad, dw + 1.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("activation", ["none", "sigmoid"])
-    def test_writing_the_inputs_after_backward_leaves_the_gradient(self, activation):
+    def test_writing_the_inputs_after_backward_leaves_the_gradient(self):
         rng = np.random.default_rng(47)
-        fc = FCLayer(4, 3, activation, rng)
+        fc = FCLayer(4, 3, rng)
         x, dy = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
-        y = fc.forward(x)
+        fc.forward(x)
         fc.backward(dy)
-        dz = dy * y * (1.0 - y) if activation == "sigmoid" else dy
-        want = dz.T @ x
+        want = dy.T @ x
         x[...] = 0.0
         dy[...] = 0.0
         np.testing.assert_allclose(fc.w.grad, want, rtol=1e-12)
 
     def test_sgd_step_takes_the_product(self):
         rng = np.random.default_rng(42)
-        fc = FCLayer(6, 2, "sigmoid", rng)
+        fc = FCLayer(6, 2, rng)
         store = ParamStore()
         for name, p in fc.params("fc"):
             store.add(name, p)
@@ -638,7 +662,7 @@ class TestFCWeightGradients:
     def test_without_input_grad_accumulates_the_same_weights(self):
         rng = np.random.default_rng(45)
         x, dy = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
-        layers = [FCLayer(4, 3, "sigmoid", np.random.default_rng(1)) for _ in range(2)]
+        layers = [FCLayer(4, 3, np.random.default_rng(1)) for _ in range(2)]
         for layer in layers:
             layer.forward(x)
         assert layers[0].backward(dy).shape == (5, 4)
@@ -684,11 +708,28 @@ class TestFiniteDiffCheck:
     def test_fc_forward_gradients(self):
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            fc = FCLayer(4, 3, "sigmoid", rng)
+            fc = FCLayer(4, 3, rng)
             x = rng.normal(size=(1, 4))
             weights = rng.normal(size=(1, 3))
             blocks = dict(fc.params("fc"))
             report = finite_diff_check(_fc_loss(fc, x, weights), blocks, tol=1e-4)
+            assert report.passed, str(report)
+
+    def test_fc_with_bce_on_logits_gradients(self):
+        # a sigmoid output trained with BCE: the layer's logits go to the
+        # loss, whose gradient sigmoid(z) - y is the one backward takes
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            fc = FCLayer(4, 3, rng)
+            x = rng.normal(size=(2, 4))
+            targets = (rng.uniform(size=(2, 3)) < 0.5).astype(float)
+
+            def run():
+                loss, grad = binary_cross_entropy(fc.forward(x), targets)
+                fc.backward(grad)
+                return loss
+
+            report = finite_diff_check(run, dict(fc.params("fc")), tol=1e-4)
             assert report.passed, str(report)
 
     def test_conv_pool_gradients(self):

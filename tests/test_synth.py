@@ -227,16 +227,16 @@ class TestLearnability:
         labels = np.asarray(labels)
         split = int(0.7 * len(feats))
 
-        probe = FCLayer(channels, spec.n_classes, "sigmoid", np.random.default_rng(0))
+        probe = FCLayer(channels, spec.n_classes, np.random.default_rng(0))
         store = ParamStore()
         for name, p in probe.params("probe"):
             store.add(name, p)
         onehot = np.eye(spec.n_classes)[labels[:split]]
         for _ in range(400):
-            scores = probe.forward(feats[:split])
-            _, grad = binary_cross_entropy(scores, onehot)
-            probe.backward(grad / len(scores))
+            logits = probe.forward(feats[:split])
+            _, grad = binary_cross_entropy(logits, onehot)
+            probe.backward(grad / len(logits))
             sgd_step(store, 0.5)
-        test_scores = probe.forward(feats[split:])
-        acc = np.mean(np.argmax(test_scores, axis=1) == labels[split:])
+        test_logits = probe.forward(feats[split:])
+        acc = np.mean(np.argmax(test_logits, axis=1) == labels[split:])
         assert acc >= 0.99

@@ -30,9 +30,9 @@ from hoicascade.interaction import (
 from hoicascade.numerics import (
     binary_cross_entropy,
     finite_diff_check,
-    sigmoid,
     smooth_l1,
 )
+from hoicascade import training
 from hoicascade.training import (
     RelationPass,
     localization_stage_step,
@@ -94,8 +94,7 @@ class TestRelationPass:
         alone = [[b if s == t else empty for s, b in enumerate(batches)] for t in range(3)]
 
         def distinct_rows(stage_batches):
-            rp = RelationPass(model, grid,
-                              [(t, b.all_pairs()) for t, b in enumerate(stage_batches)])
+            rp = RelationPass(model, grid, [b.all_pairs() for b in stage_batches])
             return rp.n, len(rp.pooled.x_s)
 
         assert distinct_rows(batches) == (14, 6)
@@ -123,21 +122,21 @@ class TestRelationPass:
         forward = model.geo_encoder.forward
         monkeypatch.setattr(model.geo_encoder, "forward",
                             lambda maps: encoded.append(maps) or forward(maps))
-        stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
+        stage_pairs = [b.all_pairs() for b in batches]
         rp = RelationPass(model, grid, stage_pairs).forward()
         per_pair = [spatial_pair_encoding([lab.candidate.human.box],
                                           [lab.candidate.object.box])[0][0].tobytes()
-                    for _, pairs in stage_pairs for lab in pairs]
+                    for pairs in stage_pairs for lab in pairs]
         [maps] = encoded
         assert [m.tobytes() for m in maps] == list(dict.fromkeys(per_pair))
         assert len(maps) < rp.n == len(per_pair)
 
-    def test_trained_features_are_deployed_features(self):
+    def test_trained_features_are_deployed_features(self, monkeypatch):
         model = tiny_model(seed=31)
         grid, batches = sampled_batches(model)
-        stage_pairs = [(t, b.all_pairs()) for t, b in enumerate(batches)]
+        stage_pairs = [b.all_pairs() for b in batches]
         rp = RelationPass(model, grid, stage_pairs).forward()
-        candidates = [lab.candidate for _, pairs in stage_pairs for lab in pairs]
+        candidates = [lab.candidate for pairs in stage_pairs for lab in pairs]
         last = rp.slices[-1]
         assert rp.slices[0].stop > 0 and last.stop > last.start
 
@@ -148,9 +147,25 @@ class TestRelationPass:
         # the last stage trains the rows inference ranks and classifies
         visual = cross_stage_fuse(feats.x_v[last], feats.x_v[last], model.visual_maps[-1])
         geometric = model.geometric_maps[-1].forward(feats.x_g[last])
-        np.testing.assert_array_equal(rp.visual[last], visual)
-        np.testing.assert_array_equal(rp.geometric[last], geometric)
-        np.testing.assert_array_equal(rp.g[last], rank_scores(visual, geometric))
+        trained = {}
+
+        def recorded(name, fn):
+            def call(*args):
+                trained.setdefault(name, []).append(fn(*args))
+                return trained[name][-1]
+            return call
+
+        for name, layer in (("visual", model.visual_maps[-1]),
+                            ("geometric", model.geometric_maps[-1])):
+            monkeypatch.setattr(layer, "forward", recorded(name, layer.forward))
+        monkeypatch.setattr(training, "rank_scores", recorded("rank", training.rank_scores))
+        relation_losses_multi(model, grid, batches, MARGIN)
+        [trained_visual], [trained_geometric] = trained["visual"], trained["geometric"]
+        np.testing.assert_array_equal(trained_visual, visual)
+        np.testing.assert_array_equal(trained_geometric, geometric)
+        # one ranking per stage, the last stage's last
+        assert len(trained["rank"]) == model.config.stages
+        np.testing.assert_array_equal(trained["rank"][-1], rank_scores(visual, geometric))
 
     def test_backward_matches_finite_differences(self):
         model = tiny_model(seed=33)
@@ -239,10 +254,10 @@ class TestLocalizationStageStep:
             labeled = resample_for_stage(proposals, gt, iou_threshold(t))
             rows = np.concatenate([head.forward(roi_align(grid, [lab.box], POOLED_HW)
                                                 .reshape(1, -1)) for lab in labeled])
-            deltas, scores = rows[:, :4], sigmoid(rows[:, 4:])
+            deltas, logits = rows[:, :4], rows[:, 4:]
             pos = [i for i, lab in enumerate(labeled) if lab.positive]
             assert 0 < len(pos) < len(labeled)
-            bce, _ = binary_cross_entropy(scores, [[float(lab.positive)] for lab in labeled])
+            bce, _ = binary_cross_entropy(logits, [[float(lab.positive)] for lab in labeled])
             sl1, _ = smooth_l1(deltas[pos] - np.stack([labeled[i].delta_target for i in pos]))
             losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
             np.testing.assert_allclose(losses["loc"], bce / len(labeled) + sl1 / len(pos),
@@ -257,7 +272,7 @@ class TestLocalizationStageStep:
                                    for i in pos])
             targets = np.stack([mask_cell_targets(gt[labeled[i].gt_index].mask, box)
                                 for i, box in zip(pos, refined)])
-            seg, _ = binary_cross_entropy(sigmoid(model.seg_heads[t].forward(feats)), targets)
+            seg, _ = binary_cross_entropy(model.seg_heads[t].forward(feats), targets)
             np.testing.assert_allclose(losses["seg"], seg / targets.size, atol=1e-12)
 
     @pytest.mark.parametrize("segment", [False, True])
