@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .geometry import BitMask, Box, FeatureGrid, box_iou, roi_align
+from .geometry import BitMask, Box, FeatureGrid, box_ious, roi_align
 from .numerics import FCLayer, sigmoid
 
 log = logging.getLogger(__name__)
@@ -211,39 +211,21 @@ def segment_stage(grid: FeatureGrid, instances, head: FCLayer, prev_boxes=None):
     return out
 
 
-@dataclass
-class LabeledProposal:
-    """One resampled training example for a localization stage."""
-
-    box: Box
-    positive: bool
-    delta_target: np.ndarray | None = None
-    gt_index: int = -1
-
-
-def resample_for_stage(proposals, gt_instances, iou_threshold) -> list[LabeledProposal]:
-    """Label proposal instances against ground truth at the stage threshold.
-
-    A proposal is positive iff its best-IoU ground-truth box reaches the
-    threshold; ground-truth boxes are appended as perfect positives.
-    """
+def resample_for_stage(proposals, gt_instances, iou_threshold):
+    """A localization stage's training rows and their labels, from one IoU
+    matrix: (rows, match), rows the proposals, then one Instance per
+    ground-truth box; match[i] the first ground truth of highest IoU with
+    proposal i when that IoU reaches the threshold, else -1 (negative).
+    Ground-truth rows match themselves."""
     if not 0.0 < iou_threshold < 1.0:
         raise DataError(f"stage IoU threshold {iou_threshold} outside (0, 1)")
-    labeled = []
-    for box in [prop.box for prop in proposals]:
-        best_iou, best_idx = 0.0, -1
-        for gi, gt in enumerate(gt_instances):
-            v = box_iou(box, gt.box)
-            if v > best_iou:
-                best_iou, best_idx = v, gi
-        if best_idx >= 0 and best_iou >= iou_threshold:
-            labeled.append(LabeledProposal(
-                box, True, box_delta_targets(box, gt_instances[best_idx].box), best_idx))
-        else:
-            labeled.append(LabeledProposal(box, False))
-    for gi, gt in enumerate(gt_instances):
-        labeled.append(LabeledProposal(gt.box, True, np.zeros(4), gi))
-    return labeled
+    rows = list(proposals) + [Instance(g.class_id, 1.0, g.box) for g in gt_instances]
+    match = np.concatenate([np.full(len(proposals), -1), np.arange(len(gt_instances))])
+    if proposals and gt_instances:
+        ious = box_ious([p.box for p in proposals], [g.box for g in gt_instances])
+        match[:len(proposals)] = np.where(ious.max(axis=1) >= iou_threshold,
+                                          ious.argmax(axis=1), -1)
+    return rows, match
 
 
 def merge_and_filter(per_stage_outputs, threshold=0.3) -> list[Instance]:

@@ -177,6 +177,9 @@ def cmd_eval(args):
     gts = scenes_to_gt_records(scenes)
     preds = read_predictions_ndjson(args.preds)
     for image_id, triplets in preds.items():
+        if image_id not in gts:
+            raise DataError(f"{args.preds}: image {image_id!r} is not in split {args.split!r} "
+                            f"of {args.data}")
         for t in triplets:
             if not 0 <= t.verb < spec.n_verbs:
                 raise DataError(f"{args.preds}: image {image_id!r}: verb {t.verb} "

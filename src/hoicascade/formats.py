@@ -283,8 +283,9 @@ def write_predictions_ndjson(path, records):
 def read_predictions_ndjson(path):
     """Returns {image_id: [TripletRecord, ...]} with global input indices.
 
-    Entity indices must lie in range, scores must be finite and every
-    image id may appear on one line only."""
+    Verbs and entity indices must be JSON integers, the indices in range;
+    scores must be finite JSON numbers and every image id may appear on
+    one line only. Each referenced entity is decoded once per line."""
     by_image = {}
     index = 0
     with open(path, encoding="utf-8") as fh:
@@ -298,29 +299,31 @@ def read_predictions_ndjson(path):
                 if image_id in by_image:
                     raise FormatError(f"field 'image_id': duplicate image id {image_id!r}")
                 entities = record["entities"]
-                triplets = []
+                decoded, triplets = {}, []  # entity index -> (box, mask or None)
                 for t in record["triplets"]:
                     for ref in ("h", "o"):
-                        if not (isinstance(t[ref], int) and 0 <= t[ref] < len(entities)):
-                            raise FormatError(f"field {ref!r}: entity index {t[ref]!r} "
+                        e = t[ref]
+                        if not (type(e) is int and 0 <= e < len(entities)):
+                            raise FormatError(f"field {ref!r}: entity index {e!r} "
                                               f"outside [0, {len(entities)})")
-                    h_ent, o_ent = entities[t["h"]], entities[t["o"]]
-                    score = float(t["score"])
-                    if not math.isfinite(score):
-                        raise FormatError(f"field 'score': non-finite score {score}")
-                    h_mask = o_mask = None
-                    if "mask" in h_ent:
-                        h_mask = rle_decode(h_ent["mask"]["rle"], *h_ent["mask"]["size"])
-                    if "mask" in o_ent:
-                        o_mask = rle_decode(o_ent["mask"]["rle"], *o_ent["mask"]["size"])
-                    triplets.append(TripletRecord(
-                        _box_from_list(h_ent["box"], f"entities[{t['h']}].box"),
-                        _box_from_list(o_ent["box"], f"entities[{t['o']}].box"),
-                        int(t["verb"]), score, index, h_mask, o_mask))
+                        if e not in decoded:
+                            ent, mask = entities[e], None
+                            if "mask" in ent:
+                                mask = rle_decode(ent["mask"]["rle"], *ent["mask"]["size"])
+                            decoded[e] = (_box_from_list(ent["box"], f"entities[{e}].box"), mask)
+                    if type(t["verb"]) is not int:
+                        raise FormatError(f"field 'verb': expected an integer, got {t['verb']!r}")
+                    score = t["score"]
+                    if not (_is_number(score) and math.isfinite(score)):
+                        raise FormatError(f"field 'score': expected a finite number, "
+                                          f"got {score!r}")
+                    (h_box, h_mask), (o_box, o_mask) = decoded[t["h"]], decoded[t["o"]]
+                    triplets.append(TripletRecord(h_box, o_box, t["verb"], float(score),
+                                                  index, h_mask, o_mask))
                     index += 1
             except (FormatError, DataError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
+            except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed prediction record: {exc}") from exc
             by_image[image_id] = triplets
     return by_image

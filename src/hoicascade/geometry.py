@@ -57,6 +57,21 @@ def box_iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_ious(boxes_a, boxes_b) -> np.ndarray:
+    """(n, m) IoU matrix of two box lists: entry (i, j) is
+    box_iou(boxes_a[i], boxes_b[j]), bit for bit."""
+    a = np.array([box.as_tuple() for box in boxes_a], dtype=np.float64).reshape(-1, 4)
+    b = np.array([box.as_tuple() for box in boxes_b], dtype=np.float64).reshape(-1, 4)
+    ax1, ay1, ax2, ay2 = a.T[:, :, None]
+    bx1, by1, bx2, by2 = b.T[:, None, :]
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    overlap = (ix > 0.0) & (iy > 0.0)
+    inter = np.where(overlap, ix * iy, 0.0)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return np.where(overlap, inter / union, 0.0)
+
+
 def union_box(a: Box, b: Box) -> Box:
     return Box(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
 

@@ -38,7 +38,7 @@ from .features import (
 from .geometry import (
     Box,
     FeatureGrid,
-    box_iou,
+    box_ious,
     roi_align,
     spatial_pair_encoding,
     union_box,
@@ -159,32 +159,17 @@ def fuse_scores(s_v, s_g, s_s):
 
 
 @dataclass
-class LabeledPair:
-    candidate: HOICandidate
-    positive: bool
-    verb_targets: np.ndarray  # (N,) multi-hot; all zeros for negatives
-
-
-@dataclass
 class SampledPairBatch:
+    """One stage's sampled relation pairs: positive and negative candidates,
+    and the (len(positives), N) multi-hot verb targets of the positives
+    (a negative's targets are all zeros)."""
+
     positives: list
     negatives: list
+    targets: np.ndarray
 
     def all_pairs(self):
         return self.positives + self.negatives
-
-
-def match_candidate_to_gt(candidate, gt_pairs, iou_threshold):
-    """Best annotated pair whose human and object boxes both reach the
-    threshold; returns (index, min_iou) or (-1, 0.0)."""
-    best_idx, best_quality = -1, 0.0
-    for gi, gt in enumerate(gt_pairs):
-        qh = box_iou(candidate.human.box, gt.h_box)
-        qo = box_iou(candidate.object.box, gt.o_box)
-        quality = min(qh, qo)
-        if qh >= iou_threshold and qo >= iou_threshold and quality > best_quality:
-            best_idx, best_quality = gi, quality
-    return best_idx, best_quality
 
 
 def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
@@ -192,30 +177,33 @@ def sample_training_pairs(candidates, gt_pairs, iou_threshold, n_verbs,
     """Label candidates against annotated pairs at the stage threshold,
     append the annotated pairs themselves, and subsample to MAX_TRAIN_PAIRS
     at the POS_NEG_RATIO positive:negative ratio (negatives fill any slack).
-    """
-    pos, neg = [], []
-    for cand in candidates:
-        gi, _ = match_candidate_to_gt(cand, gt_pairs, iou_threshold)
-        if gi >= 0:
-            targets = np.zeros(n_verbs)
-            targets[list(gt_pairs[gi].verbs)] = 1.0
-            pos.append(LabeledPair(cand, True, targets))
-        else:
-            neg.append(LabeledPair(cand, False, np.zeros(n_verbs)))
-    for gt in gt_pairs:
-        targets = np.zeros(n_verbs)
-        targets[list(gt.verbs)] = 1.0
-        pos.append(LabeledPair(HOICandidate(Instance(PERSON_CLASS, 1.0, gt.h_box),
-                                            Instance(gt.o_class, 1.0, gt.o_box)),
-                               True, targets))
+    A candidate is positive when its human and object IoUs (two matrices)
+    with some annotated pair both reach the threshold; it takes the verbs
+    of the first such pair of highest min(IoU)."""
+    match = np.full(len(candidates), -1)
+    if candidates and gt_pairs:
+        quality = np.minimum(
+            box_ious([c.human.box for c in candidates], [g.h_box for g in gt_pairs]),
+            box_ious([c.object.box for c in candidates], [g.o_box for g in gt_pairs]))
+        quality[quality < iou_threshold] = 0.0
+        match = np.where(quality.max(axis=1) > 0.0, quality.argmax(axis=1), -1)
+    pos = [c for c, gi in zip(candidates, match) if gi >= 0]
+    pos += [HOICandidate(Instance(PERSON_CLASS, 1.0, gt.h_box),
+                         Instance(gt.o_class, 1.0, gt.o_box)) for gt in gt_pairs]
+    pos_match = np.concatenate([match[match >= 0], np.arange(len(gt_pairs))])
+    neg = [c for c, gi in zip(candidates, match) if gi < 0]
     p, n = POS_NEG_RATIO
     n_pos = min(len(pos), MAX_TRAIN_PAIRS * p // (p + n))
     n_neg = min(len(neg), MAX_TRAIN_PAIRS - n_pos)
     if n_pos < len(pos):
-        pos = [pos[i] for i in rng.permutation(len(pos))[:n_pos]]
+        keep = rng.permutation(len(pos))[:n_pos]
+        pos, pos_match = [pos[i] for i in keep], pos_match[keep]
     if n_neg < len(neg):
         neg = [neg[i] for i in rng.permutation(len(neg))[:n_neg]]
-    return SampledPairBatch(pos, neg)
+    targets = np.zeros((len(pos), n_verbs))
+    for row, gi in enumerate(pos_match):
+        targets[row, list(gt_pairs[gi].verbs)] = 1.0
+    return SampledPairBatch(pos, neg, targets)
 
 
 def total_loss(stage_losses, cfg: CascadeConfig) -> float:

@@ -33,6 +33,7 @@ import numpy as np
 from .cascade import (
     CascadeConfig,
     Instance,
+    box_delta_targets,
     iou_threshold,
     mask_cell_targets,
     mask_head_input,
@@ -43,7 +44,7 @@ from .cascade import (
 from .errors import DataError
 from .features import cooccurrence_prior, efra_attend_backward
 from .formats import RunConfig, predictions_to_record
-from .geometry import FeatureGrid, box_iou
+from .geometry import FeatureGrid, box_ious
 from .interaction import (
     CascadeModel,
     classify_relation,
@@ -82,49 +83,49 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
                             gt_instances, stage):
     """Loss and backward for one localization stage.
 
-    The stage's proposals and its ground-truth boxes, in the row order of
-    `resample_for_stage`, go through the one batched `refine_stage` that
+    The rows `resample_for_stage` labels (the stage's proposals, then its
+    ground-truth boxes) go through the one batched `refine_stage` that
     inference runs, and the loss and backward read its deltas and score
-    logits.
+    logits. A row's delta target maps its box onto its matched ground
+    truth (exact zeros for a ground-truth row).
     In segment mode the mask loss reads `mask_head_input` on the positive
     rows' refined boxes, as `segment_stage` does. Returns (losses, refined
     instances for the next stage); refined ground-truth rows carry lineage
     -1 and keep flowing to deeper stages.
     """
-    labeled = resample_for_stage(proposals, gt_instances, iou_threshold(stage))
+    rows, match = resample_for_stage(proposals, gt_instances, iou_threshold(stage))
     head = model.box_heads[stage]
     losses = {"loc": 0.0}
     if model.segment:
         losses["seg"] = 0.0
-    if not labeled:
+    if not rows:
         return losses, []
 
-    rows = proposals + [Instance(g.class_id, 1.0, g.box) for g in gt_instances]
     deltas, logits, refined = refine_stage(grid, rows, head, stage)
-    labels = np.array([[1.0 if lab.positive else 0.0] for lab in labeled])
-    bce, d_logits = binary_cross_entropy(logits, labels)
-    score_loss = bce / len(labeled)
-    pos = [i for i, lab in enumerate(labeled) if lab.positive]
+    bce, d_logits = binary_cross_entropy(logits, (match >= 0).astype(np.float64)[:, None])
+    score_loss = bce / len(rows)
+    pos = np.flatnonzero(match >= 0)
     reg_loss = 0.0
     d_deltas = np.zeros_like(deltas)
-    if pos:
-        targets = np.stack([labeled[i].delta_target for i in pos])
+    if len(pos):
+        targets = np.stack([box_delta_targets(rows[i].box, gt_instances[match[i]].box)
+                            for i in pos])
         sl1, d_diff = smooth_l1(deltas[pos] - targets)
         reg_loss = sl1 / len(pos)
         d_deltas[pos] = d_diff / len(pos)
     losses["loc"] = reg_loss + score_loss
     weight = stage_weight(stage)
-    d_out = np.hstack([d_deltas, d_logits / len(labeled)])
+    d_out = np.hstack([d_deltas, d_logits / len(rows)])
     head.backward(weight * d_out, input_grad=False)
 
     # the refined box is data to the mask loss, a stop-gradient by design
     masked = [i for i in pos if model.segment and refined[i] is not None
-              and gt_instances[labeled[i].gt_index].mask is not None]
+              and gt_instances[match[i]].mask is not None]
     if masked:
         feats = mask_head_input(grid, [refined[i].box for i in masked],
                                 [rows[i].box for i in masked] if stage > 0 else None)
-        targets14 = np.stack([mask_cell_targets(gt_instances[labeled[i].gt_index].mask,
-                                                refined[i].box) for i in masked])
+        targets14 = np.stack([mask_cell_targets(gt_instances[match[i]].mask, refined[i].box)
+                              for i in masked])
         seg_head = model.seg_heads[stage]
         seg_bce, d_logits = binary_cross_entropy(seg_head.forward(feats), targets14)
         losses["seg"] = seg_bce / targets14.size
@@ -143,8 +144,8 @@ class RelationPass:
     """
 
     def __init__(self, model: CascadeModel, grid: FeatureGrid, stage_pairs):
-        """stage_pairs: one list of `LabeledPair`s per stage, in stage order;
-        `slices[t]` are stage t's rows."""
+        """stage_pairs: one list of `HOICandidate`s per stage, in stage
+        order; `slices[t]` are stage t's rows."""
         self.model = model
         self.slices = []
         entries = []
@@ -152,7 +153,7 @@ class RelationPass:
             self.slices.append(slice(len(entries), len(entries) + len(pairs)))
             entries.extend(pairs)
         self.n = len(entries)
-        self.pooled = model.pool_pairs(grid, [lab.candidate for lab in entries])
+        self.pooled = model.pool_pairs(grid, entries)
         self.x_s = self.pooled.x_s[self.pooled.rows]
 
     def forward(self):
@@ -220,7 +221,8 @@ def relation_losses_multi(model, grid: FeatureGrid, stage_batches, hinge_margin)
         weight = stage_weight(t)
         d_rank = np.concatenate([d_pos, d_neg]) * (weight / hinge_norm) * g * (1.0 - g)
 
-        targets = np.array([lab.verb_targets for lab in pairs], dtype=np.float64)
+        targets = np.zeros((len(pairs), model.n_verbs))
+        targets[:n_pos] = batch.targets
         d_logits = []
         for logits in classify_relation(rp.x_s[sl], geometric, visual, model.semantic_heads[t]):
             bce, d = binary_cross_entropy(logits, targets)
@@ -326,14 +328,12 @@ def stage_mean_ious(model, scenes, spec, config=None, grids=None):
     is not read: grids are rendered with the model's own geometry."""
     if grids is None:
         grids = prepare_grids(scenes, spec, model.channels, model.grid_size)
-    sums = np.zeros(model.config.stages)
-    counts = np.zeros(model.config.stages)
+    bests = [[] for _ in range(model.config.stages)]
     for scene in scenes:
         gt_boxes = [e.box for e in scene.entities]
         outputs = run_localization(grids[scene.image_id], seed_instances(scene), model)
         for t, stage in enumerate(outputs):
-            for inst in stage:
-                best = max((box_iou(inst.box, g) for g in gt_boxes), default=0.0)
-                sums[t] += best
-                counts[t] += 1
-    return [float(s / c) if c else 0.0 for s, c in zip(sums, counts)]
+            bests[t].extend(box_ious([inst.box for inst in stage], gt_boxes)
+                            .max(axis=1, initial=0.0))
+    # a running sum in output order: np.sum adds pairwise and rounds differently
+    return [float(np.cumsum(b)[-1] / len(b)) if b else 0.0 for b in bests]

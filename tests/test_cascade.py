@@ -11,7 +11,6 @@ from hoicascade.cascade import (
     CascadeConfig,
     Instance,
     MASK_LOGIT_DIM,
-    LabeledProposal,
     apply_box_deltas,
     box_delta_targets,
     clip_box,
@@ -326,33 +325,76 @@ class TestOneLocalizationPath:
         assert interaction.infer_image(grid, stage_instances(), model) == []
 
 
+def reference_resample(proposals, gt_instances, iou_threshold):
+    """The per-row labeling loop: each proposal's first best-IoU ground
+    truth when it reaches the threshold, then the ground-truth rows as
+    their own matches. Returns (box, gt index or -1) per row."""
+    labeled = []
+    for prop in proposals:
+        best_iou, best_idx = 0.0, -1
+        for gi, gt in enumerate(gt_instances):
+            v = box_iou(prop.box, gt.box)
+            if v > best_iou:
+                best_iou, best_idx = v, gi
+        labeled.append((prop.box, best_idx if best_iou >= iou_threshold else -1))
+    return labeled + [(gt.box, gi) for gi, gt in enumerate(gt_instances)]
+
+
+def random_instances(rng, n, lo=0.0, hi=24.0):
+    out = []
+    for _ in range(n):
+        x1, y1 = rng.uniform(lo, hi, 2)
+        out.append(Instance(int(rng.integers(0, 3)), 1.0,
+                            Box(x1, y1, x1 + rng.uniform(2, 10), y1 + rng.uniform(2, 10))))
+    return out
+
+
 class TestResampleForStage:
     def test_gt_proposal_positive_at_any_threshold(self):
         gt = [Instance(2, 1.0, Box(1, 1, 9, 9))]
         for mu in (0.5, 0.6, 0.7, 0.95):
-            labeled = resample_for_stage([Instance(2, 0.8, Box(1, 1, 9, 9))], gt, mu)
-            assert labeled[0].positive
-            np.testing.assert_allclose(labeled[0].delta_target, np.zeros(4), atol=1e-12)
+            rows, match = resample_for_stage([Instance(2, 0.8, Box(1, 1, 9, 9))], gt, mu)
+            assert match.tolist() == [0, 0]
+            np.testing.assert_array_equal(box_delta_targets(rows[0].box, gt[0].box), np.zeros(4))
 
     def test_iou_55_crosses_schedule(self):
         # box (0,0,10,10) vs (0,0,10,5.5): inter 55, union 100 -> IoU 0.55
         gt = [Instance(1, 1.0, Box(0, 0, 10, 10))]
         prop = Instance(1, 0.8, Box(0, 0, 10, 5.5))
         np.testing.assert_allclose(box_iou(prop.box, gt[0].box), 0.55)
-        at_05 = resample_for_stage([prop], gt, 0.5)
-        at_06 = resample_for_stage([prop], gt, 0.6)
-        assert at_05[0].positive and not at_06[0].positive
+        assert resample_for_stage([prop], gt, 0.5)[1][0] == 0
+        assert resample_for_stage([prop], gt, 0.6)[1][0] == -1
+
+    def test_iou_exactly_at_threshold_is_positive(self):
+        # inter 50, union 100: IoU 0.5 exactly
+        gt = [Instance(1, 1.0, Box(0, 0, 10, 10))]
+        prop = Instance(1, 0.8, Box(0, 0, 10, 5))
+        assert box_iou(prop.box, gt[0].box) == 0.5
+        assert resample_for_stage([prop], gt, 0.5)[1][0] == 0
+
+    def test_tie_between_two_ground_truths_takes_the_first(self):
+        # the proposal overlaps both ground truths by the same IoU 1/3
+        gt = [Instance(1, 1.0, Box(0, 0, 4, 4)), Instance(2, 1.0, Box(4, 0, 8, 4))]
+        prop = Instance(1, 0.8, Box(2, 0, 6, 4))
+        assert box_iou(prop.box, gt[0].box) == box_iou(prop.box, gt[1].box) > 0.0
+        assert resample_for_stage([prop], gt + gt[:1], 0.3)[1].tolist() == [0, 0, 1, 2]
+        assert resample_for_stage([prop], gt[::-1], 0.3)[1].tolist() == [0, 0, 1]
 
     def test_gt_boxes_appended_as_positives(self):
         gt = [Instance(1, 1.0, Box(0, 0, 4, 4)), Instance(2, 1.0, Box(6, 6, 9, 9))]
-        labeled = resample_for_stage([], gt, 0.5)
-        assert len(labeled) == 2
-        assert all(l.positive for l in labeled)
-        assert [l.gt_index for l in labeled] == [0, 1]
+        rows, match = resample_for_stage([], gt, 0.5)
+        assert [(r.class_id, r.confidence, r.box, r.lineage) for r in rows] == [
+            (1, 1.0, gt[0].box, -1), (2, 1.0, gt[1].box, -1)]
+        assert match.tolist() == [0, 1]
 
     def test_no_ground_truth_all_negative(self):
-        labeled = resample_for_stage([Instance(1, 0.8, Box(0, 0, 2, 2))], [], 0.5)
-        assert len(labeled) == 1 and not labeled[0].positive
+        props = [Instance(1, 0.8, Box(0, 0, 2, 2)), Instance(1, 0.8, Box(1, 1, 3, 3))]
+        rows, match = resample_for_stage(props, [], 0.5)
+        assert rows == props and match.tolist() == [-1, -1]
+
+    def test_nothing_to_label(self):
+        rows, match = resample_for_stage([], [], 0.5)
+        assert rows == [] and match.shape == (0,)
 
     def test_positives_always_reach_threshold(self):
         rng = np.random.default_rng(9)
@@ -363,9 +405,25 @@ class TestResampleForStage:
             props.append(Instance(1, 0.8, Box(x1, y1, x1 + rng.uniform(2, 10),
                                               y1 + rng.uniform(2, 10))))
         for mu in (0.5, 0.6, 0.7):
-            for lab in resample_for_stage(props, gt, mu):
-                if lab.positive:
-                    assert box_iou(lab.box, gt[lab.gt_index].box) >= mu
+            rows, match = resample_for_stage(props, gt, mu)
+            for row, gi in zip(rows, match):
+                if gi >= 0:
+                    assert box_iou(row.box, gt[gi].box) >= mu
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = random_instances(rng, int(rng.integers(0, 6)))
+        # proposals around the ground truth, plus some anywhere
+        props = [Instance(g.class_id, 0.8, Box(g.box.x1 + dx, g.box.y1 + dy,
+                                               g.box.x2 + dx, g.box.y2 + dy))
+                 for g in gt for dx, dy in rng.uniform(-2, 2, (3, 2))]
+        props += random_instances(rng, int(rng.integers(0, 8)))
+        for mu in (0.5, 0.6, 0.7):
+            rows, match = resample_for_stage(props, gt, mu)
+            assert [(r.box, int(m)) for r, m in zip(rows, match)] == \
+                reference_resample(props, gt, mu)
+            assert rows[:len(props)] == props
 
     def test_bad_threshold(self):
         with pytest.raises(DataError):

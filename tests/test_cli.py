@@ -727,6 +727,51 @@ class TestPredictionFileContract:
         assert record["image_id"] in err and f"verb {verb}" in err
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("verb", 2.9), ("verb", True), ("verb", "1"), ("h", True), ("o", False),
+        ("score", "0.5"), ("score", True), ("score", None),
+    ])
+    def test_fields_take_json_types_only(self, pipeline, tmp_path, capsys, field, value):
+        record = _first_scored_record(pipeline["preds"])
+        record["triplets"][-1][field] = value
+        bad = tmp_path / "typed.ndjson"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["eval", "--data", str(pipeline["data"]), "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: field '{field}'" in err and repr(value) in err
+
+    def test_predictions_of_another_split_exit_2(self, pipeline, tmp_path, capsys):
+        preds = tmp_path / "train_preds.ndjson"
+        assert main(["infer", "--model", str(pipeline["model"]), "--data", str(pipeline["data"]),
+                     "--split", "train", "--out", str(preds)]) == 0
+        first = json.loads(preds.read_text().splitlines()[0])["image_id"]
+        capsys.readouterr()
+        assert main(["eval", "--data", str(pipeline["data"]), "--split", "test",
+                     "--preds", str(preds)]) == 2
+        err = capsys.readouterr().err
+        assert f"{preds}: image {first!r} is not in split 'test'" in err
+        assert main(["eval", "--data", str(pipeline["data"]), "--split", "train",
+                     "--preds", str(preds)]) == 0
+
+    def test_each_entity_decoded_once_per_line(self, segment_pipeline, monkeypatch):
+        from hoicascade import formats
+
+        decoded = []
+        rle_decode_ = formats.rle_decode
+        monkeypatch.setattr(formats, "rle_decode",
+                            lambda *args: decoded.append(args) or rle_decode_(*args))
+        by_image = formats.read_predictions_ndjson(segment_pipeline["preds"])
+        records = [json.loads(line) for line in segment_pipeline["preds"].read_text().splitlines()]
+        referenced = sum(len({t[ref] for t in r["triplets"] for ref in ("h", "o")})
+                         for r in records)
+        assert len(decoded) == referenced < sum(len(ts) for ts in by_image.values())
+        for record in records:
+            for t, got in zip(record["triplets"], by_image[record["image_id"]]):
+                for ref, mask in (("h", got.h_mask), ("o", got.o_mask)):
+                    rle = record["entities"][t[ref]]["mask"]
+                    assert mask == rle_decode_(rle["rle"], *rle["size"])
+
+
 class TestChecks:
     def test_oracle_subcommand(self):
         assert main(["oracle", "--instances", "30", "--seed", "2"]) == 0

@@ -9,6 +9,7 @@ from hoicascade.geometry import (
     Box,
     FeatureGrid,
     box_iou,
+    box_ious,
     mask_iou,
     roi_align,
     spatial_pair_encoding,
@@ -106,6 +107,41 @@ class TestBoxIoU:
     def test_degenerate_rejected(self):
         with pytest.raises(DataError):
             Box(0, 0, 0, 1)
+
+
+# small integer boxes: shared edges, nesting and equal boxes are common
+GRID_BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                       *[st.integers(0, 6)] * 2, *[st.integers(1, 4)] * 2)
+
+
+def related_boxes(box):
+    """The box itself, one nested in it, one touching its right edge and
+    one disjoint from it."""
+    w, h = box.width, box.height
+    return [box,
+            Box(box.x1 + w / 4, box.y1 + h / 4, box.x2 - w / 4, box.y2 - h / 4),
+            Box(box.x2, box.y1, box.x2 + w, box.y2),
+            Box(box.x2 + w, box.y2 + h, box.x2 + 2 * w, box.y2 + 2 * h)]
+
+
+class TestBoxIoUs:
+    @PROPERTY
+    @given(a=st.lists(st.one_of(BOXES, GRID_BOXES), max_size=5),
+           b=st.lists(st.one_of(BOXES, GRID_BOXES), max_size=5))
+    def test_every_entry_is_box_iou_bit_for_bit(self, a, b):
+        b = b + [r for box in a for r in related_boxes(box)]
+        ious = box_ious(a, b)
+        expected = np.array([[box_iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        assert ious.shape == expected.shape and ious.dtype == np.float64
+        assert ious.tobytes() == expected.tobytes()
+
+    def test_disjoint_touching_nested_identical(self):
+        box = Box(0, 0, 4, 4)
+        assert box_ious([box], related_boxes(box)).tolist() == [[1.0, 0.25, 0.0, 0.0]]
+
+    def test_empty_lists(self):
+        assert box_ious([], [Box(0, 0, 1, 1)]).shape == (0, 1)
+        assert box_ious([Box(0, 0, 1, 1)], []).shape == (1, 0)
 
 
 class TestUnionBox:

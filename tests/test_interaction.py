@@ -194,14 +194,15 @@ class TestSampleTrainingPairs:
         for mu in (0.5, 0.6, 0.7):
             batch = sample_training_pairs([cand], gt, mu, 4, np.random.default_rng(0))
             assert len(batch.positives) == 2  # the candidate, then the annotated pair
-            assert batch.positives[0].candidate is cand
-            np.testing.assert_array_equal(batch.positives[0].verb_targets, [1, 0, 1, 0])
+            assert batch.positives[0] is cand
+            np.testing.assert_array_equal(batch.targets, [[1, 0, 1, 0], [1, 0, 1, 0]])
 
     def test_gt_pairs_appended(self):
         batch = sample_training_pairs([], self._gt(), 0.5, 4, np.random.default_rng(0))
         assert len(batch.positives) == 1
-        assert batch.positives[0].candidate.human.class_id == 0
-        assert batch.positives[0].candidate.object.class_id == 1
+        assert batch.positives[0].human.class_id == 0
+        assert batch.positives[0].object.class_id == 1
+        assert batch.negatives == [] and batch.targets.shape == (1, 4)
 
     def test_annotated_person_pooled_once(self, monkeypatch):
         from hoicascade import interaction
@@ -211,7 +212,7 @@ class TestSampleTrainingPairs:
               GroundTruthPair(h_box, Box(16, 18, 26, 28), 2, frozenset({3})),
               GroundTruthPair(Box(30, 4, 42, 30), Box(44, 4, 54, 14), 1, frozenset({2}))]
         pairs = sample_training_pairs([], gt, 0.5, 4, np.random.default_rng(0)).all_pairs()
-        humans = [lab.candidate.human for lab in pairs]
+        humans = [c.human for c in pairs]
         assert humans[0].box == humans[1].box and humans[2].box != humans[0].box
 
         calls = []
@@ -220,7 +221,7 @@ class TestSampleTrainingPairs:
                             lambda x: calls.append(1) or ihsm(x))
         model = tiny_model(seed=3)
         grid = FeatureGrid(np.random.default_rng(5).normal(size=(3, 32, 32)), 64, 64)
-        pooled = model.pool_pairs(grid, [lab.candidate for lab in pairs])
+        pooled = model.pool_pairs(grid, pairs)
         assert len(calls) == 2
         np.testing.assert_array_equal(pooled.h_bar[0], pooled.h_bar[1])
 
@@ -267,9 +268,138 @@ class TestSampleTrainingPairs:
                         and box_iou(c.object.box, g.o_box) >= mu):
                     expected_pos.add(i)
         index = {id(c): i for i, c in enumerate(cands)}
-        got_pos = {index[id(lp.candidate)] for lp in batch.positives if id(lp.candidate) in index}
+        got_pos = {index[id(c)] for c in batch.positives if id(c) in index}
         assert got_pos == expected_pos
         assert len(batch.positives) == len(expected_pos) + len(gt)  # annotated pairs appended
+
+
+def reference_sample(candidates, gt_pairs, iou_threshold, n_verbs, rng):
+    """The per-candidate labeling loop: a candidate matches the first
+    annotated pair of highest min(IoU) whose human and object IoUs both
+    reach the threshold. Returns (positives, negatives) as lists of
+    (candidate, verb targets), subsampled with the same draws as
+    `sample_training_pairs`."""
+    pos, neg = [], []
+    for cand in candidates:
+        best_idx, best_quality = -1, 0.0
+        for gi, gt in enumerate(gt_pairs):
+            qh = box_iou(cand.human.box, gt.h_box)
+            qo = box_iou(cand.object.box, gt.o_box)
+            if qh >= iou_threshold and qo >= iou_threshold and min(qh, qo) > best_quality:
+                best_idx, best_quality = gi, min(qh, qo)
+        targets = np.zeros(n_verbs)
+        if best_idx >= 0:
+            targets[list(gt_pairs[best_idx].verbs)] = 1.0
+            pos.append((cand, targets))
+        else:
+            neg.append((cand, targets))
+    for gt in gt_pairs:
+        targets = np.zeros(n_verbs)
+        targets[list(gt.verbs)] = 1.0
+        pos.append((HOICandidate(Instance(0, 1.0, gt.h_box), Instance(gt.o_class, 1.0, gt.o_box)),
+                    targets))
+    p, n = POS_NEG_RATIO
+    n_pos = min(len(pos), MAX_TRAIN_PAIRS * p // (p + n))
+    n_neg = min(len(neg), MAX_TRAIN_PAIRS - n_pos)
+    if n_pos < len(pos):
+        pos = [pos[i] for i in rng.permutation(len(pos))[:n_pos]]
+    if n_neg < len(neg):
+        neg = [neg[i] for i in rng.permutation(len(neg))[:n_neg]]
+    return pos, neg
+
+
+def assert_same_sample(batch, expected):
+    """`batch` holds the reference's candidates (annotated pairs compared by
+    box and class) and its targets bit for bit."""
+    pos, neg = expected
+    assert batch.negatives == [c for c, _ in neg]
+    assert len(batch.positives) == len(pos) == len(batch.targets)
+
+    def key(c):
+        return (c.human.box, c.human.class_id, c.object.box, c.object.class_id)
+
+    assert [key(c) for c in batch.positives] == [key(c) for c, _ in pos]
+    if pos:
+        assert batch.targets.tobytes() == np.stack([t for _, t in pos]).tobytes()
+
+
+def random_pair_scene(rng, n_gt, n_cands, verbs=4):
+    """Annotated pairs on a small integer lattice and candidates around
+    them: jittered copies, exact copies and unrelated pairs."""
+    def box():
+        x, y = rng.integers(0, 20, 2)
+        return Box(float(x), float(y), float(x + rng.integers(2, 8)), float(y + rng.integers(2, 8)))
+
+    def near(b):
+        dx, dy = rng.integers(-1, 2, 2)
+        return Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+
+    gt = [GroundTruthPair(box(), box(), int(rng.integers(1, 3)),
+                          frozenset(rng.choice(verbs, rng.integers(1, 3), replace=False).tolist()))
+          for _ in range(n_gt)]
+    cands = []
+    for _ in range(n_cands):
+        if gt and rng.uniform() < 0.7:
+            g = gt[rng.integers(len(gt))]
+            h, o = (g.h_box, g.o_box) if rng.uniform() < 0.3 else (near(g.h_box), near(g.o_box))
+        else:
+            h, o = box(), box()
+        cands.append(HOICandidate(inst(0, h), inst(1, o)))
+    return cands, gt
+
+
+class TestSampleTrainingPairsMatchesTheLoop:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scenes(self, seed):
+        rng = np.random.default_rng(seed)
+        cands, gt = random_pair_scene(rng, int(rng.integers(0, 5)), int(rng.integers(0, 60)))
+        for mu in (0.5, 0.6, 0.7):
+            batch = sample_training_pairs(cands, gt, mu, 4, np.random.default_rng([seed, 1]))
+            assert_same_sample(batch, reference_sample(cands, gt, mu, 4,
+                                                       np.random.default_rng([seed, 1])))
+
+    def test_subsampled_positives_keep_their_targets(self):
+        rng = np.random.default_rng(21)
+        cands, gt = random_pair_scene(rng, 4, 240)
+        batch = sample_training_pairs(cands, gt, 0.5, 4, np.random.default_rng(3))
+        assert len(batch.positives) == 32 and len(batch.negatives) == 96
+        assert_same_sample(batch, reference_sample(cands, gt, 0.5, 4, np.random.default_rng(3)))
+
+    def test_tie_between_two_annotated_pairs_takes_the_first(self):
+        h, o = Box(0, 0, 10, 20), Box(12, 4, 18, 10)
+        gt = [GroundTruthPair(h, o, 1, frozenset({0})), GroundTruthPair(h, o, 1, frozenset({2}))]
+        cand = HOICandidate(inst(0, Box(0, 0, 10, 19)), inst(1, o))
+        batch = sample_training_pairs([cand], gt, 0.5, 4, np.random.default_rng(0))
+        np.testing.assert_array_equal(batch.targets[0], [1, 0, 0, 0])
+        batch = sample_training_pairs([cand], gt[::-1], 0.5, 4, np.random.default_rng(0))
+        np.testing.assert_array_equal(batch.targets[0], [0, 0, 1, 0])
+
+    def test_higher_min_iou_wins_over_order(self):
+        o = Box(12, 4, 18, 10)
+        gt = [GroundTruthPair(Box(0, 0, 10, 16), o, 1, frozenset({0})),
+              GroundTruthPair(Box(0, 0, 10, 19), o, 1, frozenset({3}))]
+        cand = HOICandidate(inst(0, Box(0, 0, 10, 20)), inst(1, o))
+        batch = sample_training_pairs([cand], gt, 0.5, 4, np.random.default_rng(0))
+        np.testing.assert_array_equal(batch.targets[0], [0, 0, 0, 1])
+
+    def test_iou_exactly_at_threshold_is_positive(self):
+        # human IoU 1, object IoU 50 / 100 = 0.5 exactly
+        h = Box(0, 0, 10, 20)
+        gt = [GroundTruthPair(h, Box(20, 0, 30, 10), 1, frozenset({1}))]
+        cand = HOICandidate(inst(0, h), inst(1, Box(20, 0, 30, 5)))
+        assert box_iou(cand.object.box, gt[0].o_box) == 0.5
+        assert sample_training_pairs([cand], gt, 0.5, 4,
+                                     np.random.default_rng(0)).positives[0] is cand
+        assert sample_training_pairs([cand], gt, 0.6, 4,
+                                     np.random.default_rng(0)).negatives == [cand]
+
+    def test_no_candidates_and_no_annotations(self):
+        cands, gt = random_pair_scene(np.random.default_rng(4), 3, 10)
+        for c, g in (([], gt), (cands, []), ([], [])):
+            batch = sample_training_pairs(c, g, 0.5, 4, np.random.default_rng(0))
+            assert batch.targets.shape == (len(batch.positives), 4)
+            assert_same_sample(batch, reference_sample(c, g, 0.5, 4, np.random.default_rng(0)))
+        assert sample_training_pairs(cands, [], 0.5, 4, np.random.default_rng(0)).negatives == cands
 
 
 class TestTotalLoss:

@@ -7,10 +7,10 @@ from hoicascade.cascade import (
     CascadeConfig,
     Instance,
     apply_box_deltas,
+    box_delta_targets,
     clip_box,
     iou_threshold,
     mask_cell_targets,
-    resample_for_stage,
     stage_weight,
 )
 from hoicascade.features import cooccurrence_prior, cross_stage_fuse
@@ -19,7 +19,6 @@ from hoicascade.geometry import BitMask, Box, FeatureGrid, roi_align, spatial_pa
 from hoicascade.interaction import (
     CascadeModel,
     GroundTruthPair,
-    LabeledPair,
     enumerate_pairs,
     rank_scores,
     run_localization,
@@ -41,6 +40,7 @@ from hoicascade.training import (
     seed_instances,
     train_model,
 )
+from test_cascade import reference_resample
 
 MARGIN = RunConfig().hinge_margin
 
@@ -77,11 +77,9 @@ def overlapping_stage_batches(model, seed=2):
     pairs = enumerate_pairs(entities)
 
     def batch(rows):
-        labeled = [LabeledPair(pairs[i], i % 2 == 0,
-                               (i % 2 == 0) * rng.integers(0, 2, model.n_verbs).astype(float))
-                   for i in rows]
-        return SampledPairBatch([lab for lab in labeled if lab.positive],
-                                [lab for lab in labeled if not lab.positive])
+        positives = [pairs[i] for i in rows if i % 2 == 0]
+        return SampledPairBatch(positives, [pairs[i] for i in rows if i % 2],
+                                rng.integers(0, 2, (len(positives), model.n_verbs)).astype(float))
 
     return grid, [batch([0, 1, 2, 3]), batch([2, 3, 4, 5]), batch([5, 4, 3, 2, 1, 0])]
 
@@ -90,7 +88,7 @@ class TestRelationPass:
     def test_repeated_pairs_accumulate_the_gradients_of_separate_passes(self):
         model = tiny_model(seed=35)
         grid, batches = overlapping_stage_batches(model)
-        empty = SampledPairBatch([], [])
+        empty = SampledPairBatch([], [], np.zeros((0, model.n_verbs)))
         alone = [[b if s == t else empty for s, b in enumerate(batches)] for t in range(3)]
 
         def distinct_rows(stage_batches):
@@ -124,9 +122,8 @@ class TestRelationPass:
                             lambda maps: encoded.append(maps) or forward(maps))
         stage_pairs = [b.all_pairs() for b in batches]
         rp = RelationPass(model, grid, stage_pairs).forward()
-        per_pair = [spatial_pair_encoding([lab.candidate.human.box],
-                                          [lab.candidate.object.box])[0][0].tobytes()
-                    for pairs in stage_pairs for lab in pairs]
+        per_pair = [spatial_pair_encoding([c.human.box], [c.object.box])[0][0].tobytes()
+                    for pairs in stage_pairs for c in pairs]
         [maps] = encoded
         assert [m.tobytes() for m in maps] == list(dict.fromkeys(per_pair))
         assert len(maps) < rp.n == len(per_pair)
@@ -136,7 +133,7 @@ class TestRelationPass:
         grid, batches = sampled_batches(model)
         stage_pairs = [b.all_pairs() for b in batches]
         rp = RelationPass(model, grid, stage_pairs).forward()
-        candidates = [lab.candidate for pairs in stage_pairs for lab in pairs]
+        candidates = [c for pairs in stage_pairs for c in pairs]
         last = rp.slices[-1]
         assert rp.slices[0].stop > 0 and last.stop > last.start
 
@@ -251,26 +248,29 @@ class TestLocalizationStageStep:
         grid, gt, seeds = localization_scene(seed=4)
         proposals = seeds
         for t, head in enumerate(model.box_heads):
-            labeled = resample_for_stage(proposals, gt, iou_threshold(t))
-            rows = np.concatenate([head.forward(roi_align(grid, [lab.box], POOLED_HW)
-                                                .reshape(1, -1)) for lab in labeled])
+            # the labeling loop: proposals, then the ground-truth boxes
+            labeled = reference_resample(proposals, gt, iou_threshold(t))
+            rows = np.concatenate([head.forward(roi_align(grid, [box], POOLED_HW)
+                                                .reshape(1, -1)) for box, _ in labeled])
             deltas, logits = rows[:, :4], rows[:, 4:]
-            pos = [i for i, lab in enumerate(labeled) if lab.positive]
-            assert 0 < len(pos) < len(labeled)
-            bce, _ = binary_cross_entropy(logits, [[float(lab.positive)] for lab in labeled])
-            sl1, _ = smooth_l1(deltas[pos] - np.stack([labeled[i].delta_target for i in pos]))
+            pos = [i for i, (_, gi) in enumerate(labeled) if gi >= 0]
+            assert 0 < len(pos) - len(gt) < len(proposals)
+            bce, _ = binary_cross_entropy(logits, [[float(gi >= 0)] for _, gi in labeled])
+            targets = [box_delta_targets(labeled[i][0], gt[labeled[i][1]].box)
+                       if i < len(proposals) else np.zeros(4) for i in pos]
+            sl1, _ = smooth_l1(deltas[pos] - np.stack(targets))
             losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
             np.testing.assert_allclose(losses["loc"], bce / len(labeled) + sl1 / len(pos),
                                        atol=1e-12)
             if not segment:
                 continue
             # mask rows: the refined box plus, from stage 2 on, the input box
-            refined = [clip_box(apply_box_deltas(labeled[i].box, deltas[i]), 64, 64) for i in pos]
+            refined = [clip_box(apply_box_deltas(labeled[i][0], deltas[i]), 64, 64) for i in pos]
             feats = np.stack([roi_align(grid, [box], MASK_POOLED_HW).ravel() for box in refined])
             if t > 0:
-                feats += np.stack([roi_align(grid, [labeled[i].box], MASK_POOLED_HW).ravel()
+                feats += np.stack([roi_align(grid, [labeled[i][0]], MASK_POOLED_HW).ravel()
                                    for i in pos])
-            targets = np.stack([mask_cell_targets(gt[labeled[i].gt_index].mask, box)
+            targets = np.stack([mask_cell_targets(gt[labeled[i][1]].mask, box)
                                 for i, box in zip(pos, refined)])
             seg, _ = binary_cross_entropy(model.seg_heads[t].forward(feats), targets)
             np.testing.assert_allclose(losses["seg"], seg / targets.size, atol=1e-12)
