@@ -175,6 +175,7 @@ def cmd_eval(args):
         raise DataError(f"option 'ks' must list integers >= 1, got {args.ks!r}")
     spec, _, scenes = read_split(args.data, args.split)
     gts = scenes_to_gt_records(scenes)
+    sizes = {scene.image_id: (scene.height, scene.width) for scene in scenes}
     preds = read_predictions_ndjson(args.preds)
     for image_id, triplets in preds.items():
         if image_id not in gts:
@@ -184,6 +185,10 @@ def cmd_eval(args):
             if not 0 <= t.verb < spec.n_verbs:
                 raise DataError(f"{args.preds}: image {image_id!r}: verb {t.verb} "
                                 f"outside [0, {spec.n_verbs})")
+            for m in (t.h_mask, t.o_mask):
+                if m is not None and m.bits.shape != sizes[image_id]:
+                    raise DataError(f"{args.preds}: image {image_id!r}: field 'mask.size' must be "
+                                    f"the image size {list(sizes[image_id])}, got {list(m.bits.shape)}")
     # Recall@K matches masks when the predicted entities carry them
     masked = {m is not None for ts in preds.values() for t in ts for m in (t.h_mask, t.o_mask)}
     if len(masked) > 1:

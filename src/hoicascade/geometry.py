@@ -159,15 +159,16 @@ class FeatureGrid:
 def _sample_positions(grid: FeatureGrid, boxes, out_hw):
     """Bilinear sample rows/columns and weights for n RoIs.
 
-    Returns (r0, r1, wr) shaped (n, 1, out_h, 1) and (c0, c1, wc) shaped
-    (n, 1, 1, out_w); the sampling factorizes by axis. Positions clamp to
-    the grid edge, which also covers boxes smaller than one feature cell.
+    Returns (r0, r1, wr) and (c0, c1, wc): rows (n, out_h, 1), columns
+    (n, 1, out_w), and weights with a trailing channel axis; the sampling
+    factorizes by axis. Positions clamp to the grid edge, which also
+    covers boxes smaller than one feature cell.
     """
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise ShapeError(f"pooling target must be >= 1x1, got {out_hw}")
     corners = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    x1, y1, x2, y2 = corners.T[:, :, None, None, None]
+    x1, y1, x2, y2 = corners.T[:, :, None, None]
     gx1, gx2 = x1 * grid.scale_x, x2 * grid.scale_x
     gy1, gy2 = y1 * grid.scale_y, y2 * grid.scale_y
     cx = gx1 + (np.arange(ow) + 0.5) * (gx2 - gx1) / ow
@@ -179,7 +180,7 @@ def _sample_positions(grid: FeatureGrid, boxes, out_hw):
     r0 = np.floor(v).astype(int)
     c1 = np.minimum(c0 + 1, grid.grid_width - 1)
     r1 = np.minimum(r0 + 1, grid.grid_height - 1)
-    return r0, r1, v - r0, c0, c1, u - c0
+    return r0, r1, (v - r0)[..., None], c0, c1, (u - c0)[..., None]
 
 
 def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
@@ -189,15 +190,16 @@ def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
     grid cells: the others read as zero, as if pooled from a copy of the
     grid with them zeroed."""
     r0, r1, wr, c0, c1, wc = _sample_positions(grid, boxes, out)
-    d, ch = grid.data, np.arange(grid.channels)[:, None, None]
-    box = np.arange(len(r0))[:, None, None, None]
+    d = grid.data.transpose(1, 2, 0)  # channels last: one sample reads its C values
+    box = np.arange(len(r0))[:, None, None]
 
     def at(r, c):
-        return d[ch, r, c] if keep is None else d[ch, r, c] * keep[box, r, c]
+        return d[r, c] if keep is None else d[r, c] * keep[box, r, c][..., None]
 
     top = at(r0, c0) * (1 - wc) + at(r0, c1) * wc
     bot = at(r1, c0) * (1 - wc) + at(r1, c1) * wc
-    return top * (1 - wr) + bot * wr
+    # C-contiguous: the matmuls downstream sum in an order set by the layout
+    return np.ascontiguousarray((top * (1 - wr) + bot * wr).transpose(0, 3, 1, 2))
 
 
 PAIR_MAP_SIZE = 64

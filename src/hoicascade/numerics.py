@@ -252,14 +252,12 @@ class FCLayer:
 class Conv2D:
     """Same-padded 2-D convolution (odd kernel) over (B, C, H, W).
 
-    Forward fills the C-contiguous (B*H*W, C*k*k) im2col matrix from k*k
-    contiguous slab copies of the channel-major padded input, CHUNK_MAPS
-    maps at a time, each chunk transposed into place, and returns the
-    channel-major product W @ cols.T as an NCHW view. Backward scatters the
-    column gradient with k*k shifted adds over all channels at once.
+    Forward fills the C-contiguous (C*k*k, B*H*W) im2col matrix, rows in
+    (c, di, dj) order, from k*k shifted copies of the channel-major padded
+    input, and returns W @ cols as an NCHW view. Backward reads the same
+    layout: dW = dY @ cols.T, and W.T @ dY is scattered back with k*k
+    shifted adds over all channels at once.
     """
-
-    CHUNK_MAPS = 8  # bounds the slab scratch next to the column matrix
 
     def __init__(self, in_channels, out_channels, kernel_size, rng):
         if kernel_size % 2 != 1:
@@ -287,19 +285,13 @@ class Conv2D:
             raise ShapeError(f"Conv2D expects (B, {self.cin}, H, W), got {x.shape}")
         self._cols = None  # the previous call's columns go before the next are built
         b, _, h, w = x.shape
-        k, pad, hw = self.k, self.k // 2, h * w
+        k, pad = self.k, self.k // 2
         xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        cols = np.empty((b * hw, self.cin * k * k), dtype=x.dtype)
-        # column order (c, di, dj): slab[c, di, dj, n] is map n shifted by (di, dj)
-        slab = np.empty((self.cin, k, k, min(b, self.CHUNK_MAPS), h, w), dtype=x.dtype)
-        for start in range(0, b, self.CHUNK_MAPS):
-            n = min(self.CHUNK_MAPS, b - start)
-            for di in range(k):
-                for dj in range(k):
-                    slab[:, di, dj, :n] = xp[:, start:start + n, di:di + h, dj:dj + w]
-            cols[start * hw:(start + n) * hw] = slab[:, :, :, :n].reshape(-1, n * hw).T
+        # row (c, di, dj) holds channel c of every map shifted by (di, dj)
+        cols = np.stack([xp[:, :, di:di + h, dj:dj + w] for di in range(k) for dj in range(k)],
+                        axis=1).reshape(self.cin * k * k, b * h * w)
         wmat = self.w.value.reshape(self.cout, -1).astype(x.dtype, copy=False)
-        y = wmat @ cols.T
+        y = wmat @ cols
         y += self.b.value.astype(x.dtype, copy=False)[:, None]
         self._cols = cols
         self._xshape = x.shape
@@ -313,53 +305,54 @@ class Conv2D:
         dy = np.asarray(dy).astype(dtype, copy=False)
         b, _, h, w = self._xshape
         k, pad = self.k, self.k // 2
-        dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, self.cout)
-        self.w.grad += (dmat.T @ self._cols).reshape(self.w.value.shape)
-        self.b.grad += dmat.sum(axis=0)
+        dmat = dy.transpose(1, 0, 2, 3).reshape(self.cout, -1)
+        self.w.grad += (dmat @ self._cols.T).reshape(self.w.value.shape)
+        self.b.grad += dmat.sum(axis=1)
         if not input_grad:
             return
         wmat = self.w.value.reshape(self.cout, -1).astype(dtype, copy=False)
-        # channels last; each element sums its k*k offsets in (di, dj) order
-        dcols = (dmat @ wmat).reshape(b, h, w, self.cin, k * k)
-        dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, self.cin), dtype=dtype)
+        # channel-major; each element sums its k*k offsets in (di, dj) order
+        dcols = (wmat.T @ dmat).reshape(self.cin, k, k, b, h, w)
+        dxp = np.zeros((self.cin, b, h + 2 * pad, w + 2 * pad), dtype=dtype)
         for di in range(k):
             for dj in range(k):
-                dxp[:, di:di + h, dj:dj + w, :] += dcols[..., di * k + dj]
-        return dxp[:, pad:pad + h, pad:pad + w, :].transpose(0, 3, 1, 2)
+                dxp[:, :, di:di + h, dj:dj + w] += dcols[:, di, dj]
+        return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
 
 
 class MaxPool2x2:
     """2x2 max pooling with stride 2; spatial dims must be even.
 
-    Ties go to the first cell in row-major window order: each strided
-    view's mask keeps only the maxima that no earlier view took.
+    Forward keeps only its input. Backward routes each window's gradient
+    to the first cell in row-major window order that holds the max: each
+    strided view's mask keeps only the maxima that no earlier view took.
     """
 
     OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
-        self._masks = None
-        self._xshape = None
+        self._x = None
+
+    def _views(self, x):
+        views = [x[:, :, i::2, j::2] for i, j in self.OFFSETS]
+        return views, np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
 
     def forward(self, x):
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"MaxPool2x2 needs even dims, got {h}x{w}")
-        views = [x[:, :, i::2, j::2] for i, j in self.OFFSETS]
-        m = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-        taken = np.zeros(m.shape, dtype=bool)
-        self._masks = []
-        for v in views:
-            self._masks.append((v == m) & ~taken)
-            taken |= self._masks[-1]
-        self._xshape = x.shape
-        return m
+        self._x = x
+        return self._views(x)[1]
 
     def backward(self, dy):
-        if self._masks is None:
+        if self._x is None:
             raise RuntimeError("backward called before forward")
-        dx = np.zeros(self._xshape, dtype=np.asarray(dy).dtype)
-        for (i, j), mask in zip(self.OFFSETS, self._masks):
+        views, m = self._views(self._x)
+        dx = np.zeros(self._x.shape, dtype=np.asarray(dy).dtype)
+        taken = np.zeros(m.shape, dtype=bool)
+        for (i, j), v in zip(self.OFFSETS, views):
+            mask = (v == m) & ~taken
+            taken |= mask
             dx[:, :, i::2, j::2] = np.where(mask, dy, 0)
         return dx
 

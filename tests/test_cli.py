@@ -5,11 +5,13 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hoicascade.cli import COMMAND_KEYS, main
 from hoicascade.features import cooccurrence_prior
-from hoicascade.formats import RunConfig, rle_decode
+from hoicascade.formats import RunConfig, rle_decode, rle_encode
+from hoicascade.geometry import BitMask
 from hoicascade.interaction import CascadeModel
 from hoicascade.synth import SceneSpec
 
@@ -192,6 +194,23 @@ class TestSegmentMode:
                      "--out", str(out)]) == 2
         assert f"{mixed}: some predicted entities carry masks" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_rejects_masks_of_another_size(self, segment_pipeline, tmp_path, capsys):
+        records = [json.loads(line)
+                   for line in segment_pipeline["preds"].read_text().splitlines()]
+        record = next(r for r in records if r["triplets"])
+        entity = record["entities"][record["triplets"][0]["o"]]
+        height, width = entity["mask"]["size"]
+        bits = rle_decode(entity["mask"]["rle"], height, width).bits
+        entity["mask"] = {"size": [height, width + 1],
+                          "rle": rle_encode(BitMask(np.pad(bits, ((0, 0), (0, 1)))))}
+        resized = tmp_path / "resized.ndjson"
+        resized.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["eval", "--data", str(segment_pipeline["data"]),
+                     "--preds", str(resized)]) == 2
+        err = capsys.readouterr().err
+        assert f"{resized}: image {record['image_id']!r}: field 'mask.size'" in err
+        assert f"[{height}, {width + 1}]" in err
 
     def test_checkpoint_blocks_must_match_mode(self, segment_pipeline, tmp_path, capsys):
         # a checkpoint with mask heads whose model.json says detect mode

@@ -270,6 +270,18 @@ class TestBatchedRoiAlign:
             zeroed = FeatureGrid(grid.data * keep[i], image_height=64, image_width=80)
             assert got[i].tobytes() == roi_align_one(zeroed, box, (7, 7)).tobytes()
 
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_output_is_c_contiguous(self, keep):
+        # The matmuls downstream (IHSM's x @ x.T, the relation maps) sum in
+        # an order that depends on their operands' memory layout, so a
+        # strided result would move served scores by ULPs.
+        rng = np.random.default_rng(24)
+        grid = FeatureGrid(rng.normal(size=(5, 16, 20)), image_height=64, image_width=80)
+        boxes = [Box(4.0, 2.0, 40.0, 50.0), Box(30.0, 10.0, 79.0, 63.0)]
+        cells = rng.uniform(size=(2, 16, 20)) > 0.3 if keep else None
+        got = roi_align(grid, boxes, (7, 7), keep=cells)
+        assert got.shape == (2, 5, 7, 7) and got.flags.c_contiguous
+
     def test_one_box_list(self):
         rng = np.random.default_rng(22)
         grid = FeatureGrid.from_array(rng.normal(size=(3, 9, 9)))

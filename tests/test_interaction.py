@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hoicascade import cascade, interaction
 from hoicascade.cascade import CascadeConfig, Instance, stage_weight
 from hoicascade.errors import DataError, FormatError, ShapeError
 from hoicascade.features import (
@@ -205,8 +206,6 @@ class TestSampleTrainingPairs:
         assert batch.negatives == [] and batch.targets.shape == (1, 4)
 
     def test_annotated_person_pooled_once(self, monkeypatch):
-        from hoicascade import interaction
-
         h_box = Box(2, 4, 14, 30)
         gt = [GroundTruthPair(h_box, Box(16, 4, 26, 14), 1, frozenset({0})),
               GroundTruthPair(h_box, Box(16, 18, 26, 28), 2, frozenset({3})),
@@ -613,6 +612,30 @@ class TestBatchedInference:
             assert [calls.get(id(layer), 0) for layer in once] == [1] * len(once)
             assert [calls.get(id(layer), 0) for layer in unused] == [0] * len(unused)
         assert pair_counts == [1, 15]
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_scores_equal_to_per_box_pooling(self, monkeypatch, segment):
+        """Served scores are bitwise those of pooling every box on its own
+        and stacking the results, as the per-box loop reference does."""
+        from test_geometry import roi_align_one
+
+        def per_box(grid, boxes, out=(7, 7), keep=None):
+            grids = [grid if keep is None else
+                     FeatureGrid(grid.data * keep[i], grid.image_height, grid.image_width)
+                     for i in range(len(boxes))]
+            return np.stack([roi_align_one(g, box, out) for g, box in zip(grids, boxes)])
+
+        model = tiny_model(channels=6, seed=28, segment=segment)
+        grid, seeds = crowded_scene(model, seed=4)
+        grid.data *= 20.0  # activations large enough for rounding to show
+        batched = infer_image(grid, seeds, model)
+        monkeypatch.setattr(interaction, "roi_align", per_box)
+        monkeypatch.setattr(cascade, "roi_align", per_box)
+        looped = infer_image(grid, seeds, model)
+        assert len(batched) == len(looped) > 0
+        for a, b in zip(batched, looped):
+            assert (a.human.box, a.object.box, a.verb) == (b.human.box, b.object.box, b.verb)
+            assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
 
     def test_pairs_pool_once_per_boxes_and_object_class(self):
         model = tiny_model(seed=27)

@@ -222,9 +222,23 @@ def binary_pair_maps(rng, n, hw=64):
     return maps
 
 
+def assert_within(got, ref, bound):
+    """|got - ref| is at most `bound` of max|ref| everywhere."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
+
+
+# Bounds, relative to max|ref|, on what the GEMM may reassociate: the
+# weight and bias gradient sums, and the float64 forward. The float32
+# forward, the columns and dx stay bit for bit.
+GRAD_BOUND = {np.float32: 1e-5, np.float64: 1e-13}
+
+
 class TestEncoderKernelsMatchLoops:
-    """The vectorised conv and pool kernels are bitwise equal to the loop
-    implementations, so checkpoints do not move."""
+    """The vectorised conv and pool kernels match the loop implementations:
+    bit for bit where the pipeline's served outputs depend on them (the
+    float32 forward, the columns, dx and the pool), and within a stated
+    bound of max|ref| where only a GEMM's summation order differs."""
 
     @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
     @pytest.mark.parametrize("cin, cout, k", [(2, 8, 3), (8, 8, 3), (3, 2, 5), (2, 4, 1)])
@@ -240,14 +254,19 @@ class TestEncoderKernelsMatchLoops:
             x = rng.normal(size=(batch, cin, 12, 10))
         y = conv.forward(x)
         y_ref, cols_ref = conv_loop_forward(conv, x)
-        assert y.dtype == y_ref.dtype
-        assert y.tobytes() == y_ref.tobytes()
-        assert conv._cols.tobytes() == cols_ref.tobytes()
+        bound = GRAD_BOUND[y_ref.dtype.type]
+        if x.dtype == np.float32:
+            assert y.dtype == y_ref.dtype
+            assert np.ascontiguousarray(y).tobytes() == y_ref.tobytes()
+        else:
+            assert_within(np.ascontiguousarray(y), y_ref, bound)
+        assert conv._cols.T.shape == cols_ref.shape
+        assert np.ascontiguousarray(conv._cols.T).tobytes() == cols_ref.tobytes()
         dy = rng.normal(size=y.shape)
         dw, db, dx_ref = conv_loop_backward(conv, cols_ref, x.shape, dy)
         dx = conv.backward(dy)
-        assert conv.w.grad.tobytes() == dw.tobytes()
-        assert conv.b.grad.tobytes() == db.tobytes()
+        assert_within(conv.w.grad, dw, bound)
+        assert_within(conv.b.grad, db, bound)
         assert dx.dtype == dx_ref.dtype
         assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(dx_ref).tobytes()
 
@@ -275,23 +294,22 @@ class TestEncoderKernelsMatchLoops:
         enc.backward(dy)
         fc_dw = np.zeros_like(enc.fc.w.value) + dy.T @ flat
         fc_db = np.zeros_like(enc.fc.b.value) + dy.sum(axis=0)
+        assert enc.fc.w.grad.tobytes() == fc_dw.tobytes()
+        assert enc.fc.b.grad.tobytes() == fc_db.tobytes()
         _, dp2 = maxpool_argmax_reference(y2, (dy @ enc.fc.w.value).reshape(p2.shape))
         dw2, db2, dx2 = conv_loop_backward(enc.conv2, cols2, p1.shape, dp2)
         _, dp1 = maxpool_argmax_reference(y1, dx2)
         dw1, db1, _ = conv_loop_backward(enc.conv1, cols1, x.shape, dp1)
-        for param, ref in [(enc.fc.w, fc_dw), (enc.fc.b, fc_db), (enc.conv2.w, dw2),
-                           (enc.conv2.b, db2), (enc.conv1.w, dw1), (enc.conv1.b, db1)]:
-            assert param.grad.tobytes() == ref.tobytes()
+        for param, ref in [(enc.conv2.w, dw2), (enc.conv2.b, db2),
+                           (enc.conv1.w, dw1), (enc.conv1.b, db1)]:
+            assert_within(param.grad, ref, GRAD_BOUND[np.float32])
 
     # pair-map columns (18.9 MB) + output (8.4 MB) + padded input (2.2 MB)
-    # + one chunk's slabs (2.4 MB) is 31.9 MB; 36 MB leaves 4 MB of margin.
-    # A full-batch slab copy (+18.9 MB) or the previous call's columns still
-    # held (+18.9 MB) cannot fit.
-    CONV_PEAK_BOUND = 36e6
+    # is 29.5 MB. The previous call's columns still held (+18.9 MB), or a
+    # second full-size copy of the columns, cannot fit.
+    CONV_PEAK_BOUND = 32e6
 
-    @pytest.mark.parametrize("chunk_maps, fits", [(Conv2D.CHUNK_MAPS, True), (64, False)])
-    def test_conv_forward_peak_memory(self, monkeypatch, chunk_maps, fits):
-        monkeypatch.setattr(Conv2D, "CHUNK_MAPS", chunk_maps)
+    def test_conv_forward_peak_memory(self):
         rng = np.random.default_rng(47)
         conv = Conv2D(2, 8, 3, rng)
         x = binary_pair_maps(rng, 64)
@@ -303,7 +321,7 @@ class TestEncoderKernelsMatchLoops:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak <= self.CONV_PEAK_BOUND) == fits, peak
+        assert peak <= self.CONV_PEAK_BOUND, peak
 
     @pytest.mark.parametrize("layer, dy", [
         (Conv2D(2, 4, 3, None), np.zeros((1, 4, 4, 4))),
@@ -322,9 +340,15 @@ class TestEncoderKernelsMatchLoops:
         _, cols = conv_loop_forward(conv, x)
         dw, db, _ = conv_loop_backward(conv, cols, x.shape, dy)
         conv.forward(x)
+        conv.backward(dy)
+        with_dx = conv.w.grad.copy(), conv.b.grad.copy()
+        conv.w.grad = conv.b.grad = None
+        conv.forward(x)
         assert conv.backward(dy, input_grad=False) is None
-        assert conv.w.grad.tobytes() == dw.tobytes()
-        assert conv.b.grad.tobytes() == db.tobytes()
+        assert conv.w.grad.tobytes() == with_dx[0].tobytes()
+        assert conv.b.grad.tobytes() == with_dx[1].tobytes()
+        assert_within(conv.w.grad, dw, GRAD_BOUND[np.float32])
+        assert_within(conv.b.grad, db, GRAD_BOUND[np.float32])
 
     @pytest.mark.parametrize("window, winner", [
         ([1, 1, 0, 0], 0), ([0, 1, 1, 0], 1), ([0, 0, 1, 1], 2), ([1, 0, 0, 1], 0),
