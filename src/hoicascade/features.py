@@ -35,11 +35,12 @@ def cooccurrence_prior(pairs, n_classes, n_verbs):
     return np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / n_verbs)
 
 
-def geometric_feature(pair_maps, encoder):
-    """(B, 256) descriptors of B two-channel pair maps (B, 2, 64, 64), in
-    the maps' own dtype (float32 from `geometry.spatial_pair_encoding`, as
-    in training)."""
-    return encoder.forward(pair_maps)
+def geometric_feature(rows, cols, encoder):
+    """(B, 256) descriptors of B two-channel pair maps, given as their
+    (B, 2, 64) row and (B, 2, 64) column indicators (float32 from
+    `geometry.spatial_pair_encoding`, as in training); the encoder never
+    builds the (B, 2, 64, 64) maps."""
+    return encoder.forward(rows, cols)
 
 
 def face_region(human_box: Box) -> Box:

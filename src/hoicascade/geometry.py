@@ -206,14 +206,16 @@ PAIR_MAP_SIZE = 64
 
 
 def spatial_pair_encoding(h_boxes, o_boxes):
-    """Distinct (2, 64, 64) occupancy maps of P box pairs, each in the
-    union-box frame of its pair.
+    """Distinct two-channel occupancy maps of P box pairs, each in the
+    union-box frame of its pair, as their row and column indicators.
 
-    Channel 0 holds the human, channel 1 the object; a cell is set iff its
-    center lies in the entity's box. A map is the outer product of its
-    row and column occupancy vectors, so the pairs are keyed on those
-    vectors. Returns the (M, 2, 64, 64) float32 distinct maps in
-    first-seen order and the (P,) map index of each pair.
+    Channel 0 holds the human, channel 1 the object; cell (y, x) of a
+    channel is set iff its center lies in the entity's box, so the channel
+    is the outer product of its 64 row bits (is the center row inside the
+    box's y-extent) and its 64 column bits. The pairs are keyed on those
+    bits. Returns the (M, 2, 64) float32 row and (M, 2, 64) column
+    indicators of the distinct maps in first-seen order, and the (P,) map
+    index of each pair; no (M, 2, 64, 64) map is built.
     """
     h = np.array([b.as_tuple() for b in h_boxes], dtype=np.float64).reshape(-1, 4)
     o = np.array([b.as_tuple() for b in o_boxes], dtype=np.float64).reshape(-1, 4)
@@ -232,5 +234,4 @@ def spatial_pair_encoding(h_boxes, o_boxes):
         index[p] = slots.setdefault(key.tobytes(), len(slots))
         if index[p] == len(first):
             first.append(p)
-    maps = rows[first][:, :, :, None] & cols[first][:, :, None, :]
-    return maps.astype(np.float32), index
+    return rows[first].astype(np.float32), cols[first].astype(np.float32), index

@@ -69,7 +69,8 @@ class PooledPairs:
     rows: np.ndarray       # (P,) each candidate's row among the D distinct pairs
     map_rows: np.ndarray   # (P,) each candidate's row among the M distinct maps
     x_s: np.ndarray        # (D, N) verb-frequency priors
-    pair_maps: np.ndarray  # (M, 2, 64, 64) float32 spatial maps
+    map_bits_rows: np.ndarray  # (M, 2, 64) float32 row indicators of the distinct pair maps
+    map_bits_cols: np.ndarray  # (M, 2, 64) float32 column indicators
     h_bar: np.ndarray      # (D, C, 7, 7) IHSM-enhanced human features
     face: np.ndarray       # (D, C, 7, 7) facial-region features
     noface: np.ndarray     # (D, C, 7, 7) face-removed human features
@@ -303,9 +304,10 @@ class CascadeModel:
         """Everything of P candidate pairs that precedes the trained layers,
         shared by training and inference, once per distinct (human box,
         object box, object class) in first-seen order, and each distinct
-        pair map once. Face crops, face-removed features and IHSM run once
-        per human box; the crops and the face-removed features each pool
-        all humans in one RoIAlign call."""
+        pair map once, as its row and column indicators. IHSM runs once per
+        human box. The humans, their face crops, the objects and the union
+        boxes are pooled in one RoIAlign call; the face-removed features,
+        which read each human's own grid cells, in a second."""
         if self.cooccurrence is None:
             raise DataError("model has no co-occurrence prior; train or load first")
         slot = {}
@@ -315,18 +317,20 @@ class CascadeModel:
         humans = list(dict.fromkeys(h_boxes))
         human_row = {b: i for i, b in enumerate(humans)}
         of_human = [human_row[b] for b in h_boxes]
-        h_bar = np.stack([ihsm_enhance(h)[0] for h in roi_align(grid, humans, POOLED_HW)])
-        face = roi_align(grid, [face_region(b) for b in humans], POOLED_HW)
+        n_h, n_d = len(humans), len(h_boxes)
+        human, face, obj, union = np.split(
+            roi_align(grid, humans + [face_region(b) for b in humans] + list(o_boxes)
+                      + [union_box(h, o) for h, o in zip(h_boxes, o_boxes)], POOLED_HW),
+            [n_h, 2 * n_h, 2 * n_h + n_d])
+        h_bar = np.stack([ihsm_enhance(h)[0] for h in human])
         noface = roi_align(grid, humans, POOLED_HW, keep=self.noface_cells(grid, humans))
-        pair_maps, map_index = spatial_pair_encoding(h_boxes, o_boxes)
+        bits_rows, bits_cols, map_index = spatial_pair_encoding(h_boxes, o_boxes)
         return PooledPairs(
             rows=rows, map_rows=map_index[rows],
             x_s=self.cooccurrence[list(classes)],
-            pair_maps=pair_maps,
+            map_bits_rows=bits_rows, map_bits_cols=bits_cols,
             h_bar=h_bar[of_human], face=face[of_human], noface=noface[of_human],
-            obj=roi_align(grid, o_boxes, POOLED_HW),
-            union=roi_align(grid, [union_box(h, o) for h, o in zip(h_boxes, o_boxes)],
-                            POOLED_HW))
+            obj=obj, union=union)
 
     def visual_tensor(self, pooled: PooledPairs):
         """(D, 3C, 7, 7) visual tensors of the distinct pairs (the IHSM
@@ -347,7 +351,8 @@ class CascadeModel:
         pooled = self.pool_pairs(grid, candidates)
         return RelationFeatures(
             x_s=pooled.x_s[pooled.rows],
-            x_g=geometric_feature(pooled.pair_maps, self.geo_encoder)[pooled.map_rows],
+            x_g=geometric_feature(pooled.map_bits_rows, pooled.map_bits_cols,
+                                  self.geo_encoder)[pooled.map_rows],
             x_v=self.visual_tensor(pooled)[0][pooled.rows])
 
     # -------------------------------------------------------------- io

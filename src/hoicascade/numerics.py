@@ -3,9 +3,13 @@ losses, a momentum SGD step, and a central finite-difference gradient
 checker.
 
 Arithmetic is float64, except that the conv encoder runs in float32 on
-the float32 pair maps it is given. Layers cache their most recent forward
-inputs, so each forward must be followed by its backward before the layer
-is reused (the training loops respect this ordering).
+the float32 pair-map indicators it is given. Its first block,
+`OuterProductConvPool`, takes each binary two-channel map as its row and
+column indicators and evaluates conv1 and pool1 on a table of the map's
+distinct cells, bit for bit what `Conv2D` + `MaxPool2x2` give on the
+full map in float32. Layers cache their most recent forward inputs, so
+each forward must be followed by its backward before the layer is reused
+(the training loops respect this ordering).
 
 No layer applies a sigmoid: a caller that wants probabilities takes the
 sigmoid of a layer's outputs, and `binary_cross_entropy` reads the
@@ -30,6 +34,10 @@ from .errors import ShapeError, TrainingError, FormatError
 CHECKPOINT_MAGIC = "hoicascade-params"
 CHECKPOINT_VERSION = 1
 MOMENTUM = 0.9  # SGD momentum, as in the R-CNN family's training recipe
+# Bound on the global L2 norm of one step's gradient (Pascanu et al., arXiv
+# 1211.5063). Without it the geometric stream diverges late in some default
+# trainings (data seed 15, training seed 2); below it the step is unchanged.
+MAX_GRAD_NORM = 200.0
 
 
 class Param:
@@ -172,16 +180,25 @@ class ParamStore:
 
 def sgd_step(store: ParamStore, lr: float):
     """v <- MOMENTUM * v + grad and p <- p - lr * v for every block, with
-    v zero before a block's first step (Sutskever et al., 2013). lr * v is
-    written into the gradient buffer, which is then kept as the block's
+    v zero before a block's first step (Sutskever et al., 2013). When the
+    global L2 norm of the step's gradients exceeds MAX_GRAD_NORM, every
+    gradient is first scaled by MAX_GRAD_NORM / norm; a step within the
+    bound is the plain one. A non-finite gradient raises `TrainingError`
+    naming the first block that holds one, before any block moves. lr * v
+    is written into the gradient buffer, which is then kept as the block's
     spare. A block without a gradient this step is skipped, velocity and
     all, as torch.optim.SGD skips a parameter whose grad is None."""
-    for name, p in store.items():
+    blocks = [(name, p) for name, p in store.items() if p._grad is not None]
+    sq_norm = sum(float(np.vdot(p._grad, p._grad)) for _, p in blocks)
+    if not np.isfinite(sq_norm):
+        bad = next((name for name, p in blocks if not np.all(np.isfinite(p._grad))), None)
+        raise TrainingError(f"non-finite gradient in block {bad!r}" if bad
+                            else "gradient norm overflows float64")
+    scale = MAX_GRAD_NORM / np.sqrt(sq_norm) if sq_norm > MAX_GRAD_NORM ** 2 else None
+    for _, p in blocks:
         grad = p._grad
-        if grad is None:
-            continue
-        if not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient in block {name!r}")
+        if scale is not None:
+            grad *= scale
         if p._vel is None:
             p._vel = np.zeros_like(grad)
         p._vel *= MOMENTUM
@@ -297,8 +314,8 @@ class Conv2D:
         self._xshape = x.shape
         return y.reshape(self.cout, b, h, w).transpose(1, 0, 2, 3)
 
-    def backward(self, dy, input_grad=True):
-        """Accumulate dW and db; return dx unless input_grad is False."""
+    def backward(self, dy):
+        """Accumulate dW and db; return dx."""
         if self._cols is None:
             raise RuntimeError("backward called before forward")
         dtype = self._cols.dtype
@@ -308,8 +325,6 @@ class Conv2D:
         dmat = dy.transpose(1, 0, 2, 3).reshape(self.cout, -1)
         self.w.grad += (dmat @ self._cols.T).reshape(self.w.value.shape)
         self.b.grad += dmat.sum(axis=1)
-        if not input_grad:
-            return
         wmat = self.w.value.reshape(self.cout, -1).astype(dtype, copy=False)
         # channel-major; each element sums its k*k offsets in (di, dj) order
         dcols = (wmat.T @ dmat).reshape(self.cin, k, k, b, h, w)
@@ -357,11 +372,143 @@ class MaxPool2x2:
         return dx
 
 
+class OuterProductConvPool:
+    """A same-padded k x k convolution followed by 2x2 max pooling, on maps
+    whose every channel is the outer product r qᵀ of a 0/1 row indicator r
+    and a 0/1 column indicator q: the binary pair maps, given as their
+    (B, C, H) row and (B, C, W) column indicators.
+
+    The im2col column of cell (y, x) holds, at (c, di, dj), the row bit
+    r_c[y + di - pad] times the column bit q_c[x + dj - pad]. So it is
+    fixed by the cell's row pattern (its C*k row bits) and column pattern
+    (its C*k column bits), and each map has only a few distinct patterns
+    of each. Forward runs one GEMM over the 0/1 columns of every map's
+    distinct (row pattern, column pattern) cells, padded to the batch's
+    largest pattern counts, and gathers the pool from that table: the
+    values are `Conv2D` + `MaxPool2x2`'s bit for bit, as each 0/1 column
+    is summed in the same order. Backward routes each pooled gradient to
+    the first cell in row-major window order that holds the max, as
+    `MaxPool2x2` does, sums it per table cell and takes dW and db from the
+    table. No (B, C, H, W) map, im2col columns or conv-size gradient is
+    built. float32 indicators run in float32, anything else in float64.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel_size, rng):
+        if kernel_size % 2 != 1:
+            raise ShapeError("kernel size must be odd")
+        self.cin = in_channels
+        self.cout = out_channels
+        self.k = kernel_size
+        fan_in = in_channels * kernel_size * kernel_size
+        self.w = Param(init_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
+                                    fan_in, out_channels), copy=False)
+        self.b = Param(np.zeros(out_channels), copy=False)
+        self._y = None
+
+    def params(self, prefix):
+        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
+
+    @staticmethod
+    def _distinct(codes, span):
+        """Each map's distinct values of its (B, n) codes, all below `span`:
+        the (B, m) values in ascending order, padded with zeros to the
+        batch's largest count, and the (B, n) position of each code there."""
+        b = len(codes)
+        # the map's index above the code: one sort finds every map's values
+        uniq, inverse = np.unique(codes + span * np.arange(b)[:, None], return_inverse=True)
+        owner = uniq // span
+        start = np.searchsorted(owner, np.arange(b))
+        local = np.arange(len(uniq)) - start[owner]
+        table = np.zeros((b, local.max() + 1), dtype=codes.dtype)
+        table[owner, local] = uniq % span
+        return table, inverse.reshape(codes.shape) - start[:, None]
+
+    def _patterns(self, ind):
+        """Each map's distinct patterns of k shifted indicator bits: their
+        (B, np, C*k) bits in (c, d) order, zero-padded to the batch's
+        largest count, and the (B, n) pattern id of every position."""
+        b, c, n = ind.shape
+        k, pad = self.k, self.k // 2
+        on = np.zeros((b, c, n + 2 * pad), dtype=np.int64)
+        on[:, :, pad:pad + n] = ind
+        # bit c*k + d of position y is channel c's indicator at y + d - pad
+        code = sum(on[:, ch, d:d + n] << (ch * k + d) for ch in range(c) for d in range(k))
+        table, ids = self._distinct(code, 1 << c * k)
+        return ((table[..., None] >> np.arange(c * k)) & 1).astype(ind.dtype), ids
+
+    def forward(self, rows, cols):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        dtype = np.float32 if rows.dtype == np.float32 else np.float64
+        rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+        if (rows.ndim != 3 or cols.ndim != 3 or rows.shape[:2] != cols.shape[:2]
+                or rows.shape[1] != self.cin):
+            raise ShapeError(f"expects (B, {self.cin}, H) rows and (B, {self.cin}, W) "
+                             f"columns, got {rows.shape} and {cols.shape}")
+        h, w = rows.shape[2], cols.shape[2]
+        if h % 2 or w % 2:
+            raise ShapeError(f"2x2 pooling needs even dims, got {h}x{w}")
+        for ind in (rows, cols):
+            if np.any((ind != 0) & (ind != 1)):
+                raise ValueError("indicators must be 0/1")
+        self._y = None  # the previous call's table goes before the next is built
+        c, k, cout = self.cin, self.k, self.cout
+        rt, rid = self._patterns(rows)
+        ct, cid = self._patterns(cols)
+        b, nv, nu = len(rt), rt.shape[1], ct.shape[1]
+        # bit (c, di, dj) of a cell's column: row bit (c, di) times column bit (c, dj)
+        rbits = np.repeat(rt.reshape(b, nv, 1, c, k), k, axis=-1)
+        cbits = np.tile(ct.reshape(b, 1, nu, c, k), k)
+        cells = (rbits * cbits).reshape(b * nv * nu, c * k * k)
+        wmat = self.w.value.reshape(cout, -1).astype(dtype, copy=False)
+        y = cells @ wmat.T
+        y += self.b.value.astype(dtype, copy=False)
+        # the table row of every (map, row pattern, column x); each
+        # pattern's column-pair maxima, (map, row pattern) rows of colmax
+        xrow = (np.arange(b)[:, None, None] * nv + np.arange(nv)[:, None]) * nu + cid[:, None]
+        colmax = np.maximum(np.take(y, xrow[..., 0::2], axis=0),
+                            np.take(y, xrow[..., 1::2], axis=0)).reshape(b * nv, w // 2, cout)
+        # each map's distinct (top, bottom) pattern pairs of its pooled rows
+        pairs, pair_id = self._distinct(rid[:, 0::2] * nv + rid[:, 1::2], nv * nv)
+        top, bottom = (np.arange(b)[:, None] * nv + np.divmod(pairs, nv)).reshape(2, -1)
+        self._cells, self._y, self._xrow = cells, y, xrow
+        self._top, self._bottom, self._pair_id = top, bottom, pair_id
+        pooled = np.maximum(np.take(colmax, top, axis=0), np.take(colmax, bottom, axis=0))
+        flat_id = np.arange(b)[:, None] * pairs.shape[1] + pair_id
+        return np.take(pooled, flat_id, axis=0).transpose(0, 3, 1, 2)
+
+    def backward(self, dy):
+        """Accumulate dW and db of the (B, cout, H/2, W/2) pooled gradient.
+        The indicators are data, so no input gradient is computed."""
+        if self._y is None:
+            raise RuntimeError("backward called before forward")
+        left, right = self._xrow[..., 0::2], self._xrow[..., 1::2]
+        yl, yr = np.take(self._y, left, axis=0), np.take(self._y, right, axis=0)
+        colmax = np.maximum(yl, yr)
+        # the table row of each column pair's first max, then of each window's:
+        # ties go left, then up, the first cell in row-major window order
+        first = np.where(yl == colmax, left[..., None], right[..., None])
+        colmax, first = (a.reshape(-1, left.shape[2], self.cout) for a in (colmax, first))
+        top, bottom = self._top, self._bottom
+        cell = np.where(np.take(colmax, top, axis=0) >= np.take(colmax, bottom, axis=0),
+                        np.take(first, top, axis=0), np.take(first, bottom, axis=0))
+        # the pooled gradient summed over each map's rows of one pattern pair
+        b, half = self._pair_id.shape
+        dy = np.asarray(dy)
+        onehot = (self._pair_id[:, None] == np.arange(len(top) // b)[:, None]).astype(dy.dtype)
+        dpair = onehot @ dy.transpose(0, 2, 1, 3).reshape(b, half, -1)
+        index = cell.transpose(0, 2, 1) * self.cout + np.arange(self.cout)[:, None]
+        grad = np.bincount(index.ravel(), dpair.ravel(), self._y.size).reshape(self._y.shape)
+        self.w.grad += (grad.T @ self._cells).reshape(self.w.value.shape)
+        self.b.grad += grad.sum(axis=0)
+
+
 class ConvPoolEncoder:
     """Two conv+pool blocks followed by one FC layer; output length 256.
 
-    Input spatial dims must be divisible by 4 (two 2x2 pools). Without a
-    generator every block starts at zero.
+    Takes binary two-channel maps as their row and column indicators: the
+    first block is an `OuterProductConvPool`, the second a `Conv2D` and a
+    `MaxPool2x2` on its output. Input spatial dims must be divisible by 4
+    (two 2x2 pools). Without a generator every block starts at zero.
     """
 
     OUT_DIM = 256
@@ -372,8 +519,7 @@ class ConvPoolEncoder:
             raise ShapeError(f"encoder input dims must be divisible by 4, got {h}x{w}")
         self.in_channels = in_channels
         self.in_hw = (h, w)
-        self.conv1 = Conv2D(in_channels, channels[0], kernel_size, rng)
-        self.pool1 = MaxPool2x2()
+        self.conv1 = OuterProductConvPool(in_channels, channels[0], kernel_size, rng)
         self.conv2 = Conv2D(channels[0], channels[1], kernel_size, rng)
         self.pool2 = MaxPool2x2()
         self.flat_dim = channels[1] * (h // 4) * (w // 4)
@@ -384,22 +530,23 @@ class ConvPoolEncoder:
                 + self.conv2.params(f"{prefix}.conv2")
                 + self.fc.params(f"{prefix}.fc"))
 
-    def forward(self, x):
-        x = np.asarray(x)
-        if x.shape[1:] != (self.in_channels, *self.in_hw):
-            raise ShapeError(f"encoder expects (B, {self.in_channels}, {self.in_hw[0]}, "
-                             f"{self.in_hw[1]}), got {x.shape}")
-        h = self.pool1.forward(self.conv1.forward(x))
-        h = self.pool2.forward(self.conv2.forward(h))
-        self._pooled_shape = h.shape
-        return self.fc.forward(h.reshape(h.shape[0], -1))
+    def forward(self, rows, cols):
+        """(B, 256) descriptors of B maps given as (B, C, H) row and
+        (B, C, W) column indicators."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        c, (h, w) = self.in_channels, self.in_hw
+        if rows.shape[1:] != (c, h) or cols.shape[1:] != (c, w) or len(rows) != len(cols):
+            raise ShapeError(f"encoder expects (B, {c}, {h}) rows and (B, {c}, {w}) columns, "
+                             f"got {rows.shape} and {cols.shape}")
+        x = self.pool2.forward(self.conv2.forward(self.conv1.forward(rows, cols)))
+        self._pooled_shape = x.shape
+        return self.fc.forward(x.reshape(x.shape[0], -1))
 
     def backward(self, dy):
         """Accumulate the gradients of every block. The input is data, so
         no input gradient is computed or returned."""
         dh = self.fc.backward(dy).reshape(self._pooled_shape)
-        dh = self.conv2.backward(self.pool2.backward(dh))
-        self.conv1.backward(self.pool1.backward(dh), input_grad=False)
+        self.conv1.backward(self.conv2.backward(self.pool2.backward(dh)))
 
 
 def softmax_rows(m):

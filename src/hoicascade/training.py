@@ -158,7 +158,8 @@ class RelationPass:
 
     def forward(self):
         model, pooled = self.model, self.pooled
-        self.x_g = model.geo_encoder.forward(pooled.pair_maps)[pooled.map_rows]
+        self.x_g = model.geo_encoder.forward(pooled.map_bits_rows,
+                                             pooled.map_bits_cols)[pooled.map_rows]
         x_v, self.alpha, self.alpha_bar = model.visual_tensor(pooled)
         self.x_v = x_v[pooled.rows].reshape(self.n, -1)
         return self
@@ -176,7 +177,7 @@ class RelationPass:
         d_alpha_bar = (d_obar * noface.reshape(len(face), -1)).sum(axis=1)
         efra_attend_backward(d_alpha, d_alpha_bar, self.alpha, self.alpha_bar,
                              model.face_attention, model.noface_attention)
-        d_maps = np.zeros((len(pooled.pair_maps), d_xg.shape[1]))
+        d_maps = np.zeros((len(pooled.map_bits_rows), d_xg.shape[1]))
         np.add.at(d_maps, pooled.map_rows, d_xg)
         model.geo_encoder.backward(d_maps)
 

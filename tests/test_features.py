@@ -15,6 +15,7 @@ from hoicascade.features import (
 )
 from hoicascade.geometry import Box
 from hoicascade.interaction import CascadeModel
+from hoicascade.gradcheck import box_indicators
 from hoicascade.numerics import ConvPoolEncoder, FCLayer, finite_diff_check, sigmoid
 
 
@@ -106,21 +107,23 @@ class TestGeometricFeature:
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(0))
         for layer in (enc.conv1, enc.conv2, enc.fc):
             layer.b.value[...] = 0.0
-        np.testing.assert_array_equal(geometric_feature(np.zeros((1, 2, 64, 64)), enc),
-                                      np.zeros((1, 256)))
+        empty = np.zeros((1, 2, 64))
+        np.testing.assert_array_equal(geometric_feature(empty, empty, enc), np.zeros((1, 256)))
 
     def test_output_length_256(self):
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(1))
-        y = geometric_feature(np.random.default_rng(2).uniform(size=(1, 2, 64, 64)), enc)
+        rng = np.random.default_rng(2)
+        y = geometric_feature(*(box_indicators(rng, (1, 2), 64) for _ in range(2)), enc)
         assert y.shape == (1, 256)
 
     def test_channel_swap_changes_output(self):
         enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(3))
-        m = np.zeros((1, 2, 64, 64))
-        m[0, 0, :32] = 1.0
-        m[0, 1, 32:] = 1.0
-        a = geometric_feature(m, enc)
-        b = geometric_feature(m[:, ::-1].copy(), enc)
+        # the human on the top half rows, the object on the bottom half
+        rows, cols = np.zeros((1, 2, 64)), np.ones((1, 2, 64))
+        rows[0, 0, :32] = 1.0
+        rows[0, 1, 32:] = 1.0
+        a = geometric_feature(rows, cols, enc)
+        b = geometric_feature(rows[:, ::-1].copy(), cols, enc)
         assert not np.allclose(a, b)
 
 
@@ -314,7 +317,8 @@ def _fc_backward_of_one_row(dy):
 UNBATCHED_CALLS = {
     "FCLayer.forward": lambda: FCLayer(3, 2).forward(np.zeros(3)),
     "FCLayer.backward": lambda: _fc_backward_of_one_row(np.zeros(2)),
-    "ConvPoolEncoder.forward": lambda: ConvPoolEncoder(2, (8, 8)).forward(np.zeros((2, 8, 8))),
+    "ConvPoolEncoder.forward": lambda: ConvPoolEncoder(2, (8, 8)).forward(np.zeros((2, 8)),
+                                                                          np.zeros((2, 8))),
     "efra_attend": lambda: efra_attend(*[np.zeros((2, 3, 3))] * 3,
                                        *[FCLayer(36, 1)] * 2),
     "cross_stage_fuse-tensor": lambda: cross_stage_fuse(

@@ -308,11 +308,18 @@ def pair_map_reference(h_box, o_box):
     return out
 
 
+def outer_products(rows, cols):
+    """The (M, 2, 64, 64) maps of (M, 2, 64) row and column indicators."""
+    return rows[:, :, :, None] * cols[:, :, None, :]
+
+
 def encode_one(h_box, o_box):
-    maps, index = spatial_pair_encoding([h_box], [o_box])
-    assert maps.shape == (1, 2, 64, 64) and maps.dtype == np.float32
+    """One pair's map, rebuilt from the indicators it is returned as."""
+    rows, cols, index = spatial_pair_encoding([h_box], [o_box])
+    assert rows.shape == cols.shape == (1, 2, 64)
+    assert rows.dtype == cols.dtype == np.float32
     assert index.tolist() == [0]
-    return maps[0]
+    return outer_products(rows, cols)[0]
 
 
 class TestSpatialPairEncoding:
@@ -340,8 +347,8 @@ class TestSpatialPairEncoding:
             o2 = Box(o.x1 * s + dx, o.y1 * s + dy, o.x2 * s + dx, o.y2 * s + dy)
             np.testing.assert_array_equal(base, encode_one(h2, o2))
             # in one call the two pairs share one map
-            maps, index = spatial_pair_encoding([h, h2], [o, o2])
-            assert len(maps) == 1 and index.tolist() == [0, 0]
+            rows, cols, index = spatial_pair_encoding([h, h2], [o, o2])
+            assert len(rows) == len(cols) == 1 and index.tolist() == [0, 0]
 
     @PROPERTY
     @given(h=st.tuples(*[st.integers(-50, 50)] * 2, *[st.integers(1, 40)] * 2),
@@ -375,7 +382,9 @@ class TestSpatialPairEncoding:
         # maps that share their row (then column) occupancy but not the other
         h_boxes += [Box(0, 0, 10, 10)] * 2 + [Box(0, 0, 10, 10)] * 2
         o_boxes += [Box(10, 0, 20, 10), Box(5, 0, 20, 10), Box(0, 10, 10, 20), Box(0, 5, 10, 20)]
-        maps, index = spatial_pair_encoding(h_boxes, o_boxes)
+        rows, cols, index = spatial_pair_encoding(h_boxes, o_boxes)
+        assert rows.shape == cols.shape == (17, 2, 64)  # no 64x64 map is returned
+        maps = outer_products(rows, cols)
         refs = [pair_map_reference(h, o) for h, o in zip(h_boxes, o_boxes)]
         for ref, i in zip(refs, index):
             assert maps[i].tobytes() == ref.tobytes()

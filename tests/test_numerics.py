@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from hoicascade.errors import ShapeError, TrainingError, FormatError
+from hoicascade.geometry import Box, spatial_pair_encoding
+from hoicascade.gradcheck import box_indicators
 from hoicascade.numerics import (
+    MAX_GRAD_NORM,
+    MOMENTUM,
     Conv2D,
     ConvPoolEncoder,
     FCLayer,
     MaxPool2x2,
+    OuterProductConvPool,
     Param,
     ParamStore,
     binary_cross_entropy,
@@ -112,10 +117,15 @@ class TestFCLayer:
 
 # ------------------------------------------------------------ conv encoder
 
+def outer_maps(rows, cols):
+    """(B, C, H, W) maps whose channel c is rows[:, c] cols[:, c]ᵀ."""
+    return rows[:, :, :, None] * cols[:, :, None, :]
+
+
 class TestConvPoolEncoder:
     def test_zero_input_zero_bias(self):
         enc = ConvPoolEncoder(2, (8, 8), rng=np.random.default_rng(0))
-        y = enc.forward(np.zeros((1, 2, 8, 8)))
+        y = enc.forward(np.zeros((1, 2, 8)), np.zeros((1, 2, 8)))
         np.testing.assert_array_equal(y, np.zeros((1, 256)))
 
     def test_constant_propagation_vs_hand_conv(self):
@@ -125,30 +135,39 @@ class TestConvPoolEncoder:
         enc.conv1.b.value[...] = 0.0
         enc.conv2.w.value[...] = 1.0
         enc.conv2.b.value[...] = 0.0
-        x = np.full((1, 4, 4), 3.25)
+        rows, cols = np.ones((1, 1, 4)), np.ones((1, 1, 4))
+        x = outer_maps(rows, cols)[0]
         ref = conv_same_oracle(x, enc.conv1.w.value, enc.conv1.b.value)
         # 1x1 kernel of value 1: conv is identity, pools keep the constant.
         np.testing.assert_allclose(ref, x)
-        y = enc.forward(x[None])
-        expected = enc.fc.forward(np.full((1, enc.flat_dim), 3.25))
+        y = enc.forward(rows, cols)
+        expected = enc.fc.forward(np.ones((1, enc.flat_dim)))
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_conv_matches_direct_oracle(self):
         rng = np.random.default_rng(5)
         enc = ConvPoolEncoder(2, (4, 4), channels=(3, 2), rng=rng)
-        x = rng.normal(size=(2, 4, 4))
-        got = enc.conv1.forward(x[None])[0]
-        ref = conv_same_oracle(x, enc.conv1.w.value, enc.conv1.b.value)
-        np.testing.assert_allclose(got, ref, atol=1e-10)
+        enc.conv1.b.value[...] = rng.normal(size=3)
+        rows, cols = (box_indicators(rng, (1, 2), 4) for _ in range(2))
+        got = enc.conv1.forward(rows, cols)[0]
+        ref = conv_same_oracle(outer_maps(rows, cols)[0], enc.conv1.w.value, enc.conv1.b.value)
+        pooled = ref.reshape(3, 2, 2, 2, 2).max(axis=(2, 4))
+        np.testing.assert_allclose(got, pooled, atol=1e-10)
 
     def test_paper_scale_shape(self):
-        enc = ConvPoolEncoder(2, (64, 64), rng=np.random.default_rng(2))
-        y = enc.forward(np.random.default_rng(0).normal(size=(1, 2, 64, 64)))
+        rng = np.random.default_rng(2)
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
+        y = enc.forward(*(box_indicators(rng, (1, 2), 64) for _ in range(2)))
         assert y.shape == (1, 256)
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ShapeError):
             ConvPoolEncoder(2, (6, 6))
+
+    def test_indicators_must_be_binary(self):
+        enc = ConvPoolEncoder(2, (8, 8), rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="0/1"):
+            enc.forward(np.full((1, 2, 8), 0.5), np.ones((1, 2, 8)))
 
 
 # ------------------------------------------- loop references for the encoder
@@ -277,18 +296,20 @@ class TestEncoderKernelsMatchLoops:
         self.test_conv_forward_and_backward(kind, cin, cout, k, batch)
 
     def test_encoder_chain_matches_composed_loops(self):
-        """conv1 -> pool1 -> conv2 -> pool2 -> fc on binary pair maps, forward
-        and backward, against the loop references composed by hand."""
+        """conv1+pool1 -> conv2 -> pool2 -> fc on box-pair indicators,
+        forward and backward, against the loop references composed by hand
+        on the outer-product maps."""
         rng = np.random.default_rng(43)
         enc = ConvPoolEncoder(2, (64, 64), rng=rng)
-        x = binary_pair_maps(rng, 4)
+        rows, cols = (box_indicators(rng, (4, 2), 64).astype(np.float32) for _ in range(2))
+        x = outer_maps(rows, cols)
         y1, cols1 = conv_loop_forward(enc.conv1, x)
         p1, _ = maxpool_argmax_reference(y1, np.zeros_like(y1[:, :, ::2, ::2]))
         y2, cols2 = conv_loop_forward(enc.conv2, p1)
         p2, _ = maxpool_argmax_reference(y2, np.zeros_like(y2[:, :, ::2, ::2]))
         flat = p2.reshape(4, -1).astype(np.float64)
         out = flat @ enc.fc.w.value.T + enc.fc.b.value
-        assert enc.forward(x).tobytes() == out.tobytes()
+        assert enc.forward(rows, cols).tobytes() == out.tobytes()
 
         dy = rng.normal(size=out.shape)
         enc.backward(dy)
@@ -325,30 +346,13 @@ class TestEncoderKernelsMatchLoops:
 
     @pytest.mark.parametrize("layer, dy", [
         (Conv2D(2, 4, 3, None), np.zeros((1, 4, 4, 4))),
+        (OuterProductConvPool(2, 4, 3, None), np.zeros((1, 4, 2, 2))),
         (MaxPool2x2(), np.zeros((1, 2, 2, 2))),
         (FCLayer(3, 2), np.zeros(2)),
     ])
     def test_backward_before_forward(self, layer, dy):
         with pytest.raises(RuntimeError, match="backward called before forward"):
             layer.backward(dy)
-
-    def test_conv_without_input_grad_accumulates_the_same_weights(self):
-        rng = np.random.default_rng(17)
-        conv = Conv2D(2, 8, 3, rng)
-        x = binary_pair_maps(rng, 4)
-        dy = rng.normal(size=(4, 8, 64, 64)).astype(np.float32)
-        _, cols = conv_loop_forward(conv, x)
-        dw, db, _ = conv_loop_backward(conv, cols, x.shape, dy)
-        conv.forward(x)
-        conv.backward(dy)
-        with_dx = conv.w.grad.copy(), conv.b.grad.copy()
-        conv.w.grad = conv.b.grad = None
-        conv.forward(x)
-        assert conv.backward(dy, input_grad=False) is None
-        assert conv.w.grad.tobytes() == with_dx[0].tobytes()
-        assert conv.b.grad.tobytes() == with_dx[1].tobytes()
-        assert_within(conv.w.grad, dw, GRAD_BOUND[np.float32])
-        assert_within(conv.b.grad, db, GRAD_BOUND[np.float32])
 
     @pytest.mark.parametrize("window, winner", [
         ([1, 1, 0, 0], 0), ([0, 1, 1, 0], 1), ([0, 0, 1, 1], 2), ([1, 0, 0, 1], 0),
@@ -379,6 +383,98 @@ class TestEncoderKernelsMatchLoops:
         assert dx.dtype == dx_ref.dtype and dx.tobytes() == dx_ref.tobytes()
         counts = (x.reshape(3, 4, 8, 2, 6, 2) == y[:, :, :, None, :, None]).sum(axis=(3, 5))
         assert {2, 3, 4} <= set(np.unique(counts).tolist())
+
+
+# Box pairs whose maps exercise the first block's edge cases. Cell (y, x)
+# of a map is set iff its center lies in the box, in the union frame, so
+# every map has a box flush with each side of the frame.
+def _box(x1, y1, x2, y2):
+    return Box(float(x1), float(y1), float(x2), float(y2))
+
+
+PAIR_CASES = {
+    # a human narrower and shorter than one cell: both its indicators are empty
+    "empty_channel": [(_box(50, 50, 50.2, 50.1), _box(0, 0, 64, 64))],
+    # both boxes flush with the frame on two sides: the padding is read
+    "flush": [(_box(0, 0, 30, 64), _box(30, 10, 64, 64))],
+    "same_box": [(_box(3, 4, 20, 30), _box(3, 4, 20, 30))],
+    "one_map": [(_box(2, 3, 17, 40), _box(11, 1, 60, 22))],
+    # maps from 2 to many distinct row and column patterns in one batch
+    "mixed": [(_box(3, 4, 20, 30), _box(3, 4, 20, 30)),
+              (_box(0, 0, 10, 10), _box(10, 0, 20, 10)),
+              (_box(2, 3, 17, 40), _box(11, 1, 60, 22)),
+              (_box(0.0, 0.0, 7.3, 5.1), _box(1.9, 0.7, 6.2, 9.9)),
+              (_box(50, 50, 50.2, 50.1), _box(0, 0, 64, 64)),
+              (_box(5, 5, 9, 61), _box(1, 30, 63, 33))],
+}
+
+
+class TestOuterProductConvPool:
+    """The first block against `conv_loop_forward` and
+    `maxpool_argmax_reference` on the outer-product maps: the pooled
+    output bit for bit in float32 and within GRAD_BOUND of max|ref| in
+    float64, dW and db within GRAD_BOUND."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_matches_conv_and_pool_loops(self, case, dtype):
+        rng = np.random.default_rng(len(case))
+        layer = OuterProductConvPool(2, 8, 3, rng)
+        layer.b.value[...] = rng.normal(size=8)
+        conv = Conv2D(2, 8, 3, None)
+        conv.w.value[...], conv.b.value[...] = layer.w.value, layer.b.value
+        h_boxes, o_boxes = zip(*PAIR_CASES[case])
+        rows, cols, _ = spatial_pair_encoding(h_boxes, o_boxes)
+        assert rows.shape == cols.shape == (len(h_boxes), 2, 64)
+        rows, cols = rows.astype(dtype), cols.astype(dtype)
+        x = outer_maps(rows, cols)
+        y_conv, cols_ref = conv_loop_forward(conv, x)
+        dy = rng.normal(size=(len(x), 8, 32, 32)).astype(dtype)
+        y_ref, dconv = maxpool_argmax_reference(y_conv, dy)
+        y = layer.forward(rows, cols)
+        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+        if dtype == np.float32:
+            assert np.ascontiguousarray(y).tobytes() == y_ref.tobytes()
+        else:
+            assert_within(np.ascontiguousarray(y), y_ref, GRAD_BOUND[np.float64])
+        dw, db, _ = conv_loop_backward(conv, cols_ref, x.shape, dconv)
+        layer.backward(dy)
+        assert_within(layer.w.grad, dw, GRAD_BOUND[dtype])
+        assert_within(layer.b.grad, db, GRAD_BOUND[dtype])
+
+    def test_a_box_within_one_cell_has_empty_indicators(self):
+        rows, cols, _ = spatial_pair_encoding(*zip(*PAIR_CASES["empty_channel"]))
+        assert not rows[0, 0].any() and not cols[0, 0].any() and rows[0, 1].all()
+
+    def test_a_map_is_the_same_in_any_batch(self):
+        rng = np.random.default_rng(61)
+        layer = OuterProductConvPool(2, 8, 3, rng)
+        rows, cols, _ = spatial_pair_encoding(*zip(*PAIR_CASES["mixed"]))
+        batch = layer.forward(rows, cols).copy()
+        for m in range(len(rows)):
+            alone = layer.forward(rows[m:m + 1], cols[m:m + 1])
+            assert alone.tobytes() == np.ascontiguousarray(batch[m:m + 1]).tobytes()
+
+    # Measured 5.1 MB on 64 random box maps, 2.1 MB of it the pooled output.
+    # `Conv2D` + `MaxPool2x2` on the 64x64 maps peak at 33.6 MB: their
+    # (64, 8, 64, 64) conv output alone is 8.4 MB and the im2col columns
+    # 18.9 MB, so neither can be built under this bound.
+    FORWARD_PEAK_BOUND = 8e6
+
+    def test_forward_peak_memory(self):
+        rng = np.random.default_rng(47)
+        layer = OuterProductConvPool(2, 8, 3, rng)
+        rows, cols = (box_indicators(rng, (64, 2), 64).astype(np.float32) for _ in range(2))
+        tracemalloc.start()
+        try:
+            layer.forward(rows, cols)  # its tables stay held, as before a backward
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            layer.forward(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.FORWARD_PEAK_BOUND, peak
 
 
 # ------------------------------------------------------------------ softmax
@@ -559,6 +655,62 @@ class TestSgdStep:
         bad.grad[0] = np.nan
         with pytest.raises(TrainingError, match="head.w"):
             sgd_step(store, 0.1)
+
+    def test_nan_gradient_moves_no_block(self):
+        store = ParamStore()
+        good = store.add("good", Param(np.ones(2)))
+        bad = store.add("bad", Param(np.zeros(2)))
+        good.grad += 1.0
+        bad.grad[1] = np.inf
+        with pytest.raises(TrainingError, match="'bad'"):
+            sgd_step(store, 0.1)
+        assert good.value.tolist() == [1.0, 1.0]
+
+    def test_finite_gradient_whose_norm_overflows_moves_no_block(self):
+        store = ParamStore()
+        p = store.add("w", Param(np.zeros(2)))
+        p.grad += 1e200
+        with pytest.raises(TrainingError, match="overflows"):
+            sgd_step(store, 0.1)
+        assert p.value.tolist() == [0.0, 0.0]
+
+    def test_huge_gradient_moves_a_block_by_at_most_the_bound(self):
+        store = ParamStore()
+        p = store.add("w", Param(np.zeros((3, 4))))
+        q = store.add("b", Param(np.zeros(4)))
+        p.grad += 1e6
+        q.grad[0] = -1e6
+        sgd_step(store, 0.01)
+        step = np.sqrt((p.value ** 2).sum() + (q.value ** 2).sum())
+        assert step <= 0.01 * MAX_GRAD_NORM * (1 + 1e-12)
+        assert step >= 0.01 * MAX_GRAD_NORM * (1 - 1e-12)
+        # the direction is kept: every entry scaled by one factor
+        np.testing.assert_allclose(p.value / q.value[0], -np.ones((3, 4)), rtol=1e-12)
+
+    def test_step_within_the_bound_is_the_plain_step(self):
+        rng = np.random.default_rng(57)
+        shapes = {"a": (5, 3), "b": (7,)}
+        values = {n: rng.normal(size=s) for n, s in shapes.items()}
+        # a norm just under the bound, over two steps of momentum
+        grads = [{n: rng.normal(size=s) for n, s in shapes.items()} for _ in range(2)]
+        for g in grads:
+            total = np.sqrt(sum((a ** 2).sum() for a in g.values()))
+            for a in g.values():
+                a *= 0.999 * MAX_GRAD_NORM / total
+        store = ParamStore()
+        for n, v in values.items():
+            store.add(n, Param(v))
+        want = {n: v.copy() for n, v in values.items()}
+        vel = {n: np.zeros(s) for n, s in shapes.items()}
+        for g in grads:
+            for n in shapes:
+                store[n].grad += g[n]
+                vel[n] *= MOMENTUM
+                vel[n] += g[n]
+                want[n] -= vel[n] * 0.05
+            sgd_step(store, 0.05)
+        for n in shapes:
+            assert store[n].value.tobytes() == want[n].tobytes()
 
     def test_param_takes_over_an_array_without_copy(self):
         value = np.zeros(2)
@@ -757,30 +909,37 @@ class TestFiniteDiffCheck:
             assert report.passed, str(report)
 
     def test_conv_pool_gradients(self):
+        # float64 box indicators, as `hoicascade gradcheck` takes them, with
+        # drawn biases and a small step to keep off pool kinks (see
+        # `gradcheck.check_conv_pool`)
         rng = np.random.default_rng(41)
         enc = ConvPoolEncoder(2, (8, 8), channels=(3, 3), rng=rng)
-        x = rng.normal(size=(1, 2, 8, 8))
+        for layer in (enc.conv1, enc.conv2, enc.fc):
+            layer.b.value[...] = rng.normal(size=layer.b.value.shape)
+        rows, cols = (box_indicators(rng, (1, 2), 8) for _ in range(2))
         weights = rng.normal(size=(1, 256))
 
         def run():
-            y = enc.forward(x)
+            y = enc.forward(rows, cols)
             enc.backward(weights)
             return float((y * weights).sum())
 
-        report = finite_diff_check(run, dict(enc.params("enc")), tol=1e-4)
+        report = finite_diff_check(run, dict(enc.params("enc")), tol=1e-4, step=1e-5)
         assert report.passed, str(report)
 
     def test_paper_size_encoder_gradients(self):
-        # the composed conv -> pool -> conv -> pool -> fc chain at the
-        # deployed 64x64 size; float64 normal inputs keep pool windows
-        # tie-free, and conv1 has no input gradient to lean on
+        # the composed conv+pool -> conv -> pool -> fc chain at the deployed
+        # 64x64 size, on float64 box indicators with drawn biases; conv1 has
+        # no input gradient to lean on
         rng = np.random.default_rng(53)
         enc = ConvPoolEncoder(2, (64, 64), rng=rng)
-        x = rng.normal(size=(2, 2, 64, 64))
+        for layer in (enc.conv1, enc.conv2, enc.fc):
+            layer.b.value[...] = rng.normal(size=layer.b.value.shape)
+        rows, cols = (box_indicators(rng, (2, 2), 64) for _ in range(2))
         weights = rng.normal(size=(2, 256))
 
         def run():
-            y = enc.forward(x)
+            y = enc.forward(rows, cols)
             enc.backward(weights)
             return float((y * weights).sum())
 
@@ -814,8 +973,8 @@ def test_deterministic_construction_and_forward():
     def build():
         rng = np.random.default_rng(99)
         enc = ConvPoolEncoder(2, (8, 8), rng=rng)
-        x = np.random.default_rng(1).normal(size=(1, 2, 8, 8))
-        return enc.forward(x)
+        data = np.random.default_rng(1)
+        return enc.forward(*(box_indicators(data, (3, 2), 8) for _ in range(2)))
 
     a, b = build(), build()
     assert a.tobytes() == b.tobytes()

@@ -119,14 +119,20 @@ class TestRelationPass:
         encoded = []
         forward = model.geo_encoder.forward
         monkeypatch.setattr(model.geo_encoder, "forward",
-                            lambda maps: encoded.append(maps) or forward(maps))
+                            lambda rows, cols: encoded.append((rows, cols)) or forward(rows, cols))
         stage_pairs = [b.all_pairs() for b in batches]
         rp = RelationPass(model, grid, stage_pairs).forward()
-        per_pair = [spatial_pair_encoding([c.human.box], [c.object.box])[0][0].tobytes()
+
+        def key(rows, cols):
+            return rows.tobytes() + cols.tobytes()
+
+        per_pair = [key(*(a[0] for a in spatial_pair_encoding([c.human.box], [c.object.box])[:2]))
                     for pairs in stage_pairs for c in pairs]
-        [maps] = encoded
-        assert [m.tobytes() for m in maps] == list(dict.fromkeys(per_pair))
-        assert len(maps) < rp.n == len(per_pair)
+        [(rows, cols)] = encoded
+        # the maps reach the encoder as indicators; no 64x64 map is built
+        assert rows.shape == cols.shape == (len(rows), 2, 64)
+        assert [key(r, c) for r, c in zip(rows, cols)] == list(dict.fromkeys(per_pair))
+        assert len(rows) < rp.n == len(per_pair)
 
     def test_trained_features_are_deployed_features(self, monkeypatch):
         model = tiny_model(seed=31)
