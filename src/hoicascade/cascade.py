@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .geometry import BitMask, Box, FeatureGrid, box_ious, roi_align
+from .geometry import BitMask, Box, FeatureGrid, box_array, box_ious, roi_align
 from .numerics import FCLayer, sigmoid
 
 log = logging.getLogger(__name__)
@@ -80,44 +80,35 @@ def head_layer(in_dim, out_dim, rng):
     return layer
 
 
-def apply_box_deltas(box: Box, deltas) -> Box | None:
-    """Standard center/log-size parameterization:
-    cx' = cx + dx*w, cy' = cy + dy*h, w' = w*exp(dw), h' = h*exp(dh).
-    Returns None for a degenerate (<= 1 px) result."""
-    dx, dy, dw, dh = (float(v) for v in deltas)
-    cx, cy = box.center
-    w, h = box.width, box.height
-    ncx, ncy = cx + dx * w, cy + dy * h
-    nw = w * np.exp(np.clip(dw, -8.0, 8.0))
-    nh = h * np.exp(np.clip(dh, -8.0, 8.0))
-    if nw <= 1.0 or nh <= 1.0:
-        return None
-    return Box(ncx - nw / 2, ncy - nh / 2, ncx + nw / 2, ncy + nh / 2)
+def decode_boxes(boxes, deltas, width, height):
+    """Decode (n, 4) deltas against n boxes (a list or an (n, 4) array):
+    cx' = cx + dx*w, cy' = cy + dy*h, w' = w*exp(dw), h' = h*exp(dh), then
+    clip to the width x height image. Returns the (n, 4) clipped boxes and
+    an (n,) keep mask: more than 1 px wide and high before and after the clip."""
+    b, d = box_array(boxes), np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
+    size = b[:, 2:] - b[:, :2]
+    center = 0.5 * (b[:, :2] + b[:, 2:]) + d[:, :2] * size
+    size = size * np.exp(np.clip(d[:, 2:], -8.0, 8.0))
+    out = np.hstack([np.maximum(center - size / 2, 0.0),
+                     np.minimum(center + size / 2, [float(width), float(height)])])
+    keep = (size > 1.0).all(axis=1) & (out[:, 2:] - out[:, :2] > 1.0).all(axis=1)
+    return out, keep
 
 
-def box_delta_targets(src: Box, dst: Box):
-    """Inverse of apply_box_deltas: the deltas mapping src onto dst."""
-    scx, scy = src.center
-    dcx, dcy = dst.center
-    return np.array([(dcx - scx) / src.width,
-                     (dcy - scy) / src.height,
-                     np.log(dst.width / src.width),
-                     np.log(dst.height / src.height)])
-
-
-def clip_box(box: Box, width, height) -> Box | None:
-    x1, y1 = max(box.x1, 0.0), max(box.y1, 0.0)
-    x2, y2 = min(box.x2, float(width)), min(box.y2, float(height))
-    if x2 - x1 <= 1.0 or y2 - y1 <= 1.0:
-        return None
-    return Box(x1, y1, x2, y2)
+def box_delta_targets(src, dst):
+    """Inverse of `decode_boxes` before the clip: the (n, 4) deltas mapping
+    each of n boxes src onto the same row of dst (lists or (n, 4) arrays)."""
+    s, d = box_array(src), box_array(dst)
+    size = s[:, 2:] - s[:, :2]
+    return np.hstack([(0.5 * (d[:, :2] + d[:, 2:]) - 0.5 * (s[:, :2] + s[:, 2:])) / size,
+                      np.log((d[:, 2:] - d[:, :2]) / size)])
 
 
 def refine_stage(grid: FeatureGrid, instances, head: FCLayer, stage):
     """One refinement step of a whole stage, shared by training and
     inference: pool every instance box, take the 4 box deltas and the score
     logit of all rows from one call of the stage's box map `head` (C*49 ->
-    5), then decode and clip each row.
+    5), then decode and clip them in one `decode_boxes` call.
 
     Returns (deltas (n, 4), logits (n, 1), refined), the logits being
     column 4. refined[i] is instance i on its refined box with the sigmoid
@@ -125,20 +116,18 @@ def refine_stage(grid: FeatureGrid, instances, head: FCLayer, stage):
     None (logged) when that box degenerates. Training takes its losses
     from deltas and logits; inference keeps the survivors.
     """
-    pooled = roi_align(grid, [i.box for i in instances], POOLED_HW).reshape(len(instances), -1)
-    out = head.forward(pooled)
+    boxes = [inst.box for inst in instances]
+    out = head.forward(roi_align(grid, boxes, POOLED_HW).reshape(len(boxes), -1))
     deltas, logits = out[:, :4], out[:, 4:]
+    decoded, keep = decode_boxes(boxes, deltas, grid.image_width, grid.image_height)
     refined = []
-    for inst, row_deltas, score in zip(instances, deltas, sigmoid(logits)):
-        new_box = apply_box_deltas(inst.box, row_deltas)
-        if new_box is not None:
-            new_box = clip_box(new_box, grid.image_width, grid.image_height)
-        if new_box is None:
+    for inst, box, ok, score in zip(instances, decoded.tolist(), keep, sigmoid(logits[:, 0])):
+        if ok:
+            refined.append(replace(inst, box=Box(*box), confidence=float(score),
+                                   stage_of_origin=stage + 1))
+        else:
             log.info("dropping degenerate refinement of %s at stage %d", inst.box, stage + 1)
             refined.append(None)
-        else:
-            refined.append(replace(inst, box=new_box, confidence=float(score[0]),
-                                   stage_of_origin=stage + 1))
     return deltas, logits, refined
 
 
@@ -166,11 +155,11 @@ def rasterize_mask_into_box(cell_bits, box: Box, width, height) -> BitMask:
 
 def mask_head_input(grid: FeatureGrid, boxes, prev_boxes=None):
     """(n, C*14*14) mask-head rows: the pooled refined box of each instance,
-    plus, from stage 2 on, the pooled box it was refined from."""
-    rows = roi_align(grid, boxes, MASK_POOLED_HW).reshape(len(boxes), -1)
-    if prev_boxes is not None:
-        rows = rows + roi_align(grid, prev_boxes, MASK_POOLED_HW).reshape(len(prev_boxes), -1)
-    return rows
+    plus, from stage 2 on, the pooled box it was refined from, both halves
+    from one RoIAlign call."""
+    pooled = roi_align(grid, list(boxes) + list(prev_boxes or []), MASK_POOLED_HW)
+    rows = pooled.reshape(len(pooled), -1)
+    return rows if prev_boxes is None else rows[:len(boxes)] + rows[len(boxes):]
 
 
 def mask_cell_targets(gt_mask: BitMask, box: Box):

@@ -57,11 +57,19 @@ def box_iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes) -> np.ndarray:
+    """The (n, 4) float64 (x1, y1, x2, y2) corners of a list of n `Box`es,
+    or the (n, 4) array given: every array computation on boxes reads
+    them through this one conversion."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.astype(np.float64, copy=False).reshape(-1, 4)
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def box_ious(boxes_a, boxes_b) -> np.ndarray:
-    """(n, m) IoU matrix of two box lists: entry (i, j) is
-    box_iou(boxes_a[i], boxes_b[j]), bit for bit."""
-    a = np.array([box.as_tuple() for box in boxes_a], dtype=np.float64).reshape(-1, 4)
-    b = np.array([box.as_tuple() for box in boxes_b], dtype=np.float64).reshape(-1, 4)
+    """(n, m) IoU matrix of two box lists (or (n, 4) arrays): entry (i, j)
+    is box_iou(boxes_a[i], boxes_b[j]), bit for bit."""
+    a, b = box_array(boxes_a), box_array(boxes_b)
     ax1, ay1, ax2, ay2 = a.T[:, :, None]
     bx1, by1, bx2, by2 = b.T[:, None, :]
     ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
@@ -167,8 +175,7 @@ def _sample_positions(grid: FeatureGrid, boxes, out_hw):
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise ShapeError(f"pooling target must be >= 1x1, got {out_hw}")
-    corners = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    x1, y1, x2, y2 = corners.T[:, :, None, None]
+    x1, y1, x2, y2 = box_array(boxes).T[:, :, None, None]
     gx1, gx2 = x1 * grid.scale_x, x2 * grid.scale_x
     gy1, gy2 = y1 * grid.scale_y, y2 * grid.scale_y
     cx = gx1 + (np.arange(ow) + 0.5) * (gx2 - gx1) / ow
@@ -184,7 +191,8 @@ def _sample_positions(grid: FeatureGrid, boxes, out_hw):
 
 
 def roi_align(grid: FeatureGrid, boxes, out=(7, 7), keep=None) -> np.ndarray:
-    """Pool a list of n boxes into (n, C, out_h, out_w), one bilinear sample per cell center.
+    """Pool n boxes (a list or an (n, 4) array) into (n, C, out_h, out_w),
+    one bilinear sample per cell center.
 
     `keep`, an optional (n, H, W) boolean array, gives each box its own
     grid cells: the others read as zero, as if pooled from a copy of the
@@ -217,8 +225,7 @@ def spatial_pair_encoding(h_boxes, o_boxes):
     indicators of the distinct maps in first-seen order, and the (P,) map
     index of each pair; no (M, 2, 64, 64) map is built.
     """
-    h = np.array([b.as_tuple() for b in h_boxes], dtype=np.float64).reshape(-1, 4)
-    o = np.array([b.as_tuple() for b in o_boxes], dtype=np.float64).reshape(-1, 4)
+    h, o = box_array(h_boxes), box_array(o_boxes)
     boxes = np.stack([h, o], axis=1)[:, :, :, None]  # (P, 2, 4, 1)
     x1, y1 = np.minimum(h[:, :2], o[:, :2]).T[:, :, None]  # union frames
     x2, y2 = np.maximum(h[:, 2:], o[:, 2:]).T[:, :, None]

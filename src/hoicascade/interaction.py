@@ -38,6 +38,7 @@ from .features import (
 from .geometry import (
     Box,
     FeatureGrid,
+    box_array,
     box_ious,
     roi_align,
     spatial_pair_encoding,
@@ -294,8 +295,7 @@ class CascadeModel:
     def noface_cells(grid: FeatureGrid, human_boxes) -> np.ndarray:
         """(n, H, W) grid cells whose centers lie outside each person's
         facial region: the cells the face-removed human feature reads."""
-        faces = np.array([face_region(b).as_tuple() for b in human_boxes]).reshape(-1, 4)
-        x1, y1, x2, y2 = faces.T[:, :, None, None]
+        x1, y1, x2, y2 = box_array([face_region(b) for b in human_boxes]).T[:, :, None, None]
         cx = (np.arange(grid.grid_width) + 0.5) / grid.scale_x
         cy = (np.arange(grid.grid_height)[:, None] + 0.5) / grid.scale_y
         return ~((cx >= x1) & (cx < x2) & (cy >= y1) & (cy < y2))

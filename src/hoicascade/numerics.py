@@ -129,8 +129,9 @@ class ParamStore:
             fh.write(b"".join(chunks))
 
     def load(self, manifest_path, blob_path):
-        """Load values into existing blocks; shapes must match exactly.
-        Every block is left with no gradient and no velocity."""
+        """Load values into existing blocks; shapes must match exactly and
+        every value must be finite. Every block is left with no gradient
+        and no velocity."""
         with open(manifest_path, encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
@@ -175,6 +176,8 @@ class ParamStore:
                 # one block read at a time, widened into the block's array
                 fh.seek(offset)
                 p.value[...] = np.fromfile(fh, "<f4", count=p.value.size).reshape(shape)
+                if not np.isfinite(p.value).all():
+                    raise FormatError(f"{blob_path}: block {name!r}: non-finite value")
                 p.grad = p._vel = None
 
 

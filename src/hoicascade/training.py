@@ -108,8 +108,8 @@ def localization_stage_step(model: CascadeModel, grid: FeatureGrid, proposals,
     reg_loss = 0.0
     d_deltas = np.zeros_like(deltas)
     if len(pos):
-        targets = np.stack([box_delta_targets(rows[i].box, gt_instances[match[i]].box)
-                            for i in pos])
+        targets = box_delta_targets([rows[i].box for i in pos],
+                                    [gt_instances[match[i]].box for i in pos])
         sl1, d_diff = smooth_l1(deltas[pos] - targets)
         reg_loss = sl1 / len(pos)
         d_deltas[pos] = d_diff / len(pos)

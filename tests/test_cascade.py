@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hoicascade import interaction
+from hoicascade import cascade, interaction
 from hoicascade.cascade import (
     MASK_POOLED_HW,
     MAX_STAGES,
@@ -11,12 +11,12 @@ from hoicascade.cascade import (
     CascadeConfig,
     Instance,
     MASK_LOGIT_DIM,
-    apply_box_deltas,
     box_delta_targets,
-    clip_box,
+    decode_boxes,
     dedup_by_lineage,
     head_layer,
     iou_threshold,
+    mask_head_input,
     merge_and_filter,
     rasterize_mask_into_box,
     refine_stage,
@@ -94,26 +94,22 @@ class TestRefineStage:
         assert again.stage_of_origin == 2
 
     def test_dx_shifts_center(self):
-        box = Box(0, 0, 10, 10)
-        shifted = apply_box_deltas(box, [0.1, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(shifted.center, (6.0, 5.0))
-        np.testing.assert_allclose((shifted.width, shifted.height), (10.0, 10.0))
+        [shifted], [keep] = decode_boxes([Box(0, 0, 10, 10)], [[0.1, 0.0, 0.0, 0.0]], 64, 64)
+        assert keep and shifted.tolist() == [1.0, 0.0, 11.0, 10.0]
 
     def test_dw_doubles_width(self):
-        box = Box(0, 0, 10, 10)
-        wider = apply_box_deltas(box, [0.0, 0.0, np.log(2.0), 0.0])
-        np.testing.assert_allclose(wider.width, 20.0)
-        np.testing.assert_allclose(wider.center, box.center)
+        [wider], [keep] = decode_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]),
+                                       [[0.0, 0.0, np.log(2.0), 0.0]], 64, 64)
+        assert keep
+        np.testing.assert_allclose(wider, [5.0, 0.0, 25.0, 10.0])
 
     def test_delta_roundtrip(self):
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            x1, y1 = rng.uniform(0, 5, 2)
-            src = Box(x1, y1, x1 + rng.uniform(2, 8), y1 + rng.uniform(2, 8))
-            x1, y1 = rng.uniform(0, 5, 2)
-            dst = Box(x1, y1, x1 + rng.uniform(2, 8), y1 + rng.uniform(2, 8))
-            back = apply_box_deltas(src, box_delta_targets(src, dst))
-            np.testing.assert_allclose(back.as_tuple(), dst.as_tuple(), atol=1e-9)
+        corners = rng.uniform(0, 5, (2, 25, 2))
+        src, dst = np.concatenate([corners, corners + rng.uniform(2, 8, (2, 25, 2))], axis=2)
+        back, keep = decode_boxes(src, box_delta_targets(src, dst), 64, 64)
+        assert keep.all()
+        np.testing.assert_allclose(back, dst, atol=1e-9)
 
     def test_degenerate_refinement_dropped(self):
         grid = make_grid()
@@ -121,6 +117,69 @@ class TestRefineStage:
         head.b.value[:4] = [0.0, 0.0, -9.0, 0.0]  # shrink to nothing
         inst = Instance(1, 0.9, Box(2, 2, 8, 8))
         assert refine_stage(grid, [inst], head, 0)[2] == [None]
+
+
+def decode_one(box, deltas, width, height):
+    """Per-row reference of decode_boxes: the center/log-size decode of
+    one box in scalar arithmetic, then the clip; None when either side of
+    either box is at most 1 px."""
+    dx, dy, dw, dh = (float(v) for v in deltas)
+    (cx, cy), w, h = box.center, box.width, box.height
+    cx, cy = cx + dx * w, cy + dy * h
+    w, h = w * np.exp(np.clip(dw, -8.0, 8.0)), h * np.exp(np.clip(dh, -8.0, 8.0))
+    if w <= 1.0 or h <= 1.0:
+        return None
+    x1, y1 = max(cx - w / 2, 0.0), max(cy - h / 2, 0.0)
+    x2, y2 = min(cx + w / 2, width), min(cy + h / 2, height)
+    if x2 - x1 <= 1.0 or y2 - y1 <= 1.0:
+        return None
+    return (x1, y1, x2, y2)
+
+
+class TestDecodeBoxes:
+    def test_matches_per_row_reference_across_each_image_edge(self):
+        width, height = 32, 24
+        boxes = [Box(1, 5, 9, 15),      # moves past the left edge
+                 Box(5, 1, 15, 9),      # grows past the top edge
+                 Box(25, 5, 31, 15),    # moves and grows past the right edge
+                 Box(5, 18, 15, 23),    # grows past the bottom edge
+                 Box(-4, -3, 40, 30),   # crosses all four
+                 Box(10, 10, 14, 14),   # stays inside
+                 Box(10, 10, 14, 14),   # moves off the image: degenerate after the clip
+                 Box(10, 10, 14, 14)]   # shrinks to nothing: degenerate before the clip
+        deltas = [[-0.3, 0.0, 0.0, 0.0], [0.0, -0.1, 0.2, 0.4], [0.2, 0.0, 0.1, 0.0],
+                  [0.0, 0.1, 0.0, 0.3], [0.0, 0.0, 0.0, 0.0], [0.1, -0.2, -0.3, 0.2],
+                  [10.0, 0.0, 0.0, 0.0], [0.0, 0.0, -9.0, 0.0]]
+        got, keep = decode_boxes(boxes, np.array(deltas), width, height)
+        expected = [decode_one(b, d, width, height) for b, d in zip(boxes, deltas)]
+        assert got.shape == (8, 4) and keep.tolist() == [e is not None for e in expected]
+        assert keep.tolist() == [True] * 6 + [False] * 2
+        # the same arithmetic in the same order: equal bit for bit
+        assert got[keep].tolist() == [list(e) for e in expected if e is not None]
+        # each edge clips the box that crosses it
+        assert (got[0, 0], got[1, 1], got[2, 2], got[3, 3]) == (0.0, 0.0, width, height)
+        assert got[4].tolist() == [0.0, 0.0, width, height]
+
+    def test_exactly_one_pixel_wide_before_the_clip_dropped(self):
+        # a 1 px box moved across x = 16: its decoded width is exactly 1.0,
+        # but its corners round to more than 1 px apart, so only the rule on
+        # the unclipped size drops it
+        boxes = [Box(15, 10, 16, 14), Box(10, 15, 14, 16), Box(15, 10, 16.5, 14)]
+        deltas = [[0.03, 0.0, 0.0, 0.0], [0.0, 0.03, 0.0, 0.0], [0.02, 0.0, 0.0, 0.0]]
+        got, keep = decode_boxes(boxes, np.array(deltas), 32, 32)
+        assert got[0, 2] - got[0, 0] > 1.0 and got[1, 3] - got[1, 1] > 1.0
+        assert keep.tolist() == [False, False, True]
+
+    def test_exactly_one_pixel_wide_after_the_clip_dropped(self):
+        boxes = [Box(-2, 10, 1, 14), Box(31, 10, 34, 14), Box(10, 31, 14, 40),
+                 Box(-2, 10, 1.5, 14)]
+        got, keep = decode_boxes(boxes, np.zeros((4, 4)), 32, 32)
+        assert got[:3].tolist() == [[0, 10, 1, 14], [31, 10, 32, 14], [10, 31, 14, 32]]
+        assert keep.tolist() == [False, False, False, True]
+
+    def test_no_rows(self):
+        got, keep = decode_boxes([], np.zeros((0, 4)), 32, 32)
+        assert got.shape == (0, 4) and keep.shape == (0,)
 
 
 class TestSegmentStage:
@@ -173,15 +232,26 @@ class TestSegmentStage:
         assert a.mask != b.mask
 
 
+def test_mask_head_input_pools_both_halves_in_one_call(monkeypatch):
+    grid = FeatureGrid(np.random.default_rng(2).normal(size=(3, 16, 16)), 32, 32)
+    boxes, prev = [Box(2, 3, 12, 20), Box(14, 6, 31, 14)], [Box(1, 1, 20, 20), Box(10, 4, 28, 18)]
+    want = (roi_align(grid, boxes, MASK_POOLED_HW).reshape(2, -1)
+            + roi_align(grid, prev, MASK_POOLED_HW).reshape(2, -1))
+    calls = []
+    monkeypatch.setattr(cascade, "roi_align", lambda *a: calls.append(a) or roi_align(*a))
+    got = mask_head_input(grid, boxes, prev)
+    assert len(calls) == 1 and got.tobytes() == want.tobytes()
+    assert mask_head_input(grid, boxes).tobytes() == roi_align(grid, boxes,
+                                                               MASK_POOLED_HW).tobytes()
+
+
 def refine_one(grid, inst, head):
     """One-instance refinement, the reference for the batched refine_stage."""
     out = head.forward(roi_align(grid, [inst.box], POOLED_HW).reshape(1, -1))
-    box = apply_box_deltas(inst.box, out[0, :4])
-    if box is not None:
-        box = clip_box(box, grid.image_width, grid.image_height)
-    if box is None:
+    [box], [keep] = decode_boxes([inst.box], out[:, :4], grid.image_width, grid.image_height)
+    if not keep:
         return None
-    return replace(inst, box=box, confidence=float(sigmoid(out[0, 4])),
+    return replace(inst, box=Box(*box), confidence=float(sigmoid(out[0, 4])),
                    stage_of_origin=inst.stage_of_origin + 1)
 
 
@@ -355,7 +425,8 @@ class TestResampleForStage:
         for mu in (0.5, 0.6, 0.7, 0.95):
             rows, match = resample_for_stage([Instance(2, 0.8, Box(1, 1, 9, 9))], gt, mu)
             assert match.tolist() == [0, 0]
-            np.testing.assert_array_equal(box_delta_targets(rows[0].box, gt[0].box), np.zeros(4))
+            np.testing.assert_array_equal(box_delta_targets([rows[0].box], [gt[0].box]),
+                                          np.zeros((1, 4)))
 
     def test_iou_55_crosses_schedule(self):
         # box (0,0,10,10) vs (0,0,10,5.5): inter 55, union 100 -> IoU 0.55

@@ -681,6 +681,12 @@ class TestErrorPaths:
         ("params.bin", lambda raw: raw[:1000], "blob truncated"),
         ("params.json", lambda raw: raw.replace(b'"stage1.box.w"', b'"stage1.box.v"'),
          "checkpoint block mismatch"),
+        # blocks lie in the blob in model order: the first value is stage 1's
+        # box map, the last the face-removed attention bias
+        ("params.bin", lambda raw: np.float32(np.nan).tobytes() + raw[4:],
+         "block 'stage1.box.w': non-finite value"),
+        ("params.bin", lambda raw: raw[:-4] + np.float32(-np.inf).tobytes(),
+         "block 'shared.noface_attention.b': non-finite value"),
     ])
     def test_checkpoint_load_error_names_file(self, pipeline, tmp_path, capsys,
                                               name, corrupt, message):

@@ -8,6 +8,7 @@ from hoicascade.geometry import (
     BitMask,
     Box,
     FeatureGrid,
+    box_array,
     box_iou,
     box_ious,
     mask_iou,
@@ -122,6 +123,23 @@ def related_boxes(box):
             Box(box.x1 + w / 4, box.y1 + h / 4, box.x2 - w / 4, box.y2 - h / 4),
             Box(box.x2, box.y1, box.x2 + w, box.y2),
             Box(box.x2 + w, box.y2 + h, box.x2 + 2 * w, box.y2 + 2 * h)]
+
+
+class TestBoxArray:
+    def test_box_list_gives_its_corners(self):
+        got = box_array([Box(1, 2, 3, 4), Box(0.5, 0.25, 8, 9.75)])
+        assert got.dtype == np.float64
+        assert got.tolist() == [[1, 2, 3, 4], [0.5, 0.25, 8, 9.75]]
+
+    def test_array_passes_through_as_float64(self):
+        corners = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 5.0, 6.0]])
+        assert np.shares_memory(box_array(corners), corners)  # no copy
+        got = box_array(np.array([[1, 2, 3, 4]], dtype=np.float32))
+        assert got.dtype == np.float64 and got.tolist() == [[1, 2, 3, 4]]
+
+    def test_empty_list_gives_zero_rows(self):
+        got = box_array([])
+        assert got.shape == (0, 4) and got.dtype == np.float64
 
 
 class TestBoxIoUs:

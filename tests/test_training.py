@@ -6,9 +6,8 @@ from hoicascade.cascade import (
     POOLED_HW,
     CascadeConfig,
     Instance,
-    apply_box_deltas,
     box_delta_targets,
-    clip_box,
+    decode_boxes,
     iou_threshold,
     mask_cell_targets,
     stage_weight,
@@ -262,16 +261,19 @@ class TestLocalizationStageStep:
             pos = [i for i, (_, gi) in enumerate(labeled) if gi >= 0]
             assert 0 < len(pos) - len(gt) < len(proposals)
             bce, _ = binary_cross_entropy(logits, [[float(gi >= 0)] for _, gi in labeled])
-            targets = [box_delta_targets(labeled[i][0], gt[labeled[i][1]].box)
-                       if i < len(proposals) else np.zeros(4) for i in pos]
-            sl1, _ = smooth_l1(deltas[pos] - np.stack(targets))
+            targets = box_delta_targets([labeled[i][0] for i in pos],
+                                        [gt[labeled[i][1]].box for i in pos])
+            assert not targets[-len(gt):].any()  # ground-truth rows target themselves
+            sl1, _ = smooth_l1(deltas[pos] - targets)
             losses, proposals = localization_stage_step(model, grid, proposals, gt, t)
             np.testing.assert_allclose(losses["loc"], bce / len(labeled) + sl1 / len(pos),
                                        atol=1e-12)
             if not segment:
                 continue
             # mask rows: the refined box plus, from stage 2 on, the input box
-            refined = [clip_box(apply_box_deltas(labeled[i][0], deltas[i]), 64, 64) for i in pos]
+            decoded, keep = decode_boxes([labeled[i][0] for i in pos], deltas[pos], 64, 64)
+            assert keep.all()
+            refined = [Box(*box) for box in decoded]
             feats = np.stack([roi_align(grid, [box], MASK_POOLED_HW).ravel() for box in refined])
             if t > 0:
                 feats += np.stack([roi_align(grid, [labeled[i][0]], MASK_POOLED_HW).ravel()
