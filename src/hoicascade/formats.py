@@ -137,8 +137,10 @@ def record_to_scene(record: dict) -> Scene:
                                   _index(p, "entity", f"proposals[{k}].", hi=n),
                                   _iou(p, f"proposals[{k}]."))
                      for k, p in enumerate(record["proposals"])]
+        if type(record["image_id"]) is not str:
+            raise DataError(f"field 'image_id' must be a string, got {record['image_id']!r}")
         return Scene(record["image_id"], width, height, entities, triplets, proposals,
-                     seed=int(record.get("seed", 0)))
+                     seed=_index(record, "seed") if "seed" in record else 0)
     except DataError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -219,6 +221,9 @@ def read_meta(path):
             allowed, want = config_range(key)
             if not allowed(data[key]):
                 raise FormatError(f"{path}: field {key!r} must be {want}, got {data[key]!r}")
+        if not 0 <= data["person_class"] < len(data["class_names"]):
+            raise FormatError(f"{path}: field 'person_class' must index 'class_names', in "
+                              f"[0, {len(data['class_names'])}), got {data['person_class']}")
         spec = SceneSpec(
             image_size=data["image_size"],
             class_names=tuple(data["class_names"]),

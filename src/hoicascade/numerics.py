@@ -3,13 +3,13 @@ losses, a momentum SGD step, and a central finite-difference gradient
 checker.
 
 Arithmetic is float64, except that the conv encoder runs in float32 on
-the float32 pair-map indicators it is given. Its first block,
-`OuterProductConvPool`, takes each binary two-channel map as its row and
-column indicators and evaluates conv1 and pool1 on a table of the map's
-distinct cells, bit for bit what `Conv2D` + `MaxPool2x2` give on the
-full map in float32. Layers cache their most recent forward inputs, so
-each forward must be followed by its backward before the layer is reused
-(the training loops respect this ordering).
+the float32 pair-map indicators it is given. `Conv2D` and `MaxPool2x2`
+take and return factored maps: a table of each map's cells
+with the row and column ids that place them. The encoder's blocks run on
+the tables, bit for bit what the same layers give on the full maps in
+float32. Layers cache their most recent forward inputs, so each forward
+must be followed by its backward before the layer is reused (the
+training loops respect this ordering).
 
 No layer applies a sigmoid: a caller that wants probabilities takes the
 sigmoid of a layer's outputs, and `binary_cross_entropy` reads the
@@ -24,6 +24,7 @@ into each block's velocity, and `ParamStore.load` drops both.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,6 +39,10 @@ MOMENTUM = 0.9  # SGD momentum, as in the R-CNN family's training recipe
 # 1211.5063). Without it the geometric stream diverges late in some default
 # trainings (data seed 15, training seed 2); below it the step is unchanged.
 MAX_GRAD_NORM = 200.0
+# Fewest outputs of a conv GEMM: OpenBLAS (0.3.31, AVX-512) sums a float32
+# GEMM of at most 1,200 outputs and K >= 32 in a small-matrix kernel, which
+# can differ in the last bit, so a map's output would depend on its batch.
+GEMM_MIN_OUTPUTS = 2048
 
 
 class Param:
@@ -269,14 +274,63 @@ class FCLayer:
             return dy @ self.w.value
 
 
-class Conv2D:
-    """Same-padded 2-D convolution (odd kernel) over (B, C, H, W).
+def _runs(line, k, step, n_rows, col_start):
+    """Ids of the row and column windows of B factored maps, both axes in
+    one pass. `line` is (B, L): each map's row ids, then its column ids;
+    window s is line[:, s * step + d] for d < k, the row windows are the
+    first n_rows and the column windows start at col_start. Along each
+    axis a window opens a new id where it differs from the window before
+    it, so a run of equal windows shares one id. Returns, per axis, the
+    (B, count, k) window of each id, zero-padded to the batch's largest
+    count, and the id of every window."""
+    b, n = len(line), (line.shape[1] - k) // step + 1
+    views = [line[:, d:d + step * (n - 1) + 1:step] for d in range(k)]
+    new = np.zeros((b, n), dtype=bool)
+    for view in views:
+        new[:, 1:] |= view[:, 1:] != view[:, :-1]
+    new[:, 0] = new[:, col_start] = True
+    ids = np.cumsum(new, axis=1)
+    windows = np.stack(views, axis=2)
+    out = []
+    for axis in (slice(0, n_rows), slice(col_start, None)):
+        part = ids[:, axis] - ids[:, axis.start:axis.start + 1]
+        count = part[:, -1].max() + 1
+        src = np.zeros((b, count, k), dtype=np.intp)
+        src.reshape(-1, k)[(np.arange(b)[:, None] * count + part).ravel()] = (
+            windows[:, axis].reshape(-1, k))
+        out.append((src, part))
+    return out
 
-    Forward fills the C-contiguous (C*k*k, B*H*W) im2col matrix, rows in
-    (c, di, dj) order, from k*k shifted copies of the channel-major padded
-    input, and returns W @ cols as an NCHW view. Backward reads the same
-    layout: dW = dY @ cols.T, and W.T @ dY is scattered back with k*k
-    shifted adds over all channels at once.
+
+def _factored(layer, table, rows, cols):
+    """A factored map's arrays, checked: the (B, R, Q, C) table, float32
+    kept and anything else as float64, and the (B, H) row and (B, W)
+    column ids."""
+    table, rows, cols = np.asarray(table), np.asarray(rows), np.asarray(cols)
+    if table.dtype != np.float32:
+        table = table.astype(np.float64, copy=False)
+    if (table.ndim != 4 or rows.ndim != 2 or cols.ndim != 2
+            or not len(table) == len(rows) == len(cols)
+            or (layer.cin is not None and table.shape[3] != layer.cin)):
+        raise ShapeError(f"{type(layer).__name__} expects a (B, R, Q, {layer.cin or 'C'}) table "
+                         f"with (B, H) row and (B, W) column ids, got {table.shape}, "
+                         f"{rows.shape} and {cols.shape}")
+    return table, rows, cols
+
+
+class Conv2D:
+    """Same-padded 2-D convolution (odd kernel) of factored maps.
+
+    B maps are factored as a (B, R, Q, C) table of cells with
+    (B, H) row and (B, W) column ids: channel c of map b at (y, x) is
+    table[b, rows[b, y], cols[b, x], c]. An output cell is fixed by the
+    ids of its k-row and k-column windows. Forward gives each run of equal
+    windows along an axis one id (`_runs`), gathers the (c, di, dj)
+    im2col column of every (row window, column window) cell from the
+    table with a zero border, and runs one GEMM: each output is the full
+    map's im2col GEMM output, bit for bit. Backward maps the output
+    table's gradient to the input table's. float32 tables run in
+    float32, anything else in float64.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, rng):
@@ -289,229 +343,156 @@ class Conv2D:
         self.w = Param(init_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
                                     fan_in, out_channels), copy=False)
         self.b = Param(np.zeros(out_channels), copy=False)
-        self._cols = None
-        self._xshape = None
+        self._cells = None
 
     def params(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
-    def forward(self, x):
-        # float32 inputs (the binary pair maps) stay float32 in training and
-        # inference alike; anything else runs in float64
-        x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = x.astype(np.float64, copy=False)
-        if x.ndim != 4 or x.shape[1] != self.cin:
-            raise ShapeError(f"Conv2D expects (B, {self.cin}, H, W), got {x.shape}")
-        self._cols = None  # the previous call's columns go before the next are built
-        b, _, h, w = x.shape
+    def forward(self, table, rows, cols):
+        table, rows, cols = _factored(self, table, rows, cols)
+        self._cells = None  # the previous call's columns go before the next are built
+        b, nr, nq, c = table.shape
         k, pad = self.k, self.k // 2
-        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # row (c, di, dj) holds channel c of every map shifted by (di, dj)
-        cols = np.stack([xp[:, :, di:di + h, dj:dj + w] for di in range(k) for dj in range(k)],
-                        axis=1).reshape(self.cin * k * k, b * h * w)
-        wmat = self.w.value.reshape(self.cout, -1).astype(x.dtype, copy=False)
-        y = wmat @ cols
-        y += self.b.value.astype(x.dtype, copy=False)[:, None]
-        self._cols = cols
-        self._xshape = x.shape
-        return y.reshape(self.cout, b, h, w).transpose(1, 0, 2, 3)
-
-    def backward(self, dy):
-        """Accumulate dW and db; return dx."""
-        if self._cols is None:
-            raise RuntimeError("backward called before forward")
-        dtype = self._cols.dtype
-        dy = np.asarray(dy).astype(dtype, copy=False)
-        b, _, h, w = self._xshape
-        k, pad = self.k, self.k // 2
-        dmat = dy.transpose(1, 0, 2, 3).reshape(self.cout, -1)
-        self.w.grad += (dmat @ self._cols.T).reshape(self.w.value.shape)
-        self.b.grad += dmat.sum(axis=1)
-        wmat = self.w.value.reshape(self.cout, -1).astype(dtype, copy=False)
-        # channel-major; each element sums its k*k offsets in (di, dj) order
-        dcols = (wmat.T @ dmat).reshape(self.cin, k, k, b, h, w)
-        dxp = np.zeros((self.cin, b, h + 2 * pad, w + 2 * pad), dtype=dtype)
+        # ids nr and nq read the zero border
+        padded = np.zeros((b, nr + 1, nq + 1, c), dtype=table.dtype)
+        padded[:, :nr, :nq] = table
+        n, m = rows.shape[1], cols.shape[1]
+        # each map's row ids then column ids, each between borders of the
+        # id that reads the zero border
+        line = np.empty((b, n + m + 4 * pad), dtype=np.intp)
+        line[:, :n + 2 * pad] = nr
+        line[:, n + 2 * pad:] = nq
+        line[:, pad:pad + n] = rows
+        line[:, n + 3 * pad:n + 3 * pad + m] = cols
+        (rsrc, rows), (qsrc, cols) = _runs(line, k, 1, n, n + 2 * pad)
+        # the columns one window offset (di, dj) at a time; at least
+        # GEMM_MIN_OUTPUTS outputs, the zero cells past the batch's unread
+        at_row = (np.arange(b)[:, None, None] * (nr + 1) + rsrc) * (nq + 1)
+        n_cells = b * rsrc.shape[1] * qsrc.shape[1]
+        cells = np.zeros((max(n_cells, -(-GEMM_MIN_OUTPUTS // self.cout)), c, k * k),
+                         dtype=table.dtype)
+        grid = cells[:n_cells].reshape(b, rsrc.shape[1], qsrc.shape[1], c, k * k)
         for di in range(k):
             for dj in range(k):
-                dxp[:, :, di:di + h, dj:dj + w] += dcols[:, di, dj]
-        return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+                grid[..., di * k + dj] = np.take(padded.reshape(-1, c), at_row[:, :, None, di]
+                                                 + qsrc[:, None, :, dj], axis=0)
+        cells = cells.reshape(len(cells), -1)
+        wmat = self.w.value.reshape(self.cout, -1).astype(table.dtype, copy=False)
+        y = cells @ wmat.T
+        y += self.b.value.astype(table.dtype, copy=False)
+        self._cells, self._rsrc, self._qsrc = cells[:n_cells], rsrc, qsrc
+        self._in_shape = table.shape
+        return y[:n_cells].reshape(b, rsrc.shape[1], qsrc.shape[1], self.cout), rows, cols
+
+    def backward(self, dy, input_grad=True):
+        """Accumulate dW and db of the output table's gradient; return the
+        input table's gradient unless input_grad is False."""
+        if self._cells is None:
+            raise RuntimeError("backward called before forward")
+        dtype = self._cells.dtype
+        dmat = np.asarray(dy).astype(dtype, copy=False).reshape(-1, self.cout)
+        if len(dmat) != len(self._cells):
+            raise ShapeError(f"Conv2D backward expects the forward's {len(self._cells)} "
+                             f"output cells, got {np.shape(dy)}")
+        self.w.grad += (dmat.T @ self._cells).reshape(self.w.value.shape)
+        self.b.grad += dmat.sum(axis=0)
+        if not input_grad:
+            return None
+        # W^T dY summed onto the ids each offset reads with one-hot
+        # matrices (the border matches none): columns, W, then rows
+        b, nr, nq, c = self._in_shape
+        rsrc, qsrc, o, k = self._rsrc, self._qsrc, self.cout, self.k
+        nr2, nq2 = rsrc.shape[1], qsrc.shape[1]
+        onehot = (qsrc[..., None] == np.arange(nq)).astype(dtype).reshape(b, nq2, k * nq)
+        by_col = dmat.reshape(b, nr2, nq2, o).transpose(0, 1, 3, 2).reshape(b, nr2 * o, nq2)
+        by_col = (by_col @ onehot).reshape(b, nr2, o * k, nq).transpose(0, 1, 3, 2)
+        wmat = self.w.value.astype(dtype, copy=False).transpose(0, 3, 1, 2).reshape(o * k, c * k)
+        by_row = (by_col.reshape(-1, o * k) @ wmat).reshape(b, nr2, nq, c, k)
+        by_row = by_row.transpose(0, 1, 4, 2, 3).reshape(b, nr2 * k, nq * c)
+        onehot = (rsrc[..., None] == np.arange(nr)).astype(dtype).reshape(b, nr2 * k, nr)
+        return (onehot.transpose(0, 2, 1) @ by_row).reshape(b, nr, nq, c)
 
 
 class MaxPool2x2:
-    """2x2 max pooling with stride 2; spatial dims must be even.
+    """2x2 max pooling with stride 2 of factored maps (see `Conv2D`);
+    spatial dims must be even.
 
-    Forward keeps only its input. Backward routes each window's gradient
-    to the first cell in row-major window order that holds the max: each
-    strided view's mask keeps only the maxima that no earlier view took.
+    A pooled cell is fixed by the ids of its row pair and its column pair.
+    Forward gives each run of equal pairs along an axis one id, takes the
+    max of every (row pair, column pair) window of each map, and keeps the
+    table element of each window's first max in row-major window order.
+    Backward routes the gradient of each output cell to that element.
     """
 
-    OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cin = None  # any channel count
 
     def __init__(self):
-        self._x = None
+        self._winner = None
 
-    def _views(self, x):
-        views = [x[:, :, i::2, j::2] for i, j in self.OFFSETS]
-        return views, np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-
-    def forward(self, x):
-        h, w = x.shape[2:]
+    def forward(self, table, rows, cols):
+        table, rows, cols = _factored(self, table, rows, cols)
+        b, nr, nq, c = table.shape
+        h, w = rows.shape[1], cols.shape[1]
         if h % 2 or w % 2:
             raise ShapeError(f"MaxPool2x2 needs even dims, got {h}x{w}")
-        self._x = x
-        return self._views(x)[1]
+        (rsrc, rows), (qsrc, cols) = _runs(np.concatenate([rows, cols], axis=1), 2, 2,
+                                           h // 2, h // 2)
+        # the table cell of each window position (top left, top right,
+        # bottom left, bottom right) of each (map, row pair, column pair)
+        at_row = ((np.arange(b)[:, None, None] * nr + rsrc) * nq).transpose(2, 0, 1)
+        cell = (at_row[:, None, :, :, None] + qsrc.transpose(2, 0, 1)[None, :, :, None, :])
+        cell = cell.reshape(4, -1, 1)
+        v = np.take(table.reshape(-1, c), cell[:, :, 0], axis=0)
+        top, bottom = np.maximum(v[0], v[1]), np.maximum(v[2], v[3])
+        # the first max in row-major window order: ties go left, then up
+        winner = np.where(top >= bottom, np.where(v[0] >= v[1], cell[0], cell[1]),
+                          np.where(v[2] >= v[3], cell[2], cell[3]))
+        self._winner = winner * c + np.arange(c)
+        self._shape = table.shape
+        out_shape = (b, rsrc.shape[1], qsrc.shape[1], c)
+        return np.maximum(top, bottom).reshape(out_shape), rows, cols
 
     def backward(self, dy):
-        if self._x is None:
+        """The input table's gradient of the output table's gradient."""
+        if self._winner is None:
             raise RuntimeError("backward called before forward")
-        views, m = self._views(self._x)
-        dx = np.zeros(self._x.shape, dtype=np.asarray(dy).dtype)
-        taken = np.zeros(m.shape, dtype=bool)
-        for (i, j), v in zip(self.OFFSETS, views):
-            mask = (v == m) & ~taken
-            taken |= mask
-            dx[:, :, i::2, j::2] = np.where(mask, dy, 0)
-        return dx
-
-
-class OuterProductConvPool:
-    """A same-padded k x k convolution followed by 2x2 max pooling, on maps
-    whose every channel is the outer product r qᵀ of a 0/1 row indicator r
-    and a 0/1 column indicator q: the binary pair maps, given as their
-    (B, C, H) row and (B, C, W) column indicators.
-
-    The im2col column of cell (y, x) holds, at (c, di, dj), the row bit
-    r_c[y + di - pad] times the column bit q_c[x + dj - pad]. So it is
-    fixed by the cell's row pattern (its C*k row bits) and column pattern
-    (its C*k column bits), and each map has only a few distinct patterns
-    of each. Forward runs one GEMM over the 0/1 columns of every map's
-    distinct (row pattern, column pattern) cells, padded to the batch's
-    largest pattern counts, and gathers the pool from that table: the
-    values are `Conv2D` + `MaxPool2x2`'s bit for bit, as each 0/1 column
-    is summed in the same order. Backward routes each pooled gradient to
-    the first cell in row-major window order that holds the max, as
-    `MaxPool2x2` does, sums it per table cell and takes dW and db from the
-    table. No (B, C, H, W) map, im2col columns or conv-size gradient is
-    built. float32 indicators run in float32, anything else in float64.
-    """
-
-    def __init__(self, in_channels, out_channels, kernel_size, rng):
-        if kernel_size % 2 != 1:
-            raise ShapeError("kernel size must be odd")
-        self.cin = in_channels
-        self.cout = out_channels
-        self.k = kernel_size
-        fan_in = in_channels * kernel_size * kernel_size
-        self.w = Param(init_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
-                                    fan_in, out_channels), copy=False)
-        self.b = Param(np.zeros(out_channels), copy=False)
-        self._y = None
-
-    def params(self, prefix):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-    @staticmethod
-    def _distinct(codes, span):
-        """Each map's distinct values of its (B, n) codes, all below `span`:
-        the (B, m) values in ascending order, padded with zeros to the
-        batch's largest count, and the (B, n) position of each code there."""
-        b = len(codes)
-        # the map's index above the code: one sort finds every map's values
-        uniq, inverse = np.unique(codes + span * np.arange(b)[:, None], return_inverse=True)
-        owner = uniq // span
-        start = np.searchsorted(owner, np.arange(b))
-        local = np.arange(len(uniq)) - start[owner]
-        table = np.zeros((b, local.max() + 1), dtype=codes.dtype)
-        table[owner, local] = uniq % span
-        return table, inverse.reshape(codes.shape) - start[:, None]
-
-    def _patterns(self, ind):
-        """Each map's distinct patterns of k shifted indicator bits: their
-        (B, np, C*k) bits in (c, d) order, zero-padded to the batch's
-        largest count, and the (B, n) pattern id of every position."""
-        b, c, n = ind.shape
-        k, pad = self.k, self.k // 2
-        on = np.zeros((b, c, n + 2 * pad), dtype=np.int64)
-        on[:, :, pad:pad + n] = ind
-        # bit c*k + d of position y is channel c's indicator at y + d - pad
-        code = sum(on[:, ch, d:d + n] << (ch * k + d) for ch in range(c) for d in range(k))
-        table, ids = self._distinct(code, 1 << c * k)
-        return ((table[..., None] >> np.arange(c * k)) & 1).astype(ind.dtype), ids
-
-    def forward(self, rows, cols):
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        dtype = np.float32 if rows.dtype == np.float32 else np.float64
-        rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
-        if (rows.ndim != 3 or cols.ndim != 3 or rows.shape[:2] != cols.shape[:2]
-                or rows.shape[1] != self.cin):
-            raise ShapeError(f"expects (B, {self.cin}, H) rows and (B, {self.cin}, W) "
-                             f"columns, got {rows.shape} and {cols.shape}")
-        h, w = rows.shape[2], cols.shape[2]
-        if h % 2 or w % 2:
-            raise ShapeError(f"2x2 pooling needs even dims, got {h}x{w}")
-        for ind in (rows, cols):
-            if np.any((ind != 0) & (ind != 1)):
-                raise ValueError("indicators must be 0/1")
-        self._y = None  # the previous call's table goes before the next is built
-        c, k, cout = self.cin, self.k, self.cout
-        rt, rid = self._patterns(rows)
-        ct, cid = self._patterns(cols)
-        b, nv, nu = len(rt), rt.shape[1], ct.shape[1]
-        # bit (c, di, dj) of a cell's column: row bit (c, di) times column bit (c, dj)
-        rbits = np.repeat(rt.reshape(b, nv, 1, c, k), k, axis=-1)
-        cbits = np.tile(ct.reshape(b, 1, nu, c, k), k)
-        cells = (rbits * cbits).reshape(b * nv * nu, c * k * k)
-        wmat = self.w.value.reshape(cout, -1).astype(dtype, copy=False)
-        y = cells @ wmat.T
-        y += self.b.value.astype(dtype, copy=False)
-        # the table row of every (map, row pattern, column x); each
-        # pattern's column-pair maxima, (map, row pattern) rows of colmax
-        xrow = (np.arange(b)[:, None, None] * nv + np.arange(nv)[:, None]) * nu + cid[:, None]
-        colmax = np.maximum(np.take(y, xrow[..., 0::2], axis=0),
-                            np.take(y, xrow[..., 1::2], axis=0)).reshape(b * nv, w // 2, cout)
-        # each map's distinct (top, bottom) pattern pairs of its pooled rows
-        pairs, pair_id = self._distinct(rid[:, 0::2] * nv + rid[:, 1::2], nv * nv)
-        top, bottom = (np.arange(b)[:, None] * nv + np.divmod(pairs, nv)).reshape(2, -1)
-        self._cells, self._y, self._xrow = cells, y, xrow
-        self._top, self._bottom, self._pair_id = top, bottom, pair_id
-        pooled = np.maximum(np.take(colmax, top, axis=0), np.take(colmax, bottom, axis=0))
-        flat_id = np.arange(b)[:, None] * pairs.shape[1] + pair_id
-        return np.take(pooled, flat_id, axis=0).transpose(0, 3, 1, 2)
-
-    def backward(self, dy):
-        """Accumulate dW and db of the (B, cout, H/2, W/2) pooled gradient.
-        The indicators are data, so no input gradient is computed."""
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        left, right = self._xrow[..., 0::2], self._xrow[..., 1::2]
-        yl, yr = np.take(self._y, left, axis=0), np.take(self._y, right, axis=0)
-        colmax = np.maximum(yl, yr)
-        # the table row of each column pair's first max, then of each window's:
-        # ties go left, then up, the first cell in row-major window order
-        first = np.where(yl == colmax, left[..., None], right[..., None])
-        colmax, first = (a.reshape(-1, left.shape[2], self.cout) for a in (colmax, first))
-        top, bottom = self._top, self._bottom
-        cell = np.where(np.take(colmax, top, axis=0) >= np.take(colmax, bottom, axis=0),
-                        np.take(first, top, axis=0), np.take(first, bottom, axis=0))
-        # the pooled gradient summed over each map's rows of one pattern pair
-        b, half = self._pair_id.shape
         dy = np.asarray(dy)
-        onehot = (self._pair_id[:, None] == np.arange(len(top) // b)[:, None]).astype(dy.dtype)
-        dpair = onehot @ dy.transpose(0, 2, 1, 3).reshape(b, half, -1)
-        index = cell.transpose(0, 2, 1) * self.cout + np.arange(self.cout)[:, None]
-        grad = np.bincount(index.ravel(), dpair.ravel(), self._y.size).reshape(self._y.shape)
-        self.w.grad += (grad.T @ self._cells).reshape(self.w.value.shape)
-        self.b.grad += grad.sum(axis=0)
+        if dy.size != self._winner.size:
+            raise ShapeError(f"MaxPool2x2 backward expects the forward's {self._winner.size} "
+                             f"output values, got {dy.shape}")
+        grad = np.bincount(self._winner.ravel(), dy.ravel(), math.prod(self._shape))
+        return grad.reshape(self._shape)
+
+
+def indicator_map(rows, cols):
+    """The factored map (see `Conv2D`) of B binary C-channel maps given as
+    (B, C, H) row and (B, C, W) column indicators, channel c of a map
+    being the outer product of its row and column bits: the fixed
+    (B, 2^C, 2^C, C) table of every pair of C-bit row and column
+    patterns, and the pattern of each row and column. float32 indicators
+    give a float32 table, anything else float64."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for ind in (rows, cols):
+        if np.any((ind != 0) & (ind != 1)):
+            raise ValueError("indicators must be 0/1")
+    dtype = np.float32 if rows.dtype == np.float32 else np.float64
+    c = rows.shape[1]
+    bits = np.arange(c)[:, None]
+    patterns = ((np.arange(1 << c) >> bits) & 1).T.astype(dtype)
+    table = patterns[:, None, :] * patterns[None, :, :]
+    codes = [(ind.astype(np.intp) << bits).sum(axis=1) for ind in (rows, cols)]
+    return np.broadcast_to(table, (len(rows),) + table.shape), *codes
 
 
 class ConvPoolEncoder:
     """Two conv+pool blocks followed by one FC layer; output length 256.
 
-    Takes binary two-channel maps as their row and column indicators: the
-    first block is an `OuterProductConvPool`, the second a `Conv2D` and a
-    `MaxPool2x2` on its output. Input spatial dims must be divisible by 4
-    (two 2x2 pools). Without a generator every block starts at zero.
+    Takes binary maps as their row and column indicators and runs both
+    blocks on factored maps (see `Conv2D`), from the map of their row and
+    column patterns (`indicator_map`); only pool2's output is expanded,
+    into the channel-major rows `fc` reads, and the backward stays in
+    table space. Input spatial dims must be divisible by 4 (two 2x2
+    pools). Without a generator every block starts at zero.
     """
 
     OUT_DIM = 256
@@ -522,7 +503,8 @@ class ConvPoolEncoder:
             raise ShapeError(f"encoder input dims must be divisible by 4, got {h}x{w}")
         self.in_channels = in_channels
         self.in_hw = (h, w)
-        self.conv1 = OuterProductConvPool(in_channels, channels[0], kernel_size, rng)
+        self.conv1 = Conv2D(in_channels, channels[0], kernel_size, rng)
+        self.pool1 = MaxPool2x2()
         self.conv2 = Conv2D(channels[0], channels[1], kernel_size, rng)
         self.pool2 = MaxPool2x2()
         self.flat_dim = channels[1] * (h // 4) * (w // 4)
@@ -541,15 +523,23 @@ class ConvPoolEncoder:
         if rows.shape[1:] != (c, h) or cols.shape[1:] != (c, w) or len(rows) != len(cols):
             raise ShapeError(f"encoder expects (B, {c}, {h}) rows and (B, {c}, {w}) columns, "
                              f"got {rows.shape} and {cols.shape}")
-        x = self.pool2.forward(self.conv2.forward(self.conv1.forward(rows, cols)))
-        self._pooled_shape = x.shape
-        return self.fc.forward(x.reshape(x.shape[0], -1))
+        x = self.pool1.forward(*self.conv1.forward(*indicator_map(rows, cols)))
+        table, rows, cols = self.pool2.forward(*self.conv2.forward(*x))
+        # the table element of each (map, channel, y, x) of the NCHW rows
+        b, nr, nq, c = table.shape
+        at_row = (np.arange(b)[:, None] * nr + rows) * nq
+        self._index = ((at_row[:, None, :, None] + cols[:, None, None, :]) * c
+                       + np.arange(c)[:, None, None])
+        self._shape = table.shape
+        return self.fc.forward(np.take(table, self._index).reshape(b, -1))
 
     def backward(self, dy):
         """Accumulate the gradients of every block. The input is data, so
         no input gradient is computed or returned."""
-        dh = self.fc.backward(dy).reshape(self._pooled_shape)
-        self.conv1.backward(self.conv2.backward(self.pool2.backward(dh)))
+        dx = self.fc.backward(dy)
+        dtable = np.bincount(self._index.ravel(), dx.ravel(), math.prod(self._shape))
+        dtable = self.conv2.backward(self.pool2.backward(dtable.reshape(self._shape)))
+        self.conv1.backward(self.pool1.backward(dtable), input_grad=False)
 
 
 def softmax_rows(m):

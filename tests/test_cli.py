@@ -495,6 +495,10 @@ class TestErrorPaths:
          "field 'image_size' must be an integer, got 128.7"),
         (lambda meta: json.dumps({**meta, "person_class": 0.4}),
          "field 'person_class' must be an integer, got 0.4"),
+        (lambda meta: json.dumps({**meta, "person_class": 999}),
+         "field 'person_class' must index 'class_names', in [0, 5), got 999"),
+        (lambda meta: json.dumps({**meta, "person_class": -1}),
+         "field 'person_class' must index 'class_names', in [0, 5), got -1"),
         (lambda meta: json.dumps({**meta, "channels": "13"}),
          "field 'channels' must be an integer, got '13'"),
         (lambda meta: json.dumps({**meta, "seed": 1.5}),
@@ -634,6 +638,7 @@ class TestErrorPaths:
         ("entities[1].box", [float("nan"), 0, 10, 10]), ("entities[1].box", [0, 0, 10]),
         ("entities[1].face_box", [50, 50, 10, 10]), ("proposals[0].box", [0, 30, 10, 20]),
         ("proposals[0].iou", "x"), ("proposals[0].iou", float("nan")),
+        ("image_id", []), ("image_id", {}), ("image_id", None), ("seed", -1), ("seed", 1.5),
     ])
     @pytest.mark.parametrize("command", ["train", "infer", "eval"])
     def test_malformed_scene_record_exit_2(self, pipeline, tmp_path, capsys,

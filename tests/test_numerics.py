@@ -14,11 +14,11 @@ from hoicascade.numerics import (
     ConvPoolEncoder,
     FCLayer,
     MaxPool2x2,
-    OuterProductConvPool,
     Param,
     ParamStore,
     binary_cross_entropy,
     finite_diff_check,
+    indicator_map,
     pairwise_hinge_loss,
     sgd_step,
     sigmoid,
@@ -122,6 +122,28 @@ def outer_maps(rows, cols):
     return rows[:, :, :, None] * cols[:, :, None, :]
 
 
+def identity_map(x):
+    """A dense (B, C, H, W) input as a factored map: its cells as the
+    table, row ids 0..H-1 and column ids 0..W-1."""
+    b, _, h, w = x.shape
+    return x.transpose(0, 2, 3, 1), np.tile(np.arange(h), (b, 1)), np.tile(np.arange(w), (b, 1))
+
+
+def dense_map(table, rows, cols):
+    """A factored map expanded to (B, C, H, W)."""
+    maps = np.arange(len(table))[:, None, None]
+    return np.ascontiguousarray(table[maps, rows[:, :, None], cols[:, None, :]].transpose(0, 3, 1, 2))
+
+
+def table_grad(dx, table, rows, cols):
+    """A (B, C, H, W) gradient summed onto the cells of a factored map's
+    table."""
+    out = np.zeros(table.shape)
+    maps = np.arange(len(table))[:, None, None]
+    np.add.at(out, (maps, rows[:, :, None], cols[:, None, :]), dx.transpose(0, 2, 3, 1))
+    return out
+
+
 class TestConvPoolEncoder:
     def test_zero_input_zero_bias(self):
         enc = ConvPoolEncoder(2, (8, 8), rng=np.random.default_rng(0))
@@ -149,7 +171,7 @@ class TestConvPoolEncoder:
         enc = ConvPoolEncoder(2, (4, 4), channels=(3, 2), rng=rng)
         enc.conv1.b.value[...] = rng.normal(size=3)
         rows, cols = (box_indicators(rng, (1, 2), 4) for _ in range(2))
-        got = enc.conv1.forward(rows, cols)[0]
+        got = dense_map(*enc.pool1.forward(*enc.conv1.forward(*indicator_map(rows, cols))))[0]
         ref = conv_same_oracle(outer_maps(rows, cols)[0], enc.conv1.w.value, enc.conv1.b.value)
         pooled = ref.reshape(3, 2, 2, 2, 2).max(axis=(2, 4))
         np.testing.assert_allclose(got, pooled, atol=1e-10)
@@ -173,8 +195,8 @@ class TestConvPoolEncoder:
 # ------------------------------------------- loop references for the encoder
 
 def conv_loop_forward(conv, x):
-    """Per-column im2col loop: the reference the strided-view Conv2D must
-    match bit for bit. Returns (y, cols)."""
+    """Per-column im2col loop on a dense input: the reference the table
+    Conv2D must match bit for bit. Returns (y, cols)."""
     x = np.asarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64)
@@ -254,10 +276,11 @@ GRAD_BOUND = {np.float32: 1e-5, np.float64: 1e-13}
 
 
 class TestEncoderKernelsMatchLoops:
-    """The vectorised conv and pool kernels match the loop implementations:
-    bit for bit where the pipeline's served outputs depend on them (the
-    float32 forward, the columns, dx and the pool), and within a stated
-    bound of max|ref| where only a GEMM's summation order differs."""
+    """The table conv and pool kernels, fed dense inputs as identity-
+    factored maps, match the loop implementations: bit for bit where the
+    pipeline's served outputs depend on them (the float32 forward, the
+    columns and the pool), and within a stated bound of max|ref| where
+    only summation order differs (dW, db and dx)."""
 
     @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
     @pytest.mark.parametrize("cin, cout, k", [(2, 8, 3), (8, 8, 3), (3, 2, 5), (2, 4, 1)])
@@ -271,23 +294,25 @@ class TestEncoderKernelsMatchLoops:
             x = rng.normal(size=(batch, cin, 32, 32)).astype(np.float32)
         else:
             x = rng.normal(size=(batch, cin, 12, 10))
-        y = conv.forward(x)
+        table, rows, cols = conv.forward(*identity_map(x))
+        y = dense_map(table, rows, cols)
         y_ref, cols_ref = conv_loop_forward(conv, x)
         bound = GRAD_BOUND[y_ref.dtype.type]
+        assert rows.tolist() == identity_map(x)[1].tolist()
+        assert cols.tolist() == identity_map(x)[2].tolist()
         if x.dtype == np.float32:
             assert y.dtype == y_ref.dtype
-            assert np.ascontiguousarray(y).tobytes() == y_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
         else:
-            assert_within(np.ascontiguousarray(y), y_ref, bound)
-        assert conv._cols.T.shape == cols_ref.shape
-        assert np.ascontiguousarray(conv._cols.T).tobytes() == cols_ref.tobytes()
-        dy = rng.normal(size=y.shape)
-        dw, db, dx_ref = conv_loop_backward(conv, cols_ref, x.shape, dy)
-        dx = conv.backward(dy)
+            assert_within(y, y_ref, bound)
+        assert conv._cells.shape == cols_ref.shape
+        assert conv._cells.tobytes() == cols_ref.tobytes()
+        dy = rng.normal(size=table.shape)
+        dw, db, dx_ref = conv_loop_backward(conv, cols_ref, x.shape, dy.transpose(0, 3, 1, 2))
+        dx = conv.backward(dy).transpose(0, 3, 1, 2)
         assert_within(conv.w.grad, dw, bound)
         assert_within(conv.b.grad, db, bound)
-        assert dx.dtype == dx_ref.dtype
-        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(dx_ref).tobytes()
+        assert_within(np.ascontiguousarray(dx), np.ascontiguousarray(dx_ref), bound)
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("kind", ["pair_maps", "float64"])
@@ -325,28 +350,8 @@ class TestEncoderKernelsMatchLoops:
                            (enc.conv1.w, dw1), (enc.conv1.b, db1)]:
             assert_within(param.grad, ref, GRAD_BOUND[np.float32])
 
-    # pair-map columns (18.9 MB) + output (8.4 MB) + padded input (2.2 MB)
-    # is 29.5 MB. The previous call's columns still held (+18.9 MB), or a
-    # second full-size copy of the columns, cannot fit.
-    CONV_PEAK_BOUND = 32e6
-
-    def test_conv_forward_peak_memory(self):
-        rng = np.random.default_rng(47)
-        conv = Conv2D(2, 8, 3, rng)
-        x = binary_pair_maps(rng, 64)
-        tracemalloc.start()
-        try:
-            conv.forward(x)  # its columns stay held, as before a backward
-            tracemalloc.reset_peak()
-            conv.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.CONV_PEAK_BOUND, peak
-
     @pytest.mark.parametrize("layer, dy", [
         (Conv2D(2, 4, 3, None), np.zeros((1, 4, 4, 4))),
-        (OuterProductConvPool(2, 4, 3, None), np.zeros((1, 4, 2, 2))),
         (MaxPool2x2(), np.zeros((1, 2, 2, 2))),
         (FCLayer(3, 2), np.zeros(2)),
     ])
@@ -362,11 +367,11 @@ class TestEncoderKernelsMatchLoops:
     def test_pool_ties_go_to_first_row_major_cell(self, window, winner):
         x = np.array(window, dtype=np.float64).reshape(1, 1, 2, 2)
         pool = MaxPool2x2()
-        assert pool.forward(x).ravel().tolist() == [max(window)]
+        assert dense_map(*pool.forward(*identity_map(x))).ravel().tolist() == [max(window)]
         dx = pool.backward(np.full((1, 1, 1, 1), -1.5))
         expected = np.zeros(4)
         expected[winner] = -1.5
-        assert dx.ravel().tolist() == expected.tolist()
+        assert dx.transpose(0, 3, 1, 2).ravel().tolist() == expected.tolist()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pool_matches_argmax_reference(self, dtype):
@@ -376,11 +381,12 @@ class TestEncoderKernelsMatchLoops:
         dy = rng.normal(size=(3, 4, 8, 6)).astype(dtype)
         dy[0, 0] = -0.0
         pool = MaxPool2x2()
-        y = pool.forward(x)
+        y = dense_map(*pool.forward(*identity_map(x)))
         y_ref, dx_ref = maxpool_argmax_reference(x, dy)
         assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
-        dx = pool.backward(dy)
-        assert dx.dtype == dx_ref.dtype and dx.tobytes() == dx_ref.tobytes()
+        # one output per window: every input cell gets its winner's value or 0
+        dx = pool.backward(dy.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert np.array_equal(dx, dx_ref)
         counts = (x.reshape(3, 4, 8, 2, 6, 2) == y[:, :, :, None, :, None]).sum(axis=(3, 5))
         assert {2, 3, 4} <= set(np.unique(counts).tolist())
 
@@ -409,20 +415,20 @@ PAIR_CASES = {
 }
 
 
-class TestOuterProductConvPool:
-    """The first block against `conv_loop_forward` and
-    `maxpool_argmax_reference` on the outer-product maps: the pooled
-    output bit for bit in float32 and within GRAD_BOUND of max|ref| in
-    float64, dW and db within GRAD_BOUND."""
+class TestEncoderBlocks:
+    """The encoder's blocks on pair maps, from the indicator map: conv1 +
+    pool1 against `conv_loop_forward` and `maxpool_argmax_reference` on
+    the outer-product maps, the pooled output bit for bit in float32 and
+    within GRAD_BOUND of max|ref| in float64, dW and db within
+    GRAD_BOUND."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(PAIR_CASES))
-    def test_matches_conv_and_pool_loops(self, case, dtype):
+    def test_first_block_matches_conv_and_pool_loops(self, case, dtype):
         rng = np.random.default_rng(len(case))
-        layer = OuterProductConvPool(2, 8, 3, rng)
-        layer.b.value[...] = rng.normal(size=8)
-        conv = Conv2D(2, 8, 3, None)
-        conv.w.value[...], conv.b.value[...] = layer.w.value, layer.b.value
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
+        conv = enc.conv1
+        conv.b.value[...] = rng.normal(size=8)
         h_boxes, o_boxes = zip(*PAIR_CASES[case])
         rows, cols, _ = spatial_pair_encoding(h_boxes, o_boxes)
         assert rows.shape == cols.shape == (len(h_boxes), 2, 64)
@@ -431,46 +437,63 @@ class TestOuterProductConvPool:
         y_conv, cols_ref = conv_loop_forward(conv, x)
         dy = rng.normal(size=(len(x), 8, 32, 32)).astype(dtype)
         y_ref, dconv = maxpool_argmax_reference(y_conv, dy)
-        y = layer.forward(rows, cols)
+        pooled = enc.pool1.forward(*conv.forward(*indicator_map(rows, cols)))
+        y = dense_map(*pooled)
         assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
         if dtype == np.float32:
-            assert np.ascontiguousarray(y).tobytes() == y_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
         else:
-            assert_within(np.ascontiguousarray(y), y_ref, GRAD_BOUND[np.float64])
+            assert_within(y, y_ref, GRAD_BOUND[np.float64])
         dw, db, _ = conv_loop_backward(conv, cols_ref, x.shape, dconv)
-        layer.backward(dy)
-        assert_within(layer.w.grad, dw, GRAD_BOUND[dtype])
-        assert_within(layer.b.grad, db, GRAD_BOUND[dtype])
+        assert conv.backward(enc.pool1.backward(table_grad(dy, *pooled)),
+                             input_grad=False) is None
+        assert_within(conv.w.grad, dw, GRAD_BOUND[dtype])
+        assert_within(conv.b.grad, db, GRAD_BOUND[dtype])
 
     def test_a_box_within_one_cell_has_empty_indicators(self):
         rows, cols, _ = spatial_pair_encoding(*zip(*PAIR_CASES["empty_channel"]))
         assert not rows[0, 0].any() and not cols[0, 0].any() and rows[0, 1].all()
 
     def test_a_map_is_the_same_in_any_batch(self):
+        """Every block's output of a map is the same bits alone as in a
+        batch whose tables are larger; the float64 `fc` GEMM may only
+        reassociate."""
         rng = np.random.default_rng(61)
-        layer = OuterProductConvPool(2, 8, 3, rng)
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
         rows, cols, _ = spatial_pair_encoding(*zip(*PAIR_CASES["mixed"]))
-        batch = layer.forward(rows, cols).copy()
-        for m in range(len(rows)):
-            alone = layer.forward(rows[m:m + 1], cols[m:m + 1])
-            assert alone.tobytes() == np.ascontiguousarray(batch[m:m + 1]).tobytes()
+        blocks = (enc.conv1, enc.pool1, enc.conv2, enc.pool2)
 
-    # Measured 5.1 MB on 64 random box maps, 2.1 MB of it the pooled output.
-    # `Conv2D` + `MaxPool2x2` on the 64x64 maps peak at 33.6 MB: their
-    # (64, 8, 64, 64) conv output alone is 8.4 MB and the im2col columns
-    # 18.9 MB, so neither can be built under this bound.
+        def outputs(m):
+            x, out = indicator_map(rows[m], cols[m]), []
+            for block in blocks:
+                x = block.forward(*x)
+                out.append(dense_map(*x))
+            return out
+
+        batch = outputs(slice(None))
+        descriptors = enc.forward(rows, cols)
+        for m in range(len(rows)):
+            for alone, batched in zip(outputs(slice(m, m + 1)), batch):
+                assert alone.tobytes() == np.ascontiguousarray(batched[m:m + 1]).tobytes()
+            assert_within(enc.forward(rows[m:m + 1], cols[m:m + 1]), descriptors[m:m + 1],
+                          GRAD_BOUND[np.float64])
+
+    # Measured 6.9 MB on 64 random box maps; between calls the encoder
+    # holds 14.6 MB, 9.7 MB of it conv2's columns. On the 64 x 64 maps,
+    # `Conv2D`'s im2col columns alone were 18.9 MB for conv1 and for
+    # conv2, so neither can be built under this bound.
     FORWARD_PEAK_BOUND = 8e6
 
-    def test_forward_peak_memory(self):
+    def test_encoder_forward_peak_memory(self):
         rng = np.random.default_rng(47)
-        layer = OuterProductConvPool(2, 8, 3, rng)
+        enc = ConvPoolEncoder(2, (64, 64), rng=rng)
         rows, cols = (box_indicators(rng, (64, 2), 64).astype(np.float32) for _ in range(2))
         tracemalloc.start()
         try:
-            layer.forward(rows, cols)  # its tables stay held, as before a backward
+            enc.forward(rows, cols)  # its tables stay held, as before a backward
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            layer.forward(rows, cols)
+            enc.forward(rows, cols)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from hoicascade.training import RelationPass
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -46,3 +48,27 @@ def test_relation_pass_exposes_its_row_count():
     assert layertrace._pass_rows((rp,), None) == (rp.n,)
     rp.forward()
     assert len(rp.x_v) == len(rp.x_g) == rp.n
+
+
+def test_conv_counters_read_the_map_count():
+    """`_conv_maps` reads the leading axis of a conv call's first argument:
+    the table in forward, its gradient in backward. On a B-map encoder
+    batch both conv blocks count B maps, however many table cells the
+    maps have."""
+    from hoicascade.gradcheck import box_indicators
+    from hoicascade.numerics import ConvPoolEncoder
+
+    layertrace = load_layertrace()
+    rng = np.random.default_rng(71)
+    enc = ConvPoolEncoder(2, (64, 64), rng=rng)
+    b = 5
+    rows, cols = (box_indicators(rng, (b, 2), 64).astype(np.float32) for _ in range(2))
+    trace = layertrace.LayerTrace()
+    with trace.installed():
+        enc.backward(np.ones((len(enc.forward(rows, cols)), enc.OUT_DIM)))
+    table, _ = trace.summary()
+    for layer in ("Conv2D.forward", "Conv2D.backward", "MaxPool2x2.forward",
+                  "MaxPool2x2.backward"):
+        assert table[f"numerics.{layer}"]["calls"] == 2
+    assert trace.counts["numerics.Conv2D.forward.maps"] == 2 * b
+    assert trace.counts["numerics.Conv2D.backward.maps"] == 2 * b
